@@ -41,7 +41,7 @@ from .estimators import (
     saddle_success_analytic_2d,
     saddle_success_mc,
     success_probability,
-    task_seed,
+    task_rng,
 )
 from .experiments import (
     DEFAULT_SIGMA0_SWEEP,

@@ -39,7 +39,7 @@ from .estimators import (
     saddle_success_analytic_2d,
     saddle_success_mc,
     success_probability,
-    task_seed,
+    task_rng,
 )
 from .experiments import EscapeExperimentSpec, run_escape_experiment, drift_map
 from .normalization import NormalizedState, sample_M_plus_0
@@ -82,7 +82,7 @@ def _opt(ns, config: dict, key: str, default=None, required: bool = False):
     return default
 
 
-def _load_config(ns, allowed: set) -> dict:
+def _load_config(ns) -> dict:
     path = getattr(ns, "config", None)
     if not path:
         return {}
@@ -93,7 +93,7 @@ def _load_config(ns, allowed: set) -> dict:
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a single JSON object")
-    unknown = sorted(set(config) - allowed)
+    unknown = sorted(set(config) - ns.config_keys)
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return config
@@ -135,9 +135,7 @@ def _grid(ns, config) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_run(ns) -> int:
-    allowed = {"a", "b", "m0", "sigma0", "alpha", "budget", "sigma-min", "seed",
-               "record-every", "trace-out", "summary-out"}
-    config = _load_config(ns, allowed)
+    config = _load_config(ns)
     problem = _problem(ns, config)
     m0 = _float_list(_opt(ns, config, "m0", required=True))
     sigma0 = float(_opt(ns, config, "sigma0", required=True))
@@ -165,10 +163,7 @@ def cmd_run(ns) -> int:
 
 
 def cmd_escape(ns) -> int:
-    allowed = {"a", "b", "w0", "sigma0", "alpha", "budget", "trials", "seed",
-               "threads", "sigma-min", "fit-s-low", "fit-s-high",
-               "stats-out", "survival-out"}
-    config = _load_config(ns, allowed)
+    config = _load_config(ns)
     problem = _problem(ns, config)
     spec = EscapeExperimentSpec(
         problem=problem,
@@ -205,10 +200,7 @@ def cmd_escape(ns) -> int:
 
 
 def cmd_drift_map(ns) -> int:
-    allowed = {"a", "b", "alpha", "quantity", "beta", "n", "seed", "threads",
-               "confidence", "w-values", "sigma-grid-min", "sigma-grid-max",
-               "sigma-grid-points", "map-out", "check-positive"}
-    config = _load_config(ns, allowed)
+    config = _load_config(ns)
     problem = _problem(ns, config)
     params = EsParams(alpha=float(_opt(ns, config, "alpha", 1.5)))
     quantity = str(_opt(ns, config, "quantity", "W"))
@@ -231,10 +223,7 @@ def cmd_drift_map(ns) -> int:
 
 
 def cmd_constants(ns) -> int:
-    allowed = {"a", "b", "alpha", "n", "seed", "confidence", "w-values",
-               "sigma-grid-min", "sigma-grid-max", "sigma-grid-points",
-               "constants-out"}
-    config = _load_config(ns, allowed)
+    config = _load_config(ns)
     problem = _problem(ns, config)
     params = EsParams(alpha=float(_opt(ns, config, "alpha", 1.5)))
     n = int(_opt(ns, config, "n", 100_000))
@@ -258,8 +247,7 @@ def cmd_constants(ns) -> int:
 
 
 def cmd_succ_prob(ns) -> int:
-    allowed = {"a", "b", "w", "sigma", "n", "seed", "confidence", "at-saddle", "out"}
-    config = _load_config(ns, allowed)
+    config = _load_config(ns)
     problem = _problem(ns, config)
     n = int(_opt(ns, config, "n", 1_000_000))
     seed = _seed(ns, config)
@@ -293,8 +281,7 @@ def cmd_succ_prob(ns) -> int:
 
 
 def cmd_pairing(ns) -> int:
-    allowed = {"a", "b", "w", "radii", "n", "seed", "epsilon", "out"}
-    config = _load_config(ns, allowed)
+    config = _load_config(ns)
     problem = _problem(ns, config)
     w = float(_opt(ns, config, "w", required=True))
     radii = _float_list(_opt(ns, config, "radii", "0.1,1,10"))
@@ -305,7 +292,7 @@ def cmd_pairing(ns) -> int:
     m_tilde = sample_M_plus_0(problem, w)
     results = []
     for i, radius in enumerate(radii):
-        rng = np.random.default_rng(task_seed(seed, i))
+        rng = task_rng(seed, "pairing", i)
         report = pairing_check(problem, m_tilde, radius, n, rng, epsilon)
         results.append({"radius": radius, "violations": report.violations,
                         "min_margin": report.min_margin, "n_pairs": report.n_pairs})
@@ -319,8 +306,7 @@ def cmd_pairing(ns) -> int:
 
 
 def cmd_levels(ns) -> int:
-    allowed = {"a", "b", "extent", "points", "out"}
-    config = _load_config(ns, allowed)
+    config = _load_config(ns)
     problem = _problem(ns, config)
     if problem.d != 2:
         raise ConfigError("levels output is only defined for d = 2")
@@ -350,6 +336,13 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file; flags override its entries")
 
 
+def _set_command(p: argparse.ArgumentParser, func) -> None:
+    """Bind a subcommand; its config-file keys are its long options but --config."""
+    keys = {opt[2:] for action in p._actions if action.dest not in ("help", "config")
+            for opt in action.option_strings if opt.startswith("--")}
+    p.set_defaults(func=func, config_keys=keys)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="saddle-es",
@@ -368,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--record-every", type=int)
     p.add_argument("--trace-out")
     p.add_argument("--summary-out")
-    p.set_defaults(func=cmd_run)
+    _set_command(p, cmd_run)
 
     p = sub.add_parser("escape", help="escape-time experiment; writes stats JSON + survival CSV")
     _add_common(p)
@@ -383,7 +376,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fit-s-high", type=float)
     p.add_argument("--stats-out")
     p.add_argument("--survival-out")
-    p.set_defaults(func=cmd_escape)
+    _set_command(p, cmd_escape)
 
     p = sub.add_parser("drift-map", help="drift estimates over the (w, sigma~) grid; writes CSV")
     _add_common(p)
@@ -400,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--map-out")
     p.add_argument("--check-positive", action="store_const", const=True,
                    help="exit 2 unless every CI lower bound is positive")
-    p.set_defaults(func=cmd_drift_map)
+    _set_command(p, cmd_drift_map)
 
     p = sub.add_parser("constants", help="estimate the drift constants; writes JSON record")
     _add_common(p)
@@ -412,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-grid-max", type=float)
     p.add_argument("--sigma-grid-points", type=int)
     p.add_argument("--constants-out")
-    p.set_defaults(func=cmd_constants)
+    _set_command(p, cmd_constants)
 
     p = sub.add_parser("succ-prob", help="Monte Carlo success probability at one state")
     _add_common(p)
@@ -423,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--at-saddle", action="store_const", const=True,
                    help="sample from the saddle point itself (compares to the d=2 closed form)")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_succ_prob)
+    _set_command(p, cmd_succ_prob)
 
     p = sub.add_parser("pairing", help="mirror-pairing inequality check; writes JSON report")
     _add_common(p)
@@ -432,14 +425,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int)
     p.add_argument("--epsilon", type=float)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_pairing)
+    _set_command(p, cmd_pairing)
 
     p = sub.add_parser("levels", help="level-set point grid for plotting (d = 2); writes CSV")
     _add_common(p)
     p.add_argument("--extent", type=float)
     p.add_argument("--points", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_levels)
+    _set_command(p, cmd_levels)
 
     return parser
 

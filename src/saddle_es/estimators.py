@@ -5,10 +5,15 @@ Drift estimators take one strategy step per sample from the denormalized state
 at scale one (norm_plus(m~) = 1 makes the normalized state its own raw state)
 and renormalize the successor, because the drifts are one-step quantities.
 
-Grid pipelines derive one independent stream per task from a master seed:
-``task seed = master_seed XOR (stage salt + flat task index)``.  Stage salts
-keep task indices of different pipeline stages disjoint, so reruns with the
-same master seed are bit-identical regardless of scheduling.
+Every one-step estimate draws its offspring through one block kernel,
+``_offspring``; the drifts merge per-block moments, so their memory is flat in
+the sample size.
+
+Grid pipelines derive one independent stream per task with ``task_rng``: the
+master seed seeds a numpy ``SeedSequence`` spawned at key (stage id, *task
+index).  Streams of different tasks, stages and master seeds are independent,
+and reruns with the same master seed are bit-identical regardless of
+scheduling.
 """
 
 from __future__ import annotations
@@ -25,24 +30,25 @@ from .normalization import NormalizedState, NormPlusZeroError, in_M_plus_0, samp
 from .objective import SaddleProblem
 
 DEFAULT_CONFIDENCE = 0.99
-_CHUNK = 1 << 18
+_BLOCK = 1 << 18
 
-SALT_DRIFT_V = 1 << 24
-SALT_DRIFT_W = 2 << 24
-SALT_DRIFT_PHI = 3 << 24
-SALT_SIGMA40 = 4 << 24
-SALT_TRIAL = 5 << 24
-
-# Row stride for the per-mean success-rate scans inside estimate_constants:
-# each scan uses at most the sigma grid plus the bisection refinements.
-_SIGMA40_ROW_STRIDE = 128
+# Spawn-key stage ids of the task streams.  Renumbering a stage changes every
+# output seeded through it.
+_STAGES = {"V": 0, "W": 1, "Phi": 2, "sigma40": 3, "trial": 4, "pairing": 5}
 
 
-def task_seed(master_seed: int, index: int, salt: int = 0) -> int:
-    """Derived stream seed for an independent task; see module docstring."""
-    if master_seed < 0:
-        raise ValueError("master seed must be nonnegative")
-    return master_seed ^ (salt + index)
+def task_rng(master_seed: int, stage: str, *index: int) -> np.random.Generator:
+    """Stream of one task: ``SeedSequence(master_seed)`` spawned at key
+    (stage id, *index); see the module docstring.  ``stage`` is one of
+    V, W, Phi, sigma40, trial, pairing."""
+    return np.random.default_rng(
+        np.random.SeedSequence(master_seed, spawn_key=(_STAGES[stage], *index)))
+
+
+def _blocks(n: int) -> list:
+    """Sizes of the fewest near-equal blocks of at most _BLOCK rows summing to n."""
+    k = -(-n // _BLOCK)
+    return [n // k + (i < n % k) for i in range(k)]
 
 
 def z_critical(confidence: float) -> float:
@@ -72,28 +78,55 @@ class DriftEstimate:
             raise ValueError("confidence interval must bracket the mean")
 
     @classmethod
-    def from_samples(cls, values: np.ndarray,
+    def from_moments(cls, n: int, mean: float, m2: float,
                      confidence: float = DEFAULT_CONFIDENCE) -> "DriftEstimate":
-        values = np.asarray(values, dtype=float)
-        n = values.size
+        """Estimate from a sample's count, mean and summed squared deviations."""
         if n < 2:
             raise ValueError("an estimate needs at least 2 samples")
-        mean = float(values.mean())
-        stderr = float(values.std(ddof=1) / math.sqrt(n))
+        stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
         z = z_critical(confidence)
         return cls(mean=mean, stderr=stderr, n=n,
                    ci_low=mean - z * stderr, ci_high=mean + z * stderr,
                    confidence=confidence)
 
     @classmethod
+    def from_samples(cls, values: np.ndarray,
+                     confidence: float = DEFAULT_CONFIDENCE) -> "DriftEstimate":
+        return cls.from_moments(*_moments(np.asarray(values, dtype=float)), confidence)
+
+    @classmethod
     def from_binomial(cls, successes: int, n: int,
                       confidence: float = DEFAULT_CONFIDENCE) -> "DriftEstimate":
+        """Hit fraction with the Wald stderr and the Wilson (1927) score interval,
+        which keeps a positive width at 0 or n hits."""
         p = successes / n
         stderr = math.sqrt(p * (1.0 - p) / n)
         z = z_critical(confidence)
+        shrink = 1.0 + z * z / n
+        center = (p + z * z / (2 * n)) / shrink
+        half = z * math.sqrt(stderr * stderr + z * z / (4 * n * n)) / shrink
+        # the exact interval holds p and lies in [0, 1]; clamp the rounding
         return cls(mean=p, stderr=stderr, n=n,
-                   ci_low=p - z * stderr, ci_high=p + z * stderr,
+                   ci_low=max(0.0, min(p, center - half)),
+                   ci_high=min(1.0, max(p, center + half)),
                    confidence=confidence)
+
+
+def _moments(values: np.ndarray) -> tuple:
+    """(count, mean, summed squared deviations), rounded as numpy's mean and std."""
+    mean = values.mean()
+    dev = values - mean
+    dev *= dev
+    return values.size, float(mean), float(dev.sum())
+
+
+def _merge(x: tuple, y: tuple) -> tuple:
+    """Pairwise update of two (count, mean, M2) triples (Chan, Golub & LeVeque
+    1979); merging into (0, 0.0, 0.0) returns y unchanged."""
+    (na, ma, m2a), (nb, mb, m2b) = x, y
+    n = na + nb
+    delta = mb - ma
+    return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * nb / n)
 
 
 @dataclass(frozen=True)
@@ -103,6 +136,21 @@ class GridPointEstimate:
     w: float
     sigma_tilde: float
     est: DriftEstimate
+
+
+def _offspring(problem: SaddleProblem, ns: NormalizedState, c: int,
+               rng: np.random.Generator) -> tuple:
+    """Draw c offspring x ~ N(m~, sigma~^2 I); return the acceptance mask
+    f(x) <= f(m~) and the squares x**2, formed in place in the draw buffer.
+
+    The one kernel behind every one-step estimate; f is the dot product of the
+    squares with a, exactly as SaddleProblem.evaluate computes it.
+    """
+    z = rng.standard_normal((c, problem.d))
+    z *= ns.sigma_tilde
+    z += ns.m_tilde
+    np.square(z, out=z)
+    return z @ problem.a <= problem.evaluate(ns.m_tilde), z
 
 
 def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
@@ -115,16 +163,7 @@ def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    m = ns.m_tilde
-    sigma = ns.sigma_tilde
-    fm = problem.evaluate(m)
-    hits = 0
-    left = n
-    while left > 0:
-        c = min(left, _CHUNK)
-        x = m + sigma * rng.standard_normal((c, problem.d))
-        hits += int(np.count_nonzero(problem.evaluate(x) <= fm))
-        left -= c
+    hits = sum(int(np.count_nonzero(_offspring(problem, ns, c, rng)[0])) for c in _blocks(n))
     return DriftEstimate.from_binomial(hits, n, confidence)
 
 
@@ -134,16 +173,8 @@ def saddle_success_mc(problem: SaddleProblem, n: int, rng: np.random.Generator,
 
     Step-size independent by scale invariance, so unit sigma is used.
     """
-    if n < 100:
-        raise ValueError("need n >= 100 samples")
-    hits = 0
-    left = n
-    while left > 0:
-        c = min(left, _CHUNK)
-        x = rng.standard_normal((c, problem.d))
-        hits += int(np.count_nonzero(problem.evaluate(x) <= 0.0))
-        left -= c
-    return DriftEstimate.from_binomial(hits, n, confidence)
+    return success_probability(problem, NormalizedState(np.zeros(problem.d), 1.0), n,
+                               rng, confidence)
 
 
 def saddle_success_analytic_2d(problem: SaddleProblem) -> float:
@@ -162,9 +193,9 @@ def saddle_success_analytic_2d(problem: SaddleProblem) -> float:
 class StepSamples:
     """Per-sample outcome of n independent single steps from one normalized state.
 
-    ``norm_minus``/``norm_plus`` are the semi-norms of the offspring; only the
-    accepted entries feed the increments (a rejection leaves the mean in place
-    and shrinks the step size by the exact factor alpha**-0.25).
+    ``accepted`` has one entry per sample.  ``norm_minus``/``norm_plus`` are the
+    semi-norms of the accepted offspring only, in draw order: a rejection leaves
+    the mean in place and shrinks the step size by the exact factor alpha**-0.25.
     """
 
     accepted: np.ndarray
@@ -183,11 +214,10 @@ class StepSamples:
         Rejections contribute the constant -log(alpha)/4 with no estimation
         noise; acceptances contribute log(alpha) - log(norm_plus(offspring)).
         """
-        acc = self.accepted
-        if np.any(acc & (self.norm_plus == 0.0)):
+        if np.any(self.norm_plus == 0.0):
             raise NormPlusZeroError("accepted offspring with zero positive-block semi-norm")
         out = np.full(self.n, -0.25 * math.log(self.alpha))
-        out[acc] = math.log(self.alpha) - np.log(self.norm_plus[acc])
+        out[self.accepted] = math.log(self.alpha) - np.log(self.norm_plus)
         return out
 
     def w_increments(self) -> np.ndarray:
@@ -196,64 +226,55 @@ class StepSamples:
         A successor with zero positive-block semi-norm has W' = +inf and
         contributes the cap 1, so no error can occur on this path.
         """
-        acc = self.accepted
-        out = np.zeros(self.n)
-        nm = self.norm_minus[acc]
-        npl = self.norm_plus[acc]
+        nm, npl = self.norm_minus, self.norm_plus
         ratio = np.divide(nm, npl, out=np.full(nm.shape, math.inf), where=npl > 0.0)
-        out[acc] = np.minimum(ratio - self.w0, 1.0)
+        out = np.zeros(self.n)
+        out[self.accepted] = np.minimum(ratio - self.w0, 1.0)
         return out
 
 
 def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
                      n: int, rng: np.random.Generator) -> StepSamples:
-    """Draw n independent single steps from (m~, sigma~) at scale one."""
+    """Draw n independent single steps from (m~, sigma~) at scale one, as one block."""
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    m = ns.m_tilde
-    sigma = ns.sigma_tilde
-    fm = problem.evaluate(m)
-    w0 = float(problem.norm_minus(m))
-    acc_parts, nm_parts, np_parts = [], [], []
-    left = n
-    while left > 0:
-        c = min(left, _CHUNK)
-        x = m + sigma * rng.standard_normal((c, problem.d))
-        acc_parts.append(problem.evaluate(x) <= fm)
-        nm_parts.append(problem.norm_minus(x))
-        np_parts.append(problem.norm_plus(x))
-        left -= c
-    return StepSamples(accepted=np.concatenate(acc_parts),
-                       norm_minus=np.concatenate(nm_parts),
-                       norm_plus=np.concatenate(np_parts),
-                       w0=w0, alpha=params.alpha)
+    accepted, sq = _offspring(problem, ns, n, rng)
+    sq = sq[accepted]
+    a, b = problem.a, problem.b
+    return StepSamples(accepted=accepted,
+                       norm_minus=np.sqrt(-(sq[:, :b] @ a[:b])),
+                       norm_plus=np.sqrt(sq[:, b:] @ a[b:]),
+                       w0=float(problem.norm_minus(ns.m_tilde)), alpha=params.alpha)
 
 
-def _require_drift_inputs(problem: SaddleProblem, ns: NormalizedState, n: int) -> None:
+def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
+           rng: np.random.Generator, confidence: float, increments) -> DriftEstimate:
+    """Mean of ``increments(samples)`` over n steps, merged block by block."""
     if n < 1000:
         raise ValueError("drift estimation needs n >= 1000 samples")
     if not in_M_plus_0(problem, ns):
         warnings.warn("normalized mean lies outside the compact shell (norm_minus > 1); "
                       "the estimate is a valid Monte Carlo average but the drift bounds "
                       "are calibrated inside it", stacklevel=3)
+    moments = (0, 0.0, 0.0)
+    for c in _blocks(n):
+        samples = one_step_samples(problem, params, ns, c, rng)
+        moments = _merge(moments, _moments(increments(samples)))
+    return DriftEstimate.from_moments(*moments, confidence)
 
 
 def drift_v(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
             rng: np.random.Generator,
             confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
     """Expected one-step change of log(sigma~)."""
-    _require_drift_inputs(problem, ns, n)
-    samples = one_step_samples(problem, params, ns, n, rng)
-    return DriftEstimate.from_samples(samples.v_increments(), confidence)
+    return _drift(problem, params, ns, n, rng, confidence, StepSamples.v_increments)
 
 
 def drift_w(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
             rng: np.random.Generator,
             confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
     """Expected one-step truncated change of W = norm_minus(m~)."""
-    _require_drift_inputs(problem, ns, n)
-    samples = one_step_samples(problem, params, ns, n, rng)
-    return DriftEstimate.from_samples(samples.w_increments(), confidence)
+    return _drift(problem, params, ns, n, rng, confidence, StepSamples.w_increments)
 
 
 def drift_phi(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
@@ -266,32 +287,33 @@ def drift_phi(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
     """
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    _require_drift_inputs(problem, ns, n)
-    samples = one_step_samples(problem, params, ns, n, rng)
-    w_inc = samples.w_increments()
-    inc = w_inc if beta == 0.0 else beta * samples.v_increments() + w_inc
-    return DriftEstimate.from_samples(inc, confidence)
+
+    def increments(samples: StepSamples) -> np.ndarray:
+        w_inc = samples.w_increments()
+        return w_inc if beta == 0.0 else beta * samples.v_increments() + w_inc
+
+    return _drift(problem, params, ns, n, rng, confidence, increments)
 
 
 def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid,
                       n: int, master_seed: int, threshold: float = 0.4,
-                      bisect_steps: int = 12, _seed_salt: int = SALT_SIGMA40) -> float:
+                      bisect_steps: int = 12, _row: int = 0) -> float:
     """Largest step size below which the success rate stays >= ``threshold``.
 
     Scans the full ascending grid (no monotonicity assumed), then bisects in
     log space between the last passing and first failing grid points.  Returns
-    math.inf when the threshold is never crossed on the grid.
+    math.inf when the threshold is never crossed on the grid.  Scan point k
+    (grid points first, then bisection steps) draws from
+    ``task_rng(master_seed, "sigma40", _row, k)``.
     """
     grid = np.asarray(sigma_grid, dtype=float)
     if grid.size < 8:
         raise ValueError("sigma grid too coarse: need at least 8 points")
     if grid[0] <= 0.0 or not np.all(np.diff(grid) > 0.0):
         raise ValueError("sigma grid must be positive and strictly ascending")
-    if grid.size + bisect_steps > _SIGMA40_ROW_STRIDE:
-        raise ValueError("sigma grid plus bisection exceeds the per-scan seed stride")
 
     def p_at(sigma: float, idx: int) -> float:
-        rng = np.random.default_rng(task_seed(master_seed, idx, _seed_salt))
+        rng = task_rng(master_seed, "sigma40", _row, idx)
         return success_probability(problem, NormalizedState(m_tilde, sigma), n, rng).mean
 
     p_hat = [p_at(s, j) for j, s in enumerate(grid)]
@@ -432,8 +454,7 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     n_sigma = grid.sigma_values.size
 
     sigma_40_by_w = [
-        estimate_sigma_40(problem, m, grid.sigma_values, n, master_seed,
-                          _seed_salt=SALT_SIGMA40 + i * _SIGMA40_ROW_STRIDE)
+        estimate_sigma_40(problem, m, grid.sigma_values, n, master_seed, _row=i)
         for i, m in enumerate(means)
     ]
     sigma_tilde_40 = min(sigma_40_by_w)
@@ -441,7 +462,7 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     v_map = []
     for i, (w, m) in enumerate(zip(grid.w_values, means)):
         for j, s in enumerate(grid.sigma_values):
-            rng = np.random.default_rng(task_seed(master_seed, i * n_sigma + j, SALT_DRIFT_V))
+            rng = task_rng(master_seed, "V", i, j)
             est = drift_v(problem, params, NormalizedState(m, s), n, rng, confidence)
             v_map.append(GridPointEstimate(float(w), float(s), est))
 
@@ -464,7 +485,7 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
         for j, s in enumerate(grid.sigma_values):
             if s < sigma_tilde_star:
                 continue
-            rng = np.random.default_rng(task_seed(master_seed, i * n_sigma + j, SALT_DRIFT_W))
+            rng = task_rng(master_seed, "W", i, j)
             est = drift_w(problem, params, NormalizedState(m, s), n, rng, confidence)
             w_map.append(GridPointEstimate(float(w), float(s), est))
 
@@ -554,9 +575,7 @@ def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
     violations = 0
     min_margin = math.inf
     n_pairs = 0
-    left = n
-    while left > 0:
-        c = min(left, _CHUNK)
+    for c in _blocks(n):
         u = rng.standard_normal((c, problem.d))
         norms = np.linalg.norm(u, axis=1)
         # a zero draw (probability zero) would land on the mean itself, which
@@ -569,6 +588,5 @@ def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
             violations += int(np.count_nonzero(margins < -epsilon))
             min_margin = min(min_margin, float(margins.min()))
             n_pairs += margins.size
-        left -= c
     return PairingReport(violations=violations, min_margin=min_margin,
                          n_pairs=n_pairs, n_sampled=n, epsilon=epsilon)

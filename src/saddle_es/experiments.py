@@ -1,7 +1,7 @@
 """Escape-time experiments, survival-curve diagnostics, and drift maps.
 
 Trials and grid points are independent tasks on derived streams (see
-``estimators.task_seed``).  Aggregation is in task order, so results are
+``estimators.task_rng``).  Aggregation is in task order, so results are
 bit-identical for any thread count given the same master seed.
 """
 
@@ -16,34 +16,9 @@ from typing import Optional
 import numpy as np
 
 from .es import GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, run, target_reached
-from .estimators import (
-    SALT_DRIFT_PHI,
-    SALT_DRIFT_V,
-    SALT_DRIFT_W,
-    SALT_TRIAL,
-    GridPointEstimate,
-    GridSpec,
-    drift_phi,
-    drift_v,
-    drift_w,
-    task_seed,
-)
-from .normalization import NormalizedState, sample_M_plus_0
+from .estimators import GridPointEstimate, GridSpec, drift_phi, drift_v, drift_w, task_rng
+from .normalization import NormalizedState, _shell_point, sample_M_plus_0
 from .objective import RegionLabel, SaddleProblem
-
-
-def _mean_on_shell(problem: SaddleProblem, w: float) -> np.ndarray:
-    """Deterministic mean with norm_plus = 1 and norm_minus = w, any w >= 0.
-
-    Same construction as the deterministic sample_M_plus_0, without the
-    compact-shell cap: w > 1 starts inside the negative region.
-    """
-    if w < 0.0:
-        raise ValueError("w must be nonnegative")
-    m = np.zeros(problem.d)
-    m[0] = w / math.sqrt(-problem.a[0])
-    m[problem.b] = 1.0 / math.sqrt(problem.a[problem.b])
-    return m
 
 ESCAPED = "escaped"
 CENSORED = "censored"
@@ -100,8 +75,7 @@ class EscapeExperimentSpec:
             raise ValueError("master seed must be nonnegative")
 
     def initial_state(self) -> EsState:
-        return EsState(m=_mean_on_shell(self.problem, self.w0),
-                       sigma=self.sigma_tilde0)
+        return EsState(m=_shell_point(self.problem, self.w0), sigma=self.sigma_tilde0)
 
 
 @dataclass(frozen=True)
@@ -186,7 +160,7 @@ class HittingTimeStats:
 
 
 def _escape_trial(spec: EscapeExperimentSpec, idx: int) -> tuple[str, int]:
-    rng = np.random.default_rng(task_seed(spec.master_seed, idx, SALT_TRIAL))
+    rng = task_rng(spec.master_seed, "trial", idx)
     params = replace(spec.params, max_iters=spec.budget)
     trace = run(spec.problem, params, spec.initial_state(), rng,
                 stop=target_reached, record_every=0)
@@ -220,10 +194,8 @@ def survival_curve(times: np.ndarray, escaped_mask: np.ndarray):
     if finite.size == 0:
         return np.array([], dtype=int), np.array([])
     t_values = np.unique(finite)
-    total = len(times)
-    # count escapes at times <= t via cumulative counts over the sorted values
-    counts = np.array([np.count_nonzero(finite <= t) for t in t_values])
-    s = 1.0 - counts / total
+    counts = np.searchsorted(np.sort(finite), t_values, side="right")
+    s = 1.0 - counts / len(times)
     return t_values.astype(int), s
 
 
@@ -314,12 +286,10 @@ def post_escape_monotonicity(problem: SaddleProblem, trace) -> bool:
     return True
 
 
-_QUANTITY_SALTS = {"V": SALT_DRIFT_V, "W": SALT_DRIFT_W, "Phi": SALT_DRIFT_PHI}
-
-
 def _drift_point(args) -> GridPointEstimate:
-    (problem, params, w, m_tilde, sigma, quantity, beta, n, seed, confidence) = args
-    rng = np.random.default_rng(seed)
+    (problem, params, w, m_tilde, sigma, quantity, beta, n, master_seed, i, j,
+     confidence) = args
+    rng = task_rng(master_seed, quantity, i, j)
     ns = NormalizedState(m_tilde, sigma)
     if quantity == "V":
         est = drift_v(problem, params, ns, n, rng, confidence)
@@ -346,13 +316,10 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
     if quantity == "Phi" and beta is None:
         beta = DEFAULT_BETA_FALLBACK
     grid = grid if grid is not None else GridSpec.default()
-    salt = _QUANTITY_SALTS[quantity]
-    n_sigma = grid.sigma_values.size
     tasks = []
     for i, w in enumerate(grid.w_values):
         m_tilde = sample_M_plus_0(problem, float(w))
         for j, sigma in enumerate(grid.sigma_values):
-            seed = task_seed(master_seed, i * n_sigma + j, salt)
             tasks.append((problem, params, float(w), m_tilde, float(sigma),
-                          quantity, beta, n, seed, confidence))
+                          quantity, beta, n, master_seed, i, j, confidence))
     return _map_tasks(_drift_point, tasks, threads)

@@ -99,14 +99,22 @@ def sample_M_plus_0(problem: SaddleProblem, w: float,
     """
     if not 0.0 <= w <= 1.0:
         raise ValueError("w must lie in [0, 1]")
-    b, d = problem.b, problem.d
-    m = np.zeros(d)
     if rng is None:
-        m[0] = w / math.sqrt(-problem.a[0])
-        m[b] = 1.0 / math.sqrt(problem.a[b])
-    else:
-        m[:b] = w * _unit_shell_direction(-problem.a[:b], rng)
-        m[b:] = _unit_shell_direction(problem.a[b:], rng)
+        return _shell_point(problem, w)
+    b = problem.b
+    m = np.zeros(problem.d)
+    m[:b] = w * _unit_shell_direction(-problem.a[:b], rng)
+    m[b:] = _unit_shell_direction(problem.a[b:], rng)
+    return m
+
+
+def _shell_point(problem: SaddleProblem, w: float) -> np.ndarray:
+    """Deterministic mean with norm_plus = 1 and norm_minus = w >= 0: all weight
+    on the first axis of each block, positive signs.  w > 1 lies inside the
+    negative region."""
+    m = np.zeros(problem.d)
+    m[0] = w / math.sqrt(-problem.a[0])
+    m[problem.b] = 1.0 / math.sqrt(problem.a[problem.b])
     return m
 
 

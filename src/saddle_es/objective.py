@@ -9,7 +9,6 @@ its arguments.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,34 +61,11 @@ class SaddleProblem:
             raise ValueError(f"point has dimension {x.shape[-1] if x.ndim else 0}, expected {self.d}")
         return x
 
-    def evaluate(self, x, compensated: bool = False):
-        """f(x) = sum_i a_i x_i^2; accepts a single point or a batch (..., d).
-
-        ``compensated`` uses exact summation of the per-coordinate terms; only
-        worth it for very high dimension where the two blocks nearly cancel.
-        """
+    def evaluate(self, x):
+        """f(x) = sum_i a_i x_i^2; accepts a single point or a batch (..., d)."""
         x = self._coerce(x)
-        if compensated:
-            terms = self.a * np.square(x)
-            if x.ndim == 1:
-                return math.fsum(terms.tolist())
-            return np.apply_along_axis(lambda row: math.fsum(row.tolist()), -1, terms)
         value = np.square(x) @ self.a
         return float(value) if x.ndim == 1 else value
-
-    def project_minus(self, x) -> np.ndarray:
-        """Keep the first b components (negative-curvature block), zero the rest."""
-        x = self._coerce(x)
-        out = np.zeros_like(x)
-        out[..., : self.b] = x[..., : self.b]
-        return out
-
-    def project_plus(self, x) -> np.ndarray:
-        """Keep the last d-b components (positive-curvature block), zero the rest."""
-        x = self._coerce(x)
-        out = np.zeros_like(x)
-        out[..., self.b :] = x[..., self.b :]
-        return out
 
     def norm_minus(self, x):
         """Mahalanobis semi-norm of the negative-curvature block: sqrt(-sum_{i<=b} a_i x_i^2)."""

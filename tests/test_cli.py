@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -9,8 +10,12 @@ from saddle_es.cli import (
     EXIT_CRITERION,
     EXIT_OK,
     EXIT_UNDERFLOW,
+    _load_config,
+    build_parser,
     main,
 )
+
+COMMANDS = ("run", "escape", "drift-map", "constants", "succ-prob", "pairing", "levels")
 
 
 def run_cli(*args):
@@ -88,6 +93,18 @@ class TestConfigHandling:
         run_cli("run", f"--config={cfg}", "--seed=99",
                 f"--trace-out={tmp_path}/t.csv", f"--summary-out={tmp_path}/s.json")
         assert json.loads((tmp_path / "s.json").read_text())["seed"] == 99
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_long_flag_is_a_config_key(self, command, tmp_path, capsys):
+        parser = build_parser()
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        flags = set(re.findall(r"--([a-z][a-z0-9-]*)", capsys.readouterr().out))
+        flags -= {"help", "config"}
+        assert {"a", "b", "seed"} <= flags
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(dict.fromkeys(flags, 1)))
+        assert set(_load_config(parser.parse_args([command, f"--config={cfg}"]))) == flags
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from saddle_es import (
     saddle_success_mc,
     sample_M_plus_0,
     success_probability,
-    task_seed,
+    task_rng,
 )
 
 # Uniform-angle Monte Carlo oracle for the probability of the negative double
@@ -69,6 +70,11 @@ class TestDriftEstimate:
         with pytest.raises(ValueError):
             DriftEstimate.from_samples([1.0])
 
+    def test_binomial_interval_keeps_width_at_zero_and_n_hits(self):
+        for hits in (0, 1000):
+            est = DriftEstimate.from_binomial(hits, 1000)
+            assert 0.0 <= est.ci_low < est.ci_high <= 1.0
+
     def test_wider_interval_at_higher_confidence(self):
         values = np.random.default_rng(1).standard_normal(500)
         lo = DriftEstimate.from_samples(values, confidence=0.9)
@@ -79,11 +85,18 @@ class TestDriftEstimate:
 class TestTaskSeed:
     def test_negative_master_rejected(self):
         with pytest.raises(ValueError):
-            task_seed(-1, 0)
+            task_rng(-1, "trial", 0)
 
     def test_distinct_within_stage(self):
-        seeds = {task_seed(42, i, 1 << 24) for i in range(1000)}
-        assert len(seeds) == 1000
+        draws = {task_rng(42, "W", i).integers(1 << 62) for i in range(1000)}
+        assert len(draws) == 1000
+
+    def test_distinct_across_master_seeds_and_stages(self):
+        keys = [(seed, stage, i) for seed in range(8)
+                for stage in ("V", "W", "Phi", "sigma40", "trial", "pairing")
+                for i in range(4)]
+        draws = {task_rng(*key).integers(1 << 62) for key in keys}
+        assert len(draws) == len(keys)
 
 
 class TestSaddleSuccess:
@@ -173,9 +186,10 @@ class TestStepSamples:
         assert np.all(inc > -1.0) and np.all(inc <= 1.0)
 
     def test_norm_plus_zero_successor(self):
+        # semi-norms are stored for the accepted offspring only
         synthetic = StepSamples(accepted=np.array([True, False]),
-                                norm_minus=np.array([1.0, 1.0]),
-                                norm_plus=np.array([0.0, 1.0]),
+                                norm_minus=np.array([1.0]),
+                                norm_plus=np.array([0.0]),
                                 w0=0.5, alpha=1.5)
         with pytest.raises(NormPlusZeroError):
             synthetic.v_increments()
@@ -278,7 +292,7 @@ class TestDriftPhi:
                 if potentials(p, ns, constants.beta).phi > 1.0:
                     continue
                 est = drift_phi(p, params, ns, constants.beta, 20_000,
-                                np.random.default_rng(task_seed(62, i * 12 + j)))
+                                task_rng(62, "Phi", i, j))
                 assert est.ci_low > 0.0, (w, s)
                 checked += 1
         assert checked >= 20
@@ -393,3 +407,59 @@ class TestPairing:
         p = problem()
         with pytest.raises(ValueError):
             pairing_check(p, apex(p), 0.0, 100, np.random.default_rng(0))
+
+
+def whole_array_reference(p, params, ns, n, seed):
+    """Whole-array reference: all n one-step samples at once, mean and stderr of
+    each increment array as numpy computes them, and the success count."""
+    rng = np.random.default_rng(seed)
+    m = ns.m_tilde
+    x = m + ns.sigma_tilde * rng.standard_normal((n, p.d))
+    acc = p.evaluate(x) <= p.evaluate(m)
+    nm, npl = p.norm_minus(x)[acc], p.norm_plus(x)[acc]
+    log_alpha = math.log(params.alpha)
+    v = np.full(n, -0.25 * log_alpha)
+    v[acc] = log_alpha - np.log(npl)
+    w = np.zeros(n)
+    w[acc] = np.minimum(nm / npl - p.norm_minus(m), 1.0)
+    ref = {name: (float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(n)))
+           for name, inc in (("V", v), ("W", w), ("Phi", 0.7 * v + w))}
+    ref["success"] = (int(np.count_nonzero(acc)) / n, None)
+    return ref
+
+
+class TestBlockKernel:
+    ESTIMATORS = {
+        "V": lambda p, params, ns, n, rng: drift_v(p, params, ns, n, rng),
+        "W": lambda p, params, ns, n, rng: drift_w(p, params, ns, n, rng),
+        "Phi": lambda p, params, ns, n, rng: drift_phi(p, params, ns, 0.7, n, rng),
+        "success": lambda p, params, ns, n, rng: success_probability(p, ns, n, rng),
+    }
+
+    @pytest.mark.parametrize("n", [5000, 1 << 18, (1 << 19) + 1000])
+    def test_matches_whole_array_formulas(self, n):
+        p = problem((-1.0, 20.0))
+        params = EsParams(alpha=1.5)
+        ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.5)
+        ref = whole_array_reference(p, params, ns, n, 71)
+        for name, estimator in self.ESTIMATORS.items():
+            est = estimator(p, params, ns, n, np.random.default_rng(71))
+            mean, stderr = ref[name]
+            assert est.n == n
+            if n <= 1 << 18:
+                assert est.mean == mean, name
+                assert stderr is None or est.stderr == stderr, name
+            else:
+                assert est.mean == pytest.approx(mean, rel=1e-12), name
+                assert stderr is None or est.stderr == pytest.approx(stderr, rel=1e-12), name
+
+    def test_drift_memory_is_flat_in_n(self):
+        p = problem((-1.0, 20.0))
+        ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.5)
+        peaks = []
+        for n in (1 << 19, 1 << 21):
+            tracemalloc.start()
+            drift_w(p, EsParams(), ns, n, np.random.default_rng(72))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]

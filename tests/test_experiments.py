@@ -95,6 +95,12 @@ class TestEscapeExperiment:
         assert seq.times.tolist() == par.times.tolist()
         assert seq.statuses == par.statuses
 
+    def test_master_seeds_give_distinct_escape_times(self):
+        times = {tuple(np.sort(run_escape_experiment(
+                     spec(a=(-1.0, 100.0), trials=200, master_seed=seed)).times))
+                 for seed in range(8)}
+        assert len(times) == 8
+
     def test_underflow_counted_separately(self):
         # sigma_min just below sigma0 turns the first net shrink into underflow
         s = spec(trials=40, params=EsParams(alpha=1.5, sigma_min=0.999),

@@ -55,44 +55,6 @@ class TestEvaluate:
         x = np.array([[2.0, 1.0], [0.0, 0.0]])
         assert np.array_equal(p.evaluate(x), [16.0, 0.0])
 
-    def test_compensated_matches_plain(self):
-        rng = np.random.default_rng(0)
-        a = np.concatenate([-rng.uniform(0.5, 2.0, 50), rng.uniform(0.5, 2.0, 50)])
-        p = SaddleProblem(a=a, b=50)
-        for _ in range(20):
-            x = rng.standard_normal(100)
-            assert p.evaluate(x, compensated=True) == pytest.approx(p.evaluate(x), rel=1e-12)
-
-
-class TestProjections:
-    def test_split_examples(self):
-        p = make([-1.0, 1.0])
-        assert np.array_equal(p.project_minus([3.0, 2.0]), [3.0, 0.0])
-        assert np.array_equal(p.project_plus([3.0, 2.0]), [0.0, 2.0])
-        assert np.array_equal(p.project_minus([0.0, 5.0]), [0.0, 0.0])
-
-    def test_sum_identity_exact(self):
-        rng = np.random.default_rng(1)
-        p = SaddleProblem(a=np.array([-2.0, -1.0, 3.0, 4.0]), b=2)
-        for _ in range(50):
-            x = rng.standard_normal(4)
-            assert np.array_equal(p.project_minus(x) + p.project_plus(x), x)
-
-    def test_idempotence(self):
-        p = SaddleProblem(a=np.array([-2.0, -1.0, 3.0]), b=2)
-        x = np.array([1.0, -2.0, 3.0])
-        assert np.array_equal(p.project_minus(p.project_minus(x)), p.project_minus(x))
-
-    def test_projection_norms(self):
-        rng = np.random.default_rng(2)
-        p = SaddleProblem(a=np.array([-2.0, -1.0, 3.0, 4.0]), b=2)
-        for _ in range(50):
-            x = rng.standard_normal(4)
-            assert p.norm_plus(p.project_plus(x)) == pytest.approx(p.norm_plus(x), rel=1e-12)
-            assert p.norm_minus(p.project_minus(x)) == pytest.approx(p.norm_minus(x), rel=1e-12)
-            assert p.norm_plus(p.project_minus(x)) == 0.0
-            assert p.norm_minus(p.project_plus(x)) == 0.0
-
 
 class TestSemiNorms:
     def test_known_values(self):
