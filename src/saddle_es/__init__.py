@@ -12,10 +12,8 @@ from .es import (
     EsParams,
     EsState,
     RunTrace,
-    StepOutcome,
+    escape_times,
     run,
-    sample_offspring,
-    step,
     target_reached,
 )
 from .estimators import (

@@ -41,7 +41,7 @@ from .estimators import (
     success_probability,
     task_rng,
 )
-from .experiments import EscapeExperimentSpec, run_escape_experiment, drift_map
+from .experiments import ESCAPED, EscapeExperimentSpec, run_escape_experiment, drift_map
 from .normalization import NormalizedState, sample_M_plus_0
 from .objective import SaddleProblem
 from .serialize import drift_map_to_csv, survival_to_csv, trace_to_csv, write_csv, write_json
@@ -51,6 +51,9 @@ EXIT_CONFIG = 1
 EXIT_CRITERION = 2
 EXIT_UNDERFLOW = 3
 EXIT_CONSTANTS = 4
+
+# escape lists at most this many trials that did not escape
+_LIST_FAILED = 10
 
 SEED_ENV_VAR = "SADDLE_ES_SEED"
 
@@ -192,6 +195,12 @@ def cmd_escape(ns) -> int:
     survival_to_csv(stats, survival_out)
     print(f"escape: escaped={stats.n_escaped}/{stats.trials} censored={stats.n_censored} "
           f"underflow={stats.n_underflow} -> {stats_out}, {survival_out}")
+    failed = [k for k, status in enumerate(stats.statuses) if status != ESCAPED]
+    for k in failed[:_LIST_FAILED]:
+        print(f"escape: trial {k} {stats.statuses[k]} at t={stats.times[k]}; replay its stream "
+              f"with task_rng({spec.master_seed}, \"trial\", {k})", file=sys.stderr)
+    if len(failed) > _LIST_FAILED:
+        print(f"escape: {len(failed) - _LIST_FAILED} more trials did not escape", file=sys.stderr)
     if stats.n_underflow > 0:
         return EXIT_UNDERFLOW
     if stats.n_censored > 0:

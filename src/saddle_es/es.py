@@ -7,15 +7,19 @@ failures at the 1/5 success rate.
 
 Randomness contract: streams are ``numpy.random.Generator`` instances (use
 ``numpy.random.default_rng(seed)``, i.e. PCG64).  Every iteration consumes
-exactly d standard normal draws in component order 1..d.  ``run`` may prefetch
-draws from the stream in blocks; the values used for iteration t are always the
-same d normals regardless of the block size.
+exactly d standard normal draws in component order 1..d.  ``run`` and
+``escape_times`` prefetch draws from the stream in blocks; the values used for
+iteration t are always the same d normals regardless of the block size.
+``escape_times`` advances many trials together, each on its own stream, and f
+is computed by one expression whose bits for a point do not depend on how many
+points are evaluated together, so each of its trials ends exactly as ``run``
+ends on that trial's stream.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -28,6 +32,21 @@ BUDGET = "budget"
 UNDERFLOW = "underflow"
 
 _BLOCK = 256
+
+# escape_times refills each trial's (_REFILL, d) block of draws every _REFILL
+# iterations and is given at most _batch_trials(d) trials at a time, so one
+# batch buffers at most 2**16 normals
+_REFILL = 8
+
+
+def _batch_trials(d: int) -> int:
+    return 2 ** 13 // max(d, 8)
+
+
+def _f(sq: np.ndarray, a: np.ndarray):
+    """sum_j a_j * sq[..., j].  Unlike ``sq @ a``, the bits of each point's value
+    do not depend on how many points are evaluated together."""
+    return np.einsum("...j,j->...", sq, a)
 
 
 @dataclass(frozen=True)
@@ -63,13 +82,6 @@ class EsState:
             raise ValueError("sigma must be positive")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "sigma", float(self.sigma))
-
-
-@dataclass(frozen=True)
-class StepOutcome:
-    accepted: bool
-    offspring: np.ndarray
-    new_state: EsState
 
 
 @dataclass
@@ -133,27 +145,11 @@ def target_reached(problem: SaddleProblem, state: EsState) -> bool:
     return problem.evaluate(state.m) < 0.0
 
 
-def sample_offspring(state: EsState, rng: np.random.Generator) -> np.ndarray:
-    """m + sigma * z with z a vector of d independent standard normals.
-
-    Consumes exactly d draws from ``rng``; this fixed consumption enables
-    coupled-trajectory comparisons across runs sharing a seed.
-    """
-    return state.m + state.sigma * rng.standard_normal(state.m.size)
-
-
-def step(problem: SaddleProblem, params: EsParams, state: EsState,
-         rng: np.random.Generator) -> StepOutcome:
-    """One iteration: sample, compare (ties accept), adapt the step size."""
-    if not state.sigma > params.sigma_min:
-        raise ValueError("step size already at or below sigma_min")
-    offspring = sample_offspring(state, rng)
-    accepted = problem.evaluate(offspring) <= problem.evaluate(state.m)
-    if accepted:
-        new_state = EsState(m=offspring, sigma=state.sigma * params.alpha, t=state.t + 1)
-    else:
-        new_state = EsState(m=state.m, sigma=state.sigma * params.alpha ** -0.25, t=state.t + 1)
-    return StepOutcome(accepted=accepted, offspring=offspring, new_state=new_state)
+def _check_start(problem: SaddleProblem, params: EsParams, init: EsState) -> None:
+    if init.m.size != problem.d:
+        raise ValueError(f"initial mean has dimension {init.m.size}, expected {problem.d}")
+    if not init.sigma > params.sigma_min:
+        raise ValueError("initial sigma must exceed sigma_min")
 
 
 def run(problem: SaddleProblem, params: EsParams, init: EsState,
@@ -168,10 +164,7 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
     acceptances; ``record_every=0`` keeps only the initial and final states.
     Underflow is reported as a terminal reason, never raised.
     """
-    if init.m.size != problem.d:
-        raise ValueError(f"initial mean has dimension {init.m.size}, expected {problem.d}")
-    if not init.sigma > params.sigma_min:
-        raise ValueError("initial sigma must exceed sigma_min")
+    _check_start(problem, params, init)
     if record_every < 0:
         raise ValueError("record_every must be nonnegative")
 
@@ -179,7 +172,7 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
     d = problem.d
     m = np.array(init.m, dtype=float)
     sigma = float(init.sigma)
-    fm = float(np.square(m) @ a)
+    fm = float(_f(np.square(m), a))
     t = init.t
     t_escape = t if fm < 0.0 else None
     n_accepts = n_rejects = 0
@@ -207,7 +200,7 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
             k = 0
         x = m + sigma * buf[k]
         k += 1
-        fx = float(np.square(x) @ a)
+        fx = float(_f(np.square(x), a))
         t += 1
         if fx <= fm:
             last_accepted = True
@@ -232,3 +225,62 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
     final_state = EsState(m=m, sigma=sigma, t=t)
     return RunTrace(records=records, reason=reason, final_state=final_state,
                     t_escape=t_escape, n_accepts=n_accepts, n_rejects=n_rejects)
+
+
+def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
+                 rngs: Sequence[np.random.Generator]) -> tuple[list, np.ndarray]:
+    """One trial per stream from ``init``, all advancing together as arrays.
+
+    Trial k ends as ``run(problem, params, init, rngs[k], record_every=0)``
+    ends: the returned ``reasons[k]`` and ``times[k]`` equal that run's
+    ``reason`` and ``t_final``.  A trial leaves the batch when its mean reaches
+    f < 0 (target), its step size falls below ``params.sigma_min``
+    (underflow) or it has used ``params.max_iters`` iterations (budget).
+    Memory is one (len(rngs), 8, d) block of draws; callers hand over at most
+    ``_batch_trials(d)`` streams at a time.
+    """
+    _check_start(problem, params, init)
+    a, n = problem.a, len(rngs)
+    end = init.t + params.max_iters
+    f0 = float(_f(np.square(init.m), a))
+    if f0 < 0.0:
+        return [TARGET] * n, np.full(n, init.t)
+    reasons = np.full(n, BUDGET, dtype=object)
+    times = np.full(n, end)
+    rows = np.arange(n)                     # trial of each row
+    m = np.tile(init.m, (n, 1))
+    sigma = np.full(n, init.sigma)
+    fm = np.full(n, f0)
+    live = np.ones(n, dtype=bool)           # rows whose trial has not ended
+    buf = np.empty((n, _REFILL, problem.d))
+    dec = params.alpha ** -0.25
+    t = init.t
+    while t < end and live.any():
+        if not live.all():
+            rows, m, sigma, fm = rows[live], m[live], sigma[live], fm[live]
+            rngs = [rng for rng, keep in zip(rngs, live) if keep]
+            live = live[live]
+        z = buf[:rows.size]
+        for rng, zi in zip(rngs, z):
+            rng.standard_normal(out=zi)
+        for k in range(min(_REFILL, end - t)):
+            x = sigma[:, None] * z[:, k]
+            x += m
+            fx = _f(np.square(x), a)
+            acc = fx <= fm
+            acc &= live
+            np.copyto(m, x, where=acc[:, None])
+            np.copyto(fm, fx, where=acc)
+            sigma *= np.where(acc, params.alpha, dec)
+            t += 1
+            escaped = acc & (fx < 0.0)
+            under = live & (sigma < params.sigma_min)
+            ended = escaped | under
+            if ended.any():
+                reasons[rows[escaped]] = TARGET
+                reasons[rows[under]] = UNDERFLOW
+                times[rows[ended]] = t
+                live &= ~ended
+                if not live.any():
+                    break
+    return reasons.tolist(), times

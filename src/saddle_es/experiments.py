@@ -15,7 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .es import GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, run, target_reached
+from .es import (BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, _batch_trials,
+                 escape_times)
 from .estimators import GridPointEstimate, GridSpec, drift_phi, drift_v, drift_w, task_rng
 from .normalization import NormalizedState, _shell_point, sample_M_plus_0
 from .objective import RegionLabel, SaddleProblem
@@ -159,20 +160,12 @@ class HittingTimeStats:
         return [(int(t), float(s)) for t, s in zip(self.survival_t, self.survival_s)]
 
 
-def _escape_trial(spec: EscapeExperimentSpec, idx: int) -> tuple[str, int]:
-    rng = task_rng(spec.master_seed, "trial", idx)
-    params = replace(spec.params, max_iters=spec.budget)
-    trace = run(spec.problem, params, spec.initial_state(), rng,
-                stop=target_reached, record_every=0)
-    if trace.reason == TARGET:
-        return ESCAPED, int(trace.t_escape)
-    if trace.reason == UNDERFLOW:
-        return UNDERFLOWED, int(trace.t_final)
-    return CENSORED, int(spec.budget)
-
-
-def _escape_trial_star(args) -> tuple[str, int]:
-    return _escape_trial(*args)
+def _escape_batch(args) -> tuple[list, np.ndarray]:
+    """Trials lo..hi-1 of an escape experiment, each on its own trial stream."""
+    spec, lo, hi = args
+    rngs = [task_rng(spec.master_seed, "trial", k) for k in range(lo, hi)]
+    return escape_times(spec.problem, replace(spec.params, max_iters=spec.budget),
+                        spec.initial_state(), rngs)
 
 
 def _map_tasks(fn, args_list, threads: int):
@@ -226,13 +219,16 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
                           fit_s_range: tuple = (0.01, 0.5)) -> HittingTimeStats:
     """Run ``spec.trials`` independent escape trials and summarize them.
 
-    Trials are embarrassingly parallel; per-trial traces are discarded, only
-    the escape time and terminal reason are kept.
+    Trials run in batches of consecutive indices through ``es.escape_times``;
+    each trial reads its own stream, so batching and ``threads`` never change a
+    trial's result.  Only the escape time and terminal reason are kept.
     """
-    results = _map_tasks(_escape_trial_star,
-                         [(spec, i) for i in range(spec.trials)], threads)
-    statuses = [status for status, _ in results]
-    times = np.array([t for _, t in results], dtype=int)
+    size = _batch_trials(spec.problem.d)
+    batches = [(spec, lo, min(lo + size, spec.trials)) for lo in range(0, spec.trials, size)]
+    results = _map_tasks(_escape_batch, batches, threads)
+    status = {TARGET: ESCAPED, BUDGET: CENSORED, UNDERFLOW: UNDERFLOWED}
+    statuses = [status[reason] for reasons, _ in results for reason in reasons]
+    times = np.concatenate([t for _, t in results])
     escaped_mask = np.array([s == ESCAPED for s in statuses])
     n_escaped = int(np.count_nonzero(escaped_mask))
     n_censored = statuses.count(CENSORED)

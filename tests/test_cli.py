@@ -3,7 +3,8 @@ import re
 
 import pytest
 
-from saddle_es import closed_form_b1
+from saddle_es import (EscapeExperimentSpec, EsParams, SaddleProblem, closed_form_b1,
+                       run_escape_experiment)
 from saddle_es.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -139,6 +140,20 @@ class TestEscapeCommand:
                        f"--stats-out={tmp_path}/e.json",
                        f"--survival-out={tmp_path}/e.csv")
         assert code == EXIT_CRITERION
+
+    def test_budget_two_names_failing_trials(self, tmp_path, capsys):
+        code = run_cli("escape", "--a=-1,100", "--b=1", "--trials=30", "--budget=2",
+                       "--seed=5", f"--stats-out={tmp_path}/e.json",
+                       f"--survival-out={tmp_path}/e.csv")
+        assert code == EXIT_CRITERION
+        stats = run_escape_experiment(EscapeExperimentSpec(
+            SaddleProblem(a=[-1.0, 100.0], b=1), EsParams(), trials=30, budget=2, master_seed=5))
+        failed = [k for k, status in enumerate(stats.statuses) if status != "escaped"]
+        assert len(failed) > 10
+        expected = [f'escape: trial {k} censored at t=2; replay its stream with '
+                    f'task_rng(5, "trial", {k})' for k in failed[:10]]
+        expected.append(f"escape: {len(failed) - 10} more trials did not escape")
+        assert capsys.readouterr().err.splitlines() == expected
 
 
 class TestDriftMapCommand:

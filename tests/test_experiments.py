@@ -1,9 +1,12 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from test_acceptance import MASTER_SEED
 
 from saddle_es import (
+    BUDGET,
     DEFAULT_SIGMA0_SWEEP,
     EscapeExperimentSpec,
     EsParams,
@@ -19,8 +22,9 @@ from saddle_es import (
     run_sigma0_sweep,
     survival_curve,
     target_reached,
+    task_rng,
 )
-from saddle_es.es import TraceRecord
+from saddle_es.es import TARGET, UNDERFLOW, TraceRecord, _batch_trials
 
 
 def problem(a=(-1.0, 20.0), b=1):
@@ -119,6 +123,68 @@ class TestEscapeExperiment:
         stats = run_escape_experiment(spec(trials=100))
         assert set(stats.quantiles) == {"p10", "p50", "p90", "p99"}
         assert stats.quantiles["p10"] <= stats.quantiles["p99"]
+
+
+def run_per_trial(s):
+    """(status, time) of each trial from its own ``run``, as escape trials ran
+    before the batched engine."""
+    params = replace(s.params, max_iters=s.budget)
+    out = []
+    for k in range(s.trials):
+        trace = run(s.problem, params, s.initial_state(), task_rng(s.master_seed, "trial", k),
+                    record_every=0)
+        out.append({TARGET: ("escaped", trace.t_escape),
+                    UNDERFLOW: ("underflow", trace.t_final),
+                    BUDGET: ("censored", s.budget)}[trace.reason])
+    return out
+
+
+def batched(s, threads=1):
+    stats = run_escape_experiment(s, threads=threads)
+    return list(zip(stats.statuses, stats.times.tolist()))
+
+
+class TestEngineMatchesRun:
+    @pytest.mark.parametrize("ai,a", enumerate([(-1.0, 1.0), (-1.0, 20.0), (-1.0, 100.0)]))
+    def test_criterion_8_configs(self, ai, a):
+        for si, sigma0 in enumerate((1e-3, 1.0, 10.0)):
+            s = spec(a, sigma_tilde0=sigma0, trials=1000, budget=1_000_000,
+                     master_seed=MASTER_SEED ^ (8000 + 10 * ai + si))
+            assert batched(s) == run_per_trial(s)
+
+    def test_criterion_9(self):
+        s = spec((-1.0, 100.0), trials=10_000, budget=1_000_000, master_seed=MASTER_SEED ^ 9000)
+        assert batched(s) == run_per_trial(s)
+
+    def test_censored(self):
+        s = spec((-1.0, 100.0), sigma_tilde0=1e-3, budget=5, trials=200)
+        result = batched(s)
+        assert result == run_per_trial(s)
+        assert {status for status, _ in result} == {"censored"}
+
+    def test_underflow(self):
+        s = spec((-1.0, 1.0), params=EsParams(alpha=1.5, sigma_min=0.5), sigma_tilde0=0.55,
+                 trials=300)
+        result = batched(s)
+        assert result == run_per_trial(s)
+        assert {status for status, _ in result} == {"escaped", "underflow"}
+
+    def test_start_inside_negative_region(self):
+        s = spec(w0=1.2, trials=20)
+        assert batched(s) == run_per_trial(s) == [("escaped", 0)] * 20
+
+    def test_d100(self):
+        s = spec((-1.0,) + (1.0,) * 99, trials=300, budget=1_000_000, master_seed=3)
+        assert batched(s) == run_per_trial(s)
+
+    def test_threads_with_partial_batch(self):
+        s = spec(trials=_batch_trials(2) + 37)
+        one = run_escape_experiment(s, threads=1)
+        two = run_escape_experiment(s, threads=2)
+        assert one.statuses == two.statuses
+        assert one.times.tolist() == two.times.tolist()
+        assert one.to_dict() == two.to_dict()
+        assert one.survival_rows() == two.survival_rows()
 
 
 class TestSigma0Sweep:
