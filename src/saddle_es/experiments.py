@@ -1,7 +1,8 @@
 """Escape-time experiments, survival-curve diagnostics, and drift maps.
 
 Trials and grid points are independent tasks on derived streams (see
-``estimators.task_rng``).  Aggregation is in task order, so results are
+``estimators.task_rng``); grid point (w_i, sigma~_j) reads its "point" stream
+whatever the drift quantity.  Aggregation is in task order, so results are
 bit-identical for any thread count given the same master seed.
 """
 
@@ -285,7 +286,7 @@ def post_escape_monotonicity(problem: SaddleProblem, trace) -> bool:
 def _drift_point(args) -> GridPointEstimate:
     (problem, params, w, m_tilde, sigma, quantity, beta, n, master_seed, i, j,
      confidence) = args
-    rng = task_rng(master_seed, quantity, i, j)
+    rng = task_rng(master_seed, "point", i, j)
     ns = NormalizedState(m_tilde, sigma)
     if quantity == "V":
         est = drift_v(problem, params, ns, n, rng, confidence)
@@ -303,8 +304,8 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
     """Evaluate one drift quantity ("V", "W", or "Phi") on the full (w, sigma~)
     grid, one derived stream per point, rows in grid order (w-major).
 
-    The V and W maps use the same per-point streams as the constants pipeline,
-    so their measurements agree for the same master seed, grid, and n.
+    Every quantity reads the per-point streams of the constants pipeline, so the
+    V and W maps agree with it for the same master seed, grid, and n.
     """
     quantity = {"v": "V", "w": "W", "phi": "Phi"}.get(quantity.lower())
     if quantity is None:

@@ -1,10 +1,11 @@
 import json
 import re
 
+import numpy as np
 import pytest
 
-from saddle_es import (EscapeExperimentSpec, EsParams, SaddleProblem, closed_form_b1,
-                       run_escape_experiment)
+from saddle_es import (EscapeExperimentSpec, EsParams, GridSpec, SaddleProblem, closed_form_b1,
+                       closed_form_b2, drift_map, run_escape_experiment)
 from saddle_es.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -187,6 +188,27 @@ class TestDriftMapCommand:
                        f"--map-out={tmp_path}/m.csv")
         assert code == EXIT_CRITERION
 
+    def test_check_positive_failure_names_lowest_point(self, tmp_path, capsys):
+        code = run_cli("drift-map", "--a=-1,20", "--b=1", "--quantity=V",
+                       "--n=2000", "--seed=9", "--w-values=0,0.9",
+                       "--sigma-grid-points=8", "--check-positive",
+                       f"--map-out={tmp_path}/m.csv")
+        assert code == EXIT_CRITERION
+        grid = GridSpec(np.array([0.0, 0.9]), np.geomspace(1e-4, 1e3, 8))
+        rows = drift_map(SaddleProblem(a=[-1.0, 20.0], b=1), EsParams(), "V", grid=grid,
+                         n=2000, master_seed=9)
+        k = min(range(len(rows)), key=lambda k: rows[k].est.ci_low)
+        r = rows[k]
+        assert capsys.readouterr().err.splitlines() == [
+            f"drift-map: lowest ci_low at w={r.w!r} sigma~={r.sigma_tilde!r} "
+            f"ci_low={r.est.ci_low!r} n=2000; replay its stream with "
+            f'task_rng(9, "point", {k // 8}, {k % 8})']
+
+
+def point_text(row, seed, i, j):
+    return (f"w={row.w!r} sigma~={row.sigma_tilde!r} ci_low={row.est.ci_low!r} "
+            f'n={row.est.n}; replay its stream with task_rng({seed}, "point", {i}, {j})')
+
 
 class TestConstantsCommand:
     def test_constants_record(self, tmp_path):
@@ -218,9 +240,47 @@ class TestConstantsCommand:
         assert code == EXIT_CONFIG
         assert "extend the grid downward" in capsys.readouterr().err
 
+    def test_nonpositive_c_names_lowest_w_point(self, tmp_path, capsys):
+        # at n=1000 the W drift of this ill-conditioned saddle is not resolved
+        code = run_cli("constants", "--a=-1,10000", "--b=1", "--n=1000", "--seed=1",
+                       "--w-values=0,0.5,1", "--sigma-grid-points=8",
+                       f"--constants-out={tmp_path}/c.json")
+        assert code == EXIT_CONSTANTS
+        assert not (tmp_path / "c.json").exists()
+        p = SaddleProblem(a=[-1.0, 10000.0], b=1)
+        kw = dict(grid=GridSpec(np.array([0.0, 0.5, 1.0]), np.geomspace(1e-4, 1e3, 8)),
+                  n=1000, master_seed=1)
+        v_rows = drift_map(p, EsParams(), "V", **kw)
+        prefix = 0
+        while all(v_rows[i * 8 + prefix].est.ci_low >= closed_form_b2(1.5) for i in range(3)):
+            prefix += 1
+        w_rows = drift_map(p, EsParams(), "W", **kw)
+        k = min((k for k in range(24) if k % 8 >= prefix - 1),
+                key=lambda k: w_rows[k].est.ci_low)
+        assert w_rows[k].est.ci_low <= 0.0
+        err = capsys.readouterr().err
+        assert err.startswith("constants estimation failed: W-drift lower bound")
+        assert err.rstrip().endswith(point_text(w_rows[k], 1, k // 8, k % 8))
+
+    def test_no_growth_region_names_row(self, tmp_path, capsys):
+        # the success rate stays near 1/2, but V is negative at these step sizes
+        code = run_cli("constants", "--a=-1,1", "--b=1", "--n=2000", "--seed=11",
+                       "--w-values=0,0.5,1", "--sigma-grid-min=10",
+                       "--sigma-grid-max=1000", "--sigma-grid-points=8",
+                       f"--constants-out={tmp_path}/c.json")
+        assert code == EXIT_CONSTANTS
+        grid = GridSpec(np.array([0.0, 0.5, 1.0]), np.geomspace(10.0, 1e3, 8))
+        v_rows = drift_map(SaddleProblem(a=[-1.0, 1.0], b=1), EsParams(), "V", grid=grid,
+                           n=2000, master_seed=11)
+        i = min(range(3), key=lambda i: v_rows[i * 8].est.ci_low)
+        assert v_rows[i * 8].est.ci_low < closed_form_b2(1.5)
+        err = capsys.readouterr().err
+        assert "no step-size growth region" in err
+        assert err.rstrip().endswith(point_text(v_rows[i * 8], 11, i, 0))
+
     def test_unresolvable_constants_exit_four(self, tmp_path, capsys, monkeypatch):
-        # the dynamics itself never produces C <= 0 at these scales, so exercise
-        # the failure-path contract directly
+        # the exit code and message prefix of any ConstantsEstimationError,
+        # independent of the estimates
         import saddle_es.cli as cli_module
         from saddle_es import ConstantsEstimationError
 
@@ -274,6 +334,17 @@ class TestLevelsCommand:
         lines = (tmp_path / "l.csv").read_text().splitlines()
         assert lines[0] == "x1,x2,f"
         assert len(lines) == 1 + 11 * 11
+
+    def test_matches_per_point_evaluation(self, tmp_path):
+        # a plain (N, 2) @ a product rounds differently on about a quarter of
+        # these points
+        code = run_cli("levels", "--a=-1,20", "--b=1", f"--out={tmp_path}/l.csv")
+        assert code == EXIT_OK
+        p = SaddleProblem(a=[-1.0, 20.0], b=1)
+        axis = np.linspace(-1.0, 1.0, 101)
+        expected = ["x1,x2,f"] + [f"{x1!r},{x2!r},{p.evaluate(np.array([x1, x2]))!r}"
+                                  for x1 in axis.tolist() for x2 in axis.tolist()]
+        assert (tmp_path / "l.csv").read_text().splitlines() == expected
 
     def test_requires_2d(self, tmp_path):
         assert run_cli("levels", "--a=-1,1,1", "--b=1",

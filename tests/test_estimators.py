@@ -16,10 +16,12 @@ from saddle_es import (
     closed_form_b1,
     closed_form_b2,
     derive_beta_theta,
+    drift_map,
     drift_phi,
     drift_v,
     drift_w,
     estimate_constants,
+    estimate_constants_report,
     estimate_sigma_40,
     mirror_pair_margins,
     normalize,
@@ -31,6 +33,8 @@ from saddle_es import (
     success_probability,
     task_rng,
 )
+from saddle_es import estimators
+from saddle_es.estimators import _drift
 
 # Uniform-angle Monte Carlo oracle for the probability of the negative double
 # cone, 4e7 angles per problem, seed 20260810 (computed independently of the
@@ -88,15 +92,23 @@ class TestTaskSeed:
             task_rng(-1, "trial", 0)
 
     def test_distinct_within_stage(self):
-        draws = {task_rng(42, "W", i).integers(1 << 62) for i in range(1000)}
+        draws = {task_rng(42, "point", i).integers(1 << 62) for i in range(1000)}
         assert len(draws) == 1000
 
     def test_distinct_across_master_seeds_and_stages(self):
         keys = [(seed, stage, i) for seed in range(8)
-                for stage in ("V", "W", "Phi", "sigma40", "trial", "pairing")
+                for stage in ("point", "sigma40", "trial", "pairing")
                 for i in range(4)]
         draws = {task_rng(*key).integers(1 << 62) for key in keys}
         assert len(draws) == len(keys)
+
+    @pytest.mark.parametrize("stage, stage_id",
+                             [("point", 1), ("sigma40", 3), ("trial", 4), ("pairing", 5)])
+    def test_stage_ids_pinned(self, stage, stage_id):
+        # a changed id would change every output seeded through the stage
+        ref = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(stage_id, 2, 3)))
+        assert task_rng(9, stage, 2, 3).integers(1 << 62, size=4).tolist() == \
+            ref.integers(1 << 62, size=4).tolist()
 
 
 class TestSaddleSuccess:
@@ -292,7 +304,7 @@ class TestDriftPhi:
                 if potentials(p, ns, constants.beta).phi > 1.0:
                     continue
                 est = drift_phi(p, params, ns, constants.beta, 20_000,
-                                task_rng(62, "Phi", i, j))
+                                task_rng(62, "point", i, j))
                 assert est.ci_low > 0.0, (w, s)
                 checked += 1
         assert checked >= 20
@@ -369,6 +381,54 @@ class TestConstants:
         c2 = estimate_constants(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
                                 n=3000, master_seed=32)
         assert c1 == c2
+
+    def test_maps_equal_drift_maps(self):
+        p = problem((-1.0, 20.0))
+        params = EsParams(alpha=1.5)
+        rep = estimate_constants_report(p, params, grid=self.SMALL_GRID, n=3000,
+                                        master_seed=34)
+        kw = dict(grid=self.SMALL_GRID, n=3000, master_seed=34)
+        assert rep.v_map == drift_map(p, params, "V", **kw)
+        star = rep.constants.sigma_tilde_star
+        assert rep.w_map == [row for row in drift_map(p, params, "W", **kw)
+                             if row.sigma_tilde >= star]
+
+    def test_sigma_40_equals_public_scan(self):
+        p = problem((-1.0, 20.0))
+        rep = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
+                                        n=3000, master_seed=35)
+        for i, w in enumerate(self.SMALL_GRID.w_values):
+            m = sample_M_plus_0(p, float(w))
+            assert rep.sigma_40_by_w[i] == estimate_sigma_40(
+                p, m, self.SMALL_GRID.sigma_values, 3000, 35, _row=i)
+
+    def test_shared_hits_equal_success_probability(self):
+        p = problem((-1.0, 20.0))
+        params = EsParams(alpha=1.5)
+        ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.3)
+        n = (1 << 18) + 3000    # two blocks
+        hits, (v, w) = _drift(p, params, ns, n, task_rng(36, "point", 1, 2), 0.99,
+                              StepSamples.v_increments, StepSamples.w_increments)
+        assert hits / n == success_probability(p, ns, n, task_rng(36, "point", 1, 2)).mean
+        assert v == drift_v(p, params, ns, n, task_rng(36, "point", 1, 2))
+        assert w == drift_w(p, params, ns, n, task_rng(36, "point", 1, 2))
+
+    def test_one_kernel_call_per_grid_point_and_bisection_step(self, monkeypatch):
+        calls = []
+        offspring = estimators._offspring
+
+        def counted(*args):
+            calls.append(args[2])
+            return offspring(*args)
+
+        monkeypatch.setattr(estimators, "_offspring", counted)
+        p = problem((-1.0, 20.0))
+        rep = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
+                                        n=3000, master_seed=37)
+        w_points, s_points = self.SMALL_GRID.w_values.size, self.SMALL_GRID.sigma_values.size
+        assert all(math.isfinite(s) for s in rep.sigma_40_by_w)    # every row bisects
+        assert len(calls) == w_points * s_points + w_points * 12
+        assert set(calls) == {3000}
 
     def test_json_record_keys(self):
         p = problem((-1.0, 20.0))
