@@ -7,6 +7,7 @@ __version__ = "0.1.0"
 from .es import (
     BUDGET,
     GENERATOR_NAME,
+    NONFINITE,
     TARGET,
     UNDERFLOW,
     EsParams,

@@ -24,6 +24,7 @@ from . import __version__
 from .es import (
     BUDGET,
     GENERATOR_NAME,
+    NONFINITE,
     TARGET,
     UNDERFLOW,
     EsParams,
@@ -52,6 +53,7 @@ EXIT_CONFIG = 1
 EXIT_CRITERION = 2
 EXIT_UNDERFLOW = 3
 EXIT_CONSTANTS = 4
+EXIT_NONFINITE = 5
 
 # escape lists at most this many trials that did not escape
 _LIST_FAILED = 10
@@ -163,7 +165,8 @@ def cmd_run(ns) -> int:
     write_json(summary_out, summary)
     print(f"run: reason={trace.reason} t={trace.t_final} f={trace.records[-1].f_value!r} "
           f"-> {trace_out}, {summary_out}")
-    return {TARGET: EXIT_OK, BUDGET: EXIT_CRITERION, UNDERFLOW: EXIT_UNDERFLOW}[trace.reason]
+    return {TARGET: EXIT_OK, BUDGET: EXIT_CRITERION, UNDERFLOW: EXIT_UNDERFLOW,
+            NONFINITE: EXIT_NONFINITE}[trace.reason]
 
 
 def cmd_escape(ns) -> int:

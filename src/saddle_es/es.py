@@ -18,6 +18,7 @@ ends on that trial's stream.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -30,6 +31,7 @@ GENERATOR_NAME = "numpy-pcg64"
 TARGET = "target"
 BUDGET = "budget"
 UNDERFLOW = "underflow"
+NONFINITE = "nonfinite"
 
 _BLOCK = 256
 
@@ -145,26 +147,41 @@ def target_reached(problem: SaddleProblem, state: EsState) -> bool:
     return problem.evaluate(state.m) < 0.0
 
 
-def _check_start(problem: SaddleProblem, params: EsParams, init: EsState) -> None:
+def _check_start(problem: SaddleProblem, params: EsParams, init: EsState) -> float:
+    """Check the start and return f(init.m), which must be finite."""
     if init.m.size != problem.d:
         raise ValueError(f"initial mean has dimension {init.m.size}, expected {problem.d}")
     if not init.sigma > params.sigma_min:
         raise ValueError("initial sigma must exceed sigma_min")
+    f0 = float(_f(np.square(init.m), problem.a))
+    if not math.isfinite(f0):
+        raise ValueError(f"initial mean has non-finite objective value {f0}")
+    return f0
 
 
+# numpy overflow in the offspring evaluation is part of the model: it yields
+# f = -inf (an escape), +inf or nan (a rejection)
+_quiet_overflow = np.errstate(over="ignore", invalid="ignore")
+
+
+@_quiet_overflow
 def run(problem: SaddleProblem, params: EsParams, init: EsState,
         rng: np.random.Generator, stop: Optional[StopCondition] = target_reached,
         record_every: int = 100) -> RunTrace:
-    """Iterate until the stop condition fires, the budget runs out, or the
-    step size underflows ``params.sigma_min``.
+    """Iterate until the stop condition fires, the budget runs out, the step
+    size underflows ``params.sigma_min`` or f(m) is not finite.
 
     ``stop`` is checked before each iteration (a satisfied initial state
     terminates at t = init.t with reason "target"); ``stop=None`` runs to the
-    budget.  ``record_every=k`` keeps every k-th iteration plus all
-    acceptances; ``record_every=0`` keeps only the initial and final states.
-    Underflow is reported as a terminal reason, never raised.
+    budget.  A mean whose f is not finite ends the run with reason
+    "nonfinite", checked after the stop condition, so under the default stop an
+    escape to f = -inf is "target".  ``record_every=k`` keeps every k-th
+    iteration plus all acceptances; ``record_every=0`` keeps only the initial
+    and final states.
+    Underflow and non-finite values are reported as terminal reasons, never
+    raised, and no numpy overflow warning escapes.
     """
-    _check_start(problem, params, init)
+    fm = _check_start(problem, params, init)
     if record_every < 0:
         raise ValueError("record_every must be nonnegative")
 
@@ -172,7 +189,6 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
     d = problem.d
     m = np.array(init.m, dtype=float)
     sigma = float(init.sigma)
-    fm = float(_f(np.square(m), a))
     t = init.t
     t_escape = t if fm < 0.0 else None
     n_accepts = n_rejects = 0
@@ -191,6 +207,9 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
             hit = stop is not None and stop(problem, EsState(m=m, sigma=sigma, t=t))
         if hit:
             reason = TARGET
+            break
+        if not math.isfinite(fm):
+            reason = NONFINITE
             break
         if t - init.t >= params.max_iters:
             reason = BUDGET
@@ -227,6 +246,7 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
                     t_escape=t_escape, n_accepts=n_accepts, n_rejects=n_rejects)
 
 
+@_quiet_overflow
 def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
                  rngs: Sequence[np.random.Generator]) -> tuple[list, np.ndarray]:
     """One trial per stream from ``init``, all advancing together as arrays.
@@ -239,10 +259,9 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     Memory is one (len(rngs), 8, d) block of draws; callers hand over at most
     ``_batch_trials(d)`` streams at a time.
     """
-    _check_start(problem, params, init)
+    f0 = _check_start(problem, params, init)
     a, n = problem.a, len(rngs)
     end = init.t + params.max_iters
-    f0 = float(_f(np.square(init.m), a))
     if f0 < 0.0:
         return [TARGET] * n, np.full(n, init.t)
     reasons = np.full(n, BUDGET, dtype=object)

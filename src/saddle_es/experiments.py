@@ -18,7 +18,8 @@ import numpy as np
 
 from .es import (BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, _batch_trials,
                  escape_times)
-from .estimators import GridPointEstimate, GridSpec, drift_phi, drift_v, drift_w, task_rng
+from .estimators import (GridPointEstimate, GridSpec, _task_rngs, drift_phi, drift_v, drift_w,
+                         task_rng)
 from .normalization import NormalizedState, _shell_point, sample_M_plus_0
 from .objective import RegionLabel, SaddleProblem
 
@@ -162,9 +163,11 @@ class HittingTimeStats:
 
 
 def _escape_batch(args) -> tuple[list, np.ndarray]:
-    """Trials lo..hi-1 of an escape experiment, each on its own trial stream."""
+    """Trials lo..hi-1 of an escape experiment, each on its own trial stream
+    ``task_rng(spec.master_seed, "trial", k)``; the batch's streams are derived
+    in one vectorized pass (``estimators._task_rngs``)."""
     spec, lo, hi = args
-    rngs = [task_rng(spec.master_seed, "trial", k) for k in range(lo, hi)]
+    rngs = _task_rngs(spec.master_seed, "trial", lo, hi)
     return escape_times(spec.problem, replace(spec.params, max_iters=spec.budget),
                         spec.initial_state(), rngs)
 

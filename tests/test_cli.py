@@ -1,15 +1,21 @@
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import saddle_es
+from saddle_es import cli
 from saddle_es import (EscapeExperimentSpec, EsParams, GridSpec, SaddleProblem, closed_form_b1,
                        closed_form_b2, drift_map, run_escape_experiment)
 from saddle_es.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
     EXIT_CRITERION,
+    EXIT_NONFINITE,
     EXIT_OK,
     EXIT_UNDERFLOW,
     _load_config,
@@ -76,6 +82,21 @@ class TestRunCommand:
                 assert summary["reason"] == "underflow"
                 return
         pytest.fail("no underflow exit observed over 30 seeds")
+
+    def test_nonfinite_exits_five(self, tmp_path, monkeypatch):
+        # under a stop condition that never fires, the mean reaches f = -inf
+        monkeypatch.setattr(cli, "target_reached", lambda problem, state: False)
+        code = run_cli("run", "--a=-1,20", "--b=1", "--m0=0,1", "--sigma0=1",
+                       "--budget=200000", "--seed=0", "--record-every=0",
+                       f"--trace-out={tmp_path}/t.csv", f"--summary-out={tmp_path}/s.json")
+        assert code == EXIT_NONFINITE
+        summary = json.loads((tmp_path / "s.json").read_text())
+        assert summary["reason"] == "nonfinite" and summary["f_final"] == "-inf"
+
+    def test_nonfinite_start_is_config_error(self, tmp_path):
+        assert run_cli("run", "--a=-1,20", "--b=1", "--m0=0,1e200", "--sigma0=1",
+                       f"--trace-out={tmp_path}/t.csv",
+                       f"--summary-out={tmp_path}/s.json") == EXIT_CONFIG
 
 
 class TestConfigHandling:
@@ -358,3 +379,14 @@ class TestParser:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
         assert "saddle-es" in capsys.readouterr().out
+
+
+def test_import_does_not_load_numpy_random():
+    # numpy.random costs ~6 MB and ~5 ms to load; the parent process of a
+    # threaded escape never needs it, since only its workers derive streams
+    src = os.path.dirname(os.path.dirname(saddle_es.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, saddle_es, saddle_es.cli; print('numpy.random' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "False"

@@ -5,6 +5,7 @@ import pytest
 
 from saddle_es import (
     BUDGET,
+    NONFINITE,
     TARGET,
     UNDERFLOW,
     EsParams,
@@ -308,6 +309,26 @@ class TestRun:
         with pytest.raises(ValueError):
             run(p, EsParams(), EsState(m=np.zeros(3), sigma=1.0), np.random.default_rng(0))
 
+    def test_nonfinite_mean_ends_with_reason(self):
+        # without a stop condition the mean reaches f = -inf (through an overflow
+        # in the offspring's squares) long before the budget; the run used to
+        # end as "budget" with f = -inf, or raise on the overflow warning
+        p = problem((-1.0, 20.0))
+        trace = run(p, EsParams(max_iters=200_000), EsState(m=np.array([0.0, 1.0]), sigma=1.0),
+                    np.random.default_rng(0), stop=None, record_every=0)
+        assert trace.reason == NONFINITE
+        assert trace.records[-1].f_value == -np.inf
+        assert trace.t_final < 200_000
+
+    def test_nonfinite_start_rejected(self):
+        # 20 * (1e200)**2 overflows to inf
+        p = problem((-1.0, 20.0))
+        start = EsState(m=np.array([0.0, 1e200]), sigma=1.0)
+        with pytest.raises(ValueError, match="non-finite"):
+            run(p, EsParams(), start, np.random.default_rng(0))
+        with pytest.raises(ValueError, match="non-finite"):
+            escape_times(p, EsParams(), start, [np.random.default_rng(0)])
+
 
 class TestEscapeTimes:
     @pytest.mark.parametrize("d", [2, 3, 8, 9, 17, 100])
@@ -333,6 +354,20 @@ class TestEscapeTimes:
             expected.append((trace.reason, trace.t_final))
         assert list(zip(reasons, times.tolist())) == expected
         assert set(reasons) == {TARGET, BUDGET, UNDERFLOW}
+
+    def test_escape_to_minus_inf_is_target(self):
+        # offspring squares near 1e308 overflow: an accepted f = -inf is an
+        # escape under the default stop, in run and in the engine alike
+        p = problem((-1.0, 20.0))
+        params = EsParams(max_iters=50)
+        init = EsState(m=np.array([0.0, 1e153]), sigma=1e154)
+        reasons, times = escape_times(p, params, init,
+                                      [np.random.default_rng(s) for s in range(40)])
+        traces = [run(p, params, init, np.random.default_rng(s), record_every=0)
+                  for s in range(40)]
+        assert list(zip(reasons, times.tolist())) == [(t.reason, t.t_final) for t in traces]
+        assert set(reasons) == {TARGET}
+        assert any(t.records[-1].f_value == -np.inf for t in traces)
 
     def test_exact_ties_accept(self):
         # every offspring m + sigma * (0.5, 0.5) from (1, 1) ties f(m) = 0; were

@@ -34,7 +34,7 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es import estimators
-from saddle_es.estimators import _drift
+from saddle_es.estimators import _STAGES, _drift, _task_rngs
 
 # Uniform-angle Monte Carlo oracle for the probability of the negative double
 # cone, 4e7 angles per problem, seed 20260810 (computed independently of the
@@ -109,6 +109,34 @@ class TestTaskSeed:
         ref = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(stage_id, 2, 3)))
         assert task_rng(9, stage, 2, 3).integers(1 << 62, size=4).tolist() == \
             ref.integers(1 << 62, size=4).tolist()
+
+    # 2**32 - 1 and 2**32 are one- and two-word seeds, 2**64 - 1 fills two
+    # words and 2**70 + 12345 needs three
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**70 + 12345])
+    @pytest.mark.parametrize("lo, hi", [(0, 1), (1000, 3048), (2**32 - 3, 2**32)])
+    def test_batched_streams_equal_task_rng(self, seed, lo, hi):
+        for stage in _STAGES:
+            rngs = _task_rngs(seed, stage, lo, hi)
+            assert len(rngs) == hi - lo
+            for k, rng in zip(range(lo, hi), rngs):
+                ref = task_rng(seed, stage, k)
+                assert rng.bit_generator.state == ref.bit_generator.state
+            for k in {lo, hi - 1}:
+                assert rngs[k - lo].integers(1 << 62, size=3).tolist() == \
+                    task_rng(seed, stage, k).integers(1 << 62, size=3).tolist()
+
+    def test_batched_streams_empty_range(self):
+        assert _task_rngs(3, "trial", 5, 5) == []
+
+    def test_batched_streams_reject_negative_master(self):
+        with pytest.raises(ValueError):
+            _task_rngs(-1, "trial", 0, 1)
+
+    def test_batched_streams_take_one_word_indices_only(self):
+        # task_rng(seed, stage, 2**32) has a two-word index, which the batch
+        # form does not derive
+        with pytest.raises(ValueError):
+            _task_rngs(3, "trial", 2**32 - 1, 2**32 + 1)
 
 
 class TestSaddleSuccess:
