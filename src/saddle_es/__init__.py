@@ -31,7 +31,6 @@ from .estimators import (
     drift_phi,
     drift_v,
     drift_w,
-    estimate_constants,
     estimate_constants_report,
     estimate_sigma_40,
     mirror_pair_margins,
@@ -43,26 +42,18 @@ from .estimators import (
     task_rng,
 )
 from .experiments import (
-    DEFAULT_SIGMA0_SWEEP,
     EscapeExperimentSpec,
     HittingTimeStats,
     TailFit,
-    default_budget,
     drift_map,
     fit_exponential_tail,
-    post_escape_monotonicity,
     run_escape_experiment,
-    run_sigma0_sweep,
     survival_curve,
 )
 from .normalization import (
     NormalizedState,
     NormPlusZeroError,
-    PotentialValues,
     in_M_plus_0,
-    normalize,
-    potentials,
     sample_M_plus_0,
-    w_of,
 )
 from .objective import RegionLabel, SaddleProblem

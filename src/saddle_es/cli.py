@@ -8,7 +8,7 @@ override the file, and unknown config keys are rejected.
 
 Exit codes: 0 success / criteria met, 1 configuration error, 2 criterion not
 met (censored run, nonpositive interval, pairing violation), 3 step-size
-underflow, 4 constants estimation failure.
+underflow, 4 constants estimation failure, 5 non-finite mean (run only).
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from .estimators import (
     ConstantsEstimationError,
     GridSpec,
     _describe_point,
-    estimate_constants,
+    estimate_constants_report,
     pairing_check,
     saddle_success_analytic_2d,
     saddle_success_mc,
@@ -134,6 +134,16 @@ def _grid(ns, config) -> GridSpec:
     w = np.asarray(_float_list(w_values), dtype=float) if w_values is not None \
         else np.linspace(0.0, 1.0, 11)
     return GridSpec(w_values=w, sigma_values=np.geomspace(sigma_min, sigma_max, sigma_points))
+
+
+def _add_grid(p: argparse.ArgumentParser) -> None:
+    """Sample size, confidence and the (w, sigma~) grid options that _grid reads."""
+    p.add_argument("--n", type=int)
+    p.add_argument("--confidence", type=float)
+    p.add_argument("--w-values", help="comma-separated W values of the mean grid")
+    p.add_argument("--sigma-grid-min", type=float)
+    p.add_argument("--sigma-grid-max", type=float)
+    p.add_argument("--sigma-grid-points", type=int)
 
 
 # ---------------------------------------------------------------------------
@@ -247,9 +257,9 @@ def cmd_constants(ns) -> int:
     seed = _seed(ns, config)
     constants_out = _opt(ns, config, "constants-out", "constants.json")
     try:
-        constants = estimate_constants(problem, params, grid=_grid(ns, config),
-                                       n=n, master_seed=seed,
-                                       confidence=float(_opt(ns, config, "confidence", 0.99)))
+        constants = estimate_constants_report(
+            problem, params, grid=_grid(ns, config), n=n, master_seed=seed,
+            confidence=float(_opt(ns, config, "confidence", 0.99))).constants
     except ConstantsEstimationError as exc:
         print(f"constants estimation failed: {exc}", file=sys.stderr)
         return EXIT_CONSTANTS
@@ -399,13 +409,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--alpha", type=float)
     p.add_argument("--quantity", choices=["V", "W", "Phi", "v", "w", "phi"])
     p.add_argument("--beta", type=float, help="weight for the combined potential")
-    p.add_argument("--n", type=int)
+    _add_grid(p)
     p.add_argument("--threads", type=int)
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--w-values", help="comma-separated W values of the mean grid")
-    p.add_argument("--sigma-grid-min", type=float)
-    p.add_argument("--sigma-grid-max", type=float)
-    p.add_argument("--sigma-grid-points", type=int)
     p.add_argument("--map-out")
     p.add_argument("--check-positive", action="store_const", const=True,
                    help="exit 2 unless every CI lower bound is positive")
@@ -414,12 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("constants", help="estimate the drift constants; writes JSON record")
     _add_common(p)
     p.add_argument("--alpha", type=float)
-    p.add_argument("--n", type=int)
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--w-values")
-    p.add_argument("--sigma-grid-min", type=float)
-    p.add_argument("--sigma-grid-max", type=float)
-    p.add_argument("--sigma-grid-points", type=int)
+    _add_grid(p)
     p.add_argument("--constants-out")
     _set_command(p, cmd_constants)
 

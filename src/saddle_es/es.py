@@ -118,9 +118,8 @@ class RunTrace:
     def f_values(self) -> np.ndarray:
         return np.array([r.f_value for r in self.records])
 
-    def summary_dict(self, seed=None, params: Optional[EsParams] = None,
-                     problem: Optional[SaddleProblem] = None) -> dict:
-        out = {
+    def summary_dict(self, seed: int, params: EsParams, problem: SaddleProblem) -> dict:
+        return {
             "generator": GENERATOR_NAME,
             "seed": seed,
             "reason": self.reason,
@@ -130,13 +129,10 @@ class RunTrace:
             "sigma_final": float(self.final_state.sigma),
             "n_accepts": int(self.n_accepts),
             "n_rejects": int(self.n_rejects),
+            "params": {"alpha": params.alpha, "max_iters": params.max_iters,
+                       "sigma_min": params.sigma_min},
+            "problem": problem.to_dict(),
         }
-        if params is not None:
-            out["params"] = {"alpha": params.alpha, "max_iters": params.max_iters,
-                             "sigma_min": params.sigma_min}
-        if problem is not None:
-            out["problem"] = problem.to_dict()
-        return out
 
 
 StopCondition = Callable[[SaddleProblem, EsState], bool]

@@ -168,11 +168,6 @@ class DriftEstimate:
                    confidence=confidence)
 
     @classmethod
-    def from_samples(cls, values: np.ndarray,
-                     confidence: float = DEFAULT_CONFIDENCE) -> "DriftEstimate":
-        return cls.from_moments(*_moments(np.asarray(values, dtype=float)), confidence)
-
-    @classmethod
     def from_binomial(cls, successes: int, n: int,
                       confidence: float = DEFAULT_CONFIDENCE) -> "DriftEstimate":
         """Hit fraction with the Wald stderr and the Wilson (1927) score interval,
@@ -515,7 +510,7 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class ConstantsReport:
-    """estimate_constants result plus the intermediate grid measurements."""
+    """Constants record plus the intermediate grid measurements."""
 
     constants: DriftConstants
     sigma_40_by_w: list
@@ -593,15 +588,6 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
                            v_map=v_map, w_map=w_map)
 
 
-def estimate_constants(problem: SaddleProblem, params: EsParams,
-                       grid: GridSpec | None = None, n: int = 100_000,
-                       master_seed: int = 0,
-                       confidence: float = DEFAULT_CONFIDENCE) -> DriftConstants:
-    """Constants record only; see estimate_constants_report."""
-    return estimate_constants_report(problem, params, grid, n, master_seed,
-                                     confidence).constants
-
-
 @dataclass(frozen=True)
 class PairingReport:
     """Outcome of the mirror-pairing inequality check at one (mean, radius)."""
@@ -614,8 +600,9 @@ class PairingReport:
 
 
 def mirror_pair_margins(problem: SaddleProblem, m_tilde: np.ndarray, z):
-    """Pair each point z with its negative-block mirror z' around the mean
-    (z'_minus = 2 m_minus - z_minus, z'_plus = z_plus) and return
+    """Pair each row z of a batch (n, d) with its negative-block mirror z'
+    around the mean (z'_minus = 2 m_minus - z_minus, z'_plus = z_plus) and
+    return, per row,
 
       in_set: W(z) < W(m~), the points whose own contribution is negative,
       margin: W(z) + W(z') - 2 W(m~).
@@ -629,8 +616,6 @@ def mirror_pair_margins(problem: SaddleProblem, m_tilde: np.ndarray, z):
     def ratio(points):
         nm = problem.norm_minus(points)
         npl = problem.norm_plus(points)
-        nm = np.atleast_1d(nm)
-        npl = np.atleast_1d(npl)
         return np.divide(nm, npl, out=np.full(nm.shape, math.inf), where=npl > 0.0)
 
     z_mirror = z.copy()
@@ -638,8 +623,6 @@ def mirror_pair_margins(problem: SaddleProblem, m_tilde: np.ndarray, z):
     ratio_z = ratio(z)
     in_set = ratio_z < wm
     margin = ratio_z + ratio(z_mirror) - 2.0 * wm
-    if np.asarray(z).ndim == 1:
-        return bool(in_set[0]), float(margin[0])
     return in_set, margin
 
 

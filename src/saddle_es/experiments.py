@@ -21,7 +21,7 @@ from .es import (BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, _
 from .estimators import (GridPointEstimate, GridSpec, _task_rngs, drift_phi, drift_v, drift_w,
                          task_rng)
 from .normalization import NormalizedState, _shell_point, sample_M_plus_0
-from .objective import RegionLabel, SaddleProblem
+from .objective import SaddleProblem
 
 ESCAPED = "escaped"
 CENSORED = "censored"
@@ -30,21 +30,6 @@ UNDERFLOWED = "underflow"
 # Reporting-only fallback weight for the combined potential before the
 # constants pipeline has produced beta = -C / (2 B1).
 DEFAULT_BETA_FALLBACK = 0.1
-
-# Premature-convergence risk is highest when the normalized step size starts
-# tiny, so escape experiments sweep it by default.
-DEFAULT_SIGMA0_SWEEP = (1e-3, 1e-1, 1.0, 10.0)
-
-
-def default_budget(problem: SaddleProblem) -> int:
-    """Iteration budget heuristic growing with the conditioning of the saddle.
-
-    10^5 * max(1, cond / 10) with cond the ratio of the largest positive to the
-    smallest-magnitude negative coefficient (|a2/a1| in the 2-D case).  A crude
-    artifact-level choice, adjustable wherever a budget is accepted.
-    """
-    cond = float(np.max(problem.a[problem.b:]) / np.min(-problem.a[: problem.b]))
-    return int(100_000 * max(1.0, cond / 10.0))
 
 
 @dataclass(frozen=True)
@@ -176,9 +161,12 @@ def _map_tasks(fn, args_list, threads: int):
     """Run tasks in order-preserving fashion, optionally on a fork pool."""
     if threads <= 1 or len(args_list) <= 1:
         return [fn(args) for args in args_list]
+    # a fork pool starts all its workers at the first submit, so never ask for
+    # more workers than there are tasks
+    workers = min(threads, len(args_list))
     ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(args_list) // (threads * 8))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=threads, mp_context=ctx) as ex:
+    chunk = max(1, len(args_list) // (workers * 8))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
         return list(ex.map(fn, args_list, chunksize=chunk))
 
 
@@ -252,38 +240,6 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
                             survival_t=surv_t, survival_s=surv_s, tail=tail,
                             trials=spec.trials, budget=spec.budget,
                             master_seed=spec.master_seed)
-
-
-def run_sigma0_sweep(spec: EscapeExperimentSpec,
-                     sigma0_values=DEFAULT_SIGMA0_SWEEP,
-                     threads: int = 1) -> dict:
-    """Escape experiments over a sweep of initial normalized step sizes.
-
-    Returns {sigma0: HittingTimeStats}; each sweep point reuses the spec with
-    only sigma_tilde0 replaced, so the per-trial streams are shared across
-    sweep points and differences are attributable to the initial step size.
-    """
-    return {float(s): run_escape_experiment(replace(spec, sigma_tilde0=float(s)),
-                                            threads=threads)
-            for s in sigma0_values}
-
-
-def post_escape_monotonicity(problem: SaddleProblem, trace) -> bool:
-    """True iff, after first reaching the negative region, every recorded
-    state stays at or below that function value and keeps the NEGATIVE label.
-
-    Requires a trace that escaped (t_escape set); raises otherwise.
-    """
-    if trace.t_escape is None:
-        raise ValueError("trace never reached the negative region")
-    idx = next(i for i, r in enumerate(trace.records) if r.f_value < 0.0)
-    f_ref = trace.records[idx].f_value
-    for rec in trace.records[idx + 1:]:
-        if rec.f_value > f_ref:
-            return False
-        if problem.classify(rec.m) is not RegionLabel.NEGATIVE:
-            return False
-    return True
 
 
 def _drift_point(args) -> GridPointEstimate:

@@ -92,7 +92,3 @@ class SaddleProblem:
 
     def to_dict(self) -> dict:
         return {"a": [float(v) for v in self.a], "b": int(self.b)}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "SaddleProblem":
-        return cls(a=np.asarray(data["a"], dtype=float), b=int(data["b"]))

@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+import types
 
 import numpy as np
 import pytest
@@ -308,7 +309,7 @@ class TestConstantsCommand:
         def boom(*args, **kwargs):
             raise ConstantsEstimationError("W-drift lower bound -0.01 is not positive")
 
-        monkeypatch.setattr(cli_module, "estimate_constants", boom)
+        monkeypatch.setattr(cli_module, "estimate_constants_report", boom)
         code = run_cli("constants", "--a=-1,20", "--b=1", "--n=3000", "--seed=11",
                        f"--constants-out={tmp_path}/c.json")
         assert code == EXIT_CONSTANTS
@@ -390,3 +391,23 @@ def test_import_does_not_load_numpy_random():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
     assert out.stdout.strip() == "False"
+
+
+def test_public_surface():
+    # every export is a name some pipeline, gate or benchmark uses; adding one
+    # is a decision this list makes visible
+    public = {name for name, value in vars(saddle_es).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == {
+        "BUDGET", "GENERATOR_NAME", "NONFINITE", "TARGET", "UNDERFLOW",
+        "EsParams", "EsState", "RunTrace", "escape_times", "run", "target_reached",
+        "ConstantsEstimationError", "DriftConstants", "DriftEstimate", "GridPointEstimate",
+        "GridSpec", "PairingReport", "StepSamples", "closed_form_b1", "closed_form_b2",
+        "derive_beta_theta", "drift_phi", "drift_v", "drift_w", "estimate_constants_report",
+        "estimate_sigma_40", "mirror_pair_margins", "one_step_samples", "pairing_check",
+        "saddle_success_analytic_2d", "saddle_success_mc", "success_probability", "task_rng",
+        "EscapeExperimentSpec", "HittingTimeStats", "TailFit", "drift_map",
+        "fit_exponential_tail", "run_escape_experiment", "survival_curve",
+        "NormalizedState", "NormPlusZeroError", "in_M_plus_0", "sample_M_plus_0",
+        "RegionLabel", "SaddleProblem",
+    }

@@ -7,7 +7,6 @@ import pytest
 from saddle_es import (
     DriftEstimate,
     EsParams,
-    EsState,
     GridSpec,
     NormalizedState,
     NormPlusZeroError,
@@ -20,11 +19,9 @@ from saddle_es import (
     drift_phi,
     drift_v,
     drift_w,
-    estimate_constants,
     estimate_constants_report,
     estimate_sigma_40,
     mirror_pair_margins,
-    normalize,
     one_step_samples,
     pairing_check,
     saddle_success_analytic_2d,
@@ -55,6 +52,19 @@ def apex(p):
     return sample_M_plus_0(p, 0.0)
 
 
+def normalized(p, m, sigma):
+    """(m, sigma) divided by norm_plus(m)."""
+    scale = p.norm_plus(m)
+    return NormalizedState(m / scale, sigma / scale)
+
+
+def sample_estimate(values, confidence=0.99):
+    values = np.asarray(values, dtype=float)
+    mean = values.mean()
+    return DriftEstimate.from_moments(values.size, float(mean),
+                                      float(np.square(values - mean).sum()), confidence)
+
+
 class TestDriftEstimate:
     def test_binomial_stderr_formula_exact(self):
         est = DriftEstimate.from_binomial(137, 1000)
@@ -62,7 +72,7 @@ class TestDriftEstimate:
         assert est.stderr == math.sqrt(p_hat * (1 - p_hat) / 1000)
 
     def test_interval_brackets_mean(self):
-        est = DriftEstimate.from_samples(np.random.default_rng(0).standard_normal(500))
+        est = sample_estimate(np.random.default_rng(0).standard_normal(500))
         assert est.ci_low <= est.mean <= est.ci_high
         assert est.n == 500
 
@@ -72,7 +82,7 @@ class TestDriftEstimate:
         with pytest.raises(ValueError):
             DriftEstimate(mean=5.0, stderr=1.0, n=10, ci_low=-1.0, ci_high=1.0)
         with pytest.raises(ValueError):
-            DriftEstimate.from_samples([1.0])
+            sample_estimate([1.0])
 
     def test_binomial_interval_keeps_width_at_zero_and_n_hits(self):
         for hits in (0, 1000):
@@ -81,8 +91,8 @@ class TestDriftEstimate:
 
     def test_wider_interval_at_higher_confidence(self):
         values = np.random.default_rng(1).standard_normal(500)
-        lo = DriftEstimate.from_samples(values, confidence=0.9)
-        hi = DriftEstimate.from_samples(values, confidence=0.99)
+        lo = sample_estimate(values, confidence=0.9)
+        hi = sample_estimate(values, confidence=0.99)
         assert hi.ci_high - hi.ci_low > lo.ci_high - lo.ci_low
 
 
@@ -183,7 +193,7 @@ class TestSuccessProbability:
         # normalization, so a power-of-two rescaling round-trips bitwise
         p = problem((-1.0, 1.0))
         ns = NormalizedState(np.array([0.5, 1.0]), 0.7)
-        scaled = normalize(p, EsState(m=4.0 * ns.m_tilde, sigma=4.0 * ns.sigma_tilde))
+        scaled = normalized(p, 4.0 * ns.m_tilde, 4.0 * ns.sigma_tilde)
         assert np.array_equal(scaled.m_tilde, ns.m_tilde)
         assert scaled.sigma_tilde == ns.sigma_tilde
         e1 = success_probability(p, ns, 10_000, np.random.default_rng(9))
@@ -193,7 +203,7 @@ class TestSuccessProbability:
     def test_drift_scale_invariance_bitwise_for_power_of_two(self):
         p = problem((-1.0, 1.0))
         ns = NormalizedState(np.array([0.5, 1.0]), 0.7)
-        scaled = normalize(p, EsState(m=4.0 * ns.m_tilde, sigma=4.0 * ns.sigma_tilde))
+        scaled = normalized(p, 4.0 * ns.m_tilde, 4.0 * ns.sigma_tilde)
         e1 = drift_w(p, EsParams(), ns, 2000, np.random.default_rng(19))
         e2 = drift_w(p, EsParams(), scaled, 2000, np.random.default_rng(19))
         assert e1 == e2
@@ -316,12 +326,10 @@ class TestDriftPhi:
         # wherever phi <= 1; beyond that threshold the process has already hit
         # its target set and the drift turns negative (a success resets the
         # normalized step size to order one)
-        from saddle_es import estimate_constants, potentials
-
         p = problem((-1.0, 20.0))
         params = EsParams(alpha=1.5)
-        constants = estimate_constants(p, params, grid=TestConstants.SMALL_GRID,
-                                       n=5000, master_seed=61)
+        constants = estimate_constants_report(p, params, grid=TestConstants.SMALL_GRID,
+                                              n=5000, master_seed=61).constants
         grid = GridSpec(w_values=np.linspace(0.0, 1.0, 5),
                         sigma_values=np.geomspace(1e-4, 1e3, 12))
         checked = 0
@@ -329,7 +337,8 @@ class TestDriftPhi:
             m = sample_M_plus_0(p, float(w))
             for j, s in enumerate(grid.sigma_values):
                 ns = NormalizedState(m, float(s))
-                if potentials(p, ns, constants.beta).phi > 1.0:
+                # phi = beta * V + W with V = log(sigma~) and W = norm_minus(m~) = w
+                if constants.beta * math.log(s) + w > 1.0:
                     continue
                 est = drift_phi(p, params, ns, constants.beta, 20_000,
                                 task_rng(62, "point", i, j))
@@ -392,8 +401,8 @@ class TestConstants:
 
     def test_pipeline_on_ill_conditioned_problem(self):
         p = problem((-1.0, 20.0))
-        constants = estimate_constants(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
-                                       n=5000, master_seed=31)
+        constants = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
+                                              n=5000, master_seed=31).constants
         assert constants.B1 == closed_form_b1(1.5)
         assert constants.B2 == closed_form_b2(1.5)
         assert constants.C > 0.0
@@ -404,10 +413,10 @@ class TestConstants:
 
     def test_reproducible(self):
         p = problem((-1.0, 20.0))
-        c1 = estimate_constants(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
-                                n=3000, master_seed=32)
-        c2 = estimate_constants(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
-                                n=3000, master_seed=32)
+        c1 = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
+                                       n=3000, master_seed=32).constants
+        c2 = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
+                                       n=3000, master_seed=32).constants
         assert c1 == c2
 
     def test_maps_equal_drift_maps(self):
@@ -460,8 +469,8 @@ class TestConstants:
 
     def test_json_record_keys(self):
         p = problem((-1.0, 20.0))
-        c = estimate_constants(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
-                               n=3000, master_seed=33)
+        c = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
+                                      n=3000, master_seed=33).constants
         assert set(c.to_dict()) == {"alpha", "B1", "B2", "C", "sigma_tilde_40",
                                     "sigma_tilde_star", "beta", "theta",
                                     "confidence", "seed"}
@@ -470,10 +479,11 @@ class TestConstants:
 class TestPairing:
     def test_worked_example(self):
         p = problem((-1.0, 1.0))
-        in_set, margin = mirror_pair_margins(p, np.array([0.5, 1.0]), np.array([0.3, 0.9]))
-        assert in_set
-        assert margin == pytest.approx(0.3 / 0.9 + 0.7 / 0.9 - 1.0, rel=1e-12)
-        assert margin == pytest.approx(0.1111, abs=1e-4)
+        in_set, margin = mirror_pair_margins(p, np.array([0.5, 1.0]), np.array([[0.3, 0.9]]))
+        assert in_set.shape == margin.shape == (1,)
+        assert in_set[0]
+        assert margin[0] == pytest.approx(0.3 / 0.9 + 0.7 / 0.9 - 1.0, rel=1e-12)
+        assert margin[0] == pytest.approx(0.1111, abs=1e-4)
 
     def test_apex_has_empty_set(self):
         p = problem((-1.0, 20.0))

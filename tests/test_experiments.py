@@ -1,3 +1,4 @@
+import concurrent.futures
 import math
 from dataclasses import replace
 
@@ -7,24 +8,19 @@ from test_acceptance import MASTER_SEED
 
 from saddle_es import (
     BUDGET,
-    DEFAULT_SIGMA0_SWEEP,
     EscapeExperimentSpec,
     EsParams,
-    EsState,
     GridSpec,
     SaddleProblem,
-    default_budget,
     drift_map,
     fit_exponential_tail,
-    post_escape_monotonicity,
     run,
     run_escape_experiment,
-    run_sigma0_sweep,
     survival_curve,
-    target_reached,
     task_rng,
 )
-from saddle_es.es import TARGET, UNDERFLOW, TraceRecord, _batch_trials
+from saddle_es.es import TARGET, UNDERFLOW, _batch_trials
+from saddle_es.experiments import _map_tasks
 
 
 def problem(a=(-1.0, 20.0), b=1):
@@ -187,17 +183,6 @@ class TestEngineMatchesRun:
         assert one.survival_rows() == two.survival_rows()
 
 
-class TestSigma0Sweep:
-    def test_default_sweep_points(self):
-        assert DEFAULT_SIGMA0_SWEEP == (1e-3, 1e-1, 1.0, 10.0)
-
-    def test_sweep_runs_each_point(self):
-        results = run_sigma0_sweep(spec(trials=10), sigma0_values=(0.1, 1.0))
-        assert set(results) == {0.1, 1.0}
-        for stats in results.values():
-            assert stats.n_escaped == 10
-
-
 class TestSurvivalAndTail:
     def test_survival_values(self):
         times = np.array([1, 1, 2, 5])
@@ -232,46 +217,6 @@ class TestSurvivalAndTail:
                                  s_range=(0.5, 0.1))
 
 
-class TestPostEscapeMonotonicity:
-    def _escaped_trace(self):
-        p = problem()
-        return p, run(p, EsParams(max_iters=100_000),
-                      EsState(m=np.array([0.0, 1.0 / math.sqrt(20.0)]), sigma=1.0),
-                      np.random.default_rng(11), stop=target_reached, record_every=1)
-
-    def test_true_on_real_escape(self):
-        p, trace = self._escaped_trace()
-        assert trace.t_escape is not None
-        assert post_escape_monotonicity(p, trace)
-
-    def test_rejects_trace_without_escape(self):
-        p = problem()
-        trace = run(p, EsParams(max_iters=3),
-                    EsState(m=np.array([0.0, 1.0]), sigma=1e-6),
-                    np.random.default_rng(0))
-        assert trace.t_escape is None
-        with pytest.raises(ValueError):
-            post_escape_monotonicity(p, trace)
-
-    def test_false_on_injected_f_increase(self):
-        p, trace = self._escaped_trace()
-        last = trace.records[-1]
-        trace.records.append(TraceRecord(t=last.t + 1, m=last.m * 0.5,
-                                         sigma=last.sigma,
-                                         f_value=last.f_value * 0.25,
-                                         accepted=True))
-        # still negative but larger than the escape value: 0.25*f > f for f < 0
-        assert not post_escape_monotonicity(p, trace)
-
-    def test_false_on_region_backslide(self):
-        p, trace = self._escaped_trace()
-        last = trace.records[-1]
-        bad_m = np.array([0.0, 1.0])
-        trace.records.append(TraceRecord(t=last.t + 1, m=bad_m, sigma=last.sigma,
-                                         f_value=last.f_value, accepted=True))
-        assert not post_escape_monotonicity(p, trace)
-
-
 class TestDriftMap:
     GRID = GridSpec(w_values=np.array([0.0, 0.5, 1.0]),
                     sigma_values=np.geomspace(1e-3, 1e2, 8))
@@ -304,8 +249,43 @@ class TestDriftMap:
                drift_map(problem(), EsParams(), "W", **kw)
 
 
-class TestDefaultBudget:
-    def test_scales_with_conditioning(self):
-        assert default_budget(problem((-1.0, 1.0))) == 100_000
-        assert default_budget(problem((-1.0, 20.0))) == 200_000
-        assert default_budget(problem((-1.0, 100.0))) == 1_000_000
+
+class TestMapTasks:
+    class SerialPool:
+        """Stands in for ProcessPoolExecutor: records its sizes, maps in this process."""
+
+        made = []
+
+        def __init__(self, max_workers, mp_context):
+            self.max_workers = max_workers
+            self.made.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            self.chunksize = chunksize
+            return map(fn, iterable)
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.SerialPool)
+        self.SerialPool.made = []
+        return self.SerialPool.made
+
+    def test_no_more_workers_than_tasks(self, pools):
+        # a fork pool starts all max_workers processes at the first submit
+        assert _map_tasks(lambda x: x * x, [1, 2, 3], threads=1000) == [1, 4, 9]
+        assert [(p.max_workers, p.chunksize) for p in pools] == [(3, 1)]
+
+    def test_chunks_follow_worker_count(self, pools):
+        assert _map_tasks(lambda x: -x, list(range(40)), threads=2) == [-x for x in range(40)]
+        assert [(p.max_workers, p.chunksize) for p in pools] == [(2, 2)]
+
+    def test_single_task_or_thread_runs_inline(self, pools):
+        assert _map_tasks(str, [5], threads=8) == ["5"]
+        assert _map_tasks(str, [5, 6], threads=1) == ["5", "6"]
+        assert pools == []

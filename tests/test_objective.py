@@ -35,7 +35,7 @@ class TestConstruction:
 
     def test_json_round_trip(self):
         p = SaddleProblem(a=np.array([-4.0, -1.0, 1.0, 20.0]), b=2)
-        q = SaddleProblem.from_dict(p.to_dict())
+        q = SaddleProblem(**p.to_dict())
         assert np.array_equal(p.a, q.a) and p.b == q.b
         assert p.to_dict() == {"a": [-4.0, -1.0, 1.0, 20.0], "b": 2}
 
