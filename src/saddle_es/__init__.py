@@ -39,7 +39,6 @@ from .estimators import (
     saddle_success_analytic_2d,
     saddle_success_mc,
     success_probability,
-    task_rng,
 )
 from .experiments import (
     EscapeExperimentSpec,
@@ -57,3 +56,4 @@ from .normalization import (
     sample_M_plus_0,
 )
 from .objective import RegionLabel, SaddleProblem
+from .tasks import task_rng

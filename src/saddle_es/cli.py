@@ -41,12 +41,12 @@ from .estimators import (
     saddle_success_analytic_2d,
     saddle_success_mc,
     success_probability,
-    task_rng,
 )
 from .experiments import ESCAPED, EscapeExperimentSpec, run_escape_experiment, drift_map
 from .normalization import NormalizedState, sample_M_plus_0
 from .objective import SaddleProblem
 from .serialize import drift_map_to_csv, survival_to_csv, trace_to_csv, write_csv, write_json
+from .tasks import task_rng
 
 EXIT_OK = 0
 EXIT_CONFIG = 1

@@ -8,24 +8,12 @@ and renormalize the successor, because the drifts are one-step quantities.
 Every one-step estimate draws its offspring through one block kernel,
 ``_offspring``; the drifts merge per-block moments, so their memory is flat in
 the sample size.
-
-Grid pipelines derive one independent stream per task with ``task_rng``: the
-master seed seeds a numpy ``SeedSequence`` spawned at key (stage id, *task
-index).  Streams of different tasks, stages and master seeds are independent,
-and reruns with the same master seed are bit-identical regardless of
-scheduling.  Every one-step estimate at grid point (w_i, sigma~_j) reads the
-one stream ``task_rng(master_seed, "point", i, j)``, so the constants pipeline
-takes the success rate, the V drift and the W drift there from one set of
-offspring.  Escape trials take their streams a batch at a time from
-``_task_rngs``, which computes the ``SeedSequence`` hashing of a range of
-indices in one numpy pass and returns the same generators as ``task_rng``;
-``task_rng`` stays the single-task path and the reference for it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -35,92 +23,10 @@ import numpy as np
 from .es import EsParams
 from .normalization import NormalizedState, NormPlusZeroError, in_M_plus_0, sample_M_plus_0
 from .objective import SaddleProblem
+from .tasks import _map_tasks, task_rng
 
 DEFAULT_CONFIDENCE = 0.99
 _BLOCK = 1 << 18
-
-# Spawn-key stage ids of the task streams.  Renumbering a stage changes every
-# output seeded through it.  Ids 0 and 2 are retired (they seeded the V and Phi
-# maps of earlier versions) and must not be reused.
-_STAGES = {"point": 1, "sigma40": 3, "trial": 4, "pairing": 5}
-
-
-def task_rng(master_seed: int, stage: str, *index: int) -> np.random.Generator:
-    """Stream of one task: ``SeedSequence(master_seed)`` spawned at key
-    (stage id, *index); see the module docstring.  ``stage`` is one of
-    point, sigma40, trial, pairing."""
-    return np.random.default_rng(
-        np.random.SeedSequence(master_seed, spawn_key=(_STAGES[stage], *index)))
-
-
-_MASK32 = 0xFFFFFFFF
-
-
-class _SeedWords:
-    """A task's precomputed ``SeedSequence.generate_state(4, uint64)`` words,
-    handed to PCG64 as its seed sequence.  ``_task_rngs`` registers it as an
-    ``ISeedSequence`` on first use, so importing this module does not load
-    ``numpy.random``."""
-
-    __slots__ = ("words",)
-
-    def __init__(self, words: np.ndarray):
-        self.words = words
-
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
-
-
-def _task_rngs(master_seed: int, stage: str, lo: int, hi: int) -> list:
-    """``[task_rng(master_seed, stage, k) for k in range(lo, hi)]``: the same
-    generators, seeded from one vectorized pass of ``SeedSequence``'s hashing
-    (O'Neill's seed_seq: uint32 multiply, xor and shift steps) over the
-    indices.  Only the last entropy word, k, differs between the tasks, so the
-    pool is mixed on Python ints up to it and on a uint32 array from there.
-    Indices must fit one uint32 word: ``0 <= lo <= hi <= 2**32``."""
-    from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
-
-    master_seed = operator.index(master_seed)
-    if master_seed < 0:
-        raise ValueError("expected non-negative integer")
-    if not 0 <= lo <= hi <= 1 << 32:
-        raise ValueError("task indices must lie in [0, 2**32)")
-    ISeedSequence.register(_SeedWords)
-    words = [master_seed >> s & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
-    # SeedSequence pads the run entropy to the pool size when a spawn key follows
-    entropy = words + [0] * (4 - len(words)) + [_STAGES[stage], np.arange(lo, hi, dtype=np.uint32)]
-    hash_a = 0x43B0D7E5
-
-    def hashmix(value):
-        nonlocal hash_a
-        value = value ^ hash_a
-        hash_a = hash_a * 0x931E8875 & _MASK32
-        value = value * hash_a & _MASK32
-        return value ^ value >> 16
-
-    def mix(x, y):
-        r = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
-        return r ^ r >> 16
-
-    pool = [hashmix(word) for word in entropy[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): eight uint32 words, paired little-endian
-    state = np.empty((hi - lo, 8), dtype=np.uint32)
-    hash_b = 0x8B51F9DD
-    for i in range(8):
-        value = pool[i % 4] ^ hash_b
-        hash_b = hash_b * 0x58F38DED & _MASK32
-        value = value * hash_b & _MASK32
-        state[:, i] = value ^ value >> 16
-    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [Generator(PCG64(_SeedWords(row))) for row in seeds]
 
 
 def _blocks(n: int) -> list:
@@ -369,12 +275,31 @@ def drift_phi(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
     """
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
+    return _drift(problem, params, ns, n, rng, confidence,
+                  functools.partial(_phi_increments, beta))[1][0]
 
-    def increments(samples: StepSamples) -> np.ndarray:
-        w_inc = samples.w_increments()
-        return w_inc if beta == 0.0 else beta * samples.v_increments() + w_inc
 
-    return _drift(problem, params, ns, n, rng, confidence, increments)[1][0]
+def _phi_increments(beta: float, samples: StepSamples) -> np.ndarray:
+    """Per-sample change of phi = beta * V + W; unlike a closure, its partial pickles."""
+    w_inc = samples.w_increments()
+    return w_inc if beta == 0.0 else beta * samples.v_increments() + w_inc
+
+
+def _point_drift(args) -> tuple:
+    """(w, sigma~, hits, estimates) of grid point (w_i, sigma~_j): ``_drift`` on the
+    point's stream ``task_rng(master_seed, "point", i, j)``."""
+    (problem, params, grid, n, master_seed, confidence, increments), i, j = args
+    w, s = float(grid.w_values[i]), float(grid.sigma_values[j])
+    return (w, s, *_drift(problem, params, NormalizedState(sample_M_plus_0(problem, w), s), n,
+                          task_rng(master_seed, "point", i, j), confidence, *increments))
+
+
+def _grid_pass(problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,
+               master_seed: int, confidence: float, increments: tuple, threads: int) -> list:
+    """``_point_drift`` of every grid point in w-major order, one task per point."""
+    job = (problem, params, grid, n, master_seed, confidence, increments)
+    return _map_tasks(_point_drift, [(job, i, j) for i in range(grid.w_values.size)
+                                     for j in range(grid.sigma_values.size)], threads)
 
 
 def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid,
@@ -389,11 +314,7 @@ def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid,
     supplies those rates as ``_rates``; bisection step k draws from
     ``task_rng(master_seed, "sigma40", _row, grid size + k)``.
     """
-    grid = np.asarray(sigma_grid, dtype=float)
-    if grid.size < 8:
-        raise ValueError("sigma grid too coarse: need at least 8 points")
-    if grid[0] <= 0.0 or not np.all(np.diff(grid) > 0.0):
-        raise ValueError("sigma grid must be positive and strictly ascending")
+    grid = GridSpec(np.zeros(1), sigma_grid).sigma_values  # the one sigma-grid check
 
     def p_at(sigma: float, stage: str, idx: int) -> float:
         rng = task_rng(master_seed, stage, _row, idx)
@@ -405,8 +326,11 @@ def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid,
         return math.inf
     first_fail = failing[0]
     if first_fail == 0:
-        raise ValueError("success rate below threshold at the smallest grid step size; "
-                         "extend the grid downward")
+        # abs: the semi-norm of a mean at w = 0 is -0.0
+        raise ValueError("success rate below threshold at the smallest grid step size; extend "
+                         f"the grid downward.  Row {_row}: w={abs(problem.norm_minus(m_tilde))!r} "
+                         f"sigma~={float(grid[0])!r} rate={rates[0]!r} n={n}; replay its stream "
+                         f"with task_rng({master_seed}, \"point\", {_row}, 0)")
     lo, hi = float(grid[first_fail - 1]), float(grid[first_fail])
     for k in range(bisect_steps):
         mid = math.sqrt(lo * hi)
@@ -534,26 +458,20 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     alpha = params.alpha
     b1 = closed_form_b1(alpha)
     b2 = closed_form_b2(alpha)
-    means = [sample_M_plus_0(problem, w) for w in grid.w_values]
     n_sigma = grid.sigma_values.size
 
-    # grid points in w-major order; a point's success rate, V drift and W drift
-    # come from one set of offspring on its stream
-    rates, v_map, w_all = [], [], []
-    for i, (w, m) in enumerate(zip(grid.w_values, means)):
-        for j, s in enumerate(grid.sigma_values):
-            hits, (v, w_est) = _drift(problem, params, NormalizedState(m, s), n,
-                                      task_rng(master_seed, "point", i, j), confidence,
-                                      StepSamples.v_increments, StepSamples.w_increments)
-            rates.append(hits / n)
-            v_map.append(GridPointEstimate(float(w), float(s), v))
-            w_all.append(GridPointEstimate(float(w), float(s), w_est))
+    # a point's success rate, V drift and W drift come from one set of offspring
+    points = _grid_pass(problem, params, grid, n, master_seed, confidence,
+                        (StepSamples.v_increments, StepSamples.w_increments), threads=1)
+    rates = [hits / n for _, _, hits, _ in points]
+    v_map = [GridPointEstimate(w, s, v) for w, s, _, (v, _) in points]
+    w_all = [GridPointEstimate(w, s, w_est) for w, s, _, (_, w_est) in points]
     v_low = np.array([row.est.ci_low for row in v_map]).reshape(-1, n_sigma)
 
     sigma_40_by_w = [
-        estimate_sigma_40(problem, m, grid.sigma_values, n, master_seed, _row=i,
-                          _rates=rates[i * n_sigma:(i + 1) * n_sigma])
-        for i, m in enumerate(means)
+        estimate_sigma_40(problem, sample_M_plus_0(problem, w), grid.sigma_values, n,
+                          master_seed, _row=i, _rates=rates[i * n_sigma:(i + 1) * n_sigma])
+        for i, w in enumerate(grid.w_values)
     ]
     sigma_tilde_40 = min(sigma_40_by_w)
 

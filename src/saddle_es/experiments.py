@@ -1,16 +1,15 @@
 """Escape-time experiments, survival-curve diagnostics, and drift maps.
 
-Trials and grid points are independent tasks on derived streams (see
-``estimators.task_rng``); grid point (w_i, sigma~_j) reads its "point" stream
-whatever the drift quantity.  Aggregation is in task order, so results are
-bit-identical for any thread count given the same master seed.
+Trials and grid points are independent tasks on derived streams, mapped to
+workers by ``tasks`` (see its docstring); grid point (w_i, sigma~_j) reads its
+"point" stream whatever the drift quantity.  Aggregation is in task order, so
+results are bit-identical for any thread count given the same master seed.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import math
-import multiprocessing
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -18,10 +17,10 @@ import numpy as np
 
 from .es import (BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, _batch_trials,
                  escape_times)
-from .estimators import (GridPointEstimate, GridSpec, _task_rngs, drift_phi, drift_v, drift_w,
-                         task_rng)
-from .normalization import NormalizedState, _shell_point, sample_M_plus_0
+from .estimators import GridPointEstimate, GridSpec, StepSamples, _grid_pass, _phi_increments
+from .normalization import _shell_point
 from .objective import SaddleProblem
+from .tasks import _map_tasks, _task_rngs
 
 ESCAPED = "escaped"
 CENSORED = "censored"
@@ -150,24 +149,11 @@ class HittingTimeStats:
 def _escape_batch(args) -> tuple[list, np.ndarray]:
     """Trials lo..hi-1 of an escape experiment, each on its own trial stream
     ``task_rng(spec.master_seed, "trial", k)``; the batch's streams are derived
-    in one vectorized pass (``estimators._task_rngs``)."""
+    in one vectorized pass (``tasks._task_rngs``)."""
     spec, lo, hi = args
     rngs = _task_rngs(spec.master_seed, "trial", lo, hi)
     return escape_times(spec.problem, replace(spec.params, max_iters=spec.budget),
                         spec.initial_state(), rngs)
-
-
-def _map_tasks(fn, args_list, threads: int):
-    """Run tasks in order-preserving fashion, optionally on a fork pool."""
-    if threads <= 1 or len(args_list) <= 1:
-        return [fn(args) for args in args_list]
-    # a fork pool starts all its workers at the first submit, so never ask for
-    # more workers than there are tasks
-    workers = min(threads, len(args_list))
-    ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(args_list) // (workers * 8))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
-        return list(ex.map(fn, args_list, chunksize=chunk))
 
 
 def survival_curve(times: np.ndarray, escaped_mask: np.ndarray):
@@ -242,20 +228,6 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
                             master_seed=spec.master_seed)
 
 
-def _drift_point(args) -> GridPointEstimate:
-    (problem, params, w, m_tilde, sigma, quantity, beta, n, master_seed, i, j,
-     confidence) = args
-    rng = task_rng(master_seed, "point", i, j)
-    ns = NormalizedState(m_tilde, sigma)
-    if quantity == "V":
-        est = drift_v(problem, params, ns, n, rng, confidence)
-    elif quantity == "W":
-        est = drift_w(problem, params, ns, n, rng, confidence)
-    else:
-        est = drift_phi(problem, params, ns, beta, n, rng, confidence)
-    return GridPointEstimate(w=w, sigma_tilde=sigma, est=est)
-
-
 def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
               grid: GridSpec | None = None, n: int = 100_000,
               master_seed: int = 0, beta: Optional[float] = None,
@@ -266,16 +238,13 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
     Every quantity reads the per-point streams of the constants pipeline, so the
     V and W maps agree with it for the same master seed, grid, and n.
     """
-    quantity = {"v": "V", "w": "W", "phi": "Phi"}.get(quantity.lower())
-    if quantity is None:
+    beta = DEFAULT_BETA_FALLBACK if beta is None else beta
+    increment = {"v": StepSamples.v_increments, "w": StepSamples.w_increments,
+                 "phi": functools.partial(_phi_increments, beta)}.get(quantity.lower())
+    if increment is None:
         raise ValueError("quantity must be one of V, W, Phi")
-    if quantity == "Phi" and beta is None:
-        beta = DEFAULT_BETA_FALLBACK
+    if quantity.lower() == "phi" and beta < 0.0:
+        raise ValueError("beta must be nonnegative")
     grid = grid if grid is not None else GridSpec.default()
-    tasks = []
-    for i, w in enumerate(grid.w_values):
-        m_tilde = sample_M_plus_0(problem, float(w))
-        for j, sigma in enumerate(grid.sigma_values):
-            tasks.append((problem, params, float(w), m_tilde, float(sigma),
-                          quantity, beta, n, master_seed, i, j, confidence))
-    return _map_tasks(_drift_point, tasks, threads)
+    return [GridPointEstimate(w, s, est) for w, s, _, (est,) in
+            _grid_pass(problem, params, grid, n, master_seed, confidence, (increment,), threads)]

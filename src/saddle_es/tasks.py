@@ -1,0 +1,120 @@
+"""Task streams and the worker pool of the grid and trial pipelines.
+
+Grid pipelines derive one independent stream per task with ``task_rng``: the
+master seed seeds a numpy ``SeedSequence`` spawned at key (stage id, *task
+index).  Streams of different tasks, stages and master seeds are independent,
+and reruns with the same master seed are bit-identical regardless of
+scheduling.  Every one-step estimate at grid point (w_i, sigma~_j) reads the
+one stream ``task_rng(master_seed, "point", i, j)``, so the constants pipeline
+takes the success rate, the V drift and the W drift there from one set of
+offspring.  Escape trials take their streams a batch at a time from
+``_task_rngs``, which computes the ``SeedSequence`` hashing of a range of
+indices in one numpy pass and returns the same generators as ``task_rng``;
+``task_rng`` stays the single-task path and the reference for it.
+"""
+
+from __future__ import annotations
+
+import concurrent.futures
+import multiprocessing
+import operator
+
+import numpy as np
+
+# Spawn-key stage ids of the task streams.  Renumbering a stage changes every
+# output seeded through it.  Ids 0 and 2 are retired (they seeded the V and Phi
+# maps of earlier versions) and must not be reused.
+_STAGES = {"point": 1, "sigma40": 3, "trial": 4, "pairing": 5}
+
+
+def task_rng(master_seed: int, stage: str, *index: int) -> np.random.Generator:
+    """Stream of one task: ``SeedSequence(master_seed)`` spawned at key
+    (stage id, *index); see the module docstring.  ``stage`` is one of
+    point, sigma40, trial, pairing."""
+    return np.random.default_rng(
+        np.random.SeedSequence(master_seed, spawn_key=(_STAGES[stage], *index)))
+
+
+_MASK32 = 0xFFFFFFFF
+
+
+class _SeedWords:
+    """A task's precomputed ``SeedSequence.generate_state(4, uint64)`` words,
+    handed to PCG64 as its seed sequence.  ``_task_rngs`` registers it as an
+    ``ISeedSequence`` on first use, so importing this module does not load
+    ``numpy.random``."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
+def _task_rngs(master_seed: int, stage: str, lo: int, hi: int) -> list:
+    """``[task_rng(master_seed, stage, k) for k in range(lo, hi)]``: the same
+    generators, seeded from one vectorized pass of ``SeedSequence``'s hashing
+    (O'Neill's seed_seq: uint32 multiply, xor and shift steps) over the
+    indices.  Only the last entropy word, k, differs between the tasks, so the
+    pool is mixed on Python ints up to it and on a uint32 array from there.
+    Indices must fit one uint32 word: ``0 <= lo <= hi <= 2**32``."""
+    from numpy.random import PCG64, Generator
+    from numpy.random.bit_generator import ISeedSequence
+
+    master_seed = operator.index(master_seed)
+    if master_seed < 0:
+        raise ValueError("expected non-negative integer")
+    if not 0 <= lo <= hi <= 1 << 32:
+        raise ValueError("task indices must lie in [0, 2**32)")
+    ISeedSequence.register(_SeedWords)
+    words = [master_seed >> s & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
+    # SeedSequence pads the run entropy to the pool size when a spawn key follows
+    entropy = words + [0] * (4 - len(words)) + [_STAGES[stage], np.arange(lo, hi, dtype=np.uint32)]
+    hash_a = 0x43B0D7E5
+
+    def hashmix(value):
+        nonlocal hash_a
+        value = value ^ hash_a
+        hash_a = hash_a * 0x931E8875 & _MASK32
+        value = value * hash_a & _MASK32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = ((0xCA01F9DD * x & _MASK32) - (0x4973F715 * y & _MASK32)) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(word) for word in entropy[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): eight uint32 words, paired little-endian
+    state = np.empty((hi - lo, 8), dtype=np.uint32)
+    hash_b = 0x8B51F9DD
+    for i in range(8):
+        value = pool[i % 4] ^ hash_b
+        hash_b = hash_b * 0x58F38DED & _MASK32
+        value = value * hash_b & _MASK32
+        state[:, i] = value ^ value >> 16
+    seeds = state.astype("<u4").view("<u8").astype(np.uint64)
+    return [Generator(PCG64(_SeedWords(row))) for row in seeds]
+
+
+def _map_tasks(fn, args_list, threads: int):
+    """Run tasks in order-preserving fashion, optionally on a fork pool."""
+    if threads < 1:
+        raise ValueError("threads must be at least 1")
+    if threads == 1 or len(args_list) <= 1:
+        return [fn(args) for args in args_list]
+    # a fork pool starts all its workers at the first submit, so never ask for
+    # more workers than there are tasks
+    workers = min(threads, len(args_list))
+    ctx = multiprocessing.get_context("fork")
+    chunk = max(1, len(args_list) // (workers * 8))
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
+        return list(ex.map(fn, args_list, chunksize=chunk))

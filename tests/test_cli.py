@@ -10,8 +10,9 @@ import pytest
 
 import saddle_es
 from saddle_es import cli
-from saddle_es import (EscapeExperimentSpec, EsParams, GridSpec, SaddleProblem, closed_form_b1,
-                       closed_form_b2, drift_map, run_escape_experiment)
+from saddle_es import (EscapeExperimentSpec, EsParams, GridSpec, NormalizedState, SaddleProblem,
+                       closed_form_b1, closed_form_b2, drift_map, run_escape_experiment,
+                       sample_M_plus_0, success_probability, task_rng)
 from saddle_es.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -144,6 +145,16 @@ class TestConfigHandling:
                 f"--trace-out={tmp_path}/t.csv", f"--summary-out={tmp_path}/s.json")
         assert json.loads((tmp_path / "s.json").read_text())["seed"] == 777
 
+    @pytest.mark.parametrize("args", [("escape", "--threads=0"), ("escape", "--threads=-4"),
+                                      ("drift-map", "--threads=0")])
+    def test_threads_below_one_is_config_error(self, args, tmp_path, capsys):
+        outputs = {"escape": ("--a=-1,100", "--trials=20", f"--stats-out={tmp_path}/e.json",
+                              f"--survival-out={tmp_path}/e.csv"),
+                   "drift-map": ("--a=-1,20", "--n=2000", f"--map-out={tmp_path}/m.csv")}
+        code = run_cli(*args, "--b=1", *outputs[args[0]])
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: threads must be at least 1\n"
+
 
 class TestEscapeCommand:
     def test_full_escape_exits_zero(self, tmp_path):
@@ -261,6 +272,18 @@ class TestConstantsCommand:
                        f"--constants-out={tmp_path}/c.json")
         assert code == EXIT_CONFIG
         assert "extend the grid downward" in capsys.readouterr().err
+
+    def test_grid_missing_low_step_sizes_names_row(self, tmp_path, capsys):
+        code = run_cli("constants", "--a=-1,100", "--b=1", "--n=20000", "--seed=3",
+                       "--w-values=0,0.5", "--sigma-grid-min=10", "--sigma-grid-points=8",
+                       f"--constants-out={tmp_path}/c.json")
+        assert code == EXIT_CONFIG
+        p = SaddleProblem(a=[-1.0, 100.0], b=1)
+        rate = success_probability(p, NormalizedState(sample_M_plus_0(p, 0.0), 10.0), 20_000,
+                                   task_rng(3, "point", 0, 0)).mean
+        assert capsys.readouterr().err.rstrip().endswith(
+            f"Row 0: w=0.0 sigma~=10.0 rate={rate!r} n=20000; replay its stream with "
+            'task_rng(3, "point", 0, 0)')
 
     def test_nonpositive_c_names_lowest_w_point(self, tmp_path, capsys):
         # at n=1000 the W drift of this ill-conditioned saddle is not resolved

@@ -31,7 +31,8 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es import estimators
-from saddle_es.estimators import _STAGES, _drift, _task_rngs
+from saddle_es.estimators import _drift
+from saddle_es.tasks import _STAGES, _task_rngs
 
 # Uniform-angle Monte Carlo oracle for the probability of the negative double
 # cone, 4e7 angles per problem, seed 20260810 (computed independently of the

@@ -1,26 +1,34 @@
+import ast
 import concurrent.futures
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from test_acceptance import MASTER_SEED
 
+import saddle_es.tasks
 from saddle_es import (
     BUDGET,
     EscapeExperimentSpec,
     EsParams,
     GridSpec,
+    NormalizedState,
     SaddleProblem,
     drift_map,
+    drift_phi,
+    drift_v,
+    drift_w,
     fit_exponential_tail,
     run,
     run_escape_experiment,
+    sample_M_plus_0,
     survival_curve,
     task_rng,
 )
 from saddle_es.es import TARGET, UNDERFLOW, _batch_trials
-from saddle_es.experiments import _map_tasks
+from saddle_es.tasks import _map_tasks
 
 
 def problem(a=(-1.0, 20.0), b=1):
@@ -228,11 +236,28 @@ class TestDriftMap:
         assert [r.w for r in rows[:8]] == [0.0] * 8
         assert [r.sigma_tilde for r in rows[:8]] == self.GRID.sigma_values.tolist()
 
-    def test_reproducible_and_thread_invariant(self):
+    @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
+    def test_reproducible_and_thread_invariant(self, quantity):
+        # threads=2 pickles each point's increment into a fork-pool worker
         kw = dict(grid=self.GRID, n=2000, master_seed=4)
-        r1 = drift_map(problem(), EsParams(), "V", threads=1, **kw)
-        r2 = drift_map(problem(), EsParams(), "V", threads=2, **kw)
+        r1 = drift_map(problem(), EsParams(), quantity, threads=1, **kw)
+        r2 = drift_map(problem(), EsParams(), quantity, threads=2, **kw)
         assert r1 == r2
+
+    @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
+    def test_rows_equal_point_estimators_on_point_streams(self, quantity):
+        p, params = problem(), EsParams()
+        rows = drift_map(p, params, quantity, grid=self.GRID, n=2000, master_seed=8, beta=0.3)
+        for k, row in enumerate(rows):
+            i, j = divmod(k, 8)
+            ns = NormalizedState(sample_M_plus_0(p, float(self.GRID.w_values[i])),
+                                 float(self.GRID.sigma_values[j]))
+            rng = task_rng(8, "point", i, j)
+            est = {"V": lambda: drift_v(p, params, ns, 2000, rng),
+                   "W": lambda: drift_w(p, params, ns, 2000, rng),
+                   "Phi": lambda: drift_phi(p, params, ns, 0.3, 2000, rng)}[quantity]()
+            assert (row.w, row.sigma_tilde, row.est) == (
+                self.GRID.w_values[i], self.GRID.sigma_values[j], est)
 
     def test_quantity_validation(self):
         with pytest.raises(ValueError):
@@ -289,3 +314,23 @@ class TestMapTasks:
         assert _map_tasks(str, [5], threads=8) == ["5"]
         assert _map_tasks(str, [5, 6], threads=1) == ["5", "6"]
         assert pools == []
+
+    @pytest.mark.parametrize("threads", [0, -4])
+    @pytest.mark.parametrize("tasks", [[], [5], [5, 6, 7]])
+    def test_threads_below_one_rejected(self, pools, threads, tasks):
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            _map_tasks(str, tasks, threads=threads)
+        assert pools == []
+
+
+def test_tasks_module_imports_no_saddle_es_module():
+    # estimators and experiments import tasks, so an import back would be a cycle
+    tree = ast.parse(Path(saddle_es.tasks.__file__).read_text(encoding="utf-8"))
+    modules = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append("." * node.level + (node.module or ""))
+    assert "numpy" in modules
+    assert not [m for m in modules if m.startswith((".", "saddle_es"))], modules
