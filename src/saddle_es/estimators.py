@@ -202,7 +202,7 @@ class StepSamples:
         if np.any(self.norm_plus == 0.0):
             raise NormPlusZeroError("accepted offspring with zero positive-block semi-norm")
         out = np.full(self.n, -0.25 * math.log(self.alpha))
-        out[self.accepted] = math.log(self.alpha) - np.log(self.norm_plus)
+        out[np.flatnonzero(self.accepted)] = math.log(self.alpha) - np.log(self.norm_plus)
         return out
 
     def w_increments(self) -> np.ndarray:
@@ -214,7 +214,7 @@ class StepSamples:
         nm, npl = self.norm_minus, self.norm_plus
         ratio = np.divide(nm, npl, out=np.full(nm.shape, math.inf), where=npl > 0.0)
         out = np.zeros(self.n)
-        out[self.accepted] = np.minimum(ratio - self.w0, 1.0)
+        out[np.flatnonzero(self.accepted)] = np.minimum(ratio - self.w0, 1.0)
         return out
 
 
@@ -224,10 +224,11 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedSta
     if n < 2:
         raise ValueError("need n >= 2 samples")
     accepted, sq = _offspring(problem, ns, n, rng)
-    sq = sq[accepted]
+    # gather by index: indexing with a random boolean mask is about 10x slower
+    sq = sq.take(np.flatnonzero(accepted), axis=0)
     a, b = problem.a, problem.b
     return StepSamples(accepted=accepted,
-                       norm_minus=np.sqrt(-(sq[:, :b] @ a[:b])),
+                       norm_minus=np.sqrt(0.0 - sq[:, :b] @ a[:b]),
                        norm_plus=np.sqrt(sq[:, b:] @ a[b:]),
                        w0=float(problem.norm_minus(ns.m_tilde)), alpha=params.alpha)
 
@@ -326,9 +327,8 @@ def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid,
         return math.inf
     first_fail = failing[0]
     if first_fail == 0:
-        # abs: the semi-norm of a mean at w = 0 is -0.0
         raise ValueError("success rate below threshold at the smallest grid step size; extend "
-                         f"the grid downward.  Row {_row}: w={abs(problem.norm_minus(m_tilde))!r} "
+                         f"the grid downward.  Row {_row}: w={problem.norm_minus(m_tilde)!r} "
                          f"sigma~={float(grid[0])!r} rate={rates[0]!r} n={n}; replay its stream "
                          f"with task_rng({master_seed}, \"point\", {_row}, 0)")
     lo, hi = float(grid[first_fail - 1]), float(grid[first_fail])

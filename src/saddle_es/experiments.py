@@ -243,7 +243,7 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
                  "phi": functools.partial(_phi_increments, beta)}.get(quantity.lower())
     if increment is None:
         raise ValueError("quantity must be one of V, W, Phi")
-    if quantity.lower() == "phi" and beta < 0.0:
+    if beta < 0.0:
         raise ValueError("beta must be nonnegative")
     grid = grid if grid is not None else GridSpec.default()
     return [GridPointEstimate(w, s, est) for w, s, _, (est,) in

@@ -68,9 +68,12 @@ class SaddleProblem:
         return float(value) if x.ndim == 1 else value
 
     def norm_minus(self, x):
-        """Mahalanobis semi-norm of the negative-curvature block: sqrt(-sum_{i<=b} a_i x_i^2)."""
+        """Mahalanobis semi-norm of the negative-curvature block: sqrt(-sum_{i<=b} a_i x_i^2).
+
+        Formed as sqrt(0 - q), which is +0.0 for a zero block where sqrt(-q) is -0.0.
+        """
         x = self._coerce(x)
-        value = np.sqrt(-(np.square(x[..., : self.b]) @ self.a[: self.b]))
+        value = np.sqrt(0.0 - np.square(x[..., : self.b]) @ self.a[: self.b])
         return float(value) if x.ndim == 1 else value
 
     def norm_plus(self, x):

@@ -206,6 +206,14 @@ class TestDriftMapCommand:
         run_cli(*args, f"--map-out={tmp_path}/m2.csv")
         assert (tmp_path / "m1.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
 
+    @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
+    def test_negative_beta_is_config_error(self, quantity, tmp_path, capsys):
+        code = run_cli("drift-map", "--a=-1,20", "--b=1", f"--quantity={quantity}",
+                       "--beta=-1", "--n=2000", f"--map-out={tmp_path}/m.csv")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: beta must be nonnegative\n"
+        assert not (tmp_path / "m.csv").exists()
+
     def test_check_positive_gate(self, tmp_path):
         # W drift is positive on this problem at n large enough
         code = run_cli("drift-map", "--a=-1,20", "--b=1", "--quantity=W",

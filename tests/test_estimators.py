@@ -508,19 +508,25 @@ class TestPairing:
             pairing_check(p, apex(p), 0.0, 100, np.random.default_rng(0))
 
 
+def mask_reference(p, params, ns, z):
+    """Accepted mask, semi-norms and V/W increments of the draws z, built with
+    boolean-mask gathers and scatters."""
+    x = ns.m_tilde + ns.sigma_tilde * z
+    acc = p.evaluate(x) <= p.evaluate(ns.m_tilde)
+    nm, npl = p.norm_minus(x)[acc], p.norm_plus(x)[acc]
+    log_alpha = math.log(params.alpha)
+    v = np.full(z.shape[0], -0.25 * log_alpha)
+    v[acc] = log_alpha - np.log(npl)
+    w = np.zeros(z.shape[0])
+    w[acc] = np.minimum(nm / npl - p.norm_minus(ns.m_tilde), 1.0)
+    return acc, nm, npl, v, w
+
+
 def whole_array_reference(p, params, ns, n, seed):
     """Whole-array reference: all n one-step samples at once, mean and stderr of
     each increment array as numpy computes them, and the success count."""
-    rng = np.random.default_rng(seed)
-    m = ns.m_tilde
-    x = m + ns.sigma_tilde * rng.standard_normal((n, p.d))
-    acc = p.evaluate(x) <= p.evaluate(m)
-    nm, npl = p.norm_minus(x)[acc], p.norm_plus(x)[acc]
-    log_alpha = math.log(params.alpha)
-    v = np.full(n, -0.25 * log_alpha)
-    v[acc] = log_alpha - np.log(npl)
-    w = np.zeros(n)
-    w[acc] = np.minimum(nm / npl - p.norm_minus(m), 1.0)
+    acc, _, _, v, w = mask_reference(p, params, ns,
+                                     np.random.default_rng(seed).standard_normal((n, p.d)))
     ref = {name: (float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(n)))
            for name, inc in (("V", v), ("W", w), ("Phi", 0.7 * v + w))}
     ref["success"] = (int(np.count_nonzero(acc)) / n, None)
@@ -562,3 +568,69 @@ class TestBlockKernel:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+
+
+class FixedDraws:
+    """Stands in for a Generator: every standard_normal call returns a fresh
+    copy of the same draws, so a kernel and its reference see equal offspring."""
+
+    def __init__(self, z):
+        self.z = z
+
+    def standard_normal(self, shape):
+        assert shape == self.z.shape
+        return self.z.copy()
+
+
+def assert_bitwise(x, y):
+    x, y = np.asarray(x), np.asarray(y)
+    assert x.dtype == y.dtype and x.shape == y.shape
+    assert x.tobytes() == y.tobytes()
+
+
+class TestMaskEdges:
+    """The accepted-row gather and the increment scatters equal boolean-mask
+    indexing bit for bit, with no row, every row and about half the rows accepted."""
+
+    N = 4000
+
+    def draws(self, p, case):
+        n, d, b = self.N, p.d, p.b
+        if case == "none":
+            # a unit step along every positive axis raises f above f(m~)
+            z = np.zeros((n, d))
+            z[:, b:] = 1.0
+            return z
+        if case == "all":
+            # every offspring lands on m~, and a tie is accepted
+            return np.zeros((n, d))
+        return np.random.default_rng(73).standard_normal((n, d))
+
+    @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])
+    @pytest.mark.parametrize("case", ["none", "all", "half"])
+    def test_kernel_equals_mask_reference(self, a, b, case):
+        p = problem(a, b)
+        params = EsParams(alpha=1.5)
+        ns = NormalizedState(sample_M_plus_0(p, 0.5), 1e-3)
+        z = self.draws(p, case)
+        acc, nm, npl, v, w = mask_reference(p, params, ns, z)
+        hits = int(np.count_nonzero(acc))
+        assert {"none": hits == 0, "all": hits == self.N,
+                "half": 0.3 * self.N < hits < 0.7 * self.N}[case]
+
+        samples = one_step_samples(p, params, ns, self.N, FixedDraws(z))
+        assert_bitwise(samples.accepted, acc)
+        assert_bitwise(samples.norm_minus, nm)
+        assert_bitwise(samples.norm_plus, npl)
+        assert_bitwise(samples.v_increments(), v)
+        assert_bitwise(samples.w_increments(), w)
+
+        drift_hits, estimates = _drift(p, params, ns, self.N, FixedDraws(z), 0.99,
+                                       StepSamples.v_increments, StepSamples.w_increments)
+        assert drift_hits == hits
+        for est, ref in zip(estimates, (v, w)):
+            mean = ref.mean()
+            expected = DriftEstimate.from_moments(self.N, float(mean),
+                                                  float(np.square(ref - mean).sum()))
+            assert_bitwise([est.mean, est.stderr, est.ci_low, est.ci_high],
+                           [expected.mean, expected.stderr, expected.ci_low, expected.ci_high])

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -65,6 +67,16 @@ class TestSemiNorms:
         assert p.norm_plus([1.0, 2.0]) == 2.0
         assert make([-1.0, 20.0]).norm_minus([0.0, 1.0]) == 0.0
         assert make([-1.0, 20.0]).norm_plus([0.0, 1.0]) == pytest.approx(np.sqrt(20.0))
+
+    def test_zero_negative_block_is_positive_zero(self):
+        # sqrt(-q) of a zero block would be -0.0
+        p = make([-1.0, 20.0])
+        assert math.copysign(1.0, p.norm_minus([0.0, 1.0])) == 1.0
+        q = SaddleProblem(a=np.array([-3.0, -0.5, 7.0, 2.0, 0.1]), b=2)
+        for problem, batch in ((p, np.zeros((3, 2))), (q, np.eye(5)[2:])):
+            values = problem.norm_minus(batch)
+            assert np.array_equal(values, np.zeros(len(batch)))
+            assert np.all(np.copysign(1.0, values) == 1.0)
 
     def test_consistency_with_objective(self):
         rng = np.random.default_rng(3)
