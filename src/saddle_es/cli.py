@@ -3,8 +3,14 @@
 Subcommands: run, escape, drift-map, constants, succ-prob, pairing, levels.
 Every command is a pure function of (config, seed) to its output bytes; the
 default seed comes from the SADDLE_ES_SEED environment variable (0 if unset).
-Options may also come from a JSON config file (--config); explicit flags
-override the file, and unknown config keys are rejected.
+
+Each long option is declared once, in ``_OPTIONS``, with its parser and help
+text.  ``_COMMANDS`` lists the options of each subcommand and gives a default
+only where the library has none; an option left unset stays None, so the
+library's own default applies.  ``_resolve`` takes for each option its flag
+value, else its value in the JSON config file (--config; unknown keys are
+rejected and null leaves an option unset), else its default, and runs the
+option's parser on it, so a config value is checked exactly like a flag.
 
 Exit codes: 0 success / criteria met, 1 configuration error, 2 criterion not
 met (censored run, nonpositive interval, pairing violation), 3 step-size
@@ -14,7 +20,9 @@ underflow, 4 constants estimation failure, 5 non-finite mean (run only).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import math
 import os
 import sys
 
@@ -65,41 +73,151 @@ class ConfigError(ValueError):
     pass
 
 
-def _float_list(value) -> list:
-    if isinstance(value, str):
-        parts = [p for p in value.split(",") if p.strip() != ""]
-        if not parts:
-            raise ConfigError(f"expected comma-separated numbers, got {value!r}")
-        return [float(p) for p in parts]
-    if isinstance(value, (list, tuple)):
-        return [float(v) for v in value]
-    raise ConfigError(f"expected a list of numbers, got {value!r}")
+# ---------------------------------------------------------------------------
+# option parsers: each takes a flag string or a JSON config value
+# ---------------------------------------------------------------------------
+
+def _int(value) -> int:
+    """An integer from a decimal string or an integral JSON number."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, (int, str)) and not isinstance(value, bool):
+        try:
+            return int(value)
+        except ValueError:
+            pass
+    raise ValueError(f"expected an integer, got {value!r}")
 
 
-def _opt(ns, config: dict, key: str, default=None, required: bool = False):
-    """Flag value if given, else config-file value, else default."""
-    flag = getattr(ns, key.replace("-", "_"), None)
-    if flag is not None:
-        return flag
-    if key in config:
-        return config[key]
-    if required and default is None:
-        raise ConfigError(f"missing required option --{key}")
-    return default
+def _float(value) -> float:
+    """A finite float from a number or a numeric string."""
+    if isinstance(value, (int, float, str)) and not isinstance(value, bool):
+        try:
+            x = float(value)
+        except (ValueError, OverflowError):
+            pass
+        else:
+            if math.isfinite(x):
+                return x
+    raise ValueError(f"expected a finite number, got {value!r}")
+
+
+def _floats(value) -> list:
+    """Finite floats from a comma-separated string or a JSON list."""
+    parts = [p for p in value.split(",") if p.strip()] if isinstance(value, str) else value
+    if not isinstance(parts, list) or not parts:
+        raise ValueError(f"expected a list of numbers, got {value!r}")
+    return [_float(p) for p in parts]
+
+
+def _switch(value) -> bool:
+    """A switch: the bare flag, or JSON true or false."""
+    if not isinstance(value, bool):
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _str(value) -> str:
+    """A path or a name."""
+    if not isinstance(value, str):
+        raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _default(fn, name: str):
+    """The library's default for parameter ``name`` of ``fn``, for an option
+    whose value the command needs itself: to write it out, or to pair it."""
+    return inspect.signature(fn).parameters[name].default
+
+
+# every long option but --config: its parser and help text
+_OPTIONS = {
+    "a": (_floats, "comma-separated coefficients, e.g. -1,20"),
+    "b": (_int, "split index (number of negative coefficients)"),
+    "seed": (_int, f"master seed (default: ${SEED_ENV_VAR} or 0)"),
+    "m0": (_floats, "comma-separated initial mean"),
+    "sigma0": (_float, "initial step size"),
+    "alpha": (_float, "step-size factor on success, > 1"),
+    "budget": (_int, "iteration budget of a run"),
+    "sigma-min": (_float, "step-size floor; reaching it ends a run in underflow"),
+    "record-every": (_int, "trace every k-th iteration and every acceptance"),
+    "trace-out": (_str, "trace CSV path"),
+    "summary-out": (_str, "summary JSON path"),
+    "w0": (_float, "W value of the initial mean"),
+    "trials": (_int, "number of independent trials"),
+    "threads": (_int, "worker processes; results do not depend on it"),
+    "fit-s-low": (_float, "lowest survival value of the exponential-tail fit"),
+    "fit-s-high": (_float, "highest survival value of the exponential-tail fit"),
+    "stats-out": (_str, "statistics JSON path"),
+    "survival-out": (_str, "survival CSV path"),
+    "quantity": (_str, "drift quantity: V, W or Phi"),
+    "beta": (_float, "weight for the combined potential"),
+    "n": (_int, "Monte Carlo sample size per estimate"),
+    "confidence": (_float, "confidence level of the intervals"),
+    "w-values": (_floats, "comma-separated W values of the mean grid"),
+    "sigma-grid-min": (_float, "smallest sigma~ of the log-spaced grid"),
+    "sigma-grid-max": (_float, "largest sigma~ of the log-spaced grid"),
+    "sigma-grid-points": (_int, "number of sigma~ grid points"),
+    "map-out": (_str, "drift map CSV path"),
+    "check-positive": (_switch, "exit 2 unless every CI lower bound is positive"),
+    "constants-out": (_str, "constants JSON path"),
+    "w": (_float, "W value of the mean on the compact shell"),
+    "sigma": (_float, "normalized step size"),
+    "at-saddle": (_switch, "sample from the saddle point itself (compares to the d=2 "
+                           "closed form)"),
+    "radii": (_floats, "comma-separated sphere radii"),
+    "epsilon": (_float, "tolerance of the pairing inequality"),
+    "extent": (_float, "half-width of the square grid"),
+    "points": (_int, "grid points per axis"),
+    "out": (_str, "output path"),
+}
+
+_REQUIRED = object()
+_COMMON = {"a": _REQUIRED, "b": _REQUIRED, "seed": None}
+_GRID = dict.fromkeys(("w-values", "sigma-grid-min", "sigma-grid-max", "sigma-grid-points"))
+
+# subcommand: (help, {option: default}), options in --help order.  main looks
+# the command function cmd_<name> up by name at each call, so a wrapper that a
+# profiler sets on this module is the function that runs
+_COMMANDS = {
+    "run": ("single seeded run; writes trace CSV + summary JSON", {
+        **_COMMON, "m0": _REQUIRED, "sigma0": _REQUIRED, "alpha": None, "budget": None,
+        "sigma-min": None, "record-every": _default(run, "record_every"),
+        "trace-out": "run_trace.csv", "summary-out": "run_summary.json"}),
+    "escape": ("escape-time experiment; writes stats JSON + survival CSV", {
+        **_COMMON, "w0": None, "sigma0": None, "alpha": None, "budget": None, "trials": None,
+        "threads": None, "sigma-min": None,
+        "fit-s-low": _default(run_escape_experiment, "fit_s_range")[0],
+        "fit-s-high": _default(run_escape_experiment, "fit_s_range")[1],
+        "stats-out": "escape_stats.json", "survival-out": "escape_survival.csv"}),
+    "drift-map": ("drift estimates over the (w, sigma~) grid; writes CSV", {
+        **_COMMON, "alpha": None, "quantity": "W", "beta": None, "n": None, "confidence": None,
+        **_GRID, "threads": None, "map-out": "drift_map.csv", "check-positive": False}),
+    "constants": ("estimate the drift constants; writes JSON record", {
+        **_COMMON, "alpha": None, "n": _default(estimate_constants_report, "n"),
+        "confidence": None, **_GRID, "constants-out": "constants.json"}),
+    "succ-prob": ("Monte Carlo success probability at one state", {
+        **_COMMON, "w": None, "sigma": None, "n": 1_000_000, "confidence": None,
+        "at-saddle": False, "out": "succ_prob.json"}),
+    "pairing": ("mirror-pairing inequality check; writes JSON report", {
+        **_COMMON, "w": _REQUIRED, "radii": "0.1,1,10", "n": 100_000,
+        "epsilon": _default(pairing_check, "epsilon"), "out": "pairing.json"}),
+    "levels": ("level-set point grid for plotting (d = 2); writes CSV", {
+        **_COMMON, "extent": 1.0, "points": 101, "out": "levels.csv"}),
+}
 
 
 def _load_config(ns) -> dict:
-    path = getattr(ns, "config", None)
-    if not path:
+    if not ns.config:
         return {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(ns.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read config file {ns.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise ConfigError("config file must hold a single JSON object")
-    unknown = sorted(set(config) - ns.config_keys)
+    unknown = sorted(set(config) - set(_COMMANDS[ns.command][1]))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     return config
@@ -115,35 +233,43 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def _problem(ns, config) -> SaddleProblem:
-    a = _opt(ns, config, "a", required=True)
-    b = _opt(ns, config, "b", required=True)
-    return SaddleProblem(a=np.asarray(_float_list(a), dtype=float), b=int(b))
+def _resolve(ns) -> None:
+    """Set each option of the command to its parsed flag, config or default
+    value, and ``ns.problem`` to the saddle that --a and --b describe."""
+    config = _load_config(ns)
+    for key, default in _COMMANDS[ns.command][1].items():
+        dest = key.replace("-", "_")
+        value = getattr(ns, dest)
+        if value is None:
+            value = config.get(key)
+        if value is None:
+            value = default
+        if value is _REQUIRED:
+            raise ConfigError(f"missing required option --{key}")
+        if value is not None:
+            try:
+                value = _OPTIONS[key][0](value)
+            except ValueError as exc:
+                raise ConfigError(f"--{key}: {exc}") from exc
+        setattr(ns, dest, value)
+    if ns.seed is None:
+        ns.seed = _default_seed()
+    ns.problem = SaddleProblem(a=ns.a, b=ns.b)
 
 
-def _seed(ns, config) -> int:
-    seed = _opt(ns, config, "seed")
-    return int(seed) if seed is not None else _default_seed()
+def _given(**kwargs) -> dict:
+    """The keyword arguments whose option is set; the library defaults the rest."""
+    return {key: value for key, value in kwargs.items() if value is not None}
 
 
-def _grid(ns, config) -> GridSpec:
-    w_values = _opt(ns, config, "w-values")
-    sigma_min = float(_opt(ns, config, "sigma-grid-min", 1e-4))
-    sigma_max = float(_opt(ns, config, "sigma-grid-max", 1e3))
-    sigma_points = int(_opt(ns, config, "sigma-grid-points", 36))
-    w = np.asarray(_float_list(w_values), dtype=float) if w_values is not None \
-        else np.linspace(0.0, 1.0, 11)
-    return GridSpec(w_values=w, sigma_values=np.geomspace(sigma_min, sigma_max, sigma_points))
-
-
-def _add_grid(p: argparse.ArgumentParser) -> None:
-    """Sample size, confidence and the (w, sigma~) grid options that _grid reads."""
-    p.add_argument("--n", type=int)
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--w-values", help="comma-separated W values of the mean grid")
-    p.add_argument("--sigma-grid-min", type=float)
-    p.add_argument("--sigma-grid-max", type=float)
-    p.add_argument("--sigma-grid-points", type=int)
+def _grid(ns) -> GridSpec:
+    """GridSpec.default() with each given grid option in place of its part."""
+    default = GridSpec.default()
+    s = default.sigma_values
+    axis = {"start": s[0], "stop": s[-1], "num": s.size,
+            **_given(start=ns.sigma_grid_min, stop=ns.sigma_grid_max, num=ns.sigma_grid_points)}
+    return GridSpec(w_values=default.w_values if ns.w_values is None else ns.w_values,
+                    sigma_values=np.geomspace(**axis))
 
 
 # ---------------------------------------------------------------------------
@@ -151,64 +277,34 @@ def _add_grid(p: argparse.ArgumentParser) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_run(ns) -> int:
-    config = _load_config(ns)
-    problem = _problem(ns, config)
-    m0 = _float_list(_opt(ns, config, "m0", required=True))
-    sigma0 = float(_opt(ns, config, "sigma0", required=True))
-    params = EsParams(alpha=float(_opt(ns, config, "alpha", 1.5)),
-                      max_iters=int(_opt(ns, config, "budget", 100_000)),
-                      sigma_min=float(_opt(ns, config, "sigma-min", 1e-300)))
-    seed = _seed(ns, config)
-    record_every = int(_opt(ns, config, "record-every", 100))
-    trace_out = _opt(ns, config, "trace-out", "run_trace.csv")
-    summary_out = _opt(ns, config, "summary-out", "run_summary.json")
-
-    rng = np.random.default_rng(seed)
-    trace = run(problem, params, EsState(m=np.asarray(m0), sigma=sigma0), rng,
-                stop=target_reached, record_every=record_every)
-    trace_to_csv(trace, trace_out)
-    summary = trace.summary_dict(seed=seed, params=params, problem=problem)
-    summary["command"] = "run"
-    summary["m0"] = m0
-    summary["sigma0"] = sigma0
-    summary["record_every"] = record_every
-    write_json(summary_out, summary)
+    params = EsParams(**_given(alpha=ns.alpha, max_iters=ns.budget, sigma_min=ns.sigma_min))
+    rng = np.random.default_rng(ns.seed)
+    trace = run(ns.problem, params, EsState(m=np.asarray(ns.m0), sigma=ns.sigma0), rng,
+                stop=target_reached, record_every=ns.record_every)
+    trace_to_csv(trace, ns.trace_out)
+    summary = trace.summary_dict(seed=ns.seed, params=params, problem=ns.problem)
+    summary.update(command="run", m0=ns.m0, sigma0=ns.sigma0, record_every=ns.record_every)
+    write_json(ns.summary_out, summary)
     print(f"run: reason={trace.reason} t={trace.t_final} f={trace.records[-1].f_value!r} "
-          f"-> {trace_out}, {summary_out}")
+          f"-> {ns.trace_out}, {ns.summary_out}")
     return {TARGET: EXIT_OK, BUDGET: EXIT_CRITERION, UNDERFLOW: EXIT_UNDERFLOW,
             NONFINITE: EXIT_NONFINITE}[trace.reason]
 
 
 def cmd_escape(ns) -> int:
-    config = _load_config(ns)
-    problem = _problem(ns, config)
     spec = EscapeExperimentSpec(
-        problem=problem,
-        params=EsParams(alpha=float(_opt(ns, config, "alpha", 1.5)),
-                        sigma_min=float(_opt(ns, config, "sigma-min", 1e-300))),
-        w0=float(_opt(ns, config, "w0", 0.0)),
-        sigma_tilde0=float(_opt(ns, config, "sigma0", 1.0)),
-        trials=int(_opt(ns, config, "trials", 1000)),
-        budget=int(_opt(ns, config, "budget", 1_000_000)),
-        master_seed=_seed(ns, config),
-    )
-    threads = int(_opt(ns, config, "threads", 1))
-    fit_range = (float(_opt(ns, config, "fit-s-low", 0.01)),
-                 float(_opt(ns, config, "fit-s-high", 0.5)))
-    stats_out = _opt(ns, config, "stats-out", "escape_stats.json")
-    survival_out = _opt(ns, config, "survival-out", "escape_survival.csv")
-
-    stats = run_escape_experiment(spec, threads=threads, fit_s_range=fit_range)
+        problem=ns.problem, params=EsParams(**_given(alpha=ns.alpha, sigma_min=ns.sigma_min)),
+        master_seed=ns.seed,
+        **_given(w0=ns.w0, sigma_tilde0=ns.sigma0, trials=ns.trials, budget=ns.budget))
+    stats = run_escape_experiment(spec, fit_s_range=(ns.fit_s_low, ns.fit_s_high),
+                                  **_given(threads=ns.threads))
     payload = stats.to_dict()
-    payload["command"] = "escape"
-    payload["problem"] = problem.to_dict()
-    payload["alpha"] = spec.params.alpha
-    payload["w0"] = spec.w0
-    payload["sigma0"] = spec.sigma_tilde0
-    write_json(stats_out, payload)
-    survival_to_csv(stats, survival_out)
+    payload.update(command="escape", problem=ns.problem.to_dict(), alpha=spec.params.alpha,
+                   w0=spec.w0, sigma0=spec.sigma_tilde0)
+    write_json(ns.stats_out, payload)
+    survival_to_csv(stats, ns.survival_out)
     print(f"escape: escaped={stats.n_escaped}/{stats.trials} censored={stats.n_censored} "
-          f"underflow={stats.n_underflow} -> {stats_out}, {survival_out}")
+          f"underflow={stats.n_underflow} -> {ns.stats_out}, {ns.survival_out}")
     failed = [k for k, status in enumerate(stats.statuses) if status != ESCAPED]
     for k in failed[:_LIST_FAILED]:
         print(f"escape: trial {k} {stats.statuses[k]} at t={stats.times[k]}; replay its stream "
@@ -223,151 +319,101 @@ def cmd_escape(ns) -> int:
 
 
 def cmd_drift_map(ns) -> int:
-    config = _load_config(ns)
-    problem = _problem(ns, config)
-    params = EsParams(alpha=float(_opt(ns, config, "alpha", 1.5)))
-    quantity = str(_opt(ns, config, "quantity", "W"))
-    beta = _opt(ns, config, "beta")
-    grid = _grid(ns, config)
-    seed = _seed(ns, config)
-    rows = drift_map(problem, params, quantity, grid=grid,
-                     n=int(_opt(ns, config, "n", 100_000)),
-                     master_seed=seed,
-                     beta=None if beta is None else float(beta),
-                     confidence=float(_opt(ns, config, "confidence", 0.99)),
-                     threads=int(_opt(ns, config, "threads", 1)))
-    map_out = _opt(ns, config, "map-out", "drift_map.csv")
-    drift_map_to_csv(rows, map_out)
+    grid = _grid(ns)
+    rows = drift_map(ns.problem, EsParams(**_given(alpha=ns.alpha)), ns.quantity, grid=grid,
+                     master_seed=ns.seed, beta=ns.beta,
+                     **_given(n=ns.n, confidence=ns.confidence, threads=ns.threads))
+    drift_map_to_csv(rows, ns.map_out)
     n_positive = sum(1 for r in rows if r.est.ci_low > 0.0)
-    print(f"drift-map: quantity={quantity} rows={len(rows)} "
-          f"ci_low>0 at {n_positive}/{len(rows)} points -> {map_out}")
-    if _opt(ns, config, "check-positive", False) and n_positive != len(rows):
+    print(f"drift-map: quantity={ns.quantity} rows={len(rows)} "
+          f"ci_low>0 at {n_positive}/{len(rows)} points -> {ns.map_out}")
+    if ns.check_positive and n_positive != len(rows):
         k = min(range(len(rows)), key=lambda k: rows[k].est.ci_low)
-        point = _describe_point(rows[k], seed, *divmod(k, grid.sigma_values.size))
+        point = _describe_point(rows[k], ns.seed, *divmod(k, grid.sigma_values.size))
         print(f"drift-map: lowest ci_low at {point}", file=sys.stderr)
         return EXIT_CRITERION
     return EXIT_OK
 
 
 def cmd_constants(ns) -> int:
-    config = _load_config(ns)
-    problem = _problem(ns, config)
-    params = EsParams(alpha=float(_opt(ns, config, "alpha", 1.5)))
-    n = int(_opt(ns, config, "n", 100_000))
-    seed = _seed(ns, config)
-    constants_out = _opt(ns, config, "constants-out", "constants.json")
     try:
         constants = estimate_constants_report(
-            problem, params, grid=_grid(ns, config), n=n, master_seed=seed,
-            confidence=float(_opt(ns, config, "confidence", 0.99))).constants
+            ns.problem, EsParams(**_given(alpha=ns.alpha)), grid=_grid(ns), n=ns.n,
+            master_seed=ns.seed, **_given(confidence=ns.confidence)).constants
     except ConstantsEstimationError as exc:
         print(f"constants estimation failed: {exc}", file=sys.stderr)
         return EXIT_CONSTANTS
     payload = constants.to_dict()
-    payload["command"] = "constants"
-    payload["problem"] = problem.to_dict()
-    payload["n"] = n
-    payload["generator"] = GENERATOR_NAME
-    write_json(constants_out, payload)
-    print(f"constants: C={constants.C!r} theta={constants.theta!r} -> {constants_out}")
+    payload.update(command="constants", problem=ns.problem.to_dict(), n=ns.n,
+                   generator=GENERATOR_NAME)
+    write_json(ns.constants_out, payload)
+    print(f"constants: C={constants.C!r} theta={constants.theta!r} -> {ns.constants_out}")
     return EXIT_OK
 
 
 def cmd_succ_prob(ns) -> int:
-    config = _load_config(ns)
-    problem = _problem(ns, config)
-    n = int(_opt(ns, config, "n", 1_000_000))
-    seed = _seed(ns, config)
-    confidence = float(_opt(ns, config, "confidence", 0.99))
-    out = _opt(ns, config, "out", "succ_prob.json")
-    rng = np.random.default_rng(seed)
-    payload = {"command": "succ-prob", "problem": problem.to_dict(), "n": n,
-               "seed": seed, "generator": GENERATOR_NAME}
-    if _opt(ns, config, "at-saddle", False):
-        est = saddle_success_mc(problem, n, rng, confidence)
+    problem = ns.problem
+    rng = np.random.default_rng(ns.seed)
+    confidence = _given(confidence=ns.confidence)
+    payload = {"command": "succ-prob", "problem": problem.to_dict(), "n": ns.n,
+               "seed": ns.seed, "generator": GENERATOR_NAME}
+    if ns.at_saddle:
+        est = saddle_success_mc(problem, ns.n, rng, **confidence)
         payload["at_saddle"] = True
         if problem.d == 2:
             analytic = saddle_success_analytic_2d(problem)
             payload["analytic"] = analytic
             payload["abs_error"] = abs(est.mean - analytic)
     else:
-        w = _opt(ns, config, "w")
-        sigma = _opt(ns, config, "sigma")
-        if w is None or sigma is None:
+        if ns.w is None or ns.sigma is None:
             raise ConfigError("succ-prob needs --w and --sigma (or --at-saddle)")
-        ns_state = NormalizedState(sample_M_plus_0(problem, float(w)), float(sigma))
-        est = success_probability(problem, ns_state, n, rng, confidence)
-        payload["w"] = float(w)
-        payload["sigma"] = float(sigma)
+        state = NormalizedState(sample_M_plus_0(problem, ns.w), ns.sigma)
+        est = success_probability(problem, state, ns.n, rng, **confidence)
+        payload["w"] = ns.w
+        payload["sigma"] = ns.sigma
     payload.update({"estimate": est.mean, "stderr": est.stderr,
                     "ci_low": est.ci_low, "ci_high": est.ci_high,
                     "confidence": est.confidence})
-    write_json(out, payload)
-    print(f"succ-prob: estimate={est.mean!r} stderr={est.stderr!r} -> {out}")
+    write_json(ns.out, payload)
+    print(f"succ-prob: estimate={est.mean!r} stderr={est.stderr!r} -> {ns.out}")
     return EXIT_OK
 
 
 def cmd_pairing(ns) -> int:
-    config = _load_config(ns)
-    problem = _problem(ns, config)
-    w = float(_opt(ns, config, "w", required=True))
-    radii = _float_list(_opt(ns, config, "radii", "0.1,1,10"))
-    n = int(_opt(ns, config, "n", 100_000))
-    seed = _seed(ns, config)
-    epsilon = float(_opt(ns, config, "epsilon", 1e-9))
-    out = _opt(ns, config, "out", "pairing.json")
-    m_tilde = sample_M_plus_0(problem, w)
+    m_tilde = sample_M_plus_0(ns.problem, ns.w)
     results = []
-    for i, radius in enumerate(radii):
-        rng = task_rng(seed, "pairing", i)
-        report = pairing_check(problem, m_tilde, radius, n, rng, epsilon)
+    for i, radius in enumerate(ns.radii):
+        report = pairing_check(ns.problem, m_tilde, radius, ns.n,
+                               task_rng(ns.seed, "pairing", i), ns.epsilon)
         results.append({"radius": radius, "violations": report.violations,
                         "min_margin": report.min_margin, "n_pairs": report.n_pairs})
     total = sum(r["violations"] for r in results)
-    write_json(out, {"command": "pairing", "problem": problem.to_dict(), "w": w,
-                     "n": n, "seed": seed, "generator": GENERATOR_NAME,
-                     "epsilon": epsilon, "results": results,
-                     "total_violations": total})
-    print(f"pairing: w={w} radii={radii} violations={total} -> {out}")
+    write_json(ns.out, {"command": "pairing", "problem": ns.problem.to_dict(), "w": ns.w,
+                        "n": ns.n, "seed": ns.seed, "generator": GENERATOR_NAME,
+                        "epsilon": ns.epsilon, "results": results,
+                        "total_violations": total})
+    print(f"pairing: w={ns.w} radii={ns.radii} violations={total} -> {ns.out}")
     return EXIT_OK if total == 0 else EXIT_CRITERION
 
 
 def cmd_levels(ns) -> int:
-    config = _load_config(ns)
-    problem = _problem(ns, config)
-    if problem.d != 2:
+    if ns.problem.d != 2:
         raise ConfigError("levels output is only defined for d = 2")
-    extent = float(_opt(ns, config, "extent", 1.0))
-    points = int(_opt(ns, config, "points", 101))
+    extent, points = ns.extent, ns.points
     if extent <= 0.0 or points < 2:
         raise ConfigError("need extent > 0 and points >= 2")
-    out = _opt(ns, config, "out", "levels.csv")
     axis = np.linspace(-extent, extent, points)
     x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 1, 2)
     # one (1, 2) @ (2,) product per point rounds as the single-point dot does
-    f = problem.evaluate(x)[:, 0]
-    write_csv(out, ["x1", "x2", "f"], zip(x[:, 0, 0], x[:, 0, 1], f))
-    print(f"levels: {points}x{points} grid over [-{extent}, {extent}]^2 -> {out}")
+    f = ns.problem.evaluate(x)[:, 0]
+    write_csv(ns.out, ["x1", "x2", "f"], zip(x[:, 0, 0], x[:, 0, 1], f))
+    print(f"levels: {points}x{points} grid over [-{extent}, {extent}]^2 -> {ns.out}")
     return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # parser
 # ---------------------------------------------------------------------------
-
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", help="comma-separated coefficients, e.g. -1,20")
-    p.add_argument("--b", type=int, help="split index (number of negative coefficients)")
-    p.add_argument("--seed", type=int, help=f"master seed (default: ${SEED_ENV_VAR} or 0)")
-    p.add_argument("--config", help="JSON config file; flags override its entries")
-
-
-def _set_command(p: argparse.ArgumentParser, func) -> None:
-    """Bind a subcommand; its config-file keys are its long options but --config."""
-    keys = {opt[2:] for action in p._actions if action.dest not in ("help", "config")
-            for opt in action.option_strings if opt.startswith("--")}
-    p.set_defaults(func=func, config_keys=keys)
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -376,80 +422,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "runs, escape-time experiments, drift maps, constants.")
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("run", help="single seeded run; writes trace CSV + summary JSON")
-    _add_common(p)
-    p.add_argument("--m0", help="comma-separated initial mean")
-    p.add_argument("--sigma0", type=float, help="initial step size")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--sigma-min", type=float)
-    p.add_argument("--record-every", type=int)
-    p.add_argument("--trace-out")
-    p.add_argument("--summary-out")
-    _set_command(p, cmd_run)
-
-    p = sub.add_parser("escape", help="escape-time experiment; writes stats JSON + survival CSV")
-    _add_common(p)
-    p.add_argument("--w0", type=float)
-    p.add_argument("--sigma0", type=float, help="initial normalized step size")
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--sigma-min", type=float)
-    p.add_argument("--fit-s-low", type=float)
-    p.add_argument("--fit-s-high", type=float)
-    p.add_argument("--stats-out")
-    p.add_argument("--survival-out")
-    _set_command(p, cmd_escape)
-
-    p = sub.add_parser("drift-map", help="drift estimates over the (w, sigma~) grid; writes CSV")
-    _add_common(p)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--quantity", choices=["V", "W", "Phi", "v", "w", "phi"])
-    p.add_argument("--beta", type=float, help="weight for the combined potential")
-    _add_grid(p)
-    p.add_argument("--threads", type=int)
-    p.add_argument("--map-out")
-    p.add_argument("--check-positive", action="store_const", const=True,
-                   help="exit 2 unless every CI lower bound is positive")
-    _set_command(p, cmd_drift_map)
-
-    p = sub.add_parser("constants", help="estimate the drift constants; writes JSON record")
-    _add_common(p)
-    p.add_argument("--alpha", type=float)
-    _add_grid(p)
-    p.add_argument("--constants-out")
-    _set_command(p, cmd_constants)
-
-    p = sub.add_parser("succ-prob", help="Monte Carlo success probability at one state")
-    _add_common(p)
-    p.add_argument("--w", type=float, help="W value of the mean on the compact shell")
-    p.add_argument("--sigma", type=float, help="normalized step size")
-    p.add_argument("--n", type=int)
-    p.add_argument("--confidence", type=float)
-    p.add_argument("--at-saddle", action="store_const", const=True,
-                   help="sample from the saddle point itself (compares to the d=2 closed form)")
-    p.add_argument("--out")
-    _set_command(p, cmd_succ_prob)
-
-    p = sub.add_parser("pairing", help="mirror-pairing inequality check; writes JSON report")
-    _add_common(p)
-    p.add_argument("--w", type=float)
-    p.add_argument("--radii", help="comma-separated sphere radii")
-    p.add_argument("--n", type=int)
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--out")
-    _set_command(p, cmd_pairing)
-
-    p = sub.add_parser("levels", help="level-set point grid for plotting (d = 2); writes CSV")
-    _add_common(p)
-    p.add_argument("--extent", type=float)
-    p.add_argument("--points", type=int)
-    p.add_argument("--out")
-    _set_command(p, cmd_levels)
-
+    for name, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for key in options:
+            parse, text = _OPTIONS[key]
+            if parse is _switch:
+                p.add_argument(f"--{key}", action="store_const", const=True, help=text)
+            else:
+                p.add_argument(f"--{key}", help=text)
+        p.add_argument("--config", help="JSON config file; flags override its entries")
     return parser
 
 
@@ -461,7 +442,8 @@ def main(argv=None) -> int:
         # argparse exits 2 on bad usage; fold into the config-error code
         return EXIT_CONFIG if exc.code not in (0, None) else EXIT_OK
     try:
-        return ns.func(ns)
+        _resolve(ns)
+        return globals()[f"cmd_{ns.command.replace('-', '_')}"](ns)
     except (ConfigError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -17,7 +17,8 @@ import numpy as np
 
 from .es import (BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, _batch_trials,
                  escape_times)
-from .estimators import GridPointEstimate, GridSpec, StepSamples, _grid_pass, _phi_increments
+from .estimators import (DEFAULT_CONFIDENCE, GridPointEstimate, GridSpec, StepSamples, _grid_pass,
+                         _phi_increments)
 from .normalization import _shell_point
 from .objective import SaddleProblem
 from .tasks import _map_tasks, _task_rngs
@@ -170,12 +171,17 @@ def survival_curve(times: np.ndarray, escaped_mask: np.ndarray):
     return t_values.astype(int), s
 
 
-def fit_exponential_tail(t: np.ndarray, s: np.ndarray,
-                         s_range: tuple = (0.01, 0.5)) -> TailFit:
-    """Fit log S(t) = intercept - rate * t over the points with S in ``s_range``."""
+def _check_s_range(s_range: tuple) -> tuple:
     lo, hi = s_range
     if not 0.0 < lo < hi <= 1.0:
         raise ValueError("survival fit range must satisfy 0 < low < high <= 1")
+    return lo, hi
+
+
+def fit_exponential_tail(t: np.ndarray, s: np.ndarray,
+                         s_range: tuple = (0.01, 0.5)) -> TailFit:
+    """Fit log S(t) = intercept - rate * t over the points with S in ``s_range``."""
+    lo, hi = _check_s_range(s_range)
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
     mask = (s >= lo) & (s <= hi) & (s > 0.0)
@@ -200,7 +206,9 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
     Trials run in batches of consecutive indices through ``es.escape_times``;
     each trial reads its own stream, so batching and ``threads`` never change a
     trial's result.  Only the escape time and terminal reason are kept.
+    ``fit_s_range`` is checked before any trial runs.
     """
+    _check_s_range(fit_s_range)
     size = _batch_trials(spec.problem.d)
     batches = [(spec, lo, min(lo + size, spec.trials)) for lo in range(0, spec.trials, size)]
     results = _map_tasks(_escape_batch, batches, threads)
@@ -231,7 +239,7 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
 def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
               grid: GridSpec | None = None, n: int = 100_000,
               master_seed: int = 0, beta: Optional[float] = None,
-              confidence: float = 0.99, threads: int = 1) -> list:
+              confidence: float = DEFAULT_CONFIDENCE, threads: int = 1) -> list:
     """Evaluate one drift quantity ("V", "W", or "Phi") on the full (w, sigma~)
     grid, one derived stream per point, rows in grid order (w-major).
 

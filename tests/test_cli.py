@@ -1,9 +1,12 @@
+import inspect
 import json
 import os
 import re
+import shlex
 import subprocess
 import sys
 import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +14,8 @@ import pytest
 import saddle_es
 from saddle_es import cli
 from saddle_es import (EscapeExperimentSpec, EsParams, GridSpec, NormalizedState, SaddleProblem,
-                       closed_form_b1, closed_form_b2, drift_map, run_escape_experiment,
-                       sample_M_plus_0, success_probability, task_rng)
+                       closed_form_b1, closed_form_b2, drift_map, estimate_constants_report,
+                       run_escape_experiment, sample_M_plus_0, success_probability, task_rng)
 from saddle_es.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -30,6 +33,13 @@ COMMANDS = ("run", "escape", "drift-map", "constants", "succ-prob", "pairing", "
 
 def run_cli(*args):
     return main(list(args))
+
+
+def help_flags(command, capsys) -> set:
+    """Long flags named in a command's --help output, but --help and --config."""
+    with pytest.raises(SystemExit):
+        build_parser().parse_args([command, "--help"])
+    return set(re.findall(r"--([a-z][a-z0-9-]*)", capsys.readouterr().out)) - {"help", "config"}
 
 
 class TestRunCommand:
@@ -122,14 +132,54 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_every_long_flag_is_a_config_key(self, command, tmp_path, capsys):
         parser = build_parser()
-        with pytest.raises(SystemExit):
-            parser.parse_args([command, "--help"])
-        flags = set(re.findall(r"--([a-z][a-z0-9-]*)", capsys.readouterr().out))
-        flags -= {"help", "config"}
+        flags = help_flags(command, capsys)
         assert {"a", "b", "seed"} <= flags
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(dict.fromkeys(flags, 1)))
         assert set(_load_config(parser.parse_args([command, f"--config={cfg}"]))) == flags
+
+    # the smallest config of each command; a test adds the key under test
+    BASE = {"run": {"a": [-1, 1], "b": 1, "m0": [0, 1], "sigma0": 1},
+            "escape": {"a": [-1, 1], "b": 1, "trials": 20},
+            "drift-map": {"a": [-1, 20], "b": 1, "n": 2000, "w-values": [0],
+                          "sigma-grid-points": 8},
+            "succ-prob": {"a": [-1, 20], "b": 1, "n": 1000},
+            "levels": {"a": [-1, 20], "b": 1, "points": 3}}
+
+    # an int path would be opened as a file descriptor; 99999 is not an open one
+    @pytest.mark.parametrize("command, key, value", [
+        ("run", "seed", 1.5), ("escape", "trials", 10.9), ("levels", "b", True),
+        ("drift-map", "check-positive", "false"), ("succ-prob", "at-saddle", "no"),
+        ("run", "summary-out", 99999), ("run", "trace-out", ["t.csv"]),
+        ("levels", "a", [-1, True]), ("levels", "extent", "1,2")])
+    def test_config_values_are_parsed_like_flags(self, command, key, value, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({**self.BASE[command], key: value}))
+        assert run_cli(command, "--config=cfg.json") == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: --{key}: expected ")
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    def test_config_numbers_take_the_option_type(self, tmp_path):
+        # an integral JSON number is an integer, and a JSON int a float
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**self.BASE["escape"], "b": 1.0, "trials": 2e1, "w0": 0}))
+        assert run_cli("escape", f"--config={cfg}", f"--stats-out={tmp_path}/e.json",
+                       f"--survival-out={tmp_path}/e.csv") == EXIT_OK
+        stats = json.loads((tmp_path / "e.json").read_text())
+        assert stats["trials"] == 20 and stats["w0"] == 0.0 and isinstance(stats["w0"], float)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e999"])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_nonfinite_numbers_rejected(self, value, source, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"extent": float(value)} if source == "config" else {}))
+        extent = [f"--extent={value}"] if source == "flag" else []
+        code = run_cli("levels", "--a=-1,20", "--b=1", "--points=3", *extent, f"--config={cfg}",
+                       f"--out={tmp_path}/l.csv")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: --extent: expected a finite number")
+        assert not (tmp_path / "l.csv").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -188,6 +238,16 @@ class TestEscapeCommand:
                     f'task_rng(5, "trial", {k})' for k in failed[:10]]
         expected.append(f"escape: {len(failed) - 10} more trials did not escape")
         assert capsys.readouterr().err.splitlines() == expected
+
+    def test_bad_fit_range_is_config_error_before_any_trial(self, tmp_path, capsys):
+        # no trial escapes, so the tail fit that used to check the range never runs
+        code = run_cli("escape", "--a=-1,100", "--b=1", "--trials=20", "--sigma0=1e-6",
+                       "--budget=1", "--fit-s-low=0.5", "--fit-s-high=0.1",
+                       f"--stats-out={tmp_path}/e.json", f"--survival-out={tmp_path}/e.csv")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            "error: survival fit range must satisfy 0 < low < high <= 1\n"
+        assert not (tmp_path / "e.json").exists()
 
 
 class TestDriftMapCommand:
@@ -404,7 +464,97 @@ class TestLevelsCommand:
                        f"--out={tmp_path}/l.csv") == EXIT_CONFIG
 
 
+REQUIRED = "required"
+_GRID = {"w-values": np.linspace(0.0, 1.0, 11).tolist(), "sigma-grid-min": 1e-4,
+         "sigma-grid-max": 1e3, "sigma-grid-points": 36}
+# each command's long flags but --config, and the value each option takes when no
+# flag, config key or SADDLE_ES_SEED sets it
+PINNED = {
+    "run": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "m0": REQUIRED, "sigma0": REQUIRED,
+            "alpha": 1.5, "budget": 100_000, "sigma-min": 1e-300, "record-every": 100,
+            "trace-out": "run_trace.csv", "summary-out": "run_summary.json"},
+    "escape": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "w0": 0.0, "sigma0": 1.0, "alpha": 1.5,
+               "budget": 1_000_000, "trials": 1000, "threads": 1, "sigma-min": 1e-300,
+               "fit-s-low": 0.01, "fit-s-high": 0.5, "stats-out": "escape_stats.json",
+               "survival-out": "escape_survival.csv"},
+    "drift-map": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "alpha": 1.5, "quantity": "W",
+                  "beta": None, "n": 100_000, "confidence": 0.99, **_GRID, "threads": 1,
+                  "map-out": "drift_map.csv", "check-positive": False},
+    "constants": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "alpha": 1.5, "n": 100_000,
+                  "confidence": 0.99, **_GRID, "constants-out": "constants.json"},
+    "succ-prob": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "w": None, "sigma": None,
+                  "n": 1_000_000, "confidence": 0.99, "at-saddle": False,
+                  "out": "succ_prob.json"},
+    "pairing": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "w": REQUIRED,
+                "radii": [0.1, 1.0, 10.0], "n": 100_000, "epsilon": 1e-9, "out": "pairing.json"},
+    "levels": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "extent": 1.0, "points": 101,
+               "out": "levels.csv"},
+}
+REQUIRED_VALUES = {"a": "-1,20", "b": "1", "m0": "0,1", "sigma0": "1", "w": "0.5"}
+
+
+def library_defaults(command) -> dict:
+    """What the library applies to each option that a command leaves unset."""
+    es = EsParams()
+    spec = EscapeExperimentSpec(SaddleProblem(a=[-1.0, 1.0], b=1), es)
+    w, s = GridSpec.default().w_values, GridSpec.default().sigma_values
+
+    def arg(fn, name):
+        return inspect.signature(fn).parameters[name].default
+
+    grid = {"w-values": w.tolist(), "sigma-grid-min": s[0], "sigma-grid-max": s[-1],
+            "sigma-grid-points": s.size}
+    return {
+        "run": {"alpha": es.alpha, "budget": es.max_iters, "sigma-min": es.sigma_min},
+        "escape": {"alpha": es.alpha, "sigma-min": es.sigma_min, "w0": spec.w0,
+                   "sigma0": spec.sigma_tilde0, "trials": spec.trials, "budget": spec.budget,
+                   "threads": arg(run_escape_experiment, "threads")},
+        "drift-map": {"alpha": es.alpha, "beta": arg(drift_map, "beta"), "n": arg(drift_map, "n"),
+                      "confidence": arg(drift_map, "confidence"),
+                      "threads": arg(drift_map, "threads"), **grid},
+        "constants": {"alpha": es.alpha,
+                      "confidence": arg(estimate_constants_report, "confidence"), **grid},
+        "succ-prob": {"confidence": arg(success_probability, "confidence")},
+    }.get(command, {})
+
+
+def resolved(argv):
+    ns = build_parser().parse_args(argv)
+    cli._resolve(ns)
+    return ns
+
+
+README_COMMANDS = [
+    line for line in (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    .split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0].splitlines()
+    if line.startswith("saddle-es ")]
+
+
 class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_flags_and_defaults_are_pinned(self, command, capsys, monkeypatch):
+        monkeypatch.delenv("SADDLE_ES_SEED", raising=False)
+        pinned = PINNED[command]
+        assert help_flags(command, capsys) == set(pinned)
+        required = {k: REQUIRED_VALUES[k] for k, v in pinned.items() if v == REQUIRED}
+        ns = resolved([command] + [f"--{k}={v}" for k, v in required.items()])
+        library = library_defaults(command)
+        values = {key: getattr(ns, key.replace("-", "_")) for key in pinned.keys() - required.keys()}
+        values = {key: library.get(key) if v is None else v for key, v in values.items()}
+        assert values == {k: v for k, v in pinned.items() if k not in required}
+        for key in required:
+            with pytest.raises(cli.ConfigError, match=f"^missing required option --{key}$"):
+                resolved([command] + [f"--{k}={v}" for k, v in required.items() if k != key])
+
+    def test_readme_covers_every_command(self):
+        assert sorted({shlex.split(line)[1] for line in README_COMMANDS}) == sorted(COMMANDS)
+
+    @pytest.mark.parametrize("line", README_COMMANDS)
+    def test_readme_command_parses(self, line):
+        argv = shlex.split(line)
+        assert argv[0] == "saddle-es"
+        resolved(argv[1:])
+
     def test_unknown_command_is_config_error(self):
         assert main(["no-such-command"]) == EXIT_CONFIG
 

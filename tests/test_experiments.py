@@ -224,6 +224,18 @@ class TestSurvivalAndTail:
             fit_exponential_tail(np.array([1, 2, 3]), np.array([0.5, 0.4, 0.3]),
                                  s_range=(0.5, 0.1))
 
+    @pytest.mark.parametrize("s_range", [(0.5, 0.1), (0.0, 0.5), (0.1, 1.5)])
+    def test_experiment_rejects_bad_range_before_any_trial(self, s_range, monkeypatch):
+        # from this step size no trial escapes within the budget, so the fit
+        # itself never runs; the range is checked before any task is mapped
+        def no_tasks(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr("saddle_es.experiments._map_tasks", no_tasks)
+        with pytest.raises(ValueError, match="survival fit range"):
+            run_escape_experiment(spec(a=(-1.0, 100.0), sigma_tilde0=1e-6, budget=1),
+                                  fit_s_range=s_range)
+
 
 class TestDriftMap:
     GRID = GridSpec(w_values=np.array([0.0, 0.5, 1.0]),
