@@ -28,8 +28,6 @@ from .estimators import (
     closed_form_b1,
     closed_form_b2,
     derive_beta_theta,
-    drift_phi,
-    drift_v,
     drift_w,
     estimate_constants_report,
     estimate_sigma_40,

@@ -12,8 +12,9 @@ value, else its value in the JSON config file (--config; unknown keys are
 rejected and null leaves an option unset), else its default, and runs the
 option's parser on it, so a config value is checked exactly like a flag.
 
-Exit codes: 0 success / criteria met, 1 configuration error, 2 criterion not
-met (censored run, nonpositive interval, pairing violation), 3 step-size
+Exit codes: 0 success / criteria met, 1 configuration error or failed write (an
+output path in a missing directory is rejected before any work), 2 criterion
+not met (censored run, nonpositive interval, pairing violation), 3 step-size
 underflow, 4 constants estimation failure, 5 non-finite mean (run only).
 """
 
@@ -118,9 +119,19 @@ def _switch(value) -> bool:
 
 
 def _str(value) -> str:
-    """A path or a name."""
+    """A name."""
     if not isinstance(value, str):
         raise ValueError(f"expected a string, got {value!r}")
+    return value
+
+
+def _path(value) -> str:
+    """An output file path in an existing directory, checked before any work."""
+    directory = os.path.dirname(_str(value))
+    if directory and not os.path.isdir(directory):
+        raise ValueError(f"no such directory {directory!r}")
+    if os.path.isdir(value):
+        raise ValueError(f"{value!r} is a directory")
     return value
 
 
@@ -141,15 +152,15 @@ _OPTIONS = {
     "budget": (_int, "iteration budget of a run"),
     "sigma-min": (_float, "step-size floor; reaching it ends a run in underflow"),
     "record-every": (_int, "trace every k-th iteration and every acceptance"),
-    "trace-out": (_str, "trace CSV path"),
-    "summary-out": (_str, "summary JSON path"),
+    "trace-out": (_path, "trace CSV path"),
+    "summary-out": (_path, "summary JSON path"),
     "w0": (_float, "W value of the initial mean"),
     "trials": (_int, "number of independent trials"),
     "threads": (_int, "worker processes; results do not depend on it"),
     "fit-s-low": (_float, "lowest survival value of the exponential-tail fit"),
     "fit-s-high": (_float, "highest survival value of the exponential-tail fit"),
-    "stats-out": (_str, "statistics JSON path"),
-    "survival-out": (_str, "survival CSV path"),
+    "stats-out": (_path, "statistics JSON path"),
+    "survival-out": (_path, "survival CSV path"),
     "quantity": (_str, "drift quantity: V, W or Phi"),
     "beta": (_float, "weight for the combined potential"),
     "n": (_int, "Monte Carlo sample size per estimate"),
@@ -158,9 +169,9 @@ _OPTIONS = {
     "sigma-grid-min": (_float, "smallest sigma~ of the log-spaced grid"),
     "sigma-grid-max": (_float, "largest sigma~ of the log-spaced grid"),
     "sigma-grid-points": (_int, "number of sigma~ grid points"),
-    "map-out": (_str, "drift map CSV path"),
+    "map-out": (_path, "drift map CSV path"),
     "check-positive": (_switch, "exit 2 unless every CI lower bound is positive"),
-    "constants-out": (_str, "constants JSON path"),
+    "constants-out": (_path, "constants JSON path"),
     "w": (_float, "W value of the mean on the compact shell"),
     "sigma": (_float, "normalized step size"),
     "at-saddle": (_switch, "sample from the saddle point itself (compares to the d=2 "
@@ -169,7 +180,7 @@ _OPTIONS = {
     "epsilon": (_float, "tolerance of the pairing inequality"),
     "extent": (_float, "half-width of the square grid"),
     "points": (_int, "grid points per axis"),
-    "out": (_str, "output path"),
+    "out": (_path, "output path"),
 }
 
 _REQUIRED = object()
@@ -358,6 +369,8 @@ def cmd_succ_prob(ns) -> int:
     payload = {"command": "succ-prob", "problem": problem.to_dict(), "n": ns.n,
                "seed": ns.seed, "generator": GENERATOR_NAME}
     if ns.at_saddle:
+        if ns.w is not None or ns.sigma is not None:
+            raise ConfigError("succ-prob takes --w and --sigma or --at-saddle, not both")
         est = saddle_success_mc(problem, ns.n, rng, **confidence)
         payload["at_saddle"] = True
         if problem.d == 2:
@@ -444,7 +457,7 @@ def main(argv=None) -> int:
     try:
         _resolve(ns)
         return globals()[f"cmd_{ns.command.replace('-', '_')}"](ns)
-    except (ConfigError, ValueError) as exc:
+    except (ConfigError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

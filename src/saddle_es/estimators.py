@@ -27,6 +27,9 @@ from .tasks import _map_tasks, task_rng
 
 DEFAULT_CONFIDENCE = 0.99
 _BLOCK = 1 << 18
+# sigma~40: the success rate it bounds, and its bisection steps between grid points
+_SIGMA40_RATE = 0.4
+_SIGMA40_STEPS = 12
 
 
 def _blocks(n: int) -> list:
@@ -252,38 +255,30 @@ def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int
     return hits, [DriftEstimate.from_moments(*m, confidence) for m in moments]
 
 
-def drift_v(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
-            rng: np.random.Generator,
-            confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
-    """Expected one-step change of log(sigma~)."""
-    return _drift(problem, params, ns, n, rng, confidence, StepSamples.v_increments)[1][0]
-
-
 def drift_w(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
             rng: np.random.Generator,
             confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
     """Expected one-step truncated change of W = norm_minus(m~)."""
-    return _drift(problem, params, ns, n, rng, confidence, StepSamples.w_increments)[1][0]
-
-
-def drift_phi(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
-              beta: float, n: int, rng: np.random.Generator,
-              confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
-    """Expected one-step change of phi = beta * V + W, estimated per sample.
-
-    A single coupled estimator (not the sum of two separate runs), so the
-    confidence interval is honest.  beta = 0 degenerates to the W drift.
-    """
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
-    return _drift(problem, params, ns, n, rng, confidence,
-                  functools.partial(_phi_increments, beta))[1][0]
+    return _drift(problem, params, ns, n, rng, confidence, _increment("W"))[1][0]
 
 
 def _phi_increments(beta: float, samples: StepSamples) -> np.ndarray:
     """Per-sample change of phi = beta * V + W; unlike a closure, its partial pickles."""
     w_inc = samples.w_increments()
     return w_inc if beta == 0.0 else beta * samples.v_increments() + w_inc
+
+
+def _increment(quantity: str, beta: float = 0.0):
+    """The picklable per-sample increment of drift quantity "V", "W" or "Phi"
+    (any case), where phi = beta * V + W is estimated per sample on the same
+    steps, so its confidence interval is honest; beta = 0 gives the W drift."""
+    increment = {"v": StepSamples.v_increments, "w": StepSamples.w_increments,
+                 "phi": functools.partial(_phi_increments, beta)}.get(quantity.lower())
+    if increment is None:
+        raise ValueError("quantity must be one of V, W, Phi")
+    if beta < 0.0:
+        raise ValueError("beta must be nonnegative")
+    return increment
 
 
 def _point_drift(args) -> tuple:
@@ -303,38 +298,33 @@ def _grid_pass(problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,
                                      for j in range(grid.sigma_values.size)], threads)
 
 
-def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid,
-                      n: int, master_seed: int, threshold: float = 0.4,
-                      bisect_steps: int = 12, _row: int = 0, _rates=None) -> float:
-    """Largest step size below which the success rate stays >= ``threshold``.
+def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid, rates,
+                      n: int, master_seed: int, row: int) -> float:
+    """Largest step size below which the success rate stays >= 0.4.
 
-    Scans the full ascending grid (no monotonicity assumed), then bisects in
-    log space between the last passing and first failing grid points.  Returns
-    math.inf when the threshold is never crossed on the grid.  Grid point j
-    draws from ``task_rng(master_seed, "point", _row, j)``, unless the caller
-    supplies those rates as ``_rates``; bisection step k draws from
-    ``task_rng(master_seed, "sigma40", _row, grid size + k)``.
+    ``rates`` are the success rates of grid row ``row`` at the ascending
+    ``sigma_grid``, as the grid pass measured them on the streams
+    ``task_rng(master_seed, "point", row, j)``; no monotonicity is assumed.
+    Bisects in log space between the last passing and first failing grid
+    points, step k drawing from ``task_rng(master_seed, "sigma40", row,
+    grid size + k)``.  Returns math.inf when the rate never falls below 0.4.
     """
-    grid = GridSpec(np.zeros(1), sigma_grid).sigma_values  # the one sigma-grid check
-
-    def p_at(sigma: float, stage: str, idx: int) -> float:
-        rng = task_rng(master_seed, stage, _row, idx)
-        return success_probability(problem, NormalizedState(m_tilde, sigma), n, rng).mean
-
-    rates = _rates if _rates is not None else [p_at(s, "point", j) for j, s in enumerate(grid)]
-    failing = [j for j, p in enumerate(rates) if p < threshold]
-    if not failing:
+    if len(rates) != len(sigma_grid):
+        raise ValueError("need one success rate per grid step size")
+    first_fail = next((j for j, p in enumerate(rates) if p < _SIGMA40_RATE), None)
+    if first_fail is None:
         return math.inf
-    first_fail = failing[0]
     if first_fail == 0:
         raise ValueError("success rate below threshold at the smallest grid step size; extend "
-                         f"the grid downward.  Row {_row}: w={problem.norm_minus(m_tilde)!r} "
-                         f"sigma~={float(grid[0])!r} rate={rates[0]!r} n={n}; replay its stream "
-                         f"with task_rng({master_seed}, \"point\", {_row}, 0)")
-    lo, hi = float(grid[first_fail - 1]), float(grid[first_fail])
-    for k in range(bisect_steps):
+                         f"the grid downward.  Row {row}: w={problem.norm_minus(m_tilde)!r} "
+                         f"sigma~={float(sigma_grid[0])!r} rate={rates[0]!r} n={n}; replay its "
+                         f"stream with task_rng({master_seed}, \"point\", {row}, 0)")
+    lo, hi = float(sigma_grid[first_fail - 1]), float(sigma_grid[first_fail])
+    for k in range(_SIGMA40_STEPS):
         mid = math.sqrt(lo * hi)
-        if p_at(mid, "sigma40", grid.size + k) >= threshold:
+        rng = task_rng(master_seed, "sigma40", row, len(sigma_grid) + k)
+        rate = success_probability(problem, NormalizedState(m_tilde, mid), n, rng).mean
+        if rate >= _SIGMA40_RATE:
             lo = mid
         else:
             hi = mid
@@ -462,15 +452,15 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
 
     # a point's success rate, V drift and W drift come from one set of offspring
     points = _grid_pass(problem, params, grid, n, master_seed, confidence,
-                        (StepSamples.v_increments, StepSamples.w_increments), threads=1)
+                        (_increment("V"), _increment("W")), threads=1)
     rates = [hits / n for _, _, hits, _ in points]
     v_map = [GridPointEstimate(w, s, v) for w, s, _, (v, _) in points]
     w_all = [GridPointEstimate(w, s, w_est) for w, s, _, (_, w_est) in points]
     v_low = np.array([row.est.ci_low for row in v_map]).reshape(-1, n_sigma)
 
     sigma_40_by_w = [
-        estimate_sigma_40(problem, sample_M_plus_0(problem, w), grid.sigma_values, n,
-                          master_seed, _row=i, _rates=rates[i * n_sigma:(i + 1) * n_sigma])
+        estimate_sigma_40(problem, sample_M_plus_0(problem, w), grid.sigma_values,
+                          rates[i * n_sigma:(i + 1) * n_sigma], n, master_seed, i)
         for i, w in enumerate(grid.w_values)
     ]
     sigma_tilde_40 = min(sigma_40_by_w)

@@ -8,7 +8,6 @@ results are bit-identical for any thread count given the same master seed.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -17,8 +16,7 @@ import numpy as np
 
 from .es import (BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, _batch_trials,
                  escape_times)
-from .estimators import (DEFAULT_CONFIDENCE, GridPointEstimate, GridSpec, StepSamples, _grid_pass,
-                         _phi_increments)
+from .estimators import DEFAULT_CONFIDENCE, GridPointEstimate, GridSpec, _grid_pass, _increment
 from .normalization import _shell_point
 from .objective import SaddleProblem
 from .tasks import _map_tasks, _task_rngs
@@ -246,13 +244,7 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
     Every quantity reads the per-point streams of the constants pipeline, so the
     V and W maps agree with it for the same master seed, grid, and n.
     """
-    beta = DEFAULT_BETA_FALLBACK if beta is None else beta
-    increment = {"v": StepSamples.v_increments, "w": StepSamples.w_increments,
-                 "phi": functools.partial(_phi_increments, beta)}.get(quantity.lower())
-    if increment is None:
-        raise ValueError("quantity must be one of V, W, Phi")
-    if beta < 0.0:
-        raise ValueError("beta must be nonnegative")
+    increment = _increment(quantity, DEFAULT_BETA_FALLBACK if beta is None else beta)
     grid = grid if grid is not None else GridSpec.default()
     return [GridPointEstimate(w, s, est) for w, s, _, (est,) in
             _grid_pass(problem, params, grid, n, master_seed, confidence, (increment,), threads)]

@@ -1,6 +1,8 @@
+import importlib
 import inspect
 import json
 import os
+import pkgutil
 import re
 import shlex
 import subprocess
@@ -428,6 +430,16 @@ class TestSuccProbCommand:
                        f"--out={tmp_path}/p.json") == EXIT_CONFIG
 
 
+    @pytest.mark.parametrize("state", [("--w=0.5",), ("--sigma=0.3",), ("--w=0.5", "--sigma=0.3")])
+    def test_state_with_saddle_is_config_error(self, state, tmp_path, capsys):
+        code = run_cli("succ-prob", "--a=-1,20", "--b=1", "--at-saddle", *state, "--n=1000",
+                       f"--out={tmp_path}/p.json")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+               "error: succ-prob takes --w and --sigma or --at-saddle, not both\n"
+        assert not (tmp_path / "p.json").exists()
+
+
 class TestPairingCommand:
     def test_no_violations(self, tmp_path):
         code = run_cli("pairing", "--a=-1,20", "--b=1", "--w=0.9",
@@ -462,6 +474,46 @@ class TestLevelsCommand:
     def test_requires_2d(self, tmp_path):
         assert run_cli("levels", "--a=-1,1,1", "--b=1",
                        f"--out={tmp_path}/l.csv") == EXIT_CONFIG
+
+
+class TestOutputPaths:
+    # each output option, with a small argv of its command
+    RUN = ("--a=-1,1", "--m0=0,1", "--sigma0=1")
+    ESCAPE = ("--a=-1,100", "--trials=20")
+    CASES = [
+        ("run", "trace-out", RUN), ("run", "summary-out", RUN),
+        ("escape", "stats-out", ESCAPE), ("escape", "survival-out", ESCAPE),
+        ("drift-map", "map-out", ("--a=-1,20", "--n=2000", "--w-values=0",
+                                  "--sigma-grid-points=8")),
+        ("constants", "constants-out", ("--a=-1,20", "--n=3000", "--w-values=0,0.5,1",
+                                        "--sigma-grid-points=12")),
+        ("succ-prob", "out", ("--a=-1,20", "--at-saddle", "--n=1000")),
+        ("pairing", "out", ("--a=-1,20", "--w=0.9", "--n=1000")),
+        ("levels", "out", ("--a=-1,20", "--points=3")),
+    ]
+
+    @pytest.mark.parametrize("command, key, args", CASES)
+    def test_missing_directory_is_config_error_before_any_output(self, command, key, args,
+                                                                 tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        missing = tmp_path / "missing"
+        assert run_cli(command, "--b=1", *args, f"--{key}={missing}/result") == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --{key}: no such directory {str(missing)!r}\n"
+        assert os.listdir(tmp_path) == []
+
+    def test_directory_is_config_error(self, tmp_path, capsys):
+        code = run_cli("levels", "--a=-1,20", "--b=1", "--points=3", f"--out={tmp_path}")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --out: {str(tmp_path)!r} is a directory\n"
+
+    def test_failed_write_is_config_error(self, tmp_path, monkeypatch, capsys):
+        def full(*args):
+            raise OSError("No space left on device")
+
+        monkeypatch.setattr(cli, "write_csv", full)
+        code = run_cli("levels", "--a=-1,20", "--b=1", "--points=3", f"--out={tmp_path}/l.csv")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: No space left on device\n"
 
 
 REQUIRED = "required"
@@ -574,6 +626,31 @@ def test_import_does_not_load_numpy_random():
     assert out.stdout.strip() == "False"
 
 
+def test_public_callables_take_no_hidden_keywords():
+    # a keyword that only the library passes is a second path behind a public name
+    checked, hidden = set(), []
+    for info in pkgutil.iter_modules(saddle_es.__path__):
+        if info.name == "__main__":    # importing it runs the command line
+            continue
+        module = importlib.import_module(f"saddle_es.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isclass(obj):
+                members = [(f"{name}.{attr}", getattr(obj, attr))
+                           for attr, value in vars(obj).items() if not attr.startswith("_")
+                           and isinstance(value, (types.FunctionType, classmethod, staticmethod))]
+            else:
+                members = [(name, obj)] if inspect.isfunction(obj) else []
+            for qualname, fn in members:
+                checked.add(f"{module.__name__}.{qualname}")
+                hidden += [f"{module.__name__}.{qualname}({param})"
+                           for param in inspect.signature(fn).parameters if param.startswith("_")]
+    assert {"saddle_es.cli.main", "saddle_es.estimators.estimate_sigma_40",
+            "saddle_es.estimators.DriftEstimate.from_moments"} <= checked
+    assert hidden == []
+
+
 def test_public_surface():
     # every export is a name some pipeline, gate or benchmark uses; adding one
     # is a decision this list makes visible
@@ -584,7 +661,7 @@ def test_public_surface():
         "EsParams", "EsState", "RunTrace", "escape_times", "run", "target_reached",
         "ConstantsEstimationError", "DriftConstants", "DriftEstimate", "GridPointEstimate",
         "GridSpec", "PairingReport", "StepSamples", "closed_form_b1", "closed_form_b2",
-        "derive_beta_theta", "drift_phi", "drift_v", "drift_w", "estimate_constants_report",
+        "derive_beta_theta", "drift_w", "estimate_constants_report",
         "estimate_sigma_40", "mirror_pair_margins", "one_step_samples", "pairing_check",
         "saddle_success_analytic_2d", "saddle_success_mc", "success_probability", "task_rng",
         "EscapeExperimentSpec", "HittingTimeStats", "TailFit", "drift_map",

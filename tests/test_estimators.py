@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,8 +17,6 @@ from saddle_es import (
     closed_form_b2,
     derive_beta_theta,
     drift_map,
-    drift_phi,
-    drift_v,
     drift_w,
     estimate_constants_report,
     estimate_sigma_40,
@@ -31,8 +30,24 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es import estimators
-from saddle_es.estimators import _drift
+from saddle_es.estimators import _drift, _increment
 from saddle_es.tasks import _STAGES, _task_rngs
+
+
+def drift(quantity, p, params, ns, n, rng, beta=0.0):
+    """One point's drift estimate of "V", "W" or "Phi" through the increment table."""
+    return _drift(p, params, ns, n, rng, estimators.DEFAULT_CONFIDENCE,
+                  _increment(quantity, beta))[1][0]
+
+
+def sigma_40(p, m_tilde, sigma_grid, n, seed, row=0):
+    """estimate_sigma_40 on the success rates of the row's point streams, measured
+    by success_probability rather than by the grid pass."""
+    rates = [success_probability(p, NormalizedState(m_tilde, float(s)), n,
+                                 task_rng(seed, "point", row, j)).mean
+             for j, s in enumerate(sigma_grid)]
+    return estimate_sigma_40(p, m_tilde, sigma_grid, rates, n, seed, row)
+
 
 # Uniform-angle Monte Carlo oracle for the probability of the negative double
 # cone, 4e7 angles per problem, seed 20260810 (computed independently of the
@@ -256,31 +271,31 @@ class TestDriftV:
     def test_near_b1_when_success_is_rare(self):
         p = problem((-1.0, 1e8))
         ns = NormalizedState(apex(p), 1e4)
-        est = drift_v(p, EsParams(alpha=1.5), ns, 5000, np.random.default_rng(13))
+        est = drift("V", p, EsParams(alpha=1.5), ns, 5000, np.random.default_rng(13))
         assert est.mean == pytest.approx(closed_form_b1(1.5), abs=0.02)
 
     def test_small_sigma_growth_beats_half_b2(self):
         p = problem((-1.0, 20.0))
         ns = NormalizedState(apex(p), 1e-3)
-        est = drift_v(p, EsParams(alpha=1.5), ns, 10_000, np.random.default_rng(14))
+        est = drift("V", p, EsParams(alpha=1.5), ns, 10_000, np.random.default_rng(14))
         assert est.ci_low > 0.5 * closed_form_b2(1.5)
 
     def test_sample_floor(self):
         p = problem()
         with pytest.raises(ValueError):
-            drift_v(p, EsParams(), NormalizedState(apex(p), 1.0), 999, np.random.default_rng(0))
+            drift("V", p, EsParams(), NormalizedState(apex(p), 1.0), 999, np.random.default_rng(0))
 
     def test_warns_outside_shell(self):
         p = problem((-1.0, 1.0))
         outside = NormalizedState(np.array([1.5, 1.0]), 1.0)
         with pytest.warns(UserWarning):
-            drift_v(p, EsParams(), outside, 1000, np.random.default_rng(0))
+            drift("V", p, EsParams(), outside, 1000, np.random.default_rng(0))
 
     def test_rejects_unnormalized_state(self):
         p = problem((-1.0, 20.0))
         with pytest.raises(ValueError):
-            drift_v(p, EsParams(), NormalizedState(np.array([1.5, 1.0]), 1.0), 1000,
-                    np.random.default_rng(0))
+            drift("V", p, EsParams(), NormalizedState(np.array([1.5, 1.0]), 1.0), 1000,
+                  np.random.default_rng(0))
 
 
 class TestDriftW:
@@ -303,7 +318,7 @@ class TestDriftPhi:
     def test_beta_zero_equals_w_drift(self):
         p = problem((-1.0, 20.0))
         ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.5)
-        a = drift_phi(p, EsParams(), ns, 0.0, 5000, np.random.default_rng(16))
+        a = drift("Phi", p, EsParams(), ns, 5000, np.random.default_rng(16), beta=0.0)
         b = drift_w(p, EsParams(), ns, 5000, np.random.default_rng(16))
         assert a == b
 
@@ -311,16 +326,16 @@ class TestDriftPhi:
         p = problem((-1.0, 20.0))
         params = EsParams(alpha=1.5)
         ns = NormalizedState(sample_M_plus_0(p, 0.25), 0.5)
-        phi1 = drift_phi(p, params, ns, 1.0, 5000, np.random.default_rng(17))
-        phi2 = drift_phi(p, params, ns, 2.0, 5000, np.random.default_rng(17))
-        v = drift_v(p, params, ns, 5000, np.random.default_rng(17))
+        phi1 = drift("Phi", p, params, ns, 5000, np.random.default_rng(17), beta=1.0)
+        phi2 = drift("Phi", p, params, ns, 5000, np.random.default_rng(17), beta=2.0)
+        v = drift("V", p, params, ns, 5000, np.random.default_rng(17))
         assert phi2.mean - phi1.mean == pytest.approx(v.mean, rel=1e-9)
 
     def test_negative_beta_rejected(self):
-        p = problem()
-        with pytest.raises(ValueError):
-            drift_phi(p, EsParams(), NormalizedState(apex(p), 1.0), -1.0, 1000,
-                      np.random.default_rng(0))
+        # for every quantity, so a map of V or W cannot carry a bad beta either
+        for quantity in ("V", "W", "Phi"):
+            with pytest.raises(ValueError, match="^beta must be nonnegative$"):
+                _increment(quantity, -1.0)
 
     def test_positive_below_hitting_threshold(self):
         # with beta from the constants pipeline, the combined drift is positive
@@ -341,8 +356,8 @@ class TestDriftPhi:
                 # phi = beta * V + W with V = log(sigma~) and W = norm_minus(m~) = w
                 if constants.beta * math.log(s) + w > 1.0:
                     continue
-                est = drift_phi(p, params, ns, constants.beta, 20_000,
-                                task_rng(62, "point", i, j))
+                est = drift("Phi", p, params, ns, 20_000, task_rng(62, "point", i, j),
+                            beta=constants.beta)
                 assert est.ci_low > 0.0, (w, s)
                 checked += 1
         assert checked >= 20
@@ -350,9 +365,23 @@ class TestDriftPhi:
     def test_negative_far_beyond_hitting_threshold(self):
         p = problem((-1.0, 20.0))
         ns = NormalizedState(apex(p), 1e3)
-        est = drift_phi(p, EsParams(alpha=1.5), ns, 0.46, 20_000,
-                        np.random.default_rng(63))
+        est = drift("Phi", p, EsParams(alpha=1.5), ns, 20_000, np.random.default_rng(63),
+                    beta=0.46)
         assert est.ci_high < 0.0
+
+
+class TestIncrementTable:
+    def test_quantity_checked_before_beta(self):
+        with pytest.raises(ValueError, match="^quantity must be one of V, W, Phi$"):
+            _increment("X", -1.0)
+
+    def test_each_drift_check_is_made_once_in_estimators(self):
+        # drift_w, drift_map and the constants pass all draw on the one table
+        files = Path(estimators.__file__).parent.glob("*.py")
+        text = {f.name: f.read_text(encoding="utf-8") for f in files}
+        for message in ("beta must be nonnegative", "quantity must be one of V, W, Phi"):
+            assert {name: t.count(message) for name, t in text.items() if message in t} == \
+                   {"estimators.py": 1}
 
 
 class TestSigma40:
@@ -360,11 +389,11 @@ class TestSigma40:
 
     def test_never_crossed_returns_inf(self):
         p = problem((-1.0, 1.0))
-        assert estimate_sigma_40(p, apex(p), self.GRID, 20_000, 21) == math.inf
+        assert sigma_40(p, apex(p), self.GRID, 20_000, 21) == math.inf
 
     def test_finite_crossing_is_bracketed(self):
         p = problem((-1.0, 100.0))
-        value = estimate_sigma_40(p, apex(p), self.GRID, 20_000, 22)
+        value = sigma_40(p, apex(p), self.GRID, 20_000, 22)
         assert 1e-4 < value < 1e3
         # the success rate at the crossing sits near the threshold
         est = success_probability(p, NormalizedState(apex(p), value), 100_000,
@@ -373,19 +402,45 @@ class TestSigma40:
 
     def test_reproducible(self):
         p = problem((-1.0, 100.0))
-        v1 = estimate_sigma_40(p, apex(p), self.GRID, 10_000, 24)
-        v2 = estimate_sigma_40(p, apex(p), self.GRID, 10_000, 24)
+        v1 = sigma_40(p, apex(p), self.GRID, 10_000, 24)
+        v2 = sigma_40(p, apex(p), self.GRID, 10_000, 24)
         assert v1 == v2
-
-    def test_coarse_grid_rejected(self):
-        p = problem()
-        with pytest.raises(ValueError):
-            estimate_sigma_40(p, apex(p), np.geomspace(1e-4, 1e3, 7), 1000, 0)
 
     def test_all_failing_grid_rejected(self):
         p = problem((-1.0, 100.0))
-        with pytest.raises(ValueError):
-            estimate_sigma_40(p, apex(p), np.geomspace(10.0, 1e3, 8), 5000, 0)
+        with pytest.raises(ValueError, match="extend the grid downward"):
+            sigma_40(p, apex(p), np.geomspace(10.0, 1e3, 8), 5000, 0)
+
+    def test_bisects_on_sigma40_streams_only(self, monkeypatch):
+        # the rates come from the caller; every draw is a bisection step
+        streams = []
+
+        def recorded(seed, stage, *index):
+            streams.append((seed, stage, *index))
+            return task_rng(seed, stage, *index)
+
+        monkeypatch.setattr(estimators, "task_rng", recorded)
+        p = problem((-1.0, 20.0))
+        grid = np.geomspace(1e-4, 1e3, 8)
+        value = estimate_sigma_40(p, apex(p), grid, [0.5] * 3 + [0.1] * 5, 1000, 7, 2)
+        assert grid[2] < value < grid[3]
+        assert streams == [(7, "sigma40", 2, 8 + k) for k in range(12)]
+
+    def test_one_rate_per_grid_point(self):
+        p = problem()
+        with pytest.raises(ValueError, match="one success rate per grid step size"):
+            estimate_sigma_40(p, apex(p), np.geomspace(1e-4, 1e3, 8), [0.5] * 7, 1000, 0, 0)
+
+
+class TestGridSpec:
+    @pytest.mark.parametrize("sigma_values", [
+        pytest.param(np.geomspace(1e-4, 1e3, 7), id="coarse"),
+        pytest.param(np.geomspace(1e3, 1e-4, 8), id="descending"),
+        pytest.param(np.linspace(0.0, 1.0, 8), id="nonpositive"),
+    ])
+    def test_rejects_bad_sigma_grid(self, sigma_values):
+        with pytest.raises(ValueError, match="sigma grid"):
+            GridSpec(np.array([0.0, 1.0]), sigma_values)
 
 
 class TestConstants:
@@ -437,8 +492,8 @@ class TestConstants:
                                         n=3000, master_seed=35)
         for i, w in enumerate(self.SMALL_GRID.w_values):
             m = sample_M_plus_0(p, float(w))
-            assert rep.sigma_40_by_w[i] == estimate_sigma_40(
-                p, m, self.SMALL_GRID.sigma_values, 3000, 35, _row=i)
+            assert rep.sigma_40_by_w[i] == sigma_40(p, m, self.SMALL_GRID.sigma_values, 3000,
+                                                    35, row=i)
 
     def test_shared_hits_equal_success_probability(self):
         p = problem((-1.0, 20.0))
@@ -448,7 +503,7 @@ class TestConstants:
         hits, (v, w) = _drift(p, params, ns, n, task_rng(36, "point", 1, 2), 0.99,
                               StepSamples.v_increments, StepSamples.w_increments)
         assert hits / n == success_probability(p, ns, n, task_rng(36, "point", 1, 2)).mean
-        assert v == drift_v(p, params, ns, n, task_rng(36, "point", 1, 2))
+        assert v == drift("V", p, params, ns, n, task_rng(36, "point", 1, 2))
         assert w == drift_w(p, params, ns, n, task_rng(36, "point", 1, 2))
 
     def test_one_kernel_call_per_grid_point_and_bisection_step(self, monkeypatch):
@@ -535,9 +590,9 @@ def whole_array_reference(p, params, ns, n, seed):
 
 class TestBlockKernel:
     ESTIMATORS = {
-        "V": lambda p, params, ns, n, rng: drift_v(p, params, ns, n, rng),
+        "V": lambda p, params, ns, n, rng: drift("V", p, params, ns, n, rng),
         "W": lambda p, params, ns, n, rng: drift_w(p, params, ns, n, rng),
-        "Phi": lambda p, params, ns, n, rng: drift_phi(p, params, ns, 0.7, n, rng),
+        "Phi": lambda p, params, ns, n, rng: drift("Phi", p, params, ns, n, rng, beta=0.7),
         "success": lambda p, params, ns, n, rng: success_probability(p, ns, n, rng),
     }
 

@@ -17,9 +17,6 @@ from saddle_es import (
     NormalizedState,
     SaddleProblem,
     drift_map,
-    drift_phi,
-    drift_v,
-    drift_w,
     fit_exponential_tail,
     run,
     run_escape_experiment,
@@ -28,6 +25,7 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es.es import TARGET, UNDERFLOW, _batch_trials
+from saddle_es.estimators import _drift, _increment
 from saddle_es.tasks import _map_tasks
 
 
@@ -265,9 +263,7 @@ class TestDriftMap:
             ns = NormalizedState(sample_M_plus_0(p, float(self.GRID.w_values[i])),
                                  float(self.GRID.sigma_values[j]))
             rng = task_rng(8, "point", i, j)
-            est = {"V": lambda: drift_v(p, params, ns, 2000, rng),
-                   "W": lambda: drift_w(p, params, ns, 2000, rng),
-                   "Phi": lambda: drift_phi(p, params, ns, 0.3, 2000, rng)}[quantity]()
+            _, (est,) = _drift(p, params, ns, 2000, rng, 0.99, _increment(quantity, 0.3))
             assert (row.w, row.sigma_tilde, row.est) == (
                 self.GRID.w_values[i], self.GRID.sigma_values[j], est)
 
