@@ -416,10 +416,9 @@ def cmd_levels(ns) -> int:
     if extent <= 0.0 or points < 2:
         raise ConfigError("need extent > 0 and points >= 2")
     axis = np.linspace(-extent, extent, points)
-    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 1, 2)
-    # one (1, 2) @ (2,) product per point rounds as the single-point dot does
-    f = ns.problem.evaluate(x)[:, 0]
-    write_csv(ns.out, ["x1", "x2", "f"], zip(x[:, 0, 0], x[:, 0, 1], f))
+    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
+    f = ns.problem.evaluate(x)
+    write_csv(ns.out, ["x1", "x2", "f"], zip(x[:, 0], x[:, 1], f))
     print(f"levels: {points}x{points} grid over [-{extent}, {extent}]^2 -> {ns.out}")
     return EXIT_OK
 

@@ -7,7 +7,9 @@ and renormalize the successor, because the drifts are one-step quantities.
 
 Every one-step estimate draws its offspring through one block kernel,
 ``_offspring``; the drifts merge per-block moments, so their memory is flat in
-the sample size.
+the sample size.  The kernel makes no BLAS call: it works in column passes and
+returns the weighted squares a_j * x_j**2, whose column sums give f and both
+semi-norms, so pool workers do not compete with BLAS helper threads.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from .es import EsParams
 from .normalization import NormalizedState, NormPlusZeroError, in_M_plus_0, sample_M_plus_0
-from .objective import SaddleProblem
+from .objective import SaddleProblem, _sum_columns
 from .tasks import _map_tasks, task_rng
 
 DEFAULT_CONFIDENCE = 0.99
@@ -129,16 +131,20 @@ def _describe_point(row: GridPointEstimate, master_seed: int, i: int, j: int) ->
 def _offspring(problem: SaddleProblem, ns: NormalizedState, c: int,
                rng: np.random.Generator) -> tuple:
     """Draw c offspring x ~ N(m~, sigma~^2 I); return the acceptance mask
-    f(x) <= f(m~) and the squares x**2, formed in place in the draw buffer.
+    f(x) <= f(m~) and the weighted squares a_j * x_j**2, formed in the draw buffer.
 
-    The one kernel behind every one-step estimate; f is the dot product of the
-    squares with a, exactly as SaddleProblem.evaluate computes it.
+    The one kernel behind every one-step estimate.  Each column is shifted,
+    squared and weighted in place (broadcasting over a short last axis is several
+    times slower), and f is their column sum, with the bits SaddleProblem.evaluate
+    gives, so f(m~) is an exact threshold.
     """
     z = rng.standard_normal((c, problem.d))
     z *= ns.sigma_tilde
-    z += ns.m_tilde
-    np.square(z, out=z)
-    return z @ problem.a <= problem.evaluate(ns.m_tilde), z
+    for x, m, a in zip(z.T, ns.m_tilde, problem.a):
+        x += m
+        np.square(x, out=x)
+        x *= a
+    return _sum_columns(z) <= problem.evaluate(ns.m_tilde), z
 
 
 def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
@@ -226,13 +232,13 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedSta
     """Draw n independent single steps from (m~, sigma~) at scale one, as one block."""
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    accepted, sq = _offspring(problem, ns, n, rng)
+    accepted, terms = _offspring(problem, ns, n, rng)
     # gather by index: indexing with a random boolean mask is about 10x slower
-    sq = sq.take(np.flatnonzero(accepted), axis=0)
-    a, b = problem.a, problem.b
+    terms = terms.take(np.flatnonzero(accepted), axis=0)
+    b = problem.b
     return StepSamples(accepted=accepted,
-                       norm_minus=np.sqrt(0.0 - sq[:, :b] @ a[:b]),
-                       norm_plus=np.sqrt(sq[:, b:] @ a[b:]),
+                       norm_minus=np.sqrt(0.0 - _sum_columns(terms[:, :b])),
+                       norm_plus=np.sqrt(_sum_columns(terms[:, b:])),
                        w0=float(problem.norm_minus(ns.m_tilde)), alpha=params.alpha)
 
 

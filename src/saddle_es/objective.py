@@ -9,9 +9,17 @@ its arguments.
 from __future__ import annotations
 
 import enum
+import functools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def _sum_columns(terms: np.ndarray):
+    """Sum over the last axis, adding one column at a time from the left, so the
+    bits of a row's sum do not depend on the batch it is in."""
+    return functools.reduce(operator.add, terms.transpose(-1, *range(terms.ndim - 1)))
 
 
 class RegionLabel(enum.Enum):
@@ -64,7 +72,7 @@ class SaddleProblem:
     def evaluate(self, x):
         """f(x) = sum_i a_i x_i^2; accepts a single point or a batch (..., d)."""
         x = self._coerce(x)
-        value = np.square(x) @ self.a
+        value = _sum_columns(np.square(x) * self.a)
         return float(value) if x.ndim == 1 else value
 
     def norm_minus(self, x):
@@ -73,13 +81,13 @@ class SaddleProblem:
         Formed as sqrt(0 - q), which is +0.0 for a zero block where sqrt(-q) is -0.0.
         """
         x = self._coerce(x)
-        value = np.sqrt(0.0 - np.square(x[..., : self.b]) @ self.a[: self.b])
+        value = np.sqrt(0.0 - _sum_columns(np.square(x[..., : self.b]) * self.a[: self.b]))
         return float(value) if x.ndim == 1 else value
 
     def norm_plus(self, x):
         """Mahalanobis semi-norm of the positive-curvature block: sqrt(sum_{i>b} a_i x_i^2)."""
         x = self._coerce(x)
-        value = np.sqrt(np.square(x[..., self.b :]) @ self.a[self.b :])
+        value = np.sqrt(_sum_columns(np.square(x[..., self.b :]) * self.a[self.b :]))
         return float(value) if x.ndim == 1 else value
 
     def classify(self, x, tol: float = 0.0) -> RegionLabel:

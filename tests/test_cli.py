@@ -461,8 +461,7 @@ class TestLevelsCommand:
         assert len(lines) == 1 + 11 * 11
 
     def test_matches_per_point_evaluation(self, tmp_path):
-        # a plain (N, 2) @ a product rounds differently on about a quarter of
-        # these points
+        # each row's f has the bits of that point evaluated alone
         code = run_cli("levels", "--a=-1,20", "--b=1", f"--out={tmp_path}/l.csv")
         assert code == EXIT_OK
         p = SaddleProblem(a=[-1.0, 20.0], b=1)

@@ -30,7 +30,8 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es import estimators
-from saddle_es.estimators import _drift, _increment
+from saddle_es.estimators import _drift, _increment, _offspring
+from saddle_es.objective import _sum_columns
 from saddle_es.tasks import _STAGES, _task_rngs
 
 
@@ -99,6 +100,32 @@ class TestDriftEstimate:
             DriftEstimate(mean=5.0, stderr=1.0, n=10, ci_low=-1.0, ci_high=1.0)
         with pytest.raises(ValueError):
             sample_estimate([1.0])
+
+    def test_z_critical_is_two_sided(self):
+        # exact quantiles 2.5758293035489007... and 1.9599639845400542...; the
+        # stdlib's inverse CDF lands one ulp below the nearest double
+        assert estimators.z_critical(0.99) == pytest.approx(2.5758293035489004, rel=1e-15)
+        assert estimators.z_critical(0.95) == pytest.approx(1.959963984540054, rel=1e-15)
+
+    @pytest.mark.parametrize("n", [1000, 100_000])
+    @pytest.mark.parametrize("k", [0, 1, 137, "n"])
+    def test_wilson_bounds_are_score_equation_roots(self, k, n):
+        # the Wilson bounds solve (p_hat - p)**2 = z**2 p (1 - p) / n; bisect for
+        # each root on the side of p_hat where it lies
+        k = n if k == "n" else k
+        p_hat, z = k / n, estimators.z_critical(0.99)
+
+        def root(outside, inside):
+            # score(outside) >= 0 >= score(inside)
+            score = lambda p: (p_hat - p) ** 2 - z * z * p * (1.0 - p) / n
+            for _ in range(200):
+                mid = 0.5 * (outside + inside)
+                outside, inside = (mid, inside) if score(mid) >= 0.0 else (outside, mid)
+            return inside
+
+        est = DriftEstimate.from_binomial(k, n)
+        assert est.ci_low == pytest.approx(root(0.0, p_hat), rel=1e-9, abs=1e-15)
+        assert est.ci_high == pytest.approx(root(1.0, p_hat), rel=1e-9, abs=1e-15)
 
     def test_binomial_interval_keeps_width_at_zero_and_n_hits(self):
         for hits in (0, 1000):
@@ -455,6 +482,15 @@ class TestConstants:
         # with beta = -C/(2 B1) the second branch is C/2
         assert 0.1 + beta * b1 == pytest.approx(0.05, rel=1e-12)
 
+    @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 10.0])
+    def test_theta_is_a_tenth_of_c(self, alpha):
+        # B2 / (-2 B1) = 1/10 for every alpha, so theta = min(C/10, C/2) never
+        # takes its second branch
+        for c in (1e-3, 0.09399, 0.5, 7.0):
+            beta, theta = derive_beta_theta(closed_form_b1(alpha), closed_form_b2(alpha), c)
+            assert theta == pytest.approx(c / 10.0, rel=1e-12)
+            assert c + beta * closed_form_b1(alpha) == pytest.approx(c / 2.0, rel=1e-12)
+
     def test_pipeline_on_ill_conditioned_problem(self):
         p = problem((-1.0, 20.0))
         constants = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
@@ -689,3 +725,34 @@ class TestMaskEdges:
                                                   float(np.square(ref - mean).sum()))
             assert_bitwise([est.mean, est.stderr, est.ci_low, est.ci_high],
                            [expected.mean, expected.stderr, expected.ci_low, expected.ci_high])
+
+
+class TestKernelBits:
+    """The kernel's f is a column sum of the weighted squares a_j * x_j**2 in a
+    fixed order: at d=2 it has the bits of the BLAS product it replaced, and a
+    row's bits do not depend on the block it is drawn in."""
+
+    def state(self, p):
+        return NormalizedState(sample_M_plus_0(p, 0.5), 0.3)
+
+    def test_d2_equals_former_blas_product(self):
+        p = problem((-1.0, 20.0))
+        ns = self.state(p)
+        z = np.random.default_rng(74).standard_normal((4000, 2))
+        accepted, terms = _offspring(p, ns, len(z), FixedDraws(z))
+        x = ns.m_tilde + ns.sigma_tilde * z
+        assert_bitwise(terms, np.square(x) * p.a)
+        assert_bitwise(_sum_columns(terms), np.square(x) @ p.a)
+        assert_bitwise(accepted, _sum_columns(terms) <= p.evaluate(ns.m_tilde))
+
+    @pytest.mark.parametrize("d", [2, 5, 100])
+    def test_row_bits_do_not_depend_on_block_size(self, d):
+        p = problem((-1.0, *np.geomspace(1.0, 20.0, d - 1)))
+        ns = self.state(p)
+        z = np.random.default_rng(75).standard_normal((1000, d))
+        f = _sum_columns(_offspring(p, ns, len(z), FixedDraws(z))[1])
+        for lo, hi in ((0, 1), (3, 4), (0, 7), (500, 1000)):
+            part = _offspring(p, ns, hi - lo, FixedDraws(z[lo:hi]))[1]
+            assert_bitwise(_sum_columns(part), f[lo:hi])
+        x = ns.m_tilde + ns.sigma_tilde * z
+        assert [p.evaluate(point) for point in x[:100]] == f[:100].tolist()

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 from test_acceptance import MASTER_SEED
 
+import saddle_es.estimators
+import saddle_es.objective
 import saddle_es.tasks
 from saddle_es import (
     BUDGET,
@@ -26,6 +28,8 @@ from saddle_es import (
 )
 from saddle_es.es import TARGET, UNDERFLOW, _batch_trials
 from saddle_es.estimators import _drift, _increment
+from saddle_es.experiments import ESCAPED
+from saddle_es.serialize import drift_map_to_csv
 from saddle_es.tasks import _map_tasks
 
 
@@ -125,6 +129,15 @@ class TestEscapeExperiment:
         stats = run_escape_experiment(spec(trials=100))
         assert set(stats.quantiles) == {"p10", "p50", "p90", "p99"}
         assert stats.quantiles["p10"] <= stats.quantiles["p99"]
+
+    def test_quantiles_are_numpy_quantiles_of_escaped_times(self):
+        stats = run_escape_experiment(spec(a=(-1.0, 100.0), trials=300, budget=20))
+        escaped = stats.times[np.array(stats.statuses) == ESCAPED]
+        assert stats.n_censored > 0 and escaped.size == stats.n_escaped
+        # the sample tells the 0.99 quantile from the 0.999 one
+        assert np.quantile(escaped, 0.99) != np.quantile(escaped, 0.999)
+        assert stats.quantiles == {f"p{round(q * 100)}": float(np.quantile(escaped, q))
+                                   for q in (0.1, 0.5, 0.9, 0.99)}
 
 
 def run_per_trial(s):
@@ -267,6 +280,18 @@ class TestDriftMap:
             assert (row.w, row.sigma_tilde, row.est) == (
                 self.GRID.w_values[i], self.GRID.sigma_values[j], est)
 
+    @pytest.mark.parametrize("quantity", ["V", "W"])
+    def test_thread_invariant_bytes_at_d100(self, quantity, tmp_path):
+        # above d=2 f and norm_plus sum several columns, in a fixed order
+        grid = GridSpec(w_values=np.array([0.0, 1.0]), sigma_values=self.GRID.sigma_values)
+        files = []
+        for threads in (1, 2):
+            rows = drift_map(problem((-1.0,) + (1.0,) * 99), EsParams(), quantity, grid=grid,
+                             n=1000, master_seed=9, threads=threads)
+            drift_map_to_csv(rows, tmp_path / f"map{threads}.csv")
+            files.append((tmp_path / f"map{threads}.csv").read_bytes())
+        assert files[0] == files[1]
+
     def test_quantity_validation(self):
         with pytest.raises(ValueError):
             drift_map(problem(), EsParams(), "X", grid=self.GRID, n=2000)
@@ -342,3 +367,19 @@ def test_tasks_module_imports_no_saddle_es_module():
             modules.append("." * node.level + (node.module or ""))
     assert "numpy" in modules
     assert not [m for m in modules if m.startswith((".", "saddle_es"))], modules
+
+
+@pytest.mark.parametrize("module", [saddle_es.objective, saddle_es.estimators])
+def test_sample_kernel_makes_no_blas_call(module):
+    # BLAS starts helper threads that compete with the fork pool's workers for the
+    # cores, and its rounding of a point depends on the batch around it
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    calls = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+            calls.append(f"line {node.lineno}: @")
+        elif isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in {"dot", "matmul", "inner", "vdot", "tensordot"}:
+                calls.append(f"line {node.lineno}: {name}")
+    assert not calls, calls

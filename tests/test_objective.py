@@ -57,6 +57,17 @@ class TestEvaluate:
         x = np.array([[2.0, 1.0], [0.0, 0.0]])
         assert np.array_equal(p.evaluate(x), [16.0, 0.0])
 
+    @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-3.0, -0.5, 7.0, 2.0, 0.1), 2)])
+    def test_single_point_equals_its_batch_value(self, a, b):
+        # a BLAS dot and a BLAS matrix-vector product round a d=2 point
+        # differently, by an ulp on about a quarter of random points
+        p = make(a, b)
+        x = np.random.default_rng(6).standard_normal((2000, p.d))
+        for method in (p.evaluate, p.norm_minus, p.norm_plus):
+            batch = method(x)
+            assert all(method(point) == value for point, value in zip(x, batch.tolist()))
+            assert method(x.reshape(-1, 4, p.d)).ravel().tobytes() == batch.tobytes()
+
 
 class TestSemiNorms:
     def test_known_values(self):
