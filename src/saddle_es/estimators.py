@@ -98,6 +98,8 @@ class DriftEstimate:
 
 def _moments(values: np.ndarray) -> tuple:
     """(count, mean, summed squared deviations), rounded as numpy's mean and std."""
+    if not values.size:
+        return 0, 0.0, 0.0
     mean = values.mean()
     dev = values - mean
     dev *= dev
@@ -106,8 +108,10 @@ def _moments(values: np.ndarray) -> tuple:
 
 def _merge(x: tuple, y: tuple) -> tuple:
     """Pairwise update of two (count, mean, M2) triples (Chan, Golub & LeVeque
-    1979); merging into (0, 0.0, 0.0) returns y unchanged."""
+    1979); merging into (0, 0.0, 0.0) returns y unchanged, and an empty y leaves x."""
     (na, ma, m2a), (nb, mb, m2b) = x, y
+    if not nb:
+        return x
     n = na + nb
     delta = mb - ma
     return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * nb / n)
@@ -202,17 +206,32 @@ class StepSamples:
     def n(self) -> int:
         return self.accepted.size
 
+    def _scatter(self, rejected: float, accepted: np.ndarray) -> np.ndarray:
+        """Per-sample values: ``rejected`` everywhere, ``accepted`` in draw order on
+        the accepted samples."""
+        out = np.full(self.n, rejected)
+        out[np.flatnonzero(self.accepted)] = accepted
+        return out
+
+    def _v_parts(self) -> tuple:
+        """(rejection constant, accepted-row values) of the change of log(sigma~)."""
+        if np.any(self.norm_plus == 0.0):
+            raise NormPlusZeroError("accepted offspring with zero positive-block semi-norm")
+        return closed_form_b1(self.alpha), math.log(self.alpha) - np.log(self.norm_plus)
+
+    def _w_parts(self) -> tuple:
+        """(rejection constant, accepted-row values) of the truncated change of W."""
+        nm, npl = self.norm_minus, self.norm_plus
+        ratio = np.divide(nm, npl, out=np.full(nm.shape, math.inf), where=npl > 0.0)
+        return 0.0, np.minimum(ratio - self.w0, 1.0)
+
     def v_increments(self) -> np.ndarray:
         """Per-sample change of log(sigma~).
 
         Rejections contribute the constant -log(alpha)/4 with no estimation
         noise; acceptances contribute log(alpha) - log(norm_plus(offspring)).
         """
-        if np.any(self.norm_plus == 0.0):
-            raise NormPlusZeroError("accepted offspring with zero positive-block semi-norm")
-        out = np.full(self.n, -0.25 * math.log(self.alpha))
-        out[np.flatnonzero(self.accepted)] = math.log(self.alpha) - np.log(self.norm_plus)
-        return out
+        return self._scatter(*self._v_parts())
 
     def w_increments(self) -> np.ndarray:
         """Per-sample truncated change of W: min(W' - W, 1); rejections contribute 0.
@@ -220,11 +239,7 @@ class StepSamples:
         A successor with zero positive-block semi-norm has W' = +inf and
         contributes the cap 1, so no error can occur on this path.
         """
-        nm, npl = self.norm_minus, self.norm_plus
-        ratio = np.divide(nm, npl, out=np.full(nm.shape, math.inf), where=npl > 0.0)
-        out = np.zeros(self.n)
-        out[np.flatnonzero(self.accepted)] = np.minimum(ratio - self.w0, 1.0)
-        return out
+        return self._scatter(*self._w_parts())
 
 
 def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
@@ -244,8 +259,11 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedSta
 
 def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
            rng: np.random.Generator, confidence: float, *increments) -> tuple:
-    """Hit count and the mean of each ``increments(samples)`` over the same n
-    steps, merged block by block."""
+    """Hit count and the mean of each increment over the same n steps.
+
+    An increment maps a block's samples to (rejection constant, accepted-row
+    values); each block merges the rejections as (count, constant, 0) and the
+    moments of the accepted rows, so no per-sample array is built."""
     if n < 1000:
         raise ValueError("drift estimation needs n >= 1000 samples")
     if not in_M_plus_0(problem, ns):
@@ -256,8 +274,11 @@ def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int
     moments = [(0, 0.0, 0.0)] * len(increments)
     for c in _blocks(n):
         samples = one_step_samples(problem, params, ns, c, rng)
-        hits += int(np.count_nonzero(samples.accepted))
-        moments = [_merge(m, _moments(inc(samples))) for m, inc in zip(moments, increments)]
+        accepted = samples.norm_plus.size
+        hits += accepted
+        parts = [inc(samples) for inc in increments]
+        moments = [_merge(_merge(m, (c - accepted, rejected, 0.0)), _moments(values))
+                   for m, (rejected, values) in zip(moments, parts)]
     return hits, [DriftEstimate.from_moments(*m, confidence) for m in moments]
 
 
@@ -268,18 +289,21 @@ def drift_w(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: in
     return _drift(problem, params, ns, n, rng, confidence, _increment("W"))[1][0]
 
 
-def _phi_increments(beta: float, samples: StepSamples) -> np.ndarray:
-    """Per-sample change of phi = beta * V + W; unlike a closure, its partial pickles."""
-    w_inc = samples.w_increments()
-    return w_inc if beta == 0.0 else beta * samples.v_increments() + w_inc
+def _phi_parts(beta: float, samples: StepSamples) -> tuple:
+    """Parts of the change of phi = beta * V + W; unlike a closure, its partial pickles."""
+    if beta == 0.0:
+        return samples._w_parts()
+    (v_rejected, v), (w_rejected, w) = samples._v_parts(), samples._w_parts()
+    return beta * v_rejected + w_rejected, beta * v + w
 
 
 def _increment(quantity: str, beta: float = 0.0):
-    """The picklable per-sample increment of drift quantity "V", "W" or "Phi"
-    (any case), where phi = beta * V + W is estimated per sample on the same
-    steps, so its confidence interval is honest; beta = 0 gives the W drift."""
-    increment = {"v": StepSamples.v_increments, "w": StepSamples.w_increments,
-                 "phi": functools.partial(_phi_increments, beta)}.get(quantity.lower())
+    """The picklable increment of drift quantity "V", "W" or "Phi" (any case):
+    samples -> (rejection constant, accepted-row values).  phi = beta * V + W is
+    estimated per sample on the same steps, so its confidence interval is
+    honest; beta = 0 gives the W drift."""
+    increment = {"v": StepSamples._v_parts, "w": StepSamples._w_parts,
+                 "phi": functools.partial(_phi_parts, beta)}.get(quantity.lower())
     if increment is None:
         raise ValueError("quantity must be one of V, W, Phi")
     if beta < 0.0:

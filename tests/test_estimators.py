@@ -537,7 +537,7 @@ class TestConstants:
         ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.3)
         n = (1 << 18) + 3000    # two blocks
         hits, (v, w) = _drift(p, params, ns, n, task_rng(36, "point", 1, 2), 0.99,
-                              StepSamples.v_increments, StepSamples.w_increments)
+                              _increment("V"), _increment("W"))
         assert hits / n == success_probability(p, ns, n, task_rng(36, "point", 1, 2)).mean
         assert v == drift("V", p, params, ns, n, task_rng(36, "point", 1, 2))
         assert w == drift_w(p, params, ns, n, task_rng(36, "point", 1, 2))
@@ -642,12 +642,13 @@ class TestBlockKernel:
             est = estimator(p, params, ns, n, np.random.default_rng(71))
             mean, stderr = ref[name]
             assert est.n == n
-            if n <= 1 << 18:
+            if stderr is None:
+                # a hit count does not depend on how the draws are blocked
                 assert est.mean == mean, name
-                assert stderr is None or est.stderr == stderr, name
             else:
+                # pooled moments round differently from numpy's whole-array ones
                 assert est.mean == pytest.approx(mean, rel=1e-12), name
-                assert stderr is None or est.stderr == pytest.approx(stderr, rel=1e-12), name
+                assert est.stderr == pytest.approx(stderr, rel=1e-12), name
 
     def test_drift_memory_is_flat_in_n(self):
         p = problem((-1.0, 20.0))
@@ -671,6 +672,22 @@ class FixedDraws:
     def standard_normal(self, shape):
         assert shape == self.z.shape
         return self.z.copy()
+
+
+def pooled_moments(n_rejected, rejected, accepted):
+    """Mean and summed squared deviations of n_rejected copies of the constant
+    ``rejected`` together with the ``accepted`` values, pooled with the two-group
+    formula of Chan, Golub & LeVeque (1979)."""
+    if accepted.size == 0:
+        return rejected, 0.0
+    mean = float(accepted.mean())
+    m2 = float(np.square(accepted - mean).sum())
+    if n_rejected == 0:
+        return mean, m2
+    n = n_rejected + accepted.size
+    delta = mean - rejected
+    return (rejected + delta * (accepted.size / n),
+            m2 + delta * delta * (n_rejected * accepted.size / n))
 
 
 def assert_bitwise(x, y):
@@ -717,12 +734,11 @@ class TestMaskEdges:
         assert_bitwise(samples.w_increments(), w)
 
         drift_hits, estimates = _drift(p, params, ns, self.N, FixedDraws(z), 0.99,
-                                       StepSamples.v_increments, StepSamples.w_increments)
+                                       _increment("V"), _increment("W"))
         assert drift_hits == hits
-        for est, ref in zip(estimates, (v, w)):
-            mean = ref.mean()
-            expected = DriftEstimate.from_moments(self.N, float(mean),
-                                                  float(np.square(ref - mean).sum()))
+        for est, ref, rejected in zip(estimates, (v, w), (closed_form_b1(1.5), 0.0)):
+            expected = DriftEstimate.from_moments(self.N, *pooled_moments(self.N - hits, rejected,
+                                                                          ref[acc]))
             assert_bitwise([est.mean, est.stderr, est.ci_low, est.ci_high],
                            [expected.mean, expected.stderr, expected.ci_low, expected.ci_high])
 
