@@ -6,10 +6,13 @@ at scale one (norm_plus(m~) = 1 makes the normalized state its own raw state)
 and renormalize the successor, because the drifts are one-step quantities.
 
 Every one-step estimate draws its offspring through one block kernel,
-``_offspring``; the drifts merge per-block moments, so their memory is flat in
-the sample size.  The kernel makes no BLAS call: it works in column passes and
-returns the weighted squares a_j * x_j**2, whose column sums give f and both
-semi-norms, so pool workers do not compete with BLAS helper threads.
+``_offspring``, in blocks of at most 2**16 normals, so memory is flat in both
+the sample size n and the dimension d.  The drifts merge per-block moments:
+a block's rejections enter as their count and the quantity's known rejection
+constant, and only the accepted rows' increments are computed.  The kernel
+makes no BLAS call: it works in column passes and returns the weighted squares
+a_j * x_j**2, whose column sums give f and both semi-norms, so pool workers do
+not compete with BLAS helper threads.
 """
 
 from __future__ import annotations
@@ -28,15 +31,18 @@ from .objective import SaddleProblem, _sum_columns
 from .tasks import _map_tasks, task_rng
 
 DEFAULT_CONFIDENCE = 0.99
-_BLOCK = 1 << 18
+# a one-step block holds at most this many normals, the escape engine's batch budget
+_NORMALS = 1 << 16
 # sigma~40: the success rate it bounds, and its bisection steps between grid points
 _SIGMA40_RATE = 0.4
 _SIGMA40_STEPS = 12
 
 
-def _blocks(n: int) -> list:
-    """Sizes of the fewest near-equal blocks of at most _BLOCK rows summing to n."""
-    k = -(-n // _BLOCK)
+def _blocks(n: int, d: int) -> list:
+    """Sizes of the fewest near-equal blocks of d-dimensional rows summing to n,
+    each holding at most _NORMALS normals (one row when d exceeds it), so a
+    block's working set is flat in both n and d."""
+    k = -(-n // max(_NORMALS // d, 1))
     return [n // k + (i < n % k) for i in range(k)]
 
 
@@ -161,7 +167,8 @@ def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    hits = sum(int(np.count_nonzero(_offspring(problem, ns, c, rng)[0])) for c in _blocks(n))
+    hits = sum(int(np.count_nonzero(_offspring(problem, ns, c, rng)[0]))
+               for c in _blocks(n, problem.d))
     return DriftEstimate.from_binomial(hits, n, confidence)
 
 
@@ -272,7 +279,7 @@ def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int
                       "are calibrated inside it", stacklevel=3)
     hits = 0
     moments = [(0, 0.0, 0.0)] * len(increments)
-    for c in _blocks(n):
+    for c in _blocks(n, problem.d):
         samples = one_step_samples(problem, params, ns, c, rng)
         accepted = samples.norm_plus.size
         hits += accepted
@@ -585,7 +592,7 @@ def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
     violations = 0
     min_margin = math.inf
     n_pairs = 0
-    for c in _blocks(n):
+    for c in _blocks(n, problem.d):
         u = rng.standard_normal((c, problem.d))
         norms = np.linalg.norm(u, axis=1)
         # a zero draw (probability zero) would land on the mean itself, which

@@ -535,7 +535,7 @@ class TestConstants:
         p = problem((-1.0, 20.0))
         params = EsParams(alpha=1.5)
         ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.3)
-        n = (1 << 18) + 3000    # two blocks
+        n = (1 << 18) + 3000    # nine blocks at d=2
         hits, (v, w) = _drift(p, params, ns, n, task_rng(36, "point", 1, 2), 0.99,
                               _increment("V"), _increment("W"))
         assert hits / n == success_probability(p, ns, n, task_rng(36, "point", 1, 2)).mean
@@ -632,7 +632,8 @@ class TestBlockKernel:
         "success": lambda p, params, ns, n, rng: success_probability(p, ns, n, rng),
     }
 
-    @pytest.mark.parametrize("n", [5000, 1 << 18, (1 << 19) + 1000])
+    # one block below the cap, exactly one full d=2 block, and seventeen blocks
+    @pytest.mark.parametrize("n", [5000, estimators._NORMALS // 2, (1 << 19) + 1000])
     def test_matches_whole_array_formulas(self, n):
         p = problem((-1.0, 20.0))
         params = EsParams(alpha=1.5)
@@ -660,6 +661,54 @@ class TestBlockKernel:
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
+
+    @pytest.mark.parametrize("n,d", [(n, d) for d in (2, 3, 100)
+                                     for n in (1, 2, 999, 1 << 15, (1 << 15) + 1, 1 << 19, 10**6 + 7)]
+                             + [(n, d) for d in (1 << 16, (1 << 16) + 1) for n in (1, 2, 999)])
+    def test_blocks_are_fewest_near_equal_and_capped(self, n, d):
+        sizes = estimators._blocks(n, d)
+        assert sum(sizes) == n and min(sizes) >= 1
+        assert max(sizes) - min(sizes) <= 1
+        rows = max(sizes)
+        assert rows * d <= 1 << 16 or rows == 1
+        # one block fewer cannot hold n rows within the cap
+        assert (len(sizes) - 1) * max((1 << 16) // d, 1) < n
+
+    def test_rows_longer_than_the_cap_get_one_row_blocks(self):
+        assert estimators._blocks(5, (1 << 16) + 1) == [1] * 5
+
+    @pytest.mark.parametrize("d", [2, 10, 100])
+    def test_peak_memory_is_flat_in_d(self, d):
+        p = problem((-1.0,) + (1.0,) * (d - 1))
+        # about half the offspring are accepted at every d
+        ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.2 / d)
+        n = 1 << 19
+        calls = (lambda rng: _drift(p, EsParams(), ns, n, rng, 0.99,
+                                    _increment("V"), _increment("W")),
+                 lambda rng: success_probability(p, ns, n, rng))
+        for call in calls:
+            tracemalloc.start()
+            call(np.random.default_rng(76))
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+            assert peak < 4 << 20, (d, peak)
+
+    @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])
+    def test_block_size_does_not_change_counts(self, monkeypatch, a, b):
+        p = problem(a, b)
+        params = EsParams(alpha=1.5)
+        ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.3)
+        n = 100_000
+
+        def counts():
+            hits = _drift(p, params, ns, n, np.random.default_rng(77), 0.99, _increment("W"))[0]
+            return (hits, success_probability(p, ns, n, np.random.default_rng(77)),
+                    pairing_check(p, ns.m_tilde, 0.3, n, np.random.default_rng(77)))
+
+        default, blocks = counts(), len(estimators._blocks(n, p.d))
+        monkeypatch.setattr(estimators, "_NORMALS", 1 << 12)
+        assert len(estimators._blocks(n, p.d)) >= 16 * blocks - 15
+        assert counts() == default
 
 
 class FixedDraws:
