@@ -25,10 +25,6 @@ ESCAPED = "escaped"
 CENSORED = "censored"
 UNDERFLOWED = "underflow"
 
-# Reporting-only fallback weight for the combined potential before the
-# constants pipeline has produced beta = -C / (2 B1).
-DEFAULT_BETA_FALLBACK = 0.1
-
 
 @dataclass(frozen=True)
 class EscapeExperimentSpec:
@@ -242,9 +238,12 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
     grid, one derived stream per point, rows in grid order (w-major).
 
     Every quantity reads the per-point streams of the constants pipeline, so the
-    V and W maps agree with it for the same master seed, grid, and n.
+    V and W maps agree with it for the same master seed, grid, and n.  A Phi
+    map needs ``beta``; the constants record gives beta = -C / (2 B1).
     """
-    increment = _increment(quantity, DEFAULT_BETA_FALLBACK if beta is None else beta)
+    if beta is None and quantity.lower() == "phi":
+        raise ValueError("a Phi map needs beta (the constants record gives beta = -C / (2 B1))")
+    increment = _increment(quantity, 0.0 if beta is None else beta)
     grid = grid if grid is not None else GridSpec.default()
     return [GridPointEstimate(w, s, est) for w, s, _, (est,) in
             _grid_pass(problem, params, grid, n, master_seed, confidence, (increment,), threads)]

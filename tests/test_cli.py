@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import saddle_es
-from saddle_es import cli
+from saddle_es import cli, experiments
 from saddle_es import (EscapeExperimentSpec, EsParams, GridSpec, NormalizedState, SaddleProblem,
                        closed_form_b1, closed_form_b2, drift_map, estimate_constants_report,
                        run_escape_experiment, sample_M_plus_0, success_probability, task_rng)
@@ -274,6 +274,17 @@ class TestDriftMapCommand:
                        "--beta=-1", "--n=2000", f"--map-out={tmp_path}/m.csv")
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "error: beta must be nonnegative\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    def test_phi_without_beta_is_config_error(self, tmp_path, capsys, monkeypatch):
+        def no_tasks(*args):
+            raise AssertionError("a grid task ran")
+
+        monkeypatch.setattr(experiments, "_grid_pass", no_tasks)
+        code = run_cli("drift-map", "--a=-1,20", "--b=1", "--quantity=Phi", "--n=2000",
+                       f"--map-out={tmp_path}/m.csv")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("error: a Phi map needs beta")
         assert not (tmp_path / "m.csv").exists()
 
     def test_check_positive_gate(self, tmp_path):

@@ -262,7 +262,7 @@ class TestDriftMap:
     @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
     def test_reproducible_and_thread_invariant(self, quantity):
         # threads=2 pickles each point's increment into a fork-pool worker
-        kw = dict(grid=self.GRID, n=2000, master_seed=4)
+        kw = dict(grid=self.GRID, n=2000, master_seed=4, beta=0.3)
         r1 = drift_map(problem(), EsParams(), quantity, threads=1, **kw)
         r2 = drift_map(problem(), EsParams(), quantity, threads=2, **kw)
         assert r1 == r2
@@ -296,10 +296,14 @@ class TestDriftMap:
         with pytest.raises(ValueError):
             drift_map(problem(), EsParams(), "X", grid=self.GRID, n=2000)
 
-    def test_phi_uses_fallback_beta(self):
-        rows = drift_map(problem(), EsParams(), "Phi", grid=self.GRID, n=2000,
-                         master_seed=5)
-        assert len(rows) == 24
+    @pytest.mark.parametrize("quantity", ["Phi", "phi"])
+    def test_phi_requires_beta(self, quantity):
+        with pytest.raises(ValueError, match="a Phi map needs beta"):
+            drift_map(problem(), EsParams(), quantity, grid=self.GRID, n=2000, master_seed=5)
+        rows = drift_map(problem(), EsParams(), quantity, grid=self.GRID, n=2000,
+                         master_seed=5, beta=0.0)
+        assert rows == drift_map(problem(), EsParams(), "W", grid=self.GRID, n=2000,
+                                 master_seed=5)
 
     def test_case_insensitive_quantity(self):
         kw = dict(grid=self.GRID, n=2000, master_seed=6)
