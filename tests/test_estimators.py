@@ -453,6 +453,28 @@ class TestSigma40:
         assert grid[2] < value < grid[3]
         assert streams == [(7, "sigma40", 2, 8 + k) for k in range(12)]
 
+    def test_bisection_midpoints_are_geometric(self, monkeypatch):
+        crossing = 0.0123
+        steps = []
+
+        def stub(problem, ns, n, rng):
+            steps.append(ns.sigma_tilde)
+            return DriftEstimate.from_binomial(n if ns.sigma_tilde <= crossing else 0, n)
+
+        monkeypatch.setattr(estimators, "success_probability", stub)
+        p = problem()
+        grid = np.geomspace(1e-4, 1e3, 8)
+        rates = [1.0 if s <= crossing else 0.0 for s in grid]
+        value = estimate_sigma_40(p, apex(p), grid, rates, 1000, 7, 0)
+        first_fail = rates.index(0.0)
+        lo, hi = float(grid[first_fail - 1]), float(grid[first_fail])
+        assert len(steps) == 12
+        for s in steps:
+            assert s == math.sqrt(lo * hi)
+            lo, hi = (s, hi) if s <= crossing else (lo, s)
+        assert value == math.sqrt(lo * hi)
+        assert value == pytest.approx(crossing, rel=0.01)
+
     def test_one_rate_per_grid_point(self):
         p = problem()
         with pytest.raises(ValueError, match="one success rate per grid step size"):
@@ -558,6 +580,32 @@ class TestConstants:
         assert all(math.isfinite(s) for s in rep.sigma_40_by_w)    # every row bisects
         assert len(calls) == w_points * s_points + w_points * 12
         assert set(calls) == {3000}
+
+    def test_sigma_40_is_the_minimum_over_rows(self, monkeypatch):
+        # stubbed rates: 1 below a per-row crossing, 0 above it, on the grid and
+        # in the bisection alike; the w=0.5 row crosses first
+        crossings = {0.0: 0.05, 0.5: 0.002, 1.0: 2.0}
+
+        def rate(p, m_tilde, sigma):
+            w = min(crossings, key=lambda w: abs(w - float(p.norm_minus(m_tilde))))
+            return 1.0 if sigma <= crossings[w] else 0.0
+
+        grid_pass = estimators._grid_pass
+
+        def stubbed_grid_pass(p, params, grid, n, *args, **kwargs):
+            return [(w, s, round(n * rate(p, sample_M_plus_0(p, w), s)), est)
+                    for w, s, _, est in grid_pass(p, params, grid, n, *args, **kwargs)]
+
+        def stubbed_success(p, ns, n, rng):
+            return DriftEstimate.from_binomial(round(n * rate(p, ns.m_tilde, ns.sigma_tilde)), n)
+
+        monkeypatch.setattr(estimators, "_grid_pass", stubbed_grid_pass)
+        monkeypatch.setattr(estimators, "success_probability", stubbed_success)
+        rep = estimate_constants_report(problem((-1.0, 20.0)), EsParams(alpha=1.5),
+                                        grid=self.SMALL_GRID, n=3000, master_seed=38)
+        by_w = rep.sigma_40_by_w
+        assert by_w == pytest.approx([0.05, 0.002, 2.0], rel=0.01)
+        assert rep.constants.sigma_tilde_40 == by_w[1] == min(by_w)
 
     def test_json_record_keys(self):
         p = problem((-1.0, 20.0))
