@@ -6,13 +6,11 @@ at scale one (norm_plus(m~) = 1 makes the normalized state its own raw state)
 and renormalize the successor, because the drifts are one-step quantities.
 
 Every one-step estimate draws its offspring through one block kernel,
-``_offspring``, in blocks of at most 2**16 normals, so memory is flat in both
-the sample size n and the dimension d.  The drifts merge per-block moments:
-a block's rejections enter as their count and the quantity's known rejection
-constant, and only the accepted rows' increments are computed.  The kernel
-makes no BLAS call: it works in column passes and returns the weighted squares
-a_j * x_j**2, whose column sums give f and both semi-norms, so pool workers do
-not compete with BLAS helper threads.
+``_offspring``, in blocks of at most 2**16 normals, so memory is flat in n and
+d; the drifts merge the moments of each block's accepted rows with the
+rejections' known constant.  The kernel makes no BLAS call: it works in column
+passes and returns the weighted squares a_j * x_j**2, whose column sums give f
+and both semi-norms, so pool workers do not compete with BLAS helper threads.
 """
 
 from __future__ import annotations
@@ -39,9 +37,8 @@ _SIGMA40_STEPS = 12
 
 
 def _blocks(n: int, d: int) -> list:
-    """Sizes of the fewest near-equal blocks of d-dimensional rows summing to n,
-    each holding at most _NORMALS normals (one row when d exceeds it), so a
-    block's working set is flat in both n and d."""
+    """Sizes of the fewest near-equal blocks of d-wide rows summing to n, each of at
+    most _NORMALS normals (one row if d exceeds it), so memory is flat in n and d."""
     k = -(-n // max(_NORMALS // d, 1))
     return [n // k + (i < n % k) for i in range(k)]
 
@@ -214,8 +211,7 @@ class StepSamples:
         return self.accepted.size
 
     def _scatter(self, rejected: float, accepted: np.ndarray) -> np.ndarray:
-        """Per-sample values: ``rejected`` everywhere, ``accepted`` in draw order on
-        the accepted samples."""
+        """Per-sample values: ``accepted`` on the accepted samples, else ``rejected``."""
         out = np.full(self.n, rejected)
         out[np.flatnonzero(self.accepted)] = accepted
         return out
@@ -266,11 +262,8 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedSta
 
 def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
            rng: np.random.Generator, confidence: float, *increments) -> tuple:
-    """Hit count and the mean of each increment over the same n steps.
-
-    An increment maps a block's samples to (rejection constant, accepted-row
-    values); each block merges the rejections as (count, constant, 0) and the
-    moments of the accepted rows, so no per-sample array is built."""
+    """Hit count and the mean of each increment over the same n steps, merging a
+    block's rejections as (count, constant, 0) with its accepted rows' moments."""
     if n < 1000:
         raise ValueError("drift estimation needs n >= 1000 samples")
     if not in_M_plus_0(problem, ns):
@@ -283,9 +276,8 @@ def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int
         samples = one_step_samples(problem, params, ns, c, rng)
         accepted = samples.norm_plus.size
         hits += accepted
-        parts = [inc(samples) for inc in increments]
         moments = [_merge(_merge(m, (c - accepted, rejected, 0.0)), _moments(values))
-                   for m, (rejected, values) in zip(moments, parts)]
+                   for m, (rejected, values) in zip(moments, [inc(samples) for inc in increments])]
     return hits, [DriftEstimate.from_moments(*m, confidence) for m in moments]
 
 
@@ -305,10 +297,9 @@ def _phi_parts(beta: float, samples: StepSamples) -> tuple:
 
 
 def _increment(quantity: str, beta: float = 0.0):
-    """The picklable increment of drift quantity "V", "W" or "Phi" (any case):
-    samples -> (rejection constant, accepted-row values).  phi = beta * V + W is
-    estimated per sample on the same steps, so its confidence interval is
-    honest; beta = 0 gives the W drift."""
+    """The picklable increment, samples -> (rejection constant, accepted-row values),
+    of drift quantity "V", "W" or "Phi" (any case), where phi = beta * V + W on the
+    same steps, so its confidence interval is honest; beta = 0 gives the W drift."""
     increment = {"v": StepSamples._v_parts, "w": StepSamples._w_parts,
                  "phi": functools.partial(_phi_parts, beta)}.get(quantity.lower())
     if increment is None:

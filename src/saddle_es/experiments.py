@@ -238,8 +238,7 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
     grid, one derived stream per point, rows in grid order (w-major).
 
     Every quantity reads the per-point streams of the constants pipeline, so the
-    V and W maps agree with it for the same master seed, grid, and n.  A Phi
-    map needs ``beta``; the constants record gives beta = -C / (2 B1).
+    V and W maps agree with it for the same master seed, grid, and n.  Phi needs beta.
     """
     if beta is None and quantity.lower() == "phi":
         raise ValueError("a Phi map needs beta (the constants record gives beta = -C / (2 B1))")

@@ -680,8 +680,8 @@ class TestBlockKernel:
         "success": lambda p, params, ns, n, rng: success_probability(p, ns, n, rng),
     }
 
-    # one block below the cap, exactly one full d=2 block, and seventeen blocks
-    @pytest.mark.parametrize("n", [5000, estimators._NORMALS // 2, (1 << 19) + 1000])
+    # part of one d=2 block, exactly one full block, eight full blocks, seventeen blocks
+    @pytest.mark.parametrize("n", [5000, estimators._NORMALS // 2, 1 << 18, (1 << 19) + 1000])
     def test_matches_whole_array_formulas(self, n):
         p = problem((-1.0, 20.0))
         params = EsParams(alpha=1.5)
@@ -710,9 +710,10 @@ class TestBlockKernel:
             tracemalloc.stop()
         assert abs(peaks[1] - peaks[0]) <= 0.05 * peaks[0]
 
-    @pytest.mark.parametrize("n,d", [(n, d) for d in (2, 3, 100)
-                                     for n in (1, 2, 999, 1 << 15, (1 << 15) + 1, 1 << 19, 10**6 + 7)]
-                             + [(n, d) for d in (1 << 16, (1 << 16) + 1) for n in (1, 2, 999)])
+    SIZES = (1, 2, 999, 1 << 15, (1 << 15) + 1, 1 << 19, 10**6 + 7)
+
+    @pytest.mark.parametrize("n,d", [(n, d) for n in SIZES for d in (2, 3, 100)]
+                             + [(n, d) for n in SIZES[:3] for d in (1 << 16, (1 << 16) + 1)])
     def test_blocks_are_fewest_near_equal_and_capped(self, n, d):
         sizes = estimators._blocks(n, d)
         assert sum(sizes) == n and min(sizes) >= 1
