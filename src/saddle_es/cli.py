@@ -6,11 +6,14 @@ default seed comes from the SADDLE_ES_SEED environment variable (0 if unset).
 
 Each long option is declared once, in ``_OPTIONS``, with its parser and help
 text.  ``_COMMANDS`` lists the options of each subcommand and gives a default
-only where the library has none; an option left unset stays None, so the
-library's own default applies.  ``_resolve`` takes for each option its flag
-value, else its value in the JSON config file (--config; unknown keys are
-rejected and null leaves an option unset), else its default, and runs the
-option's parser on it, so a config value is checked exactly like a flag.
+only where the library has none, or, for --threads, where the command's default
+differs from the library's; an option left unset stays None, so the library's
+own default applies.  ``_resolve`` takes for each option its flag value, else
+its value in the JSON config file (--config; unknown keys are rejected and null
+leaves an option unset), else its default, and runs the option's parser on it,
+so a config value is checked exactly like a flag.  --threads defaults to the
+CPUs the process may use, and a negative seed, from --seed, the config file or
+SADDLE_ES_SEED, is rejected there, before any work.
 
 Exit codes: 0 success / criteria met, 1 configuration error or failed write (an
 output path in a missing directory is rejected before any work), 2 criterion
@@ -55,7 +58,7 @@ from .experiments import ESCAPED, EscapeExperimentSpec, run_escape_experiment, d
 from .normalization import NormalizedState, sample_M_plus_0
 from .objective import SaddleProblem
 from .serialize import drift_map_to_csv, survival_to_csv, trace_to_csv, write_csv, write_json
-from .tasks import task_rng
+from .tasks import _usable_cpus, task_rng
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -88,6 +91,14 @@ def _int(value) -> int:
         except ValueError:
             pass
     raise ValueError(f"expected an integer, got {value!r}")
+
+
+def _seed(value) -> int:
+    """A master seed: a non-negative integer, as numpy's SeedSequence takes."""
+    seed = _int(value)
+    if seed < 0:
+        raise ValueError(f"expected a non-negative integer, got {value!r}")
+    return seed
 
 
 def _float(value) -> float:
@@ -145,7 +156,7 @@ def _default(fn, name: str):
 _OPTIONS = {
     "a": (_floats, "comma-separated coefficients, e.g. -1,20"),
     "b": (_int, "split index (number of negative coefficients)"),
-    "seed": (_int, f"master seed (default: ${SEED_ENV_VAR} or 0)"),
+    "seed": (_seed, f"master seed (default: ${SEED_ENV_VAR} or 0)"),
     "m0": (_floats, "comma-separated initial mean"),
     "sigma0": (_float, "initial step size"),
     "alpha": (_float, "step-size factor on success, > 1"),
@@ -156,7 +167,8 @@ _OPTIONS = {
     "summary-out": (_path, "summary JSON path"),
     "w0": (_float, "W value of the initial mean"),
     "trials": (_int, "number of independent trials"),
-    "threads": (_int, "worker processes; results do not depend on it"),
+    "threads": (_int, "worker processes; results do not depend on it (default: the "
+                      "CPUs this process may use)"),
     "fit-s-low": (_float, "lowest survival value of the exponential-tail fit"),
     "fit-s-high": (_float, "highest survival value of the exponential-tail fit"),
     "stats-out": (_path, "statistics JSON path"),
@@ -184,6 +196,10 @@ _OPTIONS = {
 }
 
 _REQUIRED = object()
+# --threads never changes output bytes, so a command runs on every CPU it may use
+# unless told otherwise; the library keeps threads=1, so a library call stays
+# serial in the caller's process (spies, tracemalloc, pools of its own)
+_CPUS = object()
 _COMMON = {"a": _REQUIRED, "b": _REQUIRED, "seed": None}
 _GRID = dict.fromkeys(("w-values", "sigma-grid-min", "sigma-grid-max", "sigma-grid-points"))
 
@@ -197,16 +213,16 @@ _COMMANDS = {
         "trace-out": "run_trace.csv", "summary-out": "run_summary.json"}),
     "escape": ("escape-time experiment; writes stats JSON + survival CSV", {
         **_COMMON, "w0": None, "sigma0": None, "alpha": None, "budget": None, "trials": None,
-        "threads": None, "sigma-min": None,
+        "threads": _CPUS, "sigma-min": None,
         "fit-s-low": _default(run_escape_experiment, "fit_s_range")[0],
         "fit-s-high": _default(run_escape_experiment, "fit_s_range")[1],
         "stats-out": "escape_stats.json", "survival-out": "escape_survival.csv"}),
     "drift-map": ("drift estimates over the (w, sigma~) grid; writes CSV", {
         **_COMMON, "alpha": None, "quantity": "W", "beta": None, "n": None, "confidence": None,
-        **_GRID, "threads": None, "map-out": "drift_map.csv", "check-positive": False}),
+        **_GRID, "threads": _CPUS, "map-out": "drift_map.csv", "check-positive": False}),
     "constants": ("estimate the drift constants; writes JSON record", {
         **_COMMON, "alpha": None, "n": _default(estimate_constants_report, "n"),
-        "confidence": None, **_GRID, "constants-out": "constants.json"}),
+        "confidence": None, **_GRID, "threads": _CPUS, "constants-out": "constants.json"}),
     "succ-prob": ("Monte Carlo success probability at one state", {
         **_COMMON, "w": None, "sigma": None, "n": 1_000_000, "confidence": None,
         "at-saddle": False, "out": "succ_prob.json"}),
@@ -239,9 +255,9 @@ def _default_seed() -> int:
     if raw is None:
         return 0
     try:
-        return int(raw)
+        return _seed(raw)
     except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+        raise ConfigError(f"{SEED_ENV_VAR}: {exc}") from exc
 
 
 def _resolve(ns) -> None:
@@ -257,6 +273,8 @@ def _resolve(ns) -> None:
             value = default
         if value is _REQUIRED:
             raise ConfigError(f"missing required option --{key}")
+        if value is _CPUS:
+            value = _usable_cpus()
         if value is not None:
             try:
                 value = _OPTIONS[key][0](value)
@@ -307,8 +325,8 @@ def cmd_escape(ns) -> int:
         problem=ns.problem, params=EsParams(**_given(alpha=ns.alpha, sigma_min=ns.sigma_min)),
         master_seed=ns.seed,
         **_given(w0=ns.w0, sigma_tilde0=ns.sigma0, trials=ns.trials, budget=ns.budget))
-    stats = run_escape_experiment(spec, fit_s_range=(ns.fit_s_low, ns.fit_s_high),
-                                  **_given(threads=ns.threads))
+    stats = run_escape_experiment(spec, threads=ns.threads,
+                                  fit_s_range=(ns.fit_s_low, ns.fit_s_high))
     payload = stats.to_dict()
     payload.update(command="escape", problem=ns.problem.to_dict(), alpha=spec.params.alpha,
                    w0=spec.w0, sigma0=spec.sigma_tilde0)
@@ -333,7 +351,7 @@ def cmd_drift_map(ns) -> int:
     grid = _grid(ns)
     rows = drift_map(ns.problem, EsParams(**_given(alpha=ns.alpha)), ns.quantity, grid=grid,
                      master_seed=ns.seed, beta=ns.beta,
-                     **_given(n=ns.n, confidence=ns.confidence, threads=ns.threads))
+                     threads=ns.threads, **_given(n=ns.n, confidence=ns.confidence))
     drift_map_to_csv(rows, ns.map_out)
     n_positive = sum(1 for r in rows if r.est.ci_low > 0.0)
     print(f"drift-map: quantity={ns.quantity} rows={len(rows)} "
@@ -350,7 +368,8 @@ def cmd_constants(ns) -> int:
     try:
         constants = estimate_constants_report(
             ns.problem, EsParams(**_given(alpha=ns.alpha)), grid=_grid(ns), n=ns.n,
-            master_seed=ns.seed, **_given(confidence=ns.confidence)).constants
+            master_seed=ns.seed, threads=ns.threads,
+            **_given(confidence=ns.confidence)).constants
     except ConstantsEstimationError as exc:
         print(f"constants estimation failed: {exc}", file=sys.stderr)
         return EXIT_CONSTANTS

@@ -359,6 +359,13 @@ def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid, r
     return math.sqrt(lo * hi)
 
 
+def _sigma40_row(args) -> float:
+    """``estimate_sigma_40`` of grid row i from the row's success rates."""
+    (problem, grid, n, master_seed), i, rates = args
+    return estimate_sigma_40(problem, sample_M_plus_0(problem, grid.w_values[i]),
+                             grid.sigma_values, rates, n, master_seed, i)
+
+
 def closed_form_b1(alpha: float) -> float:
     """Worst-case expected log step-size change under pure rejection: -log(alpha)/4."""
     return -0.25 * math.log(alpha)
@@ -463,14 +470,17 @@ class ConstantsReport:
 def estimate_constants_report(problem: SaddleProblem, params: EsParams,
                               grid: GridSpec | None = None, n: int = 100_000,
                               master_seed: int = 0,
-                              confidence: float = DEFAULT_CONFIDENCE) -> ConstantsReport:
+                              confidence: float = DEFAULT_CONFIDENCE,
+                              threads: int = 1) -> ConstantsReport:
     """Full constants pipeline, keeping the intermediate drift maps.
 
     One pass over the grid takes the success rate, the V drift and the W drift
     of each point from the same offspring, drawn from the point's stream.  The
     rates locate each mean's sigma_tilde_40 (bisection on its own streams), the
     V map locates sigma_tilde_star, and the smallest CI lower bound of the W
-    map over sigma~ >= sigma_tilde_star is C.
+    map over sigma~ >= sigma_tilde_star is C.  The grid points, then the
+    sigma_tilde_40 rows, run on up to ``threads`` workers; every task reads only
+    its own streams, so ``threads`` never changes the report.
     """
     grid = grid if grid is not None else GridSpec.default()
     alpha = params.alpha
@@ -480,17 +490,15 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
 
     # a point's success rate, V drift and W drift come from one set of offspring
     points = _grid_pass(problem, params, grid, n, master_seed, confidence,
-                        (_increment("V"), _increment("W")), threads=1)
+                        (_increment("V"), _increment("W")), threads)
     rates = [hits / n for _, _, hits, _ in points]
     v_map = [GridPointEstimate(w, s, v) for w, s, _, (v, _) in points]
     w_all = [GridPointEstimate(w, s, w_est) for w, s, _, (_, w_est) in points]
     v_low = np.array([row.est.ci_low for row in v_map]).reshape(-1, n_sigma)
 
-    sigma_40_by_w = [
-        estimate_sigma_40(problem, sample_M_plus_0(problem, w), grid.sigma_values,
-                          rates[i * n_sigma:(i + 1) * n_sigma], n, master_seed, i)
-        for i, w in enumerate(grid.w_values)
-    ]
+    job = (problem, grid, n, master_seed)
+    sigma_40_by_w = _map_tasks(_sigma40_row, [(job, i, rates[i * n_sigma:(i + 1) * n_sigma])
+                                              for i in range(grid.w_values.size)], threads)
     sigma_tilde_40 = min(sigma_40_by_w)
 
     # sigma* = top of the longest grid prefix on which every mean's V drift is

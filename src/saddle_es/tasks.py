@@ -11,6 +11,11 @@ offspring.  Escape trials take their streams a batch at a time from
 ``_task_rngs``, which computes the ``SeedSequence`` hashing of a range of
 indices in one numpy pass and returns the same generators as ``task_rng``;
 ``task_rng`` stays the single-task path and the reference for it.
+
+``_map_tasks`` runs a pipeline's tasks, grid points, sigma~40 rows or trial
+batches, in order on a fork pool.  Every task reads only its own streams, so
+the worker count changes wall time but never a result.  ``_usable_cpus`` is
+the worker count the command line defaults to.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from __future__ import annotations
 import concurrent.futures
 import multiprocessing
 import operator
+import os
 
 import numpy as np
 
@@ -105,8 +111,20 @@ def _task_rngs(master_seed: int, stage: str, lo: int, hi: int) -> list:
     return [Generator(PCG64(_SeedWords(row))) for row in seeds]
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one, else
+    the machine's CPU count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def _map_tasks(fn, args_list, threads: int):
-    """Run tasks in order-preserving fashion, optionally on a fork pool."""
+    """``[fn(args) for args in args_list]``; with ``threads`` > 1 and more than
+    one task, on a fork pool of at most ``threads`` workers, so ``fn`` (a
+    module-level function) and its arguments must then pickle.  Results come in
+    task order, and an exception raised by a task is raised here."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     if threads == 1 or len(args_list) <= 1:

@@ -198,14 +198,40 @@ class TestConfigHandling:
         assert json.loads((tmp_path / "s.json").read_text())["seed"] == 777
 
     @pytest.mark.parametrize("args", [("escape", "--threads=0"), ("escape", "--threads=-4"),
-                                      ("drift-map", "--threads=0")])
+                                      ("drift-map", "--threads=0"), ("constants", "--threads=0"),
+                                      ("constants", "--threads=-4")])
     def test_threads_below_one_is_config_error(self, args, tmp_path, capsys):
         outputs = {"escape": ("--a=-1,100", "--trials=20", f"--stats-out={tmp_path}/e.json",
                               f"--survival-out={tmp_path}/e.csv"),
-                   "drift-map": ("--a=-1,20", "--n=2000", f"--map-out={tmp_path}/m.csv")}
+                   "drift-map": ("--a=-1,20", "--n=2000", f"--map-out={tmp_path}/m.csv"),
+                   "constants": ("--a=-1,20", "--n=3000", f"--constants-out={tmp_path}/c.json")}
         code = run_cli(*args, "--b=1", *outputs[args[0]])
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "error: threads must be at least 1\n"
+
+    # the smallest argv of each command; its outputs go to the working directory
+    ARGV = {"run": ("--a=-1,1", "--m0=0,1", "--sigma0=1"), "escape": ("--a=-1,1", "--trials=20"),
+            "drift-map": ("--a=-1,20", "--n=2000", "--w-values=0", "--sigma-grid-points=8"),
+            "constants": ("--a=-1,20", "--n=3000", "--w-values=0", "--sigma-grid-points=8"),
+            "succ-prob": ("--a=-1,20", "--at-saddle", "--n=1000"),
+            "pairing": ("--a=-1,20", "--w=0.5", "--n=1000"), "levels": ("--a=-1,20", "--points=3")}
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("source, message", [
+        ("flag", "--seed: expected a non-negative integer, got '-1'"),
+        ("config", "--seed: expected a non-negative integer, got -1"),
+        ("env", "SADDLE_ES_SEED: expected a non-negative integer, got '-1'")])
+    def test_negative_seed_is_config_error(self, command, source, message, tmp_path,
+                                           monkeypatch, capsys):
+        # rejected while options are resolved, so no command starts a pool or writes
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.setenv("SADDLE_ES_SEED", "-1" if source == "env" else "0")
+        (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1} if source == "config" else {}))
+        seed = ["--seed=-1"] if source == "flag" else []
+        assert run_cli(command, *self.ARGV[command], "--b=1", *seed, "--config=cfg.json") \
+            == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert os.listdir(tmp_path) == ["cfg.json"]
 
 
 class TestEscapeCommand:
@@ -344,6 +370,16 @@ class TestConstantsCommand:
         run_cli(*args, f"--constants-out={tmp_path}/c1.json")
         run_cli(*args, f"--constants-out={tmp_path}/c2.json")
         assert (tmp_path / "c1.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
+
+    @pytest.mark.parametrize("seed", [11, 12])
+    def test_threads_do_not_change_bytes(self, seed, tmp_path):
+        args = ("constants", "--a=-1,20", "--b=1", "--n=3000", f"--seed={seed}",
+                "--w-values=0,0.5,1", "--sigma-grid-points=12")
+        for name, threads in (("one", ["--threads=1"]), ("two", ["--threads=2"]), ("unset", [])):
+            assert run_cli(*args, *threads, f"--constants-out={tmp_path}/{name}.json") == EXIT_OK
+        one = (tmp_path / "one.json").read_bytes()
+        assert (tmp_path / "two.json").read_bytes() == one
+        assert (tmp_path / "unset.json").read_bytes() == one
 
     def test_grid_missing_low_step_sizes_is_config_error(self, tmp_path, capsys):
         # the success-rate scan cannot bracket its threshold on this grid
@@ -529,6 +565,8 @@ class TestOutputPaths:
 REQUIRED = "required"
 _GRID = {"w-values": np.linspace(0.0, 1.0, 11).tolist(), "sigma-grid-min": 1e-4,
          "sigma-grid-max": 1e3, "sigma-grid-points": 36}
+# the CPU count the pinned test makes the command line see
+CPUS = 3
 # each command's long flags but --config, and the value each option takes when no
 # flag, config key or SADDLE_ES_SEED sets it
 PINNED = {
@@ -536,14 +574,14 @@ PINNED = {
             "alpha": 1.5, "budget": 100_000, "sigma-min": 1e-300, "record-every": 100,
             "trace-out": "run_trace.csv", "summary-out": "run_summary.json"},
     "escape": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "w0": 0.0, "sigma0": 1.0, "alpha": 1.5,
-               "budget": 1_000_000, "trials": 1000, "threads": 1, "sigma-min": 1e-300,
+               "budget": 1_000_000, "trials": 1000, "threads": CPUS, "sigma-min": 1e-300,
                "fit-s-low": 0.01, "fit-s-high": 0.5, "stats-out": "escape_stats.json",
                "survival-out": "escape_survival.csv"},
     "drift-map": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "alpha": 1.5, "quantity": "W",
-                  "beta": None, "n": 100_000, "confidence": 0.99, **_GRID, "threads": 1,
+                  "beta": None, "n": 100_000, "confidence": 0.99, **_GRID, "threads": CPUS,
                   "map-out": "drift_map.csv", "check-positive": False},
     "constants": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "alpha": 1.5, "n": 100_000,
-                  "confidence": 0.99, **_GRID, "constants-out": "constants.json"},
+                  "confidence": 0.99, **_GRID, "threads": CPUS, "constants-out": "constants.json"},
     "succ-prob": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "w": None, "sigma": None,
                   "n": 1_000_000, "confidence": 0.99, "at-saddle": False,
                   "out": "succ_prob.json"},
@@ -556,7 +594,8 @@ REQUIRED_VALUES = {"a": "-1,20", "b": "1", "m0": "0,1", "sigma0": "1", "w": "0.5
 
 
 def library_defaults(command) -> dict:
-    """What the library applies to each option that a command leaves unset."""
+    """What the library applies to each option that a command leaves unset.  No
+    threads: the command line defaults it to the CPU count, the library to 1."""
     es = EsParams()
     spec = EscapeExperimentSpec(SaddleProblem(a=[-1.0, 1.0], b=1), es)
     w, s = GridSpec.default().w_values, GridSpec.default().sigma_values
@@ -569,11 +608,9 @@ def library_defaults(command) -> dict:
     return {
         "run": {"alpha": es.alpha, "budget": es.max_iters, "sigma-min": es.sigma_min},
         "escape": {"alpha": es.alpha, "sigma-min": es.sigma_min, "w0": spec.w0,
-                   "sigma0": spec.sigma_tilde0, "trials": spec.trials, "budget": spec.budget,
-                   "threads": arg(run_escape_experiment, "threads")},
+                   "sigma0": spec.sigma_tilde0, "trials": spec.trials, "budget": spec.budget},
         "drift-map": {"alpha": es.alpha, "beta": arg(drift_map, "beta"), "n": arg(drift_map, "n"),
-                      "confidence": arg(drift_map, "confidence"),
-                      "threads": arg(drift_map, "threads"), **grid},
+                      "confidence": arg(drift_map, "confidence"), **grid},
         "constants": {"alpha": es.alpha,
                       "confidence": arg(estimate_constants_report, "confidence"), **grid},
         "succ-prob": {"confidence": arg(success_probability, "confidence")},
@@ -596,6 +633,7 @@ class TestParser:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_flags_and_defaults_are_pinned(self, command, capsys, monkeypatch):
         monkeypatch.delenv("SADDLE_ES_SEED", raising=False)
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: CPUS)
         pinned = PINNED[command]
         assert help_flags(command, capsys) == set(pinned)
         required = {k: REQUIRED_VALUES[k] for k, v in pinned.items() if v == REQUIRED}

@@ -533,6 +533,17 @@ class TestConstants:
                                        n=3000, master_seed=32).constants
         assert c1 == c2
 
+    def test_threads_do_not_change_report(self):
+        # threads=2 maps the grid points, then the sigma~40 rows, on a fork pool
+        p = problem((-1.0, 20.0))
+        kw = dict(grid=self.SMALL_GRID, n=3000, master_seed=33)
+        one = estimate_constants_report(p, EsParams(alpha=1.5), threads=1, **kw)
+        two = estimate_constants_report(p, EsParams(alpha=1.5), threads=2, **kw)
+        assert two.sigma_40_by_w == one.sigma_40_by_w
+        assert two.v_map == one.v_map
+        assert two.w_map == one.w_map
+        assert two.constants == one.constants
+
     def test_maps_equal_drift_maps(self):
         p = problem((-1.0, 20.0))
         params = EsParams(alpha=1.5)

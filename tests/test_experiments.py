@@ -1,6 +1,7 @@
 import ast
 import concurrent.futures
 import math
+import os
 from dataclasses import replace
 from pathlib import Path
 
@@ -30,7 +31,7 @@ from saddle_es.es import TARGET, UNDERFLOW, _batch_trials
 from saddle_es.estimators import _drift, _increment
 from saddle_es.experiments import ESCAPED
 from saddle_es.serialize import drift_map_to_csv
-from saddle_es.tasks import _map_tasks
+from saddle_es.tasks import _map_tasks, _usable_cpus
 
 
 def problem(a=(-1.0, 20.0), b=1):
@@ -351,6 +352,15 @@ class TestMapTasks:
         assert _map_tasks(str, [5], threads=8) == ["5"]
         assert _map_tasks(str, [5, 6], threads=1) == ["5", "6"]
         assert pools == []
+
+    def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+        assert _usable_cpus() == 3
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 6)
+        assert _usable_cpus() == 6
+        monkeypatch.setattr(os, "cpu_count", lambda: None)
+        assert _usable_cpus() == 1
 
     @pytest.mark.parametrize("threads", [0, -4])
     @pytest.mark.parametrize("tasks", [[], [5], [5, 6, 7]])
