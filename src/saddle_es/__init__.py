@@ -15,7 +15,6 @@ from .es import (
     RunTrace,
     escape_times,
     run,
-    target_reached,
 )
 from .estimators import (
     ConstantsEstimationError,

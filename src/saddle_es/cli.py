@@ -18,7 +18,7 @@ SADDLE_ES_SEED, is rejected there, before any work.
 Exit codes: 0 success / criteria met, 1 configuration error or failed write (an
 output path in a missing directory is rejected before any work), 2 criterion
 not met (censored run, nonpositive interval, pairing violation), 3 step-size
-underflow, 4 constants estimation failure, 5 non-finite mean (run only).
+underflow, 4 constants estimation failure.
 """
 
 from __future__ import annotations
@@ -36,13 +36,11 @@ from . import __version__
 from .es import (
     BUDGET,
     GENERATOR_NAME,
-    NONFINITE,
     TARGET,
     UNDERFLOW,
     EsParams,
     EsState,
     run,
-    target_reached,
 )
 from .estimators import (
     ConstantsEstimationError,
@@ -65,7 +63,6 @@ EXIT_CONFIG = 1
 EXIT_CRITERION = 2
 EXIT_UNDERFLOW = 3
 EXIT_CONSTANTS = 4
-EXIT_NONFINITE = 5
 
 # escape lists at most this many trials that did not escape
 _LIST_FAILED = 10
@@ -309,15 +306,14 @@ def cmd_run(ns) -> int:
     params = EsParams(**_given(alpha=ns.alpha, max_iters=ns.budget, sigma_min=ns.sigma_min))
     rng = np.random.default_rng(ns.seed)
     trace = run(ns.problem, params, EsState(m=np.asarray(ns.m0), sigma=ns.sigma0), rng,
-                stop=target_reached, record_every=ns.record_every)
+                record_every=ns.record_every)
     trace_to_csv(trace, ns.trace_out)
     summary = trace.summary_dict(seed=ns.seed, params=params, problem=ns.problem)
     summary.update(command="run", m0=ns.m0, sigma0=ns.sigma0, record_every=ns.record_every)
     write_json(ns.summary_out, summary)
     print(f"run: reason={trace.reason} t={trace.t_final} f={trace.records[-1].f_value!r} "
           f"-> {ns.trace_out}, {ns.summary_out}")
-    return {TARGET: EXIT_OK, BUDGET: EXIT_CRITERION, UNDERFLOW: EXIT_UNDERFLOW,
-            NONFINITE: EXIT_NONFINITE}[trace.reason]
+    return {TARGET: EXIT_OK, BUDGET: EXIT_CRITERION, UNDERFLOW: EXIT_UNDERFLOW}[trace.reason]
 
 
 def cmd_escape(ns) -> int:

@@ -2,8 +2,9 @@
 
 One offspring per iteration, sampled isotropically around the mean; the mean
 moves only when the offspring is not worse (ties accept).  A success multiplies
-the step size by alpha, a failure by alpha**-0.25, so one success balances four
-failures at the 1/5 success rate.
+the step size by alpha, a failure by alpha**-(1/4) (``_FAILURE_EXPONENT``, the
+one copy of that exponent), so one success balances four failures at the 1/5
+success rate.
 
 Randomness contract: streams are ``numpy.random.Generator`` instances (use
 ``numpy.random.default_rng(seed)``, i.e. PCG64).  Every iteration consumes
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -33,21 +34,31 @@ BUDGET = "budget"
 UNDERFLOW = "underflow"
 NONFINITE = "nonfinite"
 
+_FAILURE_EXPONENT = 0.25
+
 _BLOCK = 256
+
+# the most normals one block of draws may hold: an escape batch here, a
+# one-step block in ``estimators``
+_NORMALS = 1 << 16
 
 # escape_times refills each trial's (_REFILL, d) block of draws every _REFILL
 # iterations and is given at most _batch_trials(d) trials at a time, so one
-# batch buffers at most 2**16 normals
+# batch buffers at most _NORMALS normals
 _REFILL = 8
 
 
 def _batch_trials(d: int) -> int:
-    return 2 ** 13 // max(d, 8)
+    return _NORMALS // (_REFILL * max(d, 8))
 
 
 def _f(sq: np.ndarray, a: np.ndarray):
     """sum_j a_j * sq[..., j].  Unlike ``sq @ a``, the bits of each point's value
     do not depend on how many points are evaluated together."""
+    # not objective._sum_columns, whose order differs by an ulp above d=2: its
+    # column fold takes ~95 us on one (81, 100) escape batch against ~7 us here,
+    # while on a (32768, 2) one-step block it takes ~31 us against ~160-270 us
+    # for einsum (numpy 2.4, 2 vCPUs, best of 9), so each site has its faster one
     return np.einsum("...j,j->...", sq, a)
 
 
@@ -135,14 +146,6 @@ class RunTrace:
         }
 
 
-StopCondition = Callable[[SaddleProblem, EsState], bool]
-
-
-def target_reached(problem: SaddleProblem, state: EsState) -> bool:
-    """Default stop condition: the mean has strictly negative objective value."""
-    return problem.evaluate(state.m) < 0.0
-
-
 def _check_start(problem: SaddleProblem, params: EsParams, init: EsState) -> float:
     """Check the start and return f(init.m), which must be finite."""
     if init.m.size != problem.d:
@@ -162,18 +165,17 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 
 @_quiet_overflow
 def run(problem: SaddleProblem, params: EsParams, init: EsState,
-        rng: np.random.Generator, stop: Optional[StopCondition] = target_reached,
-        record_every: int = 100) -> RunTrace:
-    """Iterate until the stop condition fires, the budget runs out, the step
-    size underflows ``params.sigma_min`` or f(m) is not finite.
+        rng: np.random.Generator, stop: bool = True, record_every: int = 100) -> RunTrace:
+    """Iterate until f(m) < 0 (if ``stop``), the budget runs out, the step size
+    underflows ``params.sigma_min`` or f(m) is not finite.
 
-    ``stop`` is checked before each iteration (a satisfied initial state
-    terminates at t = init.t with reason "target"); ``stop=None`` runs to the
-    budget.  A mean whose f is not finite ends the run with reason
-    "nonfinite", checked after the stop condition, so under the default stop an
-    escape to f = -inf is "target".  ``record_every=k`` keeps every k-th
-    iteration plus all acceptances; ``record_every=0`` keeps only the initial
-    and final states.
+    With ``stop`` true, f(m) < 0 is checked before each iteration (an initial
+    state with f < 0 terminates at t = init.t with reason "target"); a false
+    ``stop`` (``False`` or ``None``) runs to the budget.  A mean whose f is not
+    finite ends the run with reason "nonfinite", checked after the target, so
+    with ``stop`` true an escape to f = -inf is "target".  ``record_every=k``
+    keeps every k-th iteration plus all acceptances; ``record_every=0`` keeps
+    only the initial and final states.
     Underflow and non-finite values are reported as terminal reasons, never
     raised, and no numpy overflow warning escapes.
     """
@@ -191,17 +193,12 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
     records = [TraceRecord(t, m.copy(), sigma, fm, None)]
     last_accepted: Optional[bool] = None
 
-    fast_target = stop is target_reached
-    dec = params.alpha ** -0.25
+    dec = params.alpha ** -_FAILURE_EXPONENT
     buf = None
     k = _BLOCK
 
     while True:
-        if fast_target:
-            hit = fm < 0.0
-        else:
-            hit = stop is not None and stop(problem, EsState(m=m, sigma=sigma, t=t))
-        if hit:
+        if stop and fm < 0.0:
             reason = TARGET
             break
         if not math.isfinite(fm):
@@ -268,7 +265,7 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     fm = np.full(n, f0)
     live = np.ones(n, dtype=bool)           # rows whose trial has not ended
     buf = np.empty((n, _REFILL, problem.d))
-    dec = params.alpha ** -0.25
+    dec = params.alpha ** -_FAILURE_EXPONENT
     t = init.t
     while t < end and live.any():
         if not live.all():

@@ -6,8 +6,8 @@ at scale one (norm_plus(m~) = 1 makes the normalized state its own raw state)
 and renormalize the successor, because the drifts are one-step quantities.
 
 Every one-step estimate draws its offspring through one block kernel,
-``_offspring``, in blocks of at most 2**16 normals, so memory is flat in n and
-d; the drifts merge the moments of each block's accepted rows with the
+``_offspring``, in blocks of at most ``es._NORMALS`` normals, so memory is flat
+in n and d; the drifts merge the moments of each block's accepted rows with the
 rejections' known constant.  The kernel makes no BLAS call: it works in column
 passes and returns the weighted squares a_j * x_j**2, whose column sums give f
 and both semi-norms, so pool workers do not compete with BLAS helper threads.
@@ -23,14 +23,13 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .es import EsParams
+from . import es
+from .es import _NORMALS, EsParams
 from .normalization import NormalizedState, NormPlusZeroError, in_M_plus_0, sample_M_plus_0
 from .objective import SaddleProblem, _sum_columns
 from .tasks import _map_tasks, task_rng
 
 DEFAULT_CONFIDENCE = 0.99
-# a one-step block holds at most this many normals, the escape engine's batch budget
-_NORMALS = 1 << 16
 # sigma~40: the success rate it bounds, and its bisection steps between grid points
 _SIGMA40_RATE = 0.4
 _SIGMA40_STEPS = 12
@@ -197,7 +196,8 @@ class StepSamples:
 
     ``accepted`` has one entry per sample.  ``norm_minus``/``norm_plus`` are the
     semi-norms of the accepted offspring only, in draw order: a rejection leaves
-    the mean in place and shrinks the step size by the exact factor alpha**-0.25.
+    the mean in place and shrinks the step size by the exact factor
+    alpha**-es._FAILURE_EXPONENT.
     """
 
     accepted: np.ndarray
@@ -368,7 +368,7 @@ def _sigma40_row(args) -> float:
 
 def closed_form_b1(alpha: float) -> float:
     """Worst-case expected log step-size change under pure rejection: -log(alpha)/4."""
-    return -0.25 * math.log(alpha)
+    return -es._FAILURE_EXPONENT * math.log(alpha)
 
 
 def closed_form_b2(alpha: float) -> float:

@@ -22,7 +22,6 @@ from saddle_es.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
     EXIT_CRITERION,
-    EXIT_NONFINITE,
     EXIT_OK,
     EXIT_UNDERFLOW,
     _load_config,
@@ -96,16 +95,6 @@ class TestRunCommand:
                 assert summary["reason"] == "underflow"
                 return
         pytest.fail("no underflow exit observed over 30 seeds")
-
-    def test_nonfinite_exits_five(self, tmp_path, monkeypatch):
-        # under a stop condition that never fires, the mean reaches f = -inf
-        monkeypatch.setattr(cli, "target_reached", lambda problem, state: False)
-        code = run_cli("run", "--a=-1,20", "--b=1", "--m0=0,1", "--sigma0=1",
-                       "--budget=200000", "--seed=0", "--record-every=0",
-                       f"--trace-out={tmp_path}/t.csv", f"--summary-out={tmp_path}/s.json")
-        assert code == EXIT_NONFINITE
-        summary = json.loads((tmp_path / "s.json").read_text())
-        assert summary["reason"] == "nonfinite" and summary["f_final"] == "-inf"
 
     def test_nonfinite_start_is_config_error(self, tmp_path):
         assert run_cli("run", "--a=-1,20", "--b=1", "--m0=0,1e200", "--sigma0=1",
@@ -623,10 +612,12 @@ def resolved(argv):
     return ns
 
 
+README = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
 README_COMMANDS = [
-    line for line in (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
-    .split("## Command line", 1)[1].split("```sh", 1)[1].split("```", 1)[0].splitlines()
-    if line.startswith("saddle-es ")]
+    line for line in README.split("## Command line", 1)[1].split("```sh", 1)[1]
+    .split("```", 1)[0].splitlines() if line.startswith("saddle-es ")]
+README_EXIT_CODES = {int(code) for code in re.findall(
+    r"`(\d+)`", README.split("Exit codes:", 1)[1].split("\n\n", 1)[0])}
 
 
 class TestParser:
@@ -648,6 +639,10 @@ class TestParser:
 
     def test_readme_covers_every_command(self):
         assert sorted({shlex.split(line)[1] for line in README_COMMANDS}) == sorted(COMMANDS)
+
+    def test_readme_exit_codes_are_the_cli_codes(self):
+        codes = {value for name, value in vars(cli).items() if name.startswith("EXIT_")}
+        assert README_EXIT_CODES == codes
 
     @pytest.mark.parametrize("line", README_COMMANDS)
     def test_readme_command_parses(self, line):
@@ -706,7 +701,7 @@ def test_public_surface():
               if not name.startswith("_") and not isinstance(value, types.ModuleType)}
     assert public == {
         "BUDGET", "GENERATOR_NAME", "NONFINITE", "TARGET", "UNDERFLOW",
-        "EsParams", "EsState", "RunTrace", "escape_times", "run", "target_reached",
+        "EsParams", "EsState", "RunTrace", "escape_times", "run",
         "ConstantsEstimationError", "DriftConstants", "DriftEstimate", "GridPointEstimate",
         "GridSpec", "PairingReport", "StepSamples", "closed_form_b1", "closed_form_b2",
         "derive_beta_theta", "drift_w", "estimate_constants_report",

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -11,6 +12,8 @@ from saddle_es import (
     EsParams,
     EsState,
     SaddleProblem,
+    closed_form_b1,
+    es,
     escape_times,
     run,
 )
@@ -32,6 +35,13 @@ class FixedDraws:
             return np.broadcast_to(self.z, size).copy()
         out[...] = self.z
         return out
+
+
+@pytest.fixture(params=[0.25, 1.0])
+def failure_exponent(request, monkeypatch):
+    """The paper's failure exponent 1/4 and a patched 1: every reader must follow it."""
+    monkeypatch.setattr(es, "_FAILURE_EXPONENT", request.param)
+    return request.param
 
 
 def one_step(p, params, state, rng):
@@ -118,6 +128,14 @@ class TestStep:
         assert not accepted
         assert new.sigma == pytest.approx(2.0 ** -0.25 * 0.1, rel=1e-15)
         assert np.array_equal(new.m, state.m)
+
+    def test_reject_reads_the_one_failure_exponent(self, failure_exponent):
+        # f(0, 1.1) = 1.21 > f(0, 1) = 1
+        state = EsState(m=np.array([0.0, 1.0]), sigma=0.1)
+        accepted, new = one_step(problem(), EsParams(alpha=2.0), state, FixedDraws([0.0, 1.0]))
+        assert not accepted
+        assert new.sigma == 0.1 * 2.0 ** -failure_exponent
+        assert closed_form_b1(2.0) == -failure_exponent * math.log(2.0)
 
     def test_accept_grows_by_alpha(self):
         p = problem()
@@ -295,30 +313,23 @@ class TestRun:
         assert len(accept_ts) == trace.n_accepts
         assert trace.records[-1].t == trace.t_final == 400
 
-    def test_custom_stop_condition(self):
-        p = problem()
-        stop = lambda prob, state: state.sigma > 10.0
-        trace = run(p, EsParams(alpha=2.0, max_iters=10_000),
-                    EsState(m=np.array([0.0, 1.0]), sigma=1.0),
-                    np.random.default_rng(8), stop=stop)
-        assert trace.reason == TARGET
-        assert trace.final_state.sigma > 10.0
-
     def test_dimension_mismatch_rejected(self):
         p = problem()
         with pytest.raises(ValueError):
             run(p, EsParams(), EsState(m=np.zeros(3), sigma=1.0), np.random.default_rng(0))
 
-    def test_nonfinite_mean_ends_with_reason(self):
-        # without a stop condition the mean reaches f = -inf (through an overflow
-        # in the offspring's squares) long before the budget; the run used to
-        # end as "budget" with f = -inf, or raise on the overflow warning
+    @pytest.mark.parametrize("stop", [None, False])
+    def test_nonfinite_mean_ends_with_reason(self, stop):
+        # without the stop at f < 0 the mean escapes, then reaches f = -inf
+        # (through an overflow in the offspring's squares) long before the
+        # budget; the run used to end as "budget" with f = -inf, or raise on
+        # the overflow warning
         p = problem((-1.0, 20.0))
         trace = run(p, EsParams(max_iters=200_000), EsState(m=np.array([0.0, 1.0]), sigma=1.0),
-                    np.random.default_rng(0), stop=None, record_every=0)
+                    np.random.default_rng(0), stop=stop, record_every=0)
         assert trace.reason == NONFINITE
         assert trace.records[-1].f_value == -np.inf
-        assert trace.t_final < 200_000
+        assert trace.t_escape < trace.t_final < 200_000
 
     def test_nonfinite_start_rejected(self):
         # 20 * (1e200)**2 overflows to inf
@@ -340,11 +351,12 @@ class TestEscapeTimes:
             rows = np.array([_f(row, a) for row in sq])
             assert np.array_equal(_f(sq, a), rows)
 
-    def test_matches_run_on_each_stream(self):
-        # all three terminal reasons occur; the budget of 20 ends mid-block and
-        # the iteration counter starts at 5
+    def test_matches_run_on_each_stream(self, failure_exponent):
+        # all three terminal reasons occur (the floor is lower under the faster
+        # shrink); the budget of 20 ends mid-block and the iteration counter
+        # starts at 5
         p = problem((-1.0, 20.0, 5.0))
-        params = EsParams(max_iters=20, sigma_min=0.2)
+        params = EsParams(max_iters=20, sigma_min=0.2 if failure_exponent == 0.25 else 0.02)
         init = EsState(m=np.array([0.1, 0.5, 0.2]), sigma=0.3, t=5)
         reasons, times = escape_times(p, params, init,
                                       [np.random.default_rng(s) for s in range(200)])
