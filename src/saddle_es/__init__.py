@@ -29,7 +29,6 @@ from .estimators import (
     derive_beta_theta,
     drift_w,
     estimate_constants_report,
-    estimate_sigma_40,
     mirror_pair_margins,
     one_step_samples,
     pairing_check,

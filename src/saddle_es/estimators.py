@@ -5,12 +5,21 @@ Drift estimators take one strategy step per sample from the denormalized state
 at scale one (norm_plus(m~) = 1 makes the normalized state its own raw state)
 and renormalize the successor, because the drifts are one-step quantities.
 
-Every one-step estimate draws its offspring through one block kernel,
-``_offspring``, in blocks of at most ``es._NORMALS`` normals, so memory is flat
-in n and d; the drifts merge the moments of each block's accepted rows with the
-rejections' known constant.  The kernel makes no BLAS call: it works in column
-passes and returns the weighted squares a_j * x_j**2, whose column sums give f
-and both semi-norms, so pool workers do not compete with BLAS helper threads.
+Every one-step estimate goes through one kernel.  ``_scalars`` draws a block of
+at most ``es._NORMALS`` normals z, so memory is flat in n and d, and reduces
+each sample x = m~ + sigma~ z to four numbers G- = sum_{j<=b} a_j m_j z_j, G+
+(the same sum over j > b), Q- = sum_{j<=b} a_j z_j**2 and Q+, in column passes
+with no BLAS call, so pool workers do not compete with BLAS helper threads.
+With G = G- + G+ and Q = Q- + Q+, at every step size sigma
+
+  f(x) - f(m~) = sigma (2G + sigma Q),
+  norm_plus(x)**2 = norm_plus(m~)**2 + sigma (2G+ + sigma Q+),
+  norm_minus(x)**2 = norm_minus(m~)**2 - sigma (2G- + sigma Q-),
+
+so ``_samples`` evaluates one block at any sigma~ in O(1) work per sample,
+whatever d is, and a grid row draws once for all of its sigma~ (common random
+numbers along sigma~).  The drifts merge the moments of each block's accepted
+rows with the rejections' known constant.
 """
 
 from __future__ import annotations
@@ -30,15 +39,16 @@ from .objective import SaddleProblem, _sum_columns
 from .tasks import _map_tasks, task_rng
 
 DEFAULT_CONFIDENCE = 0.99
-# sigma~40: the success rate it bounds, and its bisection steps between grid points
+# sigma~40: the success rate it bounds
 _SIGMA40_RATE = 0.4
-_SIGMA40_STEPS = 12
 
 
 def _blocks(n: int, d: int) -> list:
     """Sizes of the fewest near-equal blocks of d-wide rows summing to n, each of at
-    most _NORMALS normals (one row if d exceeds it), so memory is flat in n and d."""
-    k = -(-n // max(_NORMALS // d, 1))
+    most _NORMALS normals and _NORMALS / 4 rows (one row if d exceeds _NORMALS), so
+    memory is flat in n and d: the one-step kernel keeps six numbers per row, and
+    a block of them then takes at most 1.5 times the memory of _NORMALS draws."""
+    k = -(-n // max(_NORMALS // max(d, 4), 1))
     return [n // k + (i < n % k) for i in range(k)]
 
 
@@ -119,6 +129,14 @@ def _merge(x: tuple, y: tuple) -> tuple:
     return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * nb / n)
 
 
+def _pool(moments: tuple, c: int, parts: tuple) -> tuple:
+    """``moments`` merged with a block of c samples given as increment parts
+    (rejection constant, accepted-row values): the rejections as (count,
+    constant, 0), then the accepted rows' moments."""
+    rejected, values = parts
+    return _merge(_merge(moments, (c - values.size, rejected, 0.0)), _moments(values))
+
+
 @dataclass(frozen=True)
 class GridPointEstimate:
     """One (w, sigma~) grid point of a drift or success-rate map."""
@@ -131,26 +149,69 @@ class GridPointEstimate:
 def _describe_point(row: GridPointEstimate, master_seed: int, i: int, j: int) -> str:
     """Grid point (w_i, sigma~_j) of an estimate, with the stream that replays it."""
     return (f"w={row.w!r} sigma~={row.sigma_tilde!r} ci_low={row.est.ci_low!r} "
-            f"n={row.est.n}; replay its stream with task_rng({master_seed}, \"point\", {i}, {j})")
+            f"n={row.est.n}; replay its stream with task_rng({master_seed}, \"row\", {i}) "
+            f"at sigma index {j}")
 
 
-def _offspring(problem: SaddleProblem, ns: NormalizedState, c: int,
-               rng: np.random.Generator) -> tuple:
-    """Draw c offspring x ~ N(m~, sigma~^2 I); return the acceptance mask
-    f(x) <= f(m~) and the weighted squares a_j * x_j**2, formed in the draw buffer.
+def _column_sums(a: np.ndarray, m: np.ndarray, z: np.ndarray) -> tuple:
+    """(2 sum_j a_j m_j z_j, sum_j a_j z_j**2) of each row of z, one column at a time."""
+    g2, q, term = np.zeros(len(z)), np.zeros(len(z)), np.empty(len(z))
+    for a_j, m_j, z_j in zip(a, m, z.T):
+        if m_j:
+            np.multiply(z_j, 2.0 * a_j * m_j, out=term)
+            g2 += term
+        np.square(z_j, out=term)
+        term *= a_j
+        q += term
+    return g2, q
 
-    The one kernel behind every one-step estimate.  Each column is shifted,
-    squared and weighted in place (broadcasting over a short last axis is several
-    times slower), and f is their column sum, with the bits SaddleProblem.evaluate
-    gives, so f(m~) is an exact threshold.
-    """
+
+def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, c: int,
+             rng: np.random.Generator) -> tuple:
+    """Draw c steps z ~ N(0, I) from mean m~ and reduce each to the per-sample
+    (2G, Q, 2G-, Q-, 2G+, Q+) of the module docstring, plus the squared
+    semi-norms (norm_minus(m~)**2, norm_plus(m~)**2) of the mean."""
     z = rng.standard_normal((c, problem.d))
-    z *= ns.sigma_tilde
-    for x, m, a in zip(z.T, ns.m_tilde, problem.a):
-        x += m
-        np.square(x, out=x)
-        x *= a
-    return _sum_columns(z) <= problem.evaluate(ns.m_tilde), z
+    b, a, m = problem.b, problem.a, np.asarray(m_tilde, dtype=float)
+    g2_minus, q_minus = _column_sums(a[:b], m[:b], z[:, :b])
+    g2_plus, q_plus = _column_sums(a[b:], m[b:], z[:, b:])
+    del z   # before the totals, which would otherwise share the peak with it
+    base = (float(0.0 - _sum_columns(np.square(m[:b]) * a[:b])),
+            float(_sum_columns(np.square(m[b:]) * a[b:])))
+    return g2_minus + g2_plus, q_minus + q_plus, g2_minus, q_minus, g2_plus, q_plus, base
+
+
+def _accepted(block: tuple, sigma) -> np.ndarray:
+    """Success mask 2G + sigma Q <= 0, that is f(x) <= f(m~), of a block at step
+    size sigma (a scalar, or one step size per sample).  As sigma grows,
+    fl(sigma Q) never moves against the sign of Q, so each sample's successes
+    form one interval of step sizes, open or closed at its end."""
+    g2, q = block[:2]
+    t = q * sigma
+    t += g2
+    return t <= 0.0
+
+
+def _samples(block: tuple, sigma: float, w0: float, alpha: float) -> StepSamples:
+    """One step per sample of a ``_scalars`` block at step size sigma~.  The
+    squared semi-norms are clamped at 0 before the square root."""
+    accepted = _accepted(block, sigma)
+    # gather by index: indexing with a random boolean mask is about 10x slower
+    rows = np.flatnonzero(accepted)
+    _, _, g2_minus, q_minus, g2_plus, q_plus, (minus2, plus2) = block
+
+    def norm(g2, q, base, sign):
+        # sqrt(base + sign * sigma * (2G + sigma Q)) on the accepted rows
+        out = q.take(rows)
+        out *= sigma
+        out += g2.take(rows)
+        out *= sign * sigma
+        out += base
+        np.maximum(out, 0.0, out=out)
+        return np.sqrt(out, out=out)
+
+    return StepSamples(accepted=accepted, norm_minus=norm(g2_minus, q_minus, minus2, -1.0),
+                       norm_plus=norm(g2_plus, q_plus, plus2, 1.0), w0=w0, alpha=alpha)
 
 
 def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
@@ -163,7 +224,8 @@ def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    hits = sum(int(np.count_nonzero(_offspring(problem, ns, c, rng)[0]))
+    hits = sum(int(np.count_nonzero(_accepted(_scalars(problem, ns.m_tilde, c, rng),
+                                              ns.sigma_tilde)))
                for c in _blocks(n, problem.d))
     return DriftEstimate.from_binomial(hits, n, confidence)
 
@@ -250,35 +312,40 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedSta
     """Draw n independent single steps from (m~, sigma~) at scale one, as one block."""
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    accepted, terms = _offspring(problem, ns, n, rng)
-    # gather by index: indexing with a random boolean mask is about 10x slower
-    terms = terms.take(np.flatnonzero(accepted), axis=0)
-    b = problem.b
-    return StepSamples(accepted=accepted,
-                       norm_minus=np.sqrt(0.0 - _sum_columns(terms[:, :b])),
-                       norm_plus=np.sqrt(_sum_columns(terms[:, b:])),
-                       w0=float(problem.norm_minus(ns.m_tilde)), alpha=params.alpha)
+    return _samples(_scalars(problem, ns.m_tilde, n, rng), ns.sigma_tilde,
+                    float(problem.norm_minus(ns.m_tilde)), params.alpha)
+
+
+def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigmas: list,
+            n: int, rng: np.random.Generator, confidence: float, increments: tuple) -> list:
+    """(hit count, [estimate of each increment]) at each step size of ``sigmas``,
+    all from the same n draws, pooled block by block."""
+    if n < 1000:
+        raise ValueError("drift estimation needs n >= 1000 samples")
+    w0 = float(problem.norm_minus(m_tilde))
+    hits = [0] * len(sigmas)
+    moments = [[(0, 0.0, 0.0)] * len(increments) for _ in sigmas]
+    for c in _blocks(n, problem.d):
+        block = _scalars(problem, m_tilde, c, rng)
+        for k, sigma in enumerate(sigmas):
+            samples = _samples(block, sigma, w0, params.alpha)
+            hits[k] += samples.norm_plus.size
+            moments[k] = [_pool(m, c, inc(samples)) for m, inc in zip(moments[k], increments)]
+        # free this block before the next one is drawn
+        block = samples = None
+    return [(h, [DriftEstimate.from_moments(*m, confidence) for m in ms])
+            for h, ms in zip(hits, moments)]
 
 
 def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
            rng: np.random.Generator, confidence: float, *increments) -> tuple:
-    """Hit count and the mean of each increment over the same n steps, merging a
-    block's rejections as (count, constant, 0) with its accepted rows' moments."""
-    if n < 1000:
-        raise ValueError("drift estimation needs n >= 1000 samples")
+    """Hit count and the mean of each increment over the same n steps from one state."""
     if not in_M_plus_0(problem, ns):
         warnings.warn("normalized mean lies outside the compact shell (norm_minus > 1); "
                       "the estimate is a valid Monte Carlo average but the drift bounds "
                       "are calibrated inside it", stacklevel=3)
-    hits = 0
-    moments = [(0, 0.0, 0.0)] * len(increments)
-    for c in _blocks(n, problem.d):
-        samples = one_step_samples(problem, params, ns, c, rng)
-        accepted = samples.norm_plus.size
-        hits += accepted
-        moments = [_merge(_merge(m, (c - accepted, rejected, 0.0)), _moments(values))
-                   for m, (rejected, values) in zip(moments, [inc(samples) for inc in increments])]
-    return hits, [DriftEstimate.from_moments(*m, confidence) for m in moments]
+    return _drifts(problem, params, ns.m_tilde, [ns.sigma_tilde], n, rng, confidence,
+                   increments)[0]
 
 
 def drift_w(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
@@ -309,61 +376,85 @@ def _increment(quantity: str, beta: float = 0.0):
     return increment
 
 
-def _point_drift(args) -> tuple:
-    """(w, sigma~, hits, estimates) of grid point (w_i, sigma~_j): ``_drift`` on the
-    point's stream ``task_rng(master_seed, "point", i, j)``."""
-    (problem, params, grid, n, master_seed, confidence, increments), i, j = args
-    w, s = float(grid.w_values[i]), float(grid.sigma_values[j])
-    return (w, s, *_drift(problem, params, NormalizedState(sample_M_plus_0(problem, w), s), n,
-                          task_rng(master_seed, "point", i, j), confidence, *increments))
+def _grid_row(args) -> list:
+    """(w, sigma~, hits, estimates) of every point of grid row i, in sigma~ order:
+    ``_drifts`` of the row's mean on the row's stream ``task_rng(master_seed, "row", i)``."""
+    (problem, params, grid, n, master_seed, confidence, increments), i = args
+    w = float(grid.w_values[i])
+    sigmas = grid.sigma_values.tolist()
+    return [(w, s, *point) for s, point in
+            zip(sigmas, _drifts(problem, params, sample_M_plus_0(problem, w), sigmas, n,
+                                task_rng(master_seed, "row", i), confidence, increments))]
 
 
-def _grid_pass(problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,
+def _constants_row(args) -> tuple:
+    """``_grid_row`` of row i and the row's sigma~40 from its success curve."""
+    points = _grid_row(args)
+    (problem, _, grid, n, master_seed, _, _), i = args
+    return points, _sigma_40(problem, sample_M_plus_0(problem, float(grid.w_values[i])),
+                             grid.sigma_values.tolist(), [hits for _, _, hits, _ in points], n,
+                             master_seed, i)
+
+
+def _grid_pass(task, problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,
                master_seed: int, confidence: float, increments: tuple, threads: int) -> list:
-    """``_point_drift`` of every grid point in w-major order, one task per point."""
+    """``task`` (``_grid_row`` or ``_constants_row``) of every grid row in w order."""
     job = (problem, params, grid, n, master_seed, confidence, increments)
-    return _map_tasks(_point_drift, [(job, i, j) for i in range(grid.w_values.size)
-                                     for j in range(grid.sigma_values.size)], threads)
+    return _map_tasks(task, [(job, i) for i in range(grid.w_values.size)], threads)
 
 
-def estimate_sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigma_grid, rates,
-                      n: int, master_seed: int, row: int) -> float:
-    """Largest step size below which the success rate stays >= 0.4.
+def _success_curve(problem: SaddleProblem, m_tilde: np.ndarray, lo: float, hi: float,
+                   n: int, rng: np.random.Generator) -> tuple:
+    """The success count of n draws from ``rng`` as a step function of the step
+    size on [lo, hi]: (count at lo, ascending positions in (lo, hi], count change
+    at each).  A count changes where a sample's success interval ends (-1, at the
+    first step size past it) or starts (+1); only those inside the cell are kept,
+    so memory stays flat outside the cell."""
+    count, positions, changes = 0, [], []
+    for c in _blocks(n, problem.d):
+        g2, q = _scalars(problem, m_tilde, c, rng)[:2]
+        count += int(np.count_nonzero(_accepted((g2, q), lo)))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -g2 / q
+        # the rounded crossing lies within a few ulps of the exact one
+        keep = np.flatnonzero((t > lo * (1.0 - 1e-9)) & (t <= hi * (1.0 + 1e-9)))
+        g2, q, t, rising = g2[keep], q[keep], t[keep], q[keep] < 0.0
+        # step to the first step size at which each sample's success equals rising
+        while np.any(late := _accepted((g2, q), t) != rising):
+            t[late] = np.nextafter(t[late], math.inf)
+        while np.any(early := _accepted((g2, q), below := np.nextafter(t, 0.0)) == rising):
+            t[early] = below[early]
+        inside = (t > lo) & (t <= hi)
+        positions.append(t[inside])
+        changes.append(np.where(rising[inside], 1, -1))
+    positions, where = np.unique(np.concatenate(positions), return_inverse=True)
+    return count, positions, np.bincount(where, np.concatenate(changes)).astype(int)
 
-    ``rates`` are the success rates of grid row ``row`` at the ascending
-    ``sigma_grid``, as the grid pass measured them on the streams
-    ``task_rng(master_seed, "point", row, j)``; no monotonicity is assumed.
-    Bisects in log space between the last passing and first failing grid
-    points, step k drawing from ``task_rng(master_seed, "sigma40", row,
-    grid size + k)``.  Returns math.inf when the rate never falls below 0.4.
+
+def _sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigmas: list, hits: list, n: int,
+              master_seed: int, row: int) -> float:
+    """Largest step size up to which the success rate of grid row ``row`` stays
+    >= 0.4, searched upward from the last passing grid point; math.inf when the
+    rate never falls below 0.4 on the grid.
+
+    ``hits`` are the row's success counts at the ascending ``sigmas`` from its
+    stream ``task_rng(master_seed, "row", row)``.  Each sample succeeds on one
+    interval of step sizes, so the row's rate is a step function; one replay of
+    the stream reads it off inside the first failing grid cell.
     """
-    if len(rates) != len(sigma_grid):
-        raise ValueError("need one success rate per grid step size")
-    first_fail = next((j for j, p in enumerate(rates) if p < _SIGMA40_RATE), None)
+    first_fail = next((j for j, h in enumerate(hits) if h / n < _SIGMA40_RATE), None)
     if first_fail is None:
         return math.inf
     if first_fail == 0:
         raise ValueError("success rate below threshold at the smallest grid step size; extend "
                          f"the grid downward.  Row {row}: w={problem.norm_minus(m_tilde)!r} "
-                         f"sigma~={float(sigma_grid[0])!r} rate={rates[0]!r} n={n}; replay its "
-                         f"stream with task_rng({master_seed}, \"point\", {row}, 0)")
-    lo, hi = float(sigma_grid[first_fail - 1]), float(sigma_grid[first_fail])
-    for k in range(_SIGMA40_STEPS):
-        mid = math.sqrt(lo * hi)
-        rng = task_rng(master_seed, "sigma40", row, len(sigma_grid) + k)
-        rate = success_probability(problem, NormalizedState(m_tilde, mid), n, rng).mean
-        if rate >= _SIGMA40_RATE:
-            lo = mid
-        else:
-            hi = mid
-    return math.sqrt(lo * hi)
-
-
-def _sigma40_row(args) -> float:
-    """``estimate_sigma_40`` of grid row i from the row's success rates."""
-    (problem, grid, n, master_seed), i, rates = args
-    return estimate_sigma_40(problem, sample_M_plus_0(problem, grid.w_values[i]),
-                             grid.sigma_values, rates, n, master_seed, i)
+                         f"sigma~={sigmas[0]!r} rate={hits[0] / n!r} n={n}; replay its stream "
+                         f"with task_rng({master_seed}, \"row\", {row}) at sigma index 0")
+    count, positions, changes = _success_curve(problem, m_tilde, sigmas[first_fail - 1],
+                                               sigmas[first_fail], n,
+                                               task_rng(master_seed, "row", row))
+    drop = int(np.flatnonzero((count + np.cumsum(changes)) / n < _SIGMA40_RATE)[0])
+    return float(np.nextafter(positions[drop], 0.0))
 
 
 def closed_form_b1(alpha: float) -> float:
@@ -393,9 +484,11 @@ class DriftConstants:
 
     B1/B2 are closed forms in alpha; C is the smallest 99%-lower-bounded W
     drift over the grid with sigma~ >= sigma_tilde_star; sigma_tilde_40 is the
-    smallest per-mean success-rate crossing (inf if never crossed);
-    sigma_tilde_star is the largest grid sigma~ below which the measured V
-    drift stays above B2 at the requested confidence.
+    smallest per-mean success-rate crossing (inf if never crossed), each read
+    off its grid row's success curve: the largest step size up to which the
+    success rate of the row's n draws stays >= 0.4, found exactly, with no
+    bisection; sigma_tilde_star is the largest grid sigma~ below which the
+    measured V drift stays above B2 at the requested confidence.
     """
 
     alpha: float
@@ -474,13 +567,15 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
                               threads: int = 1) -> ConstantsReport:
     """Full constants pipeline, keeping the intermediate drift maps.
 
-    One pass over the grid takes the success rate, the V drift and the W drift
-    of each point from the same offspring, drawn from the point's stream.  The
-    rates locate each mean's sigma_tilde_40 (bisection on its own streams), the
-    V map locates sigma_tilde_star, and the smallest CI lower bound of the W
-    map over sigma~ >= sigma_tilde_star is C.  The grid points, then the
-    sigma_tilde_40 rows, run on up to ``threads`` workers; every task reads only
-    its own streams, so ``threads`` never changes the report.
+    One task per grid row draws the row's n steps once, from the row's stream
+    ``task_rng(master_seed, "row", i)``, and takes the success rate, the V drift
+    and the W drift of every sigma~ of the row from them.  The row's success
+    rate is a step function of sigma~, and its sigma_tilde_40 is read off it in
+    the first grid cell where the rate falls below 0.4, on one replay of the
+    row's stream (no bisection).  The V map locates sigma_tilde_star, and the
+    smallest CI lower bound of the W map over sigma~ >= sigma_tilde_star is C.
+    The rows run on up to ``threads`` workers; every task reads only its own
+    stream, so ``threads`` never changes the report.
     """
     grid = grid if grid is not None else GridSpec.default()
     alpha = params.alpha
@@ -488,17 +583,14 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     b2 = closed_form_b2(alpha)
     n_sigma = grid.sigma_values.size
 
-    # a point's success rate, V drift and W drift come from one set of offspring
-    points = _grid_pass(problem, params, grid, n, master_seed, confidence,
-                        (_increment("V"), _increment("W")), threads)
-    rates = [hits / n for _, _, hits, _ in points]
+    # a point's success rate, V drift and W drift come from the same draws
+    rows = _grid_pass(_constants_row, problem, params, grid, n, master_seed, confidence,
+                      (_increment("V"), _increment("W")), threads)
+    points = [point for row_points, _ in rows for point in row_points]
     v_map = [GridPointEstimate(w, s, v) for w, s, _, (v, _) in points]
     w_all = [GridPointEstimate(w, s, w_est) for w, s, _, (_, w_est) in points]
     v_low = np.array([row.est.ci_low for row in v_map]).reshape(-1, n_sigma)
-
-    job = (problem, grid, n, master_seed)
-    sigma_40_by_w = _map_tasks(_sigma40_row, [(job, i, rates[i * n_sigma:(i + 1) * n_sigma])
-                                              for i in range(grid.w_values.size)], threads)
+    sigma_40_by_w = [sigma_40 for _, sigma_40 in rows]
     sigma_tilde_40 = min(sigma_40_by_w)
 
     # sigma* = top of the longest grid prefix on which every mean's V drift is

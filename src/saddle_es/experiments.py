@@ -1,8 +1,8 @@
 """Escape-time experiments, survival-curve diagnostics, and drift maps.
 
-Trials and grid points are independent tasks on derived streams, mapped to
-workers by ``tasks`` (see its docstring); grid point (w_i, sigma~_j) reads its
-"point" stream whatever the drift quantity.  Aggregation is in task order, so
+Trials and grid rows are independent tasks on derived streams, mapped to
+workers by ``tasks`` (see its docstring); grid row w_i reads its "row" stream
+whatever the drift quantity.  Aggregation is in task order, so
 results are bit-identical for any thread count given the same master seed.
 """
 
@@ -16,7 +16,8 @@ import numpy as np
 
 from .es import (BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, _batch_trials,
                  escape_times)
-from .estimators import DEFAULT_CONFIDENCE, GridPointEstimate, GridSpec, _grid_pass, _increment
+from .estimators import (DEFAULT_CONFIDENCE, GridPointEstimate, GridSpec, _grid_pass,
+                         _grid_row, _increment)
 from .normalization import _shell_point
 from .objective import SaddleProblem
 from .tasks import _map_tasks, _task_rngs
@@ -235,14 +236,15 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
               master_seed: int = 0, beta: Optional[float] = None,
               confidence: float = DEFAULT_CONFIDENCE, threads: int = 1) -> list:
     """Evaluate one drift quantity ("V", "W", or "Phi") on the full (w, sigma~)
-    grid, one derived stream per point, rows in grid order (w-major).
+    grid, one derived stream per grid row, rows in grid order (w-major).
 
-    Every quantity reads the per-point streams of the constants pipeline, so the
+    Every quantity reads the per-row streams of the constants pipeline, so the
     V and W maps agree with it for the same master seed, grid, and n.  Phi needs beta.
     """
     if beta is None and quantity.lower() == "phi":
         raise ValueError("a Phi map needs beta (the constants record gives beta = -C / (2 B1))")
     increment = _increment(quantity, 0.0 if beta is None else beta)
     grid = grid if grid is not None else GridSpec.default()
-    return [GridPointEstimate(w, s, est) for w, s, _, (est,) in
-            _grid_pass(problem, params, grid, n, master_seed, confidence, (increment,), threads)]
+    rows = _grid_pass(_grid_row, problem, params, grid, n, master_seed, confidence,
+                      (increment,), threads)
+    return [GridPointEstimate(w, s, est) for row in rows for w, s, _, (est,) in row]

@@ -4,18 +4,19 @@ Grid pipelines derive one independent stream per task with ``task_rng``: the
 master seed seeds a numpy ``SeedSequence`` spawned at key (stage id, *task
 index).  Streams of different tasks, stages and master seeds are independent,
 and reruns with the same master seed are bit-identical regardless of
-scheduling.  Every one-step estimate at grid point (w_i, sigma~_j) reads the
-one stream ``task_rng(master_seed, "point", i, j)``, so the constants pipeline
-takes the success rate, the V drift and the W drift there from one set of
-offspring.  Escape trials take their streams a batch at a time from
-``_task_rngs``, which computes the ``SeedSequence`` hashing of a range of
+scheduling.  Grid row w_i reads the one stream ``task_rng(master_seed, "row",
+i)``.  Its draws serve every sigma~_j of the row (common random numbers along
+sigma~), so the constants pipeline takes the success rate, the V drift and the
+W drift of a point from one set of draws, and the row's sigma~40 from one
+replay of the same stream.  Escape trials take their streams a batch at a time
+from ``_task_rngs``, which computes the ``SeedSequence`` hashing of a range of
 indices in one numpy pass and returns the same generators as ``task_rng``;
 ``task_rng`` stays the single-task path and the reference for it.
 
-``_map_tasks`` runs a pipeline's tasks, grid points, sigma~40 rows or trial
-batches, in order on a fork pool.  Every task reads only its own streams, so
-the worker count changes wall time but never a result.  ``_usable_cpus`` is
-the worker count the command line defaults to.
+``_map_tasks`` runs a pipeline's tasks, grid rows or trial batches, in order on
+a fork pool.  Every task reads only its own streams, so the worker count
+changes wall time but never a result.  ``_usable_cpus`` is the worker count the
+command line defaults to.
 """
 
 from __future__ import annotations
@@ -28,15 +29,16 @@ import os
 import numpy as np
 
 # Spawn-key stage ids of the task streams.  Renumbering a stage changes every
-# output seeded through it.  Ids 0 and 2 are retired (they seeded the V and Phi
-# maps of earlier versions) and must not be reused.
-_STAGES = {"point": 1, "sigma40": 3, "trial": 4, "pairing": 5}
+# output seeded through it.  Ids 0 to 3 are retired (0 and 2 seeded the V and
+# Phi maps, 1 the grid points and 3 the sigma~40 bisection of earlier versions)
+# and must not be reused.
+_STAGES = {"trial": 4, "pairing": 5, "row": 6}
 
 
 def task_rng(master_seed: int, stage: str, *index: int) -> np.random.Generator:
     """Stream of one task: ``SeedSequence(master_seed)`` spawned at key
     (stage id, *index); see the module docstring.  ``stage`` is one of
-    point, sigma40, trial, pairing."""
+    trial, pairing, row."""
     return np.random.default_rng(
         np.random.SeedSequence(master_seed, spawn_key=(_STAGES[stage], *index)))
 

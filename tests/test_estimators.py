@@ -19,7 +19,6 @@ from saddle_es import (
     drift_map,
     drift_w,
     estimate_constants_report,
-    estimate_sigma_40,
     mirror_pair_margins,
     one_step_samples,
     pairing_check,
@@ -30,8 +29,7 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es import estimators
-from saddle_es.estimators import _drift, _increment, _offspring
-from saddle_es.objective import _sum_columns
+from saddle_es.estimators import _drift, _increment, _scalars, _sigma_40, _success_curve
 from saddle_es.tasks import _STAGES, _task_rngs
 
 
@@ -41,13 +39,17 @@ def drift(quantity, p, params, ns, n, rng, beta=0.0):
                   _increment(quantity, beta))[1][0]
 
 
+def hits(p, m_tilde, sigma, n, rng):
+    """Success count of n draws from rng at step size sigma, by success_probability."""
+    return round(success_probability(p, NormalizedState(m_tilde, sigma), n, rng).mean * n)
+
+
 def sigma_40(p, m_tilde, sigma_grid, n, seed, row=0):
-    """estimate_sigma_40 on the success rates of the row's point streams, measured
-    by success_probability rather than by the grid pass."""
-    rates = [success_probability(p, NormalizedState(m_tilde, float(s)), n,
-                                 task_rng(seed, "point", row, j)).mean
-             for j, s in enumerate(sigma_grid)]
-    return estimate_sigma_40(p, m_tilde, sigma_grid, rates, n, seed, row)
+    """_sigma_40 on the success counts of the row's stream, measured by
+    success_probability rather than by the grid pass."""
+    sigmas = [float(s) for s in sigma_grid]
+    counts = [hits(p, m_tilde, s, n, task_rng(seed, "row", row)) for s in sigmas]
+    return _sigma_40(p, m_tilde, sigmas, counts, n, seed, row)
 
 
 # Uniform-angle Monte Carlo oracle for the probability of the negative double
@@ -145,23 +147,27 @@ class TestTaskSeed:
             task_rng(-1, "trial", 0)
 
     def test_distinct_within_stage(self):
-        draws = {task_rng(42, "point", i).integers(1 << 62) for i in range(1000)}
+        draws = {task_rng(42, "row", i).integers(1 << 62) for i in range(1000)}
         assert len(draws) == 1000
 
     def test_distinct_across_master_seeds_and_stages(self):
         keys = [(seed, stage, i) for seed in range(8)
-                for stage in ("point", "sigma40", "trial", "pairing")
+                for stage in ("trial", "pairing", "row")
                 for i in range(4)]
         draws = {task_rng(*key).integers(1 << 62) for key in keys}
         assert len(draws) == len(keys)
 
-    @pytest.mark.parametrize("stage, stage_id",
-                             [("point", 1), ("sigma40", 3), ("trial", 4), ("pairing", 5)])
+    @pytest.mark.parametrize("stage, stage_id", [("trial", 4), ("pairing", 5), ("row", 6)])
     def test_stage_ids_pinned(self, stage, stage_id):
         # a changed id would change every output seeded through the stage
         ref = np.random.default_rng(np.random.SeedSequence(9, spawn_key=(stage_id, 2, 3)))
         assert task_rng(9, stage, 2, 3).integers(1 << 62, size=4).tolist() == \
             ref.integers(1 << 62, size=4).tolist()
+
+    def test_retired_stage_ids_stay_unused(self):
+        # ids 0 to 3 seeded the streams of earlier versions
+        assert set(_STAGES) == {"trial", "pairing", "row"}
+        assert not {0, 1, 2, 3} & set(_STAGES.values())
 
     # 2**32 - 1 and 2**32 are one- and two-word seeds, 2**64 - 1 fills two
     # words and 2**70 + 12345 needs three
@@ -383,7 +389,7 @@ class TestDriftPhi:
                 # phi = beta * V + W with V = log(sigma~) and W = norm_minus(m~) = w
                 if constants.beta * math.log(s) + w > 1.0:
                     continue
-                est = drift("Phi", p, params, ns, 20_000, task_rng(62, "point", i, j),
+                est = drift("Phi", p, params, ns, 20_000, task_rng(62, "row", i),
                             beta=constants.beta)
                 assert est.ci_low > 0.0, (w, s)
                 checked += 1
@@ -412,73 +418,91 @@ class TestIncrementTable:
 
 
 class TestSigma40:
-    GRID = np.geomspace(1e-4, 1e3, 36)
+    GRID = np.geomspace(1e-4, 1e3, 36).tolist()
+    N = 20_000
 
-    def test_never_crossed_returns_inf(self):
+    def crossing(self, p, m, z):
+        """Success counts of the draws z over the grid, and the first failing index."""
+        counts = [hits(p, m, s, self.N, FixedDraws(z)) for s in self.GRID]
+        return counts, next(j for j, h in enumerate(counts) if h / self.N < 0.4)
+
+    @pytest.mark.parametrize("a,b,w", [((-1.0, 20.0), 1, 0.5), ((-1.0, 100.0), 1, 0.0),
+                                       ((-1.0, -3.0, 2.0, 5.0, 20.0), 2, 1.0)])
+    def test_step_function_equals_brute_force_count(self, a, b, w):
+        p = problem(a, b)
+        m = sample_M_plus_0(p, w)
+        z = np.random.default_rng(81).standard_normal((self.N, p.d))
+        counts, j = self.crossing(p, m, z)
+        lo, hi = self.GRID[j - 1], self.GRID[j]
+        count, positions, changes = _success_curve(p, m, lo, hi, self.N, FixedDraws(z))
+        assert count == counts[j - 1] and count + changes.sum() == counts[j]
+        assert lo < positions[0] and positions[-1] <= hi and np.all(np.diff(positions) > 0)
+        assert np.all(changes != 0)
+
+        def curve(s):
+            return count + int(changes[positions <= s].sum())
+
+        # 50 random step sizes in the cell, and both sides of its first steps
+        random = lo * (hi / lo) ** np.random.default_rng(82).uniform(0.0, 1.0, 50)
+        edges = positions[:5].tolist() + np.nextafter(positions[:5], 0.0).tolist()
+        for s in random.tolist() + edges:
+            assert curve(s) == hits(p, m, s, self.N, FixedDraws(z)), s
+
+    def test_sigma_40_is_the_last_passing_step_size(self, monkeypatch):
+        p = problem((-1.0, 20.0))
+        m = sample_M_plus_0(p, 0.5)
+        z = np.random.default_rng(83).standard_normal((self.N, p.d))
+        counts, j = self.crossing(p, m, z)
+        streams = []
+
+        def replay(*key):
+            streams.append(key)
+            return FixedDraws(z)
+
+        monkeypatch.setattr(estimators, "task_rng", replay)
+        value = _sigma_40(p, m, self.GRID, counts, self.N, 7, 3)
+        assert streams == [(7, "row", 3)]
+        assert self.GRID[j - 1] <= value < self.GRID[j]
+        assert hits(p, m, value, self.N, FixedDraws(z)) / self.N >= 0.4
+        assert hits(p, m, math.nextafter(value, math.inf), self.N, FixedDraws(z)) / self.N < 0.4
+        # and the rate never dipped below 0.4 between the last passing grid point and it
+        _, positions, _ = _success_curve(p, m, self.GRID[j - 1], self.GRID[j], self.N,
+                                         FixedDraws(z))
+        for s in [self.GRID[j - 1]] + positions[positions <= value].tolist():
+            assert hits(p, m, s, self.N, FixedDraws(z)) / self.N >= 0.4
+
+    def no_replay(self, monkeypatch):
+        def replay(*key):
+            raise AssertionError("the row's stream was replayed")
+
+        monkeypatch.setattr(estimators, "task_rng", replay)
+
+    def test_first_grid_rate_below_threshold_is_rejected(self, monkeypatch):
+        p = problem((-1.0, 100.0))
+        grid = np.geomspace(10.0, 1e3, 8).tolist()
+        counts = [hits(p, apex(p), s, 5000, task_rng(0, "row", 2)) for s in grid]
+        self.no_replay(monkeypatch)
+        with pytest.raises(ValueError, match="extend the grid downward") as info:
+            _sigma_40(p, apex(p), grid, counts, 5000, 0, 2)
+        assert str(info.value).endswith(
+            f'Row 2: w=0.0 sigma~=10.0 rate={counts[0] / 5000!r} n=5000; replay its stream '
+            'with task_rng(0, "row", 2) at sigma index 0')
+
+    def test_never_crossed_returns_inf(self, monkeypatch):
         p = problem((-1.0, 1.0))
-        assert sigma_40(p, apex(p), self.GRID, 20_000, 21) == math.inf
+        counts = [hits(p, apex(p), s, self.N, task_rng(21, "row", 0)) for s in self.GRID]
+        assert min(counts) / self.N >= 0.4
+        self.no_replay(monkeypatch)
+        assert _sigma_40(p, apex(p), self.GRID, counts, self.N, 21, 0) == math.inf
 
     def test_finite_crossing_is_bracketed(self):
         p = problem((-1.0, 100.0))
-        value = sigma_40(p, apex(p), self.GRID, 20_000, 22)
+        value = sigma_40(p, apex(p), self.GRID, self.N, 22)
         assert 1e-4 < value < 1e3
         # the success rate at the crossing sits near the threshold
         est = success_probability(p, NormalizedState(apex(p), value), 100_000,
                                   np.random.default_rng(23))
         assert abs(est.mean - 0.4) < 0.05
-
-    def test_reproducible(self):
-        p = problem((-1.0, 100.0))
-        v1 = sigma_40(p, apex(p), self.GRID, 10_000, 24)
-        v2 = sigma_40(p, apex(p), self.GRID, 10_000, 24)
-        assert v1 == v2
-
-    def test_all_failing_grid_rejected(self):
-        p = problem((-1.0, 100.0))
-        with pytest.raises(ValueError, match="extend the grid downward"):
-            sigma_40(p, apex(p), np.geomspace(10.0, 1e3, 8), 5000, 0)
-
-    def test_bisects_on_sigma40_streams_only(self, monkeypatch):
-        # the rates come from the caller; every draw is a bisection step
-        streams = []
-
-        def recorded(seed, stage, *index):
-            streams.append((seed, stage, *index))
-            return task_rng(seed, stage, *index)
-
-        monkeypatch.setattr(estimators, "task_rng", recorded)
-        p = problem((-1.0, 20.0))
-        grid = np.geomspace(1e-4, 1e3, 8)
-        value = estimate_sigma_40(p, apex(p), grid, [0.5] * 3 + [0.1] * 5, 1000, 7, 2)
-        assert grid[2] < value < grid[3]
-        assert streams == [(7, "sigma40", 2, 8 + k) for k in range(12)]
-
-    def test_bisection_midpoints_are_geometric(self, monkeypatch):
-        crossing = 0.0123
-        steps = []
-
-        def stub(problem, ns, n, rng):
-            steps.append(ns.sigma_tilde)
-            return DriftEstimate.from_binomial(n if ns.sigma_tilde <= crossing else 0, n)
-
-        monkeypatch.setattr(estimators, "success_probability", stub)
-        p = problem()
-        grid = np.geomspace(1e-4, 1e3, 8)
-        rates = [1.0 if s <= crossing else 0.0 for s in grid]
-        value = estimate_sigma_40(p, apex(p), grid, rates, 1000, 7, 0)
-        first_fail = rates.index(0.0)
-        lo, hi = float(grid[first_fail - 1]), float(grid[first_fail])
-        assert len(steps) == 12
-        for s in steps:
-            assert s == math.sqrt(lo * hi)
-            lo, hi = (s, hi) if s <= crossing else (lo, s)
-        assert value == math.sqrt(lo * hi)
-        assert value == pytest.approx(crossing, rel=0.01)
-
-    def test_one_rate_per_grid_point(self):
-        p = problem()
-        with pytest.raises(ValueError, match="one success rate per grid step size"):
-            estimate_sigma_40(p, apex(p), np.geomspace(1e-4, 1e3, 8), [0.5] * 7, 1000, 0, 0)
 
 
 class TestGridSpec:
@@ -534,7 +558,7 @@ class TestConstants:
         assert c1 == c2
 
     def test_threads_do_not_change_report(self):
-        # threads=2 maps the grid points, then the sigma~40 rows, on a fork pool
+        # threads=2 maps the grid rows, each with its sigma~40, on a fork pool
         p = problem((-1.0, 20.0))
         kw = dict(grid=self.SMALL_GRID, n=3000, master_seed=33)
         one = estimate_constants_report(p, EsParams(alpha=1.5), threads=1, **kw)
@@ -555,7 +579,7 @@ class TestConstants:
         assert rep.w_map == [row for row in drift_map(p, params, "W", **kw)
                              if row.sigma_tilde >= star]
 
-    def test_sigma_40_equals_public_scan(self):
+    def test_sigma_40_equals_scan_of_row_stream(self):
         p = problem((-1.0, 20.0))
         rep = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
                                         n=3000, master_seed=35)
@@ -568,55 +592,54 @@ class TestConstants:
         p = problem((-1.0, 20.0))
         params = EsParams(alpha=1.5)
         ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.3)
-        n = (1 << 18) + 3000    # nine blocks at d=2
-        hits, (v, w) = _drift(p, params, ns, n, task_rng(36, "point", 1, 2), 0.99,
-                              _increment("V"), _increment("W"))
-        assert hits / n == success_probability(p, ns, n, task_rng(36, "point", 1, 2)).mean
-        assert v == drift("V", p, params, ns, n, task_rng(36, "point", 1, 2))
-        assert w == drift_w(p, params, ns, n, task_rng(36, "point", 1, 2))
+        n = (1 << 18) + 3000    # seventeen blocks at d=2
+        shared, (v, w) = _drift(p, params, ns, n, task_rng(36, "row", 1), 0.99,
+                                _increment("V"), _increment("W"))
+        assert shared / n == success_probability(p, ns, n, task_rng(36, "row", 1)).mean
+        assert v == drift("V", p, params, ns, n, task_rng(36, "row", 1))
+        assert w == drift_w(p, params, ns, n, task_rng(36, "row", 1))
 
-    def test_one_kernel_call_per_grid_point_and_bisection_step(self, monkeypatch):
-        calls = []
-        offspring = estimators._offspring
+    def count_normals(self, monkeypatch):
+        """Wrap every stream the estimators derive in a normal-counting generator;
+        returns the counts by stream key."""
+        drawn = {}
 
-        def counted(*args):
-            calls.append(args[2])
-            return offspring(*args)
+        class Counting:
+            def __init__(self, *key):
+                self.key, self.rng = key, task_rng(*key)
 
-        monkeypatch.setattr(estimators, "_offspring", counted)
-        p = problem((-1.0, 20.0))
-        rep = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
-                                        n=3000, master_seed=37)
-        w_points, s_points = self.SMALL_GRID.w_values.size, self.SMALL_GRID.sigma_values.size
-        assert all(math.isfinite(s) for s in rep.sigma_40_by_w)    # every row bisects
-        assert len(calls) == w_points * s_points + w_points * 12
-        assert set(calls) == {3000}
+            def standard_normal(self, shape):
+                drawn[self.key] = drawn.get(self.key, 0) + math.prod(shape)
+                return self.rng.standard_normal(shape)
+
+        monkeypatch.setattr(estimators, "task_rng", Counting)
+        return drawn
+
+    def test_constants_draw_at_most_two_passes_per_row(self, monkeypatch):
+        # one pass for every sigma~ of a row, and one replay for its sigma~40
+        drawn = self.count_normals(monkeypatch)
+        rep = estimate_constants_report(problem((-1.0, 20.0)), EsParams(alpha=1.5),
+                                        grid=self.SMALL_GRID, n=3000, master_seed=37)
+        assert all(math.isfinite(s) for s in rep.sigma_40_by_w)    # every row replays
+        assert set(drawn) == {(37, "row", i) for i in range(3)}
+        assert all(count <= 2 * 3000 * 2 for count in drawn.values())
+
+    @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])
+    def test_drift_map_draws_one_pass_per_row(self, monkeypatch, a, b):
+        drawn = self.count_normals(monkeypatch)
+        p = problem(a, b)
+        drift_map(p, EsParams(), "W", grid=self.SMALL_GRID, n=3000, master_seed=38)
+        assert drawn == {(38, "row", i): 3000 * p.d for i in range(3)}
 
     def test_sigma_40_is_the_minimum_over_rows(self, monkeypatch):
-        # stubbed rates: 1 below a per-row crossing, 0 above it, on the grid and
-        # in the bisection alike; the w=0.5 row crosses first
-        crossings = {0.0: 0.05, 0.5: 0.002, 1.0: 2.0}
-
-        def rate(p, m_tilde, sigma):
-            w = min(crossings, key=lambda w: abs(w - float(p.norm_minus(m_tilde))))
-            return 1.0 if sigma <= crossings[w] else 0.0
-
-        grid_pass = estimators._grid_pass
-
-        def stubbed_grid_pass(p, params, grid, n, *args, **kwargs):
-            return [(w, s, round(n * rate(p, sample_M_plus_0(p, w), s)), est)
-                    for w, s, _, est in grid_pass(p, params, grid, n, *args, **kwargs)]
-
-        def stubbed_success(p, ns, n, rng):
-            return DriftEstimate.from_binomial(round(n * rate(p, ns.m_tilde, ns.sigma_tilde)), n)
-
-        monkeypatch.setattr(estimators, "_grid_pass", stubbed_grid_pass)
-        monkeypatch.setattr(estimators, "success_probability", stubbed_success)
+        # stubbed per-row crossings; the w=0.5 row crosses first
+        crossings = [0.05, 0.002, 2.0]
+        monkeypatch.setattr(estimators, "_sigma_40",
+                            lambda p, m, sigmas, hits, n, seed, row: crossings[row])
         rep = estimate_constants_report(problem((-1.0, 20.0)), EsParams(alpha=1.5),
                                         grid=self.SMALL_GRID, n=3000, master_seed=38)
-        by_w = rep.sigma_40_by_w
-        assert by_w == pytest.approx([0.05, 0.002, 2.0], rel=0.01)
-        assert rep.constants.sigma_tilde_40 == by_w[1] == min(by_w)
+        assert rep.sigma_40_by_w == crossings
+        assert rep.constants.sigma_tilde_40 == 0.002
 
     def test_json_record_keys(self):
         p = problem((-1.0, 20.0))
@@ -658,28 +681,22 @@ class TestPairing:
             pairing_check(p, apex(p), 0.0, 100, np.random.default_rng(0))
 
 
-def mask_reference(p, params, ns, z):
-    """Accepted mask, semi-norms and V/W increments of the draws z, built with
-    boolean-mask gathers and scatters."""
+def direct_reference(p, ns, z):
+    """Accepted mask and the accepted offspring's semi-norms of the draws z, by
+    direct evaluation of f and the semi-norms at x = m~ + sigma~ z."""
     x = ns.m_tilde + ns.sigma_tilde * z
     acc = p.evaluate(x) <= p.evaluate(ns.m_tilde)
-    nm, npl = p.norm_minus(x)[acc], p.norm_plus(x)[acc]
-    log_alpha = math.log(params.alpha)
-    v = np.full(z.shape[0], -0.25 * log_alpha)
-    v[acc] = log_alpha - np.log(npl)
-    w = np.zeros(z.shape[0])
-    w[acc] = np.minimum(nm / npl - p.norm_minus(ns.m_tilde), 1.0)
-    return acc, nm, npl, v, w
+    return acc, p.norm_minus(x)[acc], p.norm_plus(x)[acc]
 
 
 def whole_array_reference(p, params, ns, n, seed):
-    """Whole-array reference: all n one-step samples at once, mean and stderr of
-    each increment array as numpy computes them, and the success count."""
-    acc, _, _, v, w = mask_reference(p, params, ns,
-                                     np.random.default_rng(seed).standard_normal((n, p.d)))
+    """Whole-array reference: all n one-step samples as one block, mean and
+    stderr of each increment array as numpy computes them, and the success count."""
+    samples = one_step_samples(p, params, ns, n, np.random.default_rng(seed))
+    v, w = samples.v_increments(), samples.w_increments()
     ref = {name: (float(inc.mean()), float(inc.std(ddof=1) / math.sqrt(n)))
            for name, inc in (("V", v), ("W", w), ("Phi", 0.7 * v + w))}
-    ref["success"] = (int(np.count_nonzero(acc)) / n, None)
+    ref["success"] = (int(np.count_nonzero(samples.accepted)) / n, None)
     return ref
 
 
@@ -691,8 +708,8 @@ class TestBlockKernel:
         "success": lambda p, params, ns, n, rng: success_probability(p, ns, n, rng),
     }
 
-    # part of one d=2 block, exactly one full block, eight full blocks, seventeen blocks
-    @pytest.mark.parametrize("n", [5000, estimators._NORMALS // 2, 1 << 18, (1 << 19) + 1000])
+    # part of one d=2 block, exactly one full block, sixteen full blocks, 33 blocks
+    @pytest.mark.parametrize("n", [5000, estimators._NORMALS // 4, 1 << 18, (1 << 19) + 1000])
     def test_matches_whole_array_formulas(self, n):
         p = problem((-1.0, 20.0))
         params = EsParams(alpha=1.5)
@@ -730,10 +747,10 @@ class TestBlockKernel:
         assert sum(sizes) == n and min(sizes) >= 1
         assert max(sizes) - min(sizes) <= 1
         rows = max(sizes)
-        assert rows * d <= 1 << 16 or rows == 1
-        # one block fewer cannot hold n rows within the cap; rows longer than the
-        # cap come one per block
-        assert (len(sizes) - 1) * max((1 << 16) // d, 1) < n
+        assert (rows * d <= 1 << 16 and rows <= 1 << 14) or rows == 1
+        # one block fewer cannot hold n rows within the caps; rows longer than
+        # the normals cap come one per block
+        assert (len(sizes) - 1) * max((1 << 16) // max(d, 4), 1) < n
 
     @pytest.mark.parametrize("d", [2, 10, 100])
     def test_peak_memory_is_flat_in_d(self, d):
@@ -769,16 +786,121 @@ class TestBlockKernel:
         assert counts() == default
 
 
+class TestKernelEdges:
+    """With no row, every row and about half the rows accepted, the kernel accepts
+    what direct evaluation accepts, its increments scatter the accepted rows'
+    values as boolean-mask indexing does, and the block drift pools their
+    moments bit for bit."""
+
+    N = 4000
+
+    def draws(self, p, case):
+        n, d, b = self.N, p.d, p.b
+        if case == "none":
+            # a unit step along every positive axis raises f above f(m~)
+            z = np.zeros((n, d))
+            z[:, b:] = 1.0
+            return z
+        if case == "all":
+            # every offspring lands on m~, and a tie is accepted
+            return np.zeros((n, d))
+        return np.random.default_rng(73).standard_normal((n, d))
+
+    @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])
+    @pytest.mark.parametrize("case", ["none", "all", "half"])
+    def test_kernel_edges(self, a, b, case):
+        p = problem(a, b)
+        params = EsParams(alpha=1.5)
+        ns = NormalizedState(sample_M_plus_0(p, 0.5), 1e-3)
+        z = self.draws(p, case)
+        acc, nm, npl = direct_reference(p, ns, z)
+        hits = int(np.count_nonzero(acc))
+        assert {"none": hits == 0, "all": hits == self.N,
+                "half": 0.3 * self.N < hits < 0.7 * self.N}[case]
+
+        samples = one_step_samples(p, params, ns, self.N, FixedDraws(z))
+        assert_bitwise(samples.accepted, acc)
+        np.testing.assert_allclose(samples.norm_minus, nm, rtol=1e-10)
+        np.testing.assert_allclose(samples.norm_plus, npl, rtol=1e-10)
+        v = np.full(self.N, closed_form_b1(1.5))
+        v[acc] = math.log(1.5) - np.log(samples.norm_plus)
+        w = np.zeros(self.N)
+        w[acc] = np.minimum(samples.norm_minus / samples.norm_plus - samples.w0, 1.0)
+        assert_bitwise(samples.v_increments(), v)
+        assert_bitwise(samples.w_increments(), w)
+
+        drift_hits, estimates = _drift(p, params, ns, self.N, FixedDraws(z), 0.99,
+                                       _increment("V"), _increment("W"))
+        assert drift_hits == hits
+        for est, ref, rejected in zip(estimates, (v, w), (closed_form_b1(1.5), 0.0)):
+            expected = DriftEstimate.from_moments(self.N, *pooled_moments(self.N - hits, rejected,
+                                                                          ref[acc]))
+            assert_bitwise([est.mean, est.stderr, est.ci_low, est.ci_high],
+                           [expected.mean, expected.stderr, expected.ci_low, expected.ci_high])
+
+
+class TestRowKernel:
+    """The four per-sample scalars against direct evaluation of f and the
+    semi-norms at the offspring x = m~ + sigma~ z, on fixed draws."""
+
+    @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])
+    @pytest.mark.parametrize("sigma", [1e-4, 1e-2, 1.0, 1e3])
+    @pytest.mark.parametrize("w", [0.0, 0.5, 1.0])
+    def test_matches_direct_evaluation(self, a, b, sigma, w):
+        p = problem(a, b)
+        m = sample_M_plus_0(p, w)
+        z = np.random.default_rng(78).standard_normal((4000, p.d))
+        samples = one_step_samples(p, EsParams(), NormalizedState(m, sigma), len(z),
+                                   FixedDraws(z))
+        x = m + sigma * z
+        g2, q = 2.0 * (z @ (p.a * m)), np.square(z) @ p.a
+        # acceptance is equal away from ties of f(x) and f(m~)
+        tie = np.abs(g2 + sigma * q) <= 1e-12 * (np.abs(g2) + sigma * np.abs(q))
+        direct = p.evaluate(x) <= p.evaluate(m)
+        assert np.array_equal(samples.accepted[~tie], direct[~tie])
+        both = samples.accepted & direct
+        rows = both[samples.accepted]
+        for kernel, norm, block in ((samples.norm_minus, p.norm_minus, slice(None, b)),
+                                    (samples.norm_plus, p.norm_plus, slice(b, None))):
+            exact = norm(x[both])
+            zb, ab, mb = z[both][:, block], p.a[block], m[block]
+            # size of the expansion's terms: base + sigma |2G| + sigma**2 |Q|
+            terms = (abs(np.square(mb) @ ab) + sigma * np.abs(2.0 * (zb @ (ab * mb)))
+                     + sigma * sigma * np.abs(np.square(zb) @ ab))
+            # the squares agree to the rounding of those terms, and the norms to
+            # rtol 1e-10 wherever the terms do not cancel below 1e-4 of the square
+            assert np.all(np.abs(np.square(kernel[rows]) - np.square(exact)) <= 1e-14 * terms)
+            conditioned = np.square(exact) >= 1e-4 * terms
+            assert conditioned.mean() > 0.9
+            np.testing.assert_allclose(kernel[rows][conditioned], exact[conditioned], rtol=1e-10)
+
+    @pytest.mark.parametrize("d", [2, 5, 100])
+    def test_row_bits_do_not_depend_on_block_size(self, d):
+        p = problem((-1.0, *np.geomspace(1.0, 20.0, d - 1)))
+        m = sample_M_plus_0(p, 0.5)
+        z = np.random.default_rng(75).standard_normal((1000, d))
+        whole = _scalars(p, m, len(z), FixedDraws(z))
+        for lo, hi in ((0, 1), (3, 4), (0, 7), (500, 1000)):
+            part = _scalars(p, m, hi - lo, FixedDraws(z[lo:hi]))
+            for x, y in zip(part[:-1], whole[:-1]):
+                assert_bitwise(x, y[lo:hi])
+            assert part[-1] == whole[-1]
+
+
 class FixedDraws:
-    """Stands in for a Generator: every standard_normal call returns a fresh
-    copy of the same draws, so a kernel and its reference see equal offspring."""
+    """Stands in for a Generator: standard_normal calls return copies of the
+    next rows of the same draws, starting over once all are used, so each full
+    pass of a kernel and of its reference sees equal offspring."""
 
     def __init__(self, z):
-        self.z = z
+        self.z, self.row = z, 0
 
     def standard_normal(self, shape):
-        assert shape == self.z.shape
-        return self.z.copy()
+        rows, d = shape
+        assert d == self.z.shape[1] and self.row + rows <= len(self.z)
+        draws = self.z[self.row:self.row + rows].copy()
+        self.row = (self.row + rows) % len(self.z)
+        return draws
 
 
 def pooled_moments(n_rejected, rejected, accepted):
@@ -801,81 +923,3 @@ def assert_bitwise(x, y):
     x, y = np.asarray(x), np.asarray(y)
     assert x.dtype == y.dtype and x.shape == y.shape
     assert x.tobytes() == y.tobytes()
-
-
-class TestMaskEdges:
-    """The accepted-row gather and the increment scatters equal boolean-mask
-    indexing bit for bit, with no row, every row and about half the rows accepted."""
-
-    N = 4000
-
-    def draws(self, p, case):
-        n, d, b = self.N, p.d, p.b
-        if case == "none":
-            # a unit step along every positive axis raises f above f(m~)
-            z = np.zeros((n, d))
-            z[:, b:] = 1.0
-            return z
-        if case == "all":
-            # every offspring lands on m~, and a tie is accepted
-            return np.zeros((n, d))
-        return np.random.default_rng(73).standard_normal((n, d))
-
-    @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])
-    @pytest.mark.parametrize("case", ["none", "all", "half"])
-    def test_kernel_equals_mask_reference(self, a, b, case):
-        p = problem(a, b)
-        params = EsParams(alpha=1.5)
-        ns = NormalizedState(sample_M_plus_0(p, 0.5), 1e-3)
-        z = self.draws(p, case)
-        acc, nm, npl, v, w = mask_reference(p, params, ns, z)
-        hits = int(np.count_nonzero(acc))
-        assert {"none": hits == 0, "all": hits == self.N,
-                "half": 0.3 * self.N < hits < 0.7 * self.N}[case]
-
-        samples = one_step_samples(p, params, ns, self.N, FixedDraws(z))
-        assert_bitwise(samples.accepted, acc)
-        assert_bitwise(samples.norm_minus, nm)
-        assert_bitwise(samples.norm_plus, npl)
-        assert_bitwise(samples.v_increments(), v)
-        assert_bitwise(samples.w_increments(), w)
-
-        drift_hits, estimates = _drift(p, params, ns, self.N, FixedDraws(z), 0.99,
-                                       _increment("V"), _increment("W"))
-        assert drift_hits == hits
-        for est, ref, rejected in zip(estimates, (v, w), (closed_form_b1(1.5), 0.0)):
-            expected = DriftEstimate.from_moments(self.N, *pooled_moments(self.N - hits, rejected,
-                                                                          ref[acc]))
-            assert_bitwise([est.mean, est.stderr, est.ci_low, est.ci_high],
-                           [expected.mean, expected.stderr, expected.ci_low, expected.ci_high])
-
-
-class TestKernelBits:
-    """The kernel's f is a column sum of the weighted squares a_j * x_j**2 in a
-    fixed order: at d=2 it has the bits of the BLAS product it replaced, and a
-    row's bits do not depend on the block it is drawn in."""
-
-    def state(self, p):
-        return NormalizedState(sample_M_plus_0(p, 0.5), 0.3)
-
-    def test_d2_equals_former_blas_product(self):
-        p = problem((-1.0, 20.0))
-        ns = self.state(p)
-        z = np.random.default_rng(74).standard_normal((4000, 2))
-        accepted, terms = _offspring(p, ns, len(z), FixedDraws(z))
-        x = ns.m_tilde + ns.sigma_tilde * z
-        assert_bitwise(terms, np.square(x) * p.a)
-        assert_bitwise(_sum_columns(terms), np.square(x) @ p.a)
-        assert_bitwise(accepted, _sum_columns(terms) <= p.evaluate(ns.m_tilde))
-
-    @pytest.mark.parametrize("d", [2, 5, 100])
-    def test_row_bits_do_not_depend_on_block_size(self, d):
-        p = problem((-1.0, *np.geomspace(1.0, 20.0, d - 1)))
-        ns = self.state(p)
-        z = np.random.default_rng(75).standard_normal((1000, d))
-        f = _sum_columns(_offspring(p, ns, len(z), FixedDraws(z))[1])
-        for lo, hi in ((0, 1), (3, 4), (0, 7), (500, 1000)):
-            part = _offspring(p, ns, hi - lo, FixedDraws(z[lo:hi]))[1]
-            assert_bitwise(_sum_columns(part), f[lo:hi])
-        x = ns.m_tilde + ns.sigma_tilde * z
-        assert [p.evaluate(point) for point in x[:100]] == f[:100].tolist()

@@ -269,14 +269,15 @@ class TestDriftMap:
         assert r1 == r2
 
     @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
-    def test_rows_equal_point_estimators_on_point_streams(self, quantity):
+    def test_rows_equal_point_estimators_on_row_streams(self, quantity):
+        # every point of a row replays the row's draws at its own sigma~
         p, params = problem(), EsParams()
         rows = drift_map(p, params, quantity, grid=self.GRID, n=2000, master_seed=8, beta=0.3)
         for k, row in enumerate(rows):
             i, j = divmod(k, 8)
             ns = NormalizedState(sample_M_plus_0(p, float(self.GRID.w_values[i])),
                                  float(self.GRID.sigma_values[j]))
-            rng = task_rng(8, "point", i, j)
+            rng = task_rng(8, "row", i)
             _, (est,) = _drift(p, params, ns, 2000, rng, 0.99, _increment(quantity, 0.3))
             assert (row.w, row.sigma_tilde, row.est) == (
                 self.GRID.w_values[i], self.GRID.sigma_values[j], est)
