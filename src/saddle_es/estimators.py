@@ -6,20 +6,16 @@ at scale one (norm_plus(m~) = 1 makes the normalized state its own raw state)
 and renormalize the successor, because the drifts are one-step quantities.
 
 Every one-step estimate goes through one kernel.  ``_scalars`` draws a block of
-at most ``es._NORMALS`` normals z, so memory is flat in n and d, and reduces
-each sample x = m~ + sigma~ z to four numbers G- = sum_{j<=b} a_j m_j z_j, G+
-(the same sum over j > b), Q- = sum_{j<=b} a_j z_j**2 and Q+, in column passes
-with no BLAS call, so pool workers do not compete with BLAS helper threads.
-With G = G- + G+ and Q = Q- + Q+, at every step size sigma
-
-  f(x) - f(m~) = sigma (2G + sigma Q),
-  norm_plus(x)**2 = norm_plus(m~)**2 + sigma (2G+ + sigma Q+),
-  norm_minus(x)**2 = norm_minus(m~)**2 - sigma (2G- + sigma Q-),
-
-so ``_samples`` evaluates one block at any sigma~ in O(1) work per sample,
-whatever d is, and a grid row draws once for all of its sigma~ (common random
-numbers along sigma~).  The drifts merge the moments of each block's accepted
-rows with the rejections' known constant.
+normals z (``_blocks``: memory is flat in n and d) and reduces each sample
+x = m~ + sigma~ z to G- = sum_{j<=b} a_j m_j z_j, G+ (the same over j > b),
+Q- = sum_{j<=b} a_j z_j**2 and Q+, in column passes with no BLAS call, so pool
+workers do not compete with BLAS helper threads.  With G = G- + G+ and
+Q = Q- + Q+, f(x) - f(m~) = sigma (2G + sigma Q), norm_plus(x)**2 =
+norm_plus(m~)**2 + sigma (2G+ + sigma Q+) and norm_minus(x)**2 =
+norm_minus(m~)**2 - sigma (2G- + sigma Q-) at every step size sigma, so
+``_samples`` evaluates a block at any sigma~ in O(1) work per sample, whatever
+d is, and a grid row draws once for all of its sigma~.  The drifts merge the
+moments of each block's accepted rows with the rejections' known constant.
 """
 
 from __future__ import annotations
@@ -35,7 +31,7 @@ import numpy as np
 from . import es
 from .es import _NORMALS, EsParams
 from .normalization import NormalizedState, NormPlusZeroError, in_M_plus_0, sample_M_plus_0
-from .objective import SaddleProblem, _sum_columns
+from .objective import SaddleProblem
 from .tasks import _map_tasks, task_rng
 
 DEFAULT_CONFIDENCE = 0.99
@@ -129,14 +125,6 @@ def _merge(x: tuple, y: tuple) -> tuple:
     return n, ma + delta * (nb / n), m2a + m2b + delta * delta * (na * nb / n)
 
 
-def _pool(moments: tuple, c: int, parts: tuple) -> tuple:
-    """``moments`` merged with a block of c samples given as increment parts
-    (rejection constant, accepted-row values): the rejections as (count,
-    constant, 0), then the accepted rows' moments."""
-    rejected, values = parts
-    return _merge(_merge(moments, (c - values.size, rejected, 0.0)), _moments(values))
-
-
 @dataclass(frozen=True)
 class GridPointEstimate:
     """One (w, sigma~) grid point of a drift or success-rate map."""
@@ -153,65 +141,56 @@ def _describe_point(row: GridPointEstimate, master_seed: int, i: int, j: int) ->
             f"at sigma index {j}")
 
 
-def _column_sums(a: np.ndarray, m: np.ndarray, z: np.ndarray) -> tuple:
-    """(2 sum_j a_j m_j z_j, sum_j a_j z_j**2) of each row of z, one column at a time."""
-    g2, q, term = np.zeros(len(z)), np.zeros(len(z)), np.empty(len(z))
-    for a_j, m_j, z_j in zip(a, m, z.T):
+def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, c: int,
+             rng: np.random.Generator) -> tuple:
+    """Draw c steps z ~ N(0, I) from mean m~ and reduce each, one column at a
+    time, to the (2G, Q, 2G-, Q-, 2G+, Q+) of the module docstring; the last
+    entry is the mean's squared semi-norms (norm_minus**2, norm_plus**2)."""
+    z = rng.standard_normal((c, problem.d))
+    parts, term = np.zeros((4, c)), np.empty(c)     # 2G-, Q-, 2G+, Q+
+    base = [0.0, 0.0]                               # sum of a_j m_j**2 by block
+    for j, (a_j, m_j, z_j) in enumerate(zip(problem.a, m_tilde, z.T)):
+        plus = int(j >= problem.b)
+        g2, q = parts[2 * plus:2 * plus + 2]
         if m_j:
-            np.multiply(z_j, 2.0 * a_j * m_j, out=term)
-            g2 += term
+            g2 += np.multiply(z_j, 2.0 * a_j * m_j, out=term)
         np.square(z_j, out=term)
         term *= a_j
         q += term
-    return g2, q
-
-
-def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, c: int,
-             rng: np.random.Generator) -> tuple:
-    """Draw c steps z ~ N(0, I) from mean m~ and reduce each to the per-sample
-    (2G, Q, 2G-, Q-, 2G+, Q+) of the module docstring, plus the squared
-    semi-norms (norm_minus(m~)**2, norm_plus(m~)**2) of the mean."""
-    z = rng.standard_normal((c, problem.d))
-    b, a, m = problem.b, problem.a, np.asarray(m_tilde, dtype=float)
-    g2_minus, q_minus = _column_sums(a[:b], m[:b], z[:, :b])
-    g2_plus, q_plus = _column_sums(a[b:], m[b:], z[:, b:])
+        base[plus] += a_j * (m_j * m_j)
     del z   # before the totals, which would otherwise share the peak with it
-    base = (float(0.0 - _sum_columns(np.square(m[:b]) * a[:b])),
-            float(_sum_columns(np.square(m[b:]) * a[b:])))
-    return g2_minus + g2_plus, q_minus + q_plus, g2_minus, q_minus, g2_plus, q_plus, base
+    return parts[0] + parts[2], parts[1] + parts[3], *parts, (0.0 - base[0], base[1])
 
 
 def _accepted(block: tuple, sigma) -> np.ndarray:
     """Success mask 2G + sigma Q <= 0, that is f(x) <= f(m~), of a block at step
-    size sigma (a scalar, or one step size per sample).  As sigma grows,
-    fl(sigma Q) never moves against the sign of Q, so each sample's successes
-    form one interval of step sizes, open or closed at its end."""
-    g2, q = block[:2]
-    t = q * sigma
-    t += g2
+    size sigma (a scalar, or one per sample).  As sigma grows, fl(sigma Q) never
+    moves against the sign of Q, so each sample succeeds on one interval of step
+    sizes."""
+    t = block[1] * sigma
+    t += block[0]
     return t <= 0.0
 
 
 def _samples(block: tuple, sigma: float, w0: float, alpha: float) -> StepSamples:
-    """One step per sample of a ``_scalars`` block at step size sigma~.  The
+    """One step per sample of a ``_scalars`` block at step size sigma~; the
     squared semi-norms are clamped at 0 before the square root."""
     accepted = _accepted(block, sigma)
     # gather by index: indexing with a random boolean mask is about 10x slower
     rows = np.flatnonzero(accepted)
     _, _, g2_minus, q_minus, g2_plus, q_plus, (minus2, plus2) = block
 
-    def norm(g2, q, base, sign):
-        # sqrt(base + sign * sigma * (2G + sigma Q)) on the accepted rows
-        out = q.take(rows)
-        out *= sigma
-        out += g2.take(rows)
-        out *= sign * sigma
-        out += base
-        np.maximum(out, 0.0, out=out)
-        return np.sqrt(out, out=out)
+    def norm(base, sign, g2, q):
+        # sqrt(base + sign sigma (2G + sigma Q)), formed in place
+        square = q.take(rows)
+        square *= sigma
+        square += g2.take(rows)
+        square *= sign * sigma
+        square += base
+        return np.sqrt(np.maximum(square, 0.0, out=square), out=square)
 
-    return StepSamples(accepted=accepted, norm_minus=norm(g2_minus, q_minus, minus2, -1.0),
-                       norm_plus=norm(g2_plus, q_plus, plus2, 1.0), w0=w0, alpha=alpha)
+    return StepSamples(accepted=accepted, norm_minus=norm(minus2, -1.0, g2_minus, q_minus),
+                       norm_plus=norm(plus2, 1.0, g2_plus, q_plus), w0=w0, alpha=alpha)
 
 
 def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
@@ -319,7 +298,8 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedSta
 def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigmas: list,
             n: int, rng: np.random.Generator, confidence: float, increments: tuple) -> list:
     """(hit count, [estimate of each increment]) at each step size of ``sigmas``,
-    all from the same n draws, pooled block by block."""
+    all from the same n draws.  Per step size, a block's rejections merge as
+    (count, constant, 0) with its accepted rows' moments."""
     if n < 1000:
         raise ValueError("drift estimation needs n >= 1000 samples")
     w0 = float(problem.norm_minus(m_tilde))
@@ -329,8 +309,11 @@ def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigma
         block = _scalars(problem, m_tilde, c, rng)
         for k, sigma in enumerate(sigmas):
             samples = _samples(block, sigma, w0, params.alpha)
-            hits[k] += samples.norm_plus.size
-            moments[k] = [_pool(m, c, inc(samples)) for m, inc in zip(moments[k], increments)]
+            accepted = samples.norm_plus.size
+            hits[k] += accepted
+            moments[k] = [_merge(_merge(m, (c - accepted, rejected, 0.0)), _moments(values))
+                          for m, (rejected, values) in zip(moments[k],
+                                                           [inc(samples) for inc in increments])]
         # free this block before the next one is drawn
         block = samples = None
     return [(h, [DriftEstimate.from_moments(*m, confidence) for m in ms])
@@ -484,11 +467,10 @@ class DriftConstants:
 
     B1/B2 are closed forms in alpha; C is the smallest 99%-lower-bounded W
     drift over the grid with sigma~ >= sigma_tilde_star; sigma_tilde_40 is the
-    smallest per-mean success-rate crossing (inf if never crossed), each read
-    off its grid row's success curve: the largest step size up to which the
-    success rate of the row's n draws stays >= 0.4, found exactly, with no
-    bisection; sigma_tilde_star is the largest grid sigma~ below which the
-    measured V drift stays above B2 at the requested confidence.
+    smallest per-mean success-rate crossing (inf if never crossed), read
+    exactly off each grid row's success curve, with no bisection;
+    sigma_tilde_star is the largest grid sigma~ below which the measured V
+    drift stays above B2 at the requested confidence.
     """
 
     alpha: float
@@ -568,14 +550,13 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     """Full constants pipeline, keeping the intermediate drift maps.
 
     One task per grid row draws the row's n steps once, from the row's stream
-    ``task_rng(master_seed, "row", i)``, and takes the success rate, the V drift
-    and the W drift of every sigma~ of the row from them.  The row's success
-    rate is a step function of sigma~, and its sigma_tilde_40 is read off it in
-    the first grid cell where the rate falls below 0.4, on one replay of the
-    row's stream (no bisection).  The V map locates sigma_tilde_star, and the
-    smallest CI lower bound of the W map over sigma~ >= sigma_tilde_star is C.
-    The rows run on up to ``threads`` workers; every task reads only its own
-    stream, so ``threads`` never changes the report.
+    ``task_rng(master_seed, "row", i)``, takes the success rate, the V drift and
+    the W drift of every sigma~ of the row from them, and reads the row's
+    sigma_tilde_40 off its success curve on one replay of the stream.  The V
+    map locates sigma_tilde_star, and the smallest CI lower bound of the W map
+    over sigma~ >= sigma_tilde_star is C.  The rows run on up to ``threads``
+    workers; every task reads only its own stream, so ``threads`` never
+    changes the report.
     """
     grid = grid if grid is not None else GridSpec.default()
     alpha = params.alpha
