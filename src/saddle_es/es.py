@@ -56,9 +56,8 @@ def _f(sq: np.ndarray, a: np.ndarray):
     """sum_j a_j * sq[..., j].  Unlike ``sq @ a``, the bits of each point's value
     do not depend on how many points are evaluated together."""
     # not objective._sum_columns, whose order differs by an ulp above d=2: its
-    # column fold takes ~95 us on one (81, 100) escape batch against ~7 us here,
-    # while on a (32768, 2) one-step block it takes ~31 us against ~160-270 us
-    # for einsum (numpy 2.4, 2 vCPUs, best of 9), so each site has its faster one
+    # column fold takes ~95 us on one (81, 100) escape batch against ~7 us here
+    # (numpy 2.4, 2 vCPUs, best of 9)
     return np.einsum("...j,j->...", sq, a)
 
 

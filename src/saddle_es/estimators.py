@@ -7,15 +7,16 @@ and renormalize the successor, because the drifts are one-step quantities.
 
 Every one-step estimate goes through one kernel.  ``_scalars`` draws a block of
 normals z (``_blocks``: memory is flat in n and d) and reduces each sample
-x = m~ + sigma~ z to G- = sum_{j<=b} a_j m_j z_j, G+ (the same over j > b),
-Q- = sum_{j<=b} a_j z_j**2 and Q+, in column passes with no BLAS call, so pool
-workers do not compete with BLAS helper threads.  With G = G- + G+ and
-Q = Q- + Q+, f(x) - f(m~) = sigma (2G + sigma Q), norm_plus(x)**2 =
-norm_plus(m~)**2 + sigma (2G+ + sigma Q+) and norm_minus(x)**2 =
-norm_minus(m~)**2 - sigma (2G- + sigma Q-) at every step size sigma, so
-``_samples`` evaluates a block at any sigma~ in O(1) work per sample, whatever
-d is, and a grid row draws once for all of its sigma~.  The drifts merge the
-moments of each block's accepted rows with the rejections' known constant.
+x = m~ + sigma~ z, in column passes with no BLAS call (so pool workers do not
+compete with BLAS helper threads), to G = sum_j a_j m_j z_j and
+Q = sum_j a_j z_j**2, and each block's semi-norm to the steps z_j on the
+coordinates where m~ is nonzero plus one sum R of |a_j| z_j**2 over the rest.
+Then f(x) - f(m~) = sigma (2G + sigma Q) and a block's squared semi-norm is
+sigma**2 R + sum |a_j| (m_j + sigma z_j)**2 at every step size sigma, so
+``_samples`` evaluates a block at any sigma~ with work per sample that does not
+grow with d for the grid's means (one nonzero coordinate per block), and a grid
+row draws once for all of its sigma~.  The drifts merge the moments of each
+block's accepted rows with the rejections' known constant.
 """
 
 from __future__ import annotations
@@ -42,8 +43,9 @@ _SIGMA40_RATE = 0.4
 def _blocks(n: int, d: int) -> list:
     """Sizes of the fewest near-equal blocks of d-wide rows summing to n, each of at
     most _NORMALS normals and _NORMALS / 4 rows (one row if d exceeds _NORMALS), so
-    memory is flat in n and d: the one-step kernel keeps six numbers per row, and
-    a block of them then takes at most 1.5 times the memory of _NORMALS draws."""
+    memory is flat in n and d: the one-step kernel keeps 4 + k numbers per row, k
+    the mean's nonzero coordinates (six for a grid mean), and a block of them
+    then takes at most twice the memory of _NORMALS draws."""
     k = -(-n // max(_NORMALS // max(d, 4), 1))
     return [n // k + (i < n % k) for i in range(k)]
 
@@ -143,27 +145,32 @@ def _describe_point(row: GridPointEstimate, master_seed: int, i: int, j: int) ->
 
 def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, c: int,
              rng: np.random.Generator) -> tuple:
-    """Draw c steps z ~ N(0, I) from mean m~ and reduce each, one column at a
-    time, to the (2G, Q, 2G-, Q-, 2G+, Q+) of the module docstring; the last
-    entry is the mean's squared semi-norms (norm_minus**2, norm_plus**2)."""
+    """Draw c steps z ~ N(0, I) from mean m~ and reduce them, one column at a
+    time, to the per-sample 2G and Q of the module docstring, and per block
+    (minus, plus) to (R, [(|a_j|, m_j, z_j) for the block's coordinates where
+    m_j != 0]), R being the sum of |a_j| z_j**2 over its other coordinates."""
     z = rng.standard_normal((c, problem.d))
-    # one array for all six: with separate ones, malloc handed a block's memory
-    # back to the system and faulted it in again for every block, which made a
-    # one-sigma call at 2**14 rows about 1.7 times slower
-    parts, term = np.zeros((6, c)), np.empty(c)
-    base = [0.0, 0.0]                               # sum of a_j m_j**2 by block
-    for j, (a_j, m_j, z_j) in enumerate(zip(problem.a, m_tilde, z.T)):
-        plus = int(j >= problem.b)
-        g2, q = parts[2 + 2 * plus:4 + 2 * plus]
-        if m_j:
-            g2 += np.multiply(z_j, 2.0 * a_j * m_j, out=term)
+    a, m, b = problem.a, np.asarray(m_tilde, dtype=float), problem.b
+    on = np.flatnonzero(m)
+    # one array for all rows (2G, Q, R-, R+, then z_j for j in on): with
+    # separate ones, malloc handed a block's memory back to the system and
+    # faulted it in again for every block, which made a one-sigma call at
+    # 2**14 rows about 1.7 times slower
+    rows, term = np.zeros((4 + on.size, c)), np.empty(c)
+    for j, (a_j, m_j, z_j) in enumerate(zip(a, m, z.T)):
         np.square(z_j, out=term)
         term *= a_j
-        q += term
-        base[plus] += a_j * (m_j * m_j)
-    np.add(parts[2], parts[4], out=parts[0])
-    np.add(parts[3], parts[5], out=parts[1])
-    return (*parts, (0.0 - base[0], base[1]))
+        rows[1] += term
+        if m_j:
+            rows[4 + np.searchsorted(on, j)] = z_j
+            rows[0] += np.multiply(z_j, 2.0 * a_j * m_j, out=term)
+        elif j < b:
+            rows[2] -= term
+        else:
+            rows[3] += term
+    coords = [(abs(a[j]), m[j], rows[4 + k]) for k, j in enumerate(on)]
+    return (rows[0], rows[1], (rows[2], [x for j, x in zip(on, coords) if j < b]),
+            (rows[3], [x for j, x in zip(on, coords) if j >= b]))
 
 
 def _accepted(block: tuple, sigma) -> np.ndarray:
@@ -177,24 +184,27 @@ def _accepted(block: tuple, sigma) -> np.ndarray:
 
 
 def _samples(block: tuple, sigma: float, w0: float, alpha: float) -> StepSamples:
-    """One step per sample of a ``_scalars`` block at step size sigma~; the
-    squared semi-norms are clamped at 0 before the square root."""
+    """One step per sample of a ``_scalars`` block at step size sigma~."""
     accepted = _accepted(block, sigma)
     # gather by index: indexing with a random boolean mask is about 10x slower
     rows = np.flatnonzero(accepted)
-    _, _, g2_minus, q_minus, g2_plus, q_plus, (minus2, plus2) = block
 
-    def norm(base, sign, g2, q):
-        # sqrt(base + sign sigma (2G + sigma Q)), formed in place
-        square = q.take(rows)
-        square *= sigma
-        square += g2.take(rows)
-        square *= sign * sigma
-        square += base
-        return np.sqrt(np.maximum(square, 0.0, out=square), out=square)
+    def norm(rest, coords):
+        # sqrt(sigma**2 R + sum |a_j| (m_j + sigma z_j)**2): no term is negative,
+        # so nothing cancels where the semi-norm is small
+        square = rest.take(rows)
+        square *= sigma * sigma
+        for a_j, m_j, z_j in coords:
+            x = z_j.take(rows)
+            x *= sigma
+            x += m_j
+            np.square(x, out=x)
+            x *= a_j
+            square += x
+        return np.sqrt(square, out=square)
 
-    return StepSamples(accepted=accepted, norm_minus=norm(minus2, -1.0, g2_minus, q_minus),
-                       norm_plus=norm(plus2, 1.0, g2_plus, q_plus), w0=w0, alpha=alpha)
+    return StepSamples(accepted=accepted, norm_minus=norm(*block[2]),
+                       norm_plus=norm(*block[3]), w0=w0, alpha=alpha)
 
 
 def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
