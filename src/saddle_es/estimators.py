@@ -150,27 +150,26 @@ def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, c: int,
     (minus, plus) to (R, [(|a_j|, m_j, z_j) for the block's coordinates where
     m_j != 0]), R being the sum of |a_j| z_j**2 over its other coordinates."""
     z = rng.standard_normal((c, problem.d))
-    a, m, b = problem.a, np.asarray(m_tilde, dtype=float), problem.b
-    on = np.flatnonzero(m)
-    # one array for all rows (2G, Q, R-, R+, then z_j for j in on): with
-    # separate ones, malloc handed a block's memory back to the system and
-    # faulted it in again for every block, which made a one-sigma call at
-    # 2**14 rows about 1.7 times slower
-    rows, term = np.zeros((4 + on.size, c)), np.empty(c)
-    for j, (a_j, m_j, z_j) in enumerate(zip(a, m, z.T)):
+    m = np.asarray(m_tilde, dtype=float)
+    # one array for all rows (2G, Q, the blocks' R, then the steps on the mean's
+    # nonzero coordinates): with separate ones, malloc handed a block's memory
+    # back to the system and faulted it in again for every block, which made a
+    # one-sigma call at 2**14 rows about 1.7 times slower
+    rows, term = np.zeros((4 + np.count_nonzero(m), c)), np.empty(c)
+    halves, steps = ((rows[2], []), (rows[3], [])), iter(rows[4:])
+    for j, (a_j, m_j, z_j) in enumerate(zip(problem.a, m, z.T)):
+        rest, coords = halves[j >= problem.b]
         np.square(z_j, out=term)
         term *= a_j
         rows[1] += term
         if m_j:
-            rows[4 + np.searchsorted(on, j)] = z_j
+            step = next(steps)
+            step[:] = z_j
+            coords.append((abs(a_j), m_j, step))
             rows[0] += np.multiply(z_j, 2.0 * a_j * m_j, out=term)
-        elif j < b:
-            rows[2] -= term
         else:
-            rows[3] += term
-    coords = [(abs(a[j]), m[j], rows[4 + k]) for k, j in enumerate(on)]
-    return (rows[0], rows[1], (rows[2], [x for j, x in zip(on, coords) if j < b]),
-            (rows[3], [x for j, x in zip(on, coords) if j >= b]))
+            rest += np.abs(term, out=term)
+    return rows[0], rows[1], *halves
 
 
 def _accepted(block: tuple, sigma) -> np.ndarray:
