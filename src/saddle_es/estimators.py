@@ -404,15 +404,15 @@ def _success_curve(problem: SaddleProblem, m_tilde: np.ndarray, lo: float, hi: f
     """The success count of n draws from ``rng`` as a step function of the step
     size on [lo, hi]: (count at lo, ascending positions in (lo, hi], count change
     at each).  A count changes where a sample's success interval ends (-1, at the
-    first step size past it) or starts (+1); only those inside the cell are kept,
-    so memory stays flat outside the cell."""
+    first step size past it) or starts (+1).  Besides one block, it holds only
+    the changes that fall inside the cell."""
     count, positions, changes = 0, [], []
     for c in _blocks(n, problem.d):
         g2, q = _scalars(problem, m_tilde, c, rng)[:2]
         count += int(np.count_nonzero(_accepted((g2, q), lo)))
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(all="ignore"):
             t = -g2 / q
-        # the rounded crossing lies within a few ulps of the exact one
+        # -2G/Q lies within a few ulps of the crossing of the kernel's own test
         keep = np.flatnonzero((t > lo * (1.0 - 1e-9)) & (t <= hi * (1.0 + 1e-9)))
         g2, q, t, rising = g2[keep], q[keep], t[keep], q[keep] < 0.0
         # step to the first step size at which each sample's success equals rising
