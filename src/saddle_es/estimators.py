@@ -412,14 +412,18 @@ def _success_curve(problem: SaddleProblem, m_tilde: np.ndarray, lo: float, hi: f
         count += int(np.count_nonzero(_accepted((g2, q), lo)))
         with np.errstate(all="ignore"):
             t = -g2 / q
-        # -2G/Q lies within a few ulps of the crossing of the kernel's own test
         keep = np.flatnonzero((t > lo * (1.0 - 1e-9)) & (t <= hi * (1.0 + 1e-9)))
         g2, q, t, rising = g2[keep], q[keep], t[keep], q[keep] < 0.0
-        # step to the first step size at which each sample's success equals rising
-        while np.any(late := _accepted((g2, q), t) != rising):
-            t[late] = np.nextafter(t[late], math.inf)
-        while np.any(early := _accepted((g2, q), below := np.nextafter(t, 0.0)) == rising):
-            t[early] = below[early]
+        # -2G/Q lies within 2 ulps of the first step size at which the kernel's
+        # own test gives success == rising; take that one from the 4 ulps around
+        near = [t]
+        for _ in range(4):
+            near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], math.inf)]
+        near = np.array(near)
+        hit = _accepted((g2, q), near) == rising
+        if hit[0].any() or not hit[-1].all():
+            raise RuntimeError("a success interval ends more than 4 ulps from -2G/Q")
+        t = near[hit.argmax(axis=0), np.arange(t.size)]
         inside = (t > lo) & (t <= hi)
         positions.append(t[inside])
         changes.append(np.where(rising[inside], 1, -1))
