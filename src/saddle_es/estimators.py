@@ -13,10 +13,16 @@ Q = sum_j a_j z_j**2, and each block's semi-norm to the steps z_j on the
 coordinates where m~ is nonzero plus one sum R of |a_j| z_j**2 over the rest.
 Then f(x) - f(m~) = sigma (2G + sigma Q) and a block's squared semi-norm is
 sigma**2 R + sum |a_j| (m_j + sigma z_j)**2 at every step size sigma, so
-``_samples`` evaluates a block at any sigma~ with work per sample that does not
+``_norms`` evaluates a block at any sigma~ with work per sample that does not
 grow with d for the grid's means (one nonzero coordinate per block), and a grid
-row draws once for all of its sigma~.  The drifts merge the moments of each
-block's accepted rows with the rejections' known constant.
+row draws once for all of its sigma~.
+
+Each sample succeeds on one interval of step sizes: up to its threshold -2G/Q,
+from it upward, always or never.  The drifts order each block once by
+threshold (``_slices``), so the samples accepted at any sigma~ are one slice of
+it, found by a binary search per sigma~.  A point's moments sum its accepted
+samples in that threshold order, not in draw order, and merge them with the
+rejections' known constant.  The order does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -107,13 +113,14 @@ class DriftEstimate:
 
 
 def _moments(values: np.ndarray) -> tuple:
-    """(count, mean, summed squared deviations), rounded as numpy's mean and std."""
+    """(count, mean, summed squared deviations), rounded as numpy's mean and std;
+    overwrites ``values``."""
     if not values.size:
         return 0, 0.0, 0.0
-    mean = values.mean()
-    dev = values - mean
-    dev *= dev
-    return values.size, float(mean), float(dev.sum())
+    mean = float(np.add.reduce(values)) / values.size
+    values -= mean
+    values *= values
+    return values.size, mean, float(np.add.reduce(values))
 
 
 def _merge(x: tuple, y: tuple) -> tuple:
@@ -146,64 +153,132 @@ def _describe_point(row: GridPointEstimate, master_seed: int, i: int, j: int) ->
 def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, c: int,
              rng: np.random.Generator) -> tuple:
     """Draw c steps z ~ N(0, I) from mean m~ and reduce them, one column at a
-    time, to the per-sample 2G and Q of the module docstring, and per block
-    (minus, plus) to (R, [(|a_j|, m_j, z_j) for the block's coordinates where
-    m_j != 0]), R being the sum of |a_j| z_j**2 over its other coordinates."""
+    time, to (2G, Q, x, halves): the per-sample 2G and Q of the module
+    docstring, and the semi-norm numbers as rows of x.  ``halves`` holds each
+    block (minus, plus) as (row of R, [(|a_j|, m_j, row of z_j) for the
+    block's coordinates where m_j != 0]), R being the sum of |a_j| z_j**2 over
+    its other coordinates; a block with no other coordinate has R = 0 and the
+    row None.  Column i of x belongs to sample i."""
     z = rng.standard_normal((c, problem.d))
     m = np.asarray(m_tilde, dtype=float)
+    rests, step = [], 0
+    for block in (m[:problem.b], m[problem.b:]):
+        rests.append(None if np.all(block) else step)
+        step += rests[-1] is not None
     # one array for all rows (2G, Q, the blocks' R, then the steps on the mean's
     # nonzero coordinates): with separate ones, malloc handed a block's memory
     # back to the system and faulted it in again for every block, which made a
     # one-sigma call at 2**14 rows about 1.7 times slower
-    rows, term = np.zeros((4 + np.count_nonzero(m), c)), np.empty(c)
-    halves, steps = ((rows[2], []), (rows[3], [])), iter(rows[4:])
+    rows, term = np.zeros((2 + step + np.count_nonzero(m), c)), np.empty(c)
+    x, halves = rows[2:], tuple((rest, []) for rest in rests)
     for j, (a_j, m_j, z_j) in enumerate(zip(problem.a, m, z.T)):
         rest, coords = halves[j >= problem.b]
         np.square(z_j, out=term)
         term *= a_j
         rows[1] += term
         if m_j:
-            step = next(steps)
-            step[:] = z_j
+            x[step] = z_j
             coords.append((abs(a_j), m_j, step))
+            step += 1
             rows[0] += np.multiply(z_j, 2.0 * a_j * m_j, out=term)
         else:
-            rest += np.abs(term, out=term)
-    return rows[0], rows[1], *halves
+            x[rest] += np.abs(term, out=term)
+    return rows[0], rows[1], x, halves
 
 
-def _accepted(block: tuple, sigma) -> np.ndarray:
-    """Success mask 2G + sigma Q <= 0, that is f(x) <= f(m~), of a block at step
-    size sigma (a scalar, or one per sample).  As sigma grows, fl(sigma Q) never
-    moves against the sign of Q, so each sample succeeds on one interval of step
+def _accepted(g2: np.ndarray, q: np.ndarray, sigma) -> np.ndarray:
+    """Success mask 2G + sigma Q <= 0, that is f(x) <= f(m~), at step size sigma
+    (a scalar, or one per sample).  As sigma grows, fl(sigma Q) never moves
+    against the sign of Q, so each sample succeeds on one interval of step
     sizes."""
-    t = block[1] * sigma
-    t += block[0]
+    t = q * sigma
+    t += g2
     return t <= 0.0
 
 
-def _samples(block: tuple, sigma: float, w0: float, alpha: float) -> StepSamples:
-    """One step per sample of a ``_scalars`` block at step size sigma~."""
-    accepted = _accepted(block, sigma)
-    # gather by index: indexing with a random boolean mask is about 10x slower
-    rows = np.flatnonzero(accepted)
+def _thresholds(g2: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The step size at which each sample's success changes under the kernel's
+    own test: the first at which a falling sample (Q > 0 > 2G) fails, the first
+    at which a rising one (Q < 0 < 2G) succeeds.  t = -2G/Q lies within 2 ulps
+    of it; take it from the 4 ulps around."""
+    near = [t]
+    for _ in range(4):
+        near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], math.inf)]
+    near = np.array(near)
+    hit = _accepted(g2, q, near) == (q < 0.0)
+    if hit[0].any() or not hit[-1].all():
+        raise RuntimeError("a success interval ends more than 4 ulps from -2G/Q")
+    return near[hit.argmax(axis=0), np.arange(t.size)]
+
+
+# the kernel's threshold lies within 2 ulps (4.4e-16, relative) of -2G/Q; a
+# sample whose -2G/Q lies this close to a step size is placed by the former
+_NEAR = 1e-14
+
+
+def _slices(g2: np.ndarray, q: np.ndarray, sigmas: np.ndarray) -> tuple:
+    """Order a block's samples so the kernel accepts one slice of them at each
+    step size of ``sigmas``: (order, starts, stops), the slice at sigmas[k]
+    being order[starts[k]:stops[k]] (starts and stops are lists).
+
+    The order is [falling | always | rising].  A falling sample succeeds below
+    its threshold and a rising one from its threshold up, so each group is
+    sorted by threshold (stably); samples with 2G <= 0 and Q <= 0 succeed at
+    every step size, and the rest, which succeed at none, are left out.  A
+    threshold is -2G/Q, or ``_thresholds``' exact one where -2G/Q lies near a
+    step size of ``sigmas``: that is len(sigmas) searches, not one per sample.
+    """
+    def by_threshold(rows, t):
+        # the stable order, from numpy's default sort, several times faster than
+        # its stable one; equal thresholds, which continuous draws all but never
+        # give, go back to draw order
+        order = np.argsort(t)
+        rows, t = rows.take(order), t.take(order)
+        if np.any(t[1:] == t[:-1]):
+            order = np.lexsort((rows, t))
+            rows, t = rows.take(order), t.take(order)
+        return rows, t
+
+    groups, cuts = [], []
+    for rows in (np.flatnonzero((q > 0.0) & (g2 < 0.0)), np.flatnonzero((q < 0.0) & (g2 > 0.0))):
+        rows, t = by_threshold(rows, -g2[rows] / q[rows])
+        # index arithmetic on Python ints: every numpy loop a worker runs for
+        # the first time pages in more of numpy's code
+        lo = np.searchsorted(t, sigmas * (1.0 - _NEAR)).tolist()
+        hi = np.searchsorted(t, sigmas * (1.0 + _NEAR), "right").tolist()
+        near = [k for a, b in zip(lo, hi) for k in range(a, b)]
+        if near:
+            t[near] = _thresholds(g2.take(rows[near]), q.take(rows[near]), t[near])
+            rows, t = by_threshold(rows, t)
+        groups.append(rows)
+        # a falling sample fails, and a rising one succeeds, from its threshold up
+        cuts.append(np.searchsorted(t, sigmas, "right").tolist())
+    (falls, rises), (failed, risen) = groups, cuts
+    always = np.flatnonzero((q <= 0.0) & (g2 <= 0.0))
+    return (np.concatenate([falls, always, rises]), failed,
+            [falls.size + always.size + k for k in risen])
+
+
+def _norms(x: np.ndarray, halves: tuple, sigma: float) -> tuple:
+    """(norm_minus, norm_plus) at step size sigma of the samples whose semi-norm
+    numbers are the columns of x (see ``_scalars``)."""
 
     def norm(rest, coords):
         # sqrt(sigma**2 R + sum |a_j| (m_j + sigma z_j)**2): no term is negative,
         # so nothing cancels where the semi-norm is small
-        square = rest.take(rows)
-        square *= sigma * sigma
-        for a_j, m_j, z_j in coords:
-            x = z_j.take(rows)
-            x *= sigma
-            x += m_j
-            np.square(x, out=x)
-            x *= a_j
-            square += x
+        square = None if rest is None else np.multiply(x[rest], sigma * sigma)
+        for a_j, m_j, j in coords:
+            step = np.multiply(x[j], sigma)
+            step += m_j
+            np.square(step, out=step)
+            step *= a_j
+            if square is None:
+                square = step
+            else:
+                square += step
         return np.sqrt(square, out=square)
 
-    return StepSamples(accepted=accepted, norm_minus=norm(*block[2]),
-                       norm_plus=norm(*block[3]), w0=w0, alpha=alpha)
+    return norm(*halves[0]), norm(*halves[1])
 
 
 def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
@@ -216,7 +291,7 @@ def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    hits = sum(int(np.count_nonzero(_accepted(_scalars(problem, ns.m_tilde, c, rng),
+    hits = sum(int(np.count_nonzero(_accepted(*_scalars(problem, ns.m_tilde, c, rng)[:2],
                                               ns.sigma_tilde)))
                for c in _blocks(n, problem.d))
     return DriftEstimate.from_binomial(hits, n, confidence)
@@ -270,17 +345,9 @@ class StepSamples:
         out[np.flatnonzero(self.accepted)] = accepted
         return out
 
-    def _v_parts(self) -> tuple:
-        """(rejection constant, accepted-row values) of the change of log(sigma~)."""
-        if np.any(self.norm_plus == 0.0):
-            raise NormPlusZeroError("accepted offspring with zero positive-block semi-norm")
-        return closed_form_b1(self.alpha), math.log(self.alpha) - np.log(self.norm_plus)
-
-    def _w_parts(self) -> tuple:
-        """(rejection constant, accepted-row values) of the truncated change of W."""
-        nm, npl = self.norm_minus, self.norm_plus
-        ratio = np.divide(nm, npl, out=np.full(nm.shape, math.inf), where=npl > 0.0)
-        return 0.0, np.minimum(ratio - self.w0, 1.0)
+    def _step(self) -> tuple:
+        """The arguments of the increments (``_v_parts``, ``_w_parts``)."""
+        return self.norm_minus, self.norm_plus, self.w0, self.alpha
 
     def v_increments(self) -> np.ndarray:
         """Per-sample change of log(sigma~).
@@ -288,7 +355,7 @@ class StepSamples:
         Rejections contribute the constant -log(alpha)/4 with no estimation
         noise; acceptances contribute log(alpha) - log(norm_plus(offspring)).
         """
-        return self._scatter(*self._v_parts())
+        return self._scatter(*_v_parts(*self._step()))
 
     def w_increments(self) -> np.ndarray:
         """Per-sample truncated change of W: min(W' - W, 1); rejections contribute 0.
@@ -296,7 +363,7 @@ class StepSamples:
         A successor with zero positive-block semi-norm has W' = +inf and
         contributes the cap 1, so no error can occur on this path.
         """
-        return self._scatter(*self._w_parts())
+        return self._scatter(*_w_parts(*self._step()))
 
 
 def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
@@ -304,31 +371,43 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedSta
     """Draw n independent single steps from (m~, sigma~) at scale one, as one block."""
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    return _samples(_scalars(problem, ns.m_tilde, n, rng), ns.sigma_tilde,
-                    float(problem.norm_minus(ns.m_tilde)), params.alpha)
+    g2, q, x, halves = _scalars(problem, ns.m_tilde, n, rng)
+    accepted = _accepted(g2, q, ns.sigma_tilde)
+    # gather by index: indexing with a random boolean mask is about 10x slower
+    norm_minus, norm_plus = _norms(x.take(np.flatnonzero(accepted), axis=1), halves,
+                                   ns.sigma_tilde)
+    return StepSamples(accepted=accepted, norm_minus=norm_minus, norm_plus=norm_plus,
+                       w0=float(problem.norm_minus(ns.m_tilde)), alpha=params.alpha)
 
 
 def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigmas: list,
             n: int, rng: np.random.Generator, confidence: float, increments: tuple) -> list:
-    """(hit count, [estimate of each increment]) at each step size of ``sigmas``,
-    all from the same n draws.  Per step size, a block's rejections merge as
-    (count, constant, 0) with its accepted rows' moments."""
+    """(hit count, [estimate of each increment]) at each ascending step size of
+    ``sigmas``, all from the same n draws.  Per block, ``_slices`` orders the
+    samples so those accepted at each step size are one slice; a point sums
+    its accepted samples' increments in that order and merges the block's
+    rejections as (count, constant, 0)."""
     if n < 1000:
         raise ValueError("drift estimation needs n >= 1000 samples")
     w0 = float(problem.norm_minus(m_tilde))
     hits = [0] * len(sigmas)
     moments = [[(0, 0.0, 0.0)] * len(increments) for _ in sigmas]
+    grid = np.asarray(sigmas, dtype=float)
     for c in _blocks(n, problem.d):
-        block = _scalars(problem, m_tilde, c, rng)
-        for k, sigma in enumerate(sigmas):
-            samples = _samples(block, sigma, w0, params.alpha)
-            accepted = samples.norm_plus.size
-            hits[k] += accepted
-            moments[k] = [_merge(_merge(m, (c - accepted, rejected, 0.0)), _moments(values))
+        g2, q, x, halves = _scalars(problem, m_tilde, c, rng)
+        order, starts, stops = _slices(g2, q, grid)
+        # the ordered numbers replace the block's own arrays before the sigma
+        # loop, and go before the next block is drawn: a buffer kept across
+        # blocks would be alive at the draw, when memory peaks
+        x = x.take(order, axis=1)
+        g2 = q = order = None
+        for k, (sigma, start, stop) in enumerate(zip(sigmas, starts, stops)):
+            step = (*_norms(x[:, start:stop], halves, sigma), w0, params.alpha)
+            hits[k] += stop - start
+            moments[k] = [_merge(_merge(m, (c - stop + start, rejected, 0.0)), _moments(values))
                           for m, (rejected, values) in zip(moments[k],
-                                                           [inc(samples) for inc in increments])]
-        # free this block before the next one is drawn
-        block = samples = None
+                                                           [inc(*step) for inc in increments])]
+        x = step = None
     return [(h, [DriftEstimate.from_moments(*m, confidence) for m in ms])
             for h, ms in zip(hits, moments)]
 
@@ -351,19 +430,39 @@ def drift_w(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: in
     return _drift(problem, params, ns, n, rng, confidence, _increment("W"))[1][0]
 
 
-def _phi_parts(beta: float, samples: StepSamples) -> tuple:
+def _v_parts(norm_minus, norm_plus, w0: float, alpha: float) -> tuple:
+    """(rejection constant, accepted-row values) of the change of log(sigma~),
+    from the accepted offspring's semi-norms."""
+    if np.any(norm_plus == 0.0):
+        raise NormPlusZeroError("accepted offspring with zero positive-block semi-norm")
+    v = np.log(norm_plus)
+    return closed_form_b1(alpha), np.subtract(math.log(alpha), v, out=v)
+
+
+def _w_parts(norm_minus, norm_plus, w0: float, alpha: float) -> tuple:
+    """(rejection constant, accepted-row values) of the truncated change of W."""
+    # W' = norm_minus / norm_plus is +inf where norm_plus is 0: fmin caps the
+    # inf of x / 0 and the nan of 0 / 0 at 1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.divide(norm_minus, norm_plus)
+    ratio -= w0
+    return 0.0, np.fmin(ratio, 1.0, out=ratio)
+
+
+def _phi_parts(beta: float, *step) -> tuple:
     """Parts of the change of phi = beta * V + W; unlike a closure, its partial pickles."""
     if beta == 0.0:
-        return samples._w_parts()
-    (v_rejected, v), (w_rejected, w) = samples._v_parts(), samples._w_parts()
+        return _w_parts(*step)
+    (v_rejected, v), (w_rejected, w) = _v_parts(*step), _w_parts(*step)
     return beta * v_rejected + w_rejected, beta * v + w
 
 
 def _increment(quantity: str, beta: float = 0.0):
-    """The picklable increment, samples -> (rejection constant, accepted-row values),
+    """The picklable increment, (norm_minus, norm_plus, w0, alpha) of the accepted
+    offspring -> (rejection constant, accepted-row values),
     of drift quantity "V", "W" or "Phi" (any case), where phi = beta * V + W on the
     same steps, so its confidence interval is honest; beta = 0 gives the W drift."""
-    increment = {"v": StepSamples._v_parts, "w": StepSamples._w_parts,
+    increment = {"v": _v_parts, "w": _w_parts,
                  "phi": functools.partial(_phi_parts, beta)}.get(quantity.lower())
     if increment is None:
         raise ValueError("quantity must be one of V, W, Phi")
@@ -409,24 +508,15 @@ def _success_curve(problem: SaddleProblem, m_tilde: np.ndarray, lo: float, hi: f
     count, positions, changes = 0, [], []
     for c in _blocks(n, problem.d):
         g2, q = _scalars(problem, m_tilde, c, rng)[:2]
-        count += int(np.count_nonzero(_accepted((g2, q), lo)))
+        count += int(np.count_nonzero(_accepted(g2, q, lo)))
         with np.errstate(all="ignore"):
             t = -g2 / q
         keep = np.flatnonzero((t > lo * (1.0 - 1e-9)) & (t <= hi * (1.0 + 1e-9)))
-        g2, q, t, rising = g2[keep], q[keep], t[keep], q[keep] < 0.0
-        # -2G/Q lies within 2 ulps of the first step size at which the kernel's
-        # own test gives success == rising; take that one from the 4 ulps around
-        near = [t]
-        for _ in range(4):
-            near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], math.inf)]
-        near = np.array(near)
-        hit = _accepted((g2, q), near) == rising
-        if hit[0].any() or not hit[-1].all():
-            raise RuntimeError("a success interval ends more than 4 ulps from -2G/Q")
-        t = near[hit.argmax(axis=0), np.arange(t.size)]
+        g2, q = g2[keep], q[keep]
+        t = _thresholds(g2, q, t[keep])
         inside = (t > lo) & (t <= hi)
         positions.append(t[inside])
-        changes.append(np.where(rising[inside], 1, -1))
+        changes.append(np.where(q[inside] < 0.0, 1, -1))
     positions, where = np.unique(np.concatenate(positions), return_inverse=True)
     return count, positions, np.bincount(where, np.concatenate(changes)).astype(int)
 

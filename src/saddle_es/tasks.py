@@ -21,8 +21,6 @@ command line defaults to.
 
 from __future__ import annotations
 
-import concurrent.futures
-import multiprocessing
 import operator
 import os
 
@@ -131,6 +129,10 @@ def _map_tasks(fn, args_list, threads: int):
         raise ValueError("threads must be at least 1")
     if threads == 1 or len(args_list) <= 1:
         return [fn(args) for args in args_list]
+    # imported here, so serial commands do not load the pool modules
+    import concurrent.futures
+    import multiprocessing
+
     # a fork pool starts all its workers at the first submit, so never ask for
     # more workers than there are tasks
     workers = min(threads, len(args_list))

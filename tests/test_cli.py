@@ -660,15 +660,18 @@ class TestParser:
         assert "saddle-es" in capsys.readouterr().out
 
 
-def test_import_does_not_load_numpy_random():
+def test_import_defers_numpy_random_and_the_pool():
     # numpy.random costs ~6 MB and ~5 ms to load; the parent process of a
-    # threaded escape never needs it, since only its workers derive streams
+    # threaded escape never needs it, since only its workers derive streams.
+    # The pool modules serve threaded commands only, and --version, run and
+    # every serial command would pay for them at startup
     src = os.path.dirname(os.path.dirname(saddle_es.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = "import sys, saddle_es, saddle_es.cli; print('numpy.random' in sys.modules)"
+    code = ("import sys, saddle_es, saddle_es.cli; print(sorted({'numpy.random', "
+            "'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 def test_public_callables_take_no_hidden_keywords():

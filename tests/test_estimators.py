@@ -764,8 +764,12 @@ class TestBlockKernel:
         # about half the offspring are accepted at every d
         ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.2 / d)
         n = 1 << 19
-        calls = (lambda rng: _drift(p, EsParams(), ns, n, rng, 0.99,
-                                    _increment("V"), _increment("W")),
+        increments = (_increment("V"), _increment("W"))
+        calls = (lambda rng: _drift(p, EsParams(), ns, n, rng, 0.99, *increments),
+                 # a grid row: every block is ordered once for all 36 sigma~
+                 lambda rng: estimators._drifts(p, EsParams(), ns.m_tilde,
+                                                GridSpec.default().sigma_values.tolist(), n, rng,
+                                                0.99, increments),
                  lambda rng: success_probability(p, ns, n, rng))
         for call in calls:
             tracemalloc.start()
@@ -792,11 +796,25 @@ class TestBlockKernel:
         assert counts() == default
 
 
+def slice_order(p, m, z):
+    """The draws' rows in the drift kernel's order: falling rows (Q > 0 > 2G) by
+    threshold -2G/Q, the rows with 2G <= 0 and Q <= 0, then rising rows
+    (Q < 0 < 2G) by threshold, each sort stable."""
+    g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = -g2 / q
+    falls = np.flatnonzero((q > 0.0) & (g2 < 0.0))
+    rises = np.flatnonzero((q < 0.0) & (g2 > 0.0))
+    return np.concatenate([falls[np.argsort(t[falls], kind="stable")],
+                           np.flatnonzero((q <= 0.0) & (g2 <= 0.0)),
+                           rises[np.argsort(t[rises], kind="stable")]])
+
+
 class TestMaskEdges:
     """With no row, every row and about half the rows accepted, the kernel accepts
     what direct evaluation accepts, its increments scatter the accepted rows'
     values as boolean-mask indexing does, and the block drift pools their
-    moments bit for bit."""
+    moments, summed in the kernel's threshold order, bit for bit."""
 
     N = 4000
 
@@ -838,18 +856,21 @@ class TestMaskEdges:
         drift_hits, estimates = _drift(p, params, ns, self.N, FixedDraws(z), 0.99,
                                        _increment("V"), _increment("W"))
         assert drift_hits == hits
+        order = slice_order(p, ns.m_tilde, z)
         for est, ref, rejected in zip(estimates, (v, w), (closed_form_b1(1.5), 0.0)):
+            accepted = ref[order][acc[order]]
             expected = DriftEstimate.from_moments(self.N, *pooled_moments(self.N - hits, rejected,
-                                                                          ref[acc]))
+                                                                          accepted))
             assert_bitwise([est.mean, est.stderr, est.ci_low, est.ci_high],
                            [expected.mean, expected.stderr, expected.ci_low, expected.ci_high])
 
 
 def block_arrays(block):
-    """The per-sample arrays of a ``_scalars`` block: 2G, Q, then R and the
-    steps on the mean's coordinates of each semi-norm block."""
-    g2, q, *halves = block
-    return [g2, q] + [x for rest, coords in halves for x in [rest] + [z for _, _, z in coords]]
+    """The per-sample arrays of a ``_scalars`` block: 2G, Q, then the rows of
+    semi-norm numbers (each block's R, where it has one, and the steps on the
+    mean's coordinates)."""
+    g2, q, x, _ = block
+    return [g2, q, *x]
 
 
 class TestRowKernel:
@@ -909,6 +930,98 @@ class TestKernelBits:
             assert len(part) == len(whole)
             for x, y in zip(part, whole):
                 assert_bitwise(x, y[lo:hi])
+
+
+class TestSlices:
+    """The drift kernel's ordered block holds, at every step size, exactly the
+    samples the kernel's test 2G + sigma Q <= 0 accepts as one slice, also where
+    -2G/Q lands on a grid step size or 1 or 2 ulps beside it."""
+
+    GRID = np.geomspace(0.01, 5.0, 8)
+
+    def near_ties(self, p, m, rng):
+        """Draws whose -2G/Q, as the kernel computes it, lies within 2 ulps of a
+        grid step size: roots of 2G + sigma Q = 0 in the last coordinate, and
+        the 32 representable values to either side of each."""
+        j, rows = p.d - 1, []
+        for sigma in self.GRID:
+            for _ in range(6):
+                z = rng.standard_normal(p.d)
+                z[j] = 0.0
+                g2, q = _scalars(p, m, 1, FixedDraws(z[None]))[:2]
+                a, b, c = sigma * p.a[j], 2.0 * p.a[j] * m[j], g2[0] + sigma * q[0]
+                if b * b < 4.0 * a * c:
+                    continue
+                for root in np.roots([a, b, c]).real:
+                    tries = np.tile(z, (65, 1))
+                    tries[:, j] = root + np.arange(-32, 33) * np.spacing(root)
+                    rows.append(tries)
+        z = np.concatenate(rows)
+        g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+        below, above = np.nextafter(self.GRID, 0.0), np.nextafter(self.GRID, math.inf)
+        # row k: every grid step size moved by k - 2 ulps
+        targets = np.array([np.nextafter(below, 0.0), below, self.GRID, above,
+                            np.nextafter(above, math.inf)])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tie = (-g2 / q)[:, None, None] == targets
+        assert tie.any(axis=(0, 2)).all()
+        return z[tie.any(axis=(1, 2))]
+
+    def zero_rows(self, p, m):
+        """Rows with 2G = 0 (z = 0 on the mean's coordinates) and with Q = 0
+        (-a_0 z_0**2 = a_b z_b**2 in floating point) of either sign of 2G."""
+        rows = []
+        for other in (0.0, 0.7, 2.0):
+            z = np.zeros(p.d)
+            z[[k for k in range(p.d) if m[k] == 0.0]] = other
+            rows.append(z)
+        for z_b in np.linspace(0.5, 2.0, 61):
+            square = -p.a[p.b] * z_b * z_b / p.a[0]
+            for z_0 in math.sqrt(square) + np.arange(-3, 4) * np.spacing(math.sqrt(square)):
+                if p.a[0] * (z_0 * z_0) + p.a[p.b] * (z_b * z_b) == 0.0:
+                    for sign in (1.0, -1.0):
+                        z = np.zeros(p.d)
+                        z[0], z[p.b] = z_0, sign * z_b
+                        rows.append(z)
+        z = np.array(rows)
+        g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+        assert np.any(g2 == 0.0) and np.any((q == 0.0) & (g2 < 0.0)) and \
+            np.any((q == 0.0) & (g2 > 0.0))
+        return z
+
+    @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])
+    def test_slices_equal_the_kernel_test(self, monkeypatch, a, b):
+        p = problem(a, b)
+        m = sample_M_plus_0(p, 0.5)
+        rng = np.random.default_rng(79)
+        z = np.concatenate([rng.standard_normal((20_000, p.d)), self.near_ties(p, m, rng),
+                            self.zero_rows(p, m)])
+        g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+        order, starts, stops = estimators._slices(g2, q, self.GRID)
+        counts = []
+        for sigma, start, stop in zip(self.GRID, starts, stops):
+            accepted = np.flatnonzero(estimators._accepted(g2, q, sigma))
+            assert np.array_equal(np.sort(order[start:stop]), accepted), sigma
+            counts.append(accepted.size)
+        # the draws have ties that -2G/Q alone would decide wrongly
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = -g2 / q
+        falls, rises = (q > 0.0) & (g2 < 0.0), (q < 0.0) & (g2 > 0.0)
+        assert any(np.any(((q <= 0.0) & (g2 <= 0.0) | falls & (t > s) | rises & (t <= s))
+                          != estimators._accepted(g2, q, s)) for s in self.GRID)
+        # the drift pass over the same draws, in blocks, counts the same hits
+        hits = [h for h, _ in estimators._drifts(p, EsParams(), m, self.GRID.tolist(), len(z),
+                                                 FixedDraws(z), 0.99, (_increment("W"),))]
+        assert len(estimators._blocks(len(z), p.d)) > 1 and hits == counts
+        # and sigma~40 of the draws is the last step size at which the kernel's
+        # own count is still >= 0.4
+        monkeypatch.setattr(estimators, "task_rng", lambda *key: FixedDraws(z))
+        value = _sigma_40(p, m, self.GRID.tolist(), counts, len(z), 0, 0)
+
+        def rate(sigma):
+            return np.count_nonzero(estimators._accepted(g2, q, sigma)) / len(z)
+
+        assert rate(value) >= 0.4 > rate(math.nextafter(value, math.inf))
 
 
 class FixedDraws:
