@@ -1024,6 +1024,18 @@ class TestSlices:
         assert rate(value) >= 0.4 > rate(math.nextafter(value, math.inf))
 
 
+    @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])
+    def test_equal_thresholds_keep_draw_order(self, a, b):
+        # every row twice: each pair has one threshold, and the order is the
+        # stable sort's, so a point's sum order does not depend on the sort
+        p = problem(a, b)
+        m = sample_M_plus_0(p, 0.5)
+        z = np.repeat(np.random.default_rng(80).standard_normal((4000, p.d)), 2, axis=0)
+        g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+        order = estimators._slices(g2, q, self.GRID)[0]
+        assert np.array_equal(order, slice_order(p, m, z))
+
+
 class FixedDraws:
     """Stands in for a Generator: standard_normal calls return copies of the
     next rows of the same draws, starting over once all are used, so each full
