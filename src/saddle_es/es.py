@@ -11,10 +11,11 @@ Randomness contract: streams are ``numpy.random.Generator`` instances (use
 exactly d standard normal draws in component order 1..d.  ``run`` and
 ``escape_times`` prefetch draws from the stream in blocks; the values used for
 iteration t are always the same d normals regardless of the block size.
-``escape_times`` advances many trials together, each on its own stream, and f
-is computed by one expression whose bits for a point do not depend on how many
-points are evaluated together, so each of its trials ends exactly as ``run``
-ends on that trial's stream.
+``escape_times`` advances up to ``_batch_trials(d)`` trials together in lockstep
+slots, each trial on its own stream, and hands a slot whose trial has ended to
+the next trial at the slot's next refill.  f is computed by one expression whose
+bits for a point do not depend on how many points are evaluated together, so
+each of its trials ends exactly as ``run`` ends on that trial's stream.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ _FAILURE_EXPONENT = 0.25
 
 _BLOCK = 256
 
-# the most normals one block of draws may hold: an escape batch here, a
+# the most normals one block of draws may hold: the escape slots' draws here, a
 # one-step block in ``estimators``
 _NORMALS = 1 << 16
 
-# escape_times refills each trial's (_REFILL, d) block of draws every _REFILL
-# iterations and is given at most _batch_trials(d) trials at a time, so one
-# batch buffers at most _NORMALS normals
+# escape_times refills each slot's (_REFILL, d) block of draws every _REFILL
+# iterations and runs at most _batch_trials(d) trials at a time in its slots,
+# so the slots buffer at most _NORMALS normals
 _REFILL = 8
 
 
@@ -56,7 +57,7 @@ def _f(sq: np.ndarray, a: np.ndarray):
     """sum_j a_j * sq[..., j].  Unlike ``sq @ a``, the bits of each point's value
     do not depend on how many points are evaluated together."""
     # not objective._sum_columns, whose order differs by an ulp above d=2: its
-    # column fold takes ~95 us on one (81, 100) escape batch against ~7 us here
+    # column fold takes ~95 us on the (81, 100) escape slots against ~7 us here
     # (numpy 2.4, 2 vCPUs, best of 9)
     return np.einsum("...j,j->...", sq, a)
 
@@ -241,57 +242,102 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
 @_quiet_overflow
 def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
                  rngs: Sequence[np.random.Generator]) -> tuple[list, np.ndarray]:
-    """One trial per stream from ``init``, all advancing together as arrays.
+    """One trial per stream from ``init``, advancing together as arrays.
 
     Trial k ends as ``run(problem, params, init, rngs[k], record_every=0)``
     ends: the returned ``reasons[k]`` and ``times[k]`` equal that run's
-    ``reason`` and ``t_final``.  A trial leaves the batch when its mean reaches
-    f < 0 (target), its step size falls below ``params.sigma_min``
-    (underflow) or it has used ``params.max_iters`` iterations (budget).
-    Memory is one (len(rngs), 8, d) block of draws; callers hand over at most
-    ``_batch_trials(d)`` streams at a time.
+    ``reason`` and ``t_final``.  A trial ends when its mean reaches f < 0
+    (target), its step size falls below ``params.sigma_min`` (underflow) or it
+    has used ``params.max_iters`` iterations (budget).
+
+    At most ``_batch_trials(d)`` trials run at once, each in a slot of the
+    lockstep arrays.  Every ``_REFILL`` iterations a slot whose trial has ended
+    takes the next trial, which counts its iterations and budget from there,
+    and every slot draws its trial's next (_REFILL, d) block.  Until then an
+    ended trial's slot is frozen: f(m) = nan and sigma = inf, so it accepts
+    nothing and never reaches the floor.  Slots are compacted once no trial is
+    left to start.  ``rngs`` is read in slices of ``_batch_trials(d)``
+    streams, so a lazy sequence (``tasks._TaskStreams``) is derived at most one
+    slice ahead of the slots, and the streams held at once do not grow with
+    ``len(rngs)``.
     """
     f0 = _check_start(problem, params, init)
-    a, n = problem.a, len(rngs)
-    end = init.t + params.max_iters
-    if f0 < 0.0:
-        return [TARGET] * n, np.full(n, init.t)
+    a, d, n = problem.a, problem.d, len(rngs)
+    if f0 < 0.0 or params.max_iters == 0:
+        return [TARGET if f0 < 0.0 else BUDGET] * n, np.full(n, init.t)
     reasons = np.full(n, BUDGET, dtype=object)
-    times = np.full(n, end)
-    rows = np.arange(n)                     # trial of each row
-    m = np.tile(init.m, (n, 1))
-    sigma = np.full(n, init.sigma)
-    fm = np.full(n, f0)
-    live = np.ones(n, dtype=bool)           # rows whose trial has not ended
-    buf = np.empty((n, _REFILL, problem.d))
+    times = np.full(n, init.t + params.max_iters)
+    size = min(_batch_trials(d), n)
+    trial = np.zeros(size, dtype=np.intp)   # trial in each slot
+    start = np.zeros(size, dtype=np.intp)   # lockstep step at which it started
+    m = np.empty((size, d))
+    sigma = np.empty(size)
+    fm = np.empty(size)
+    live = np.zeros(size, dtype=bool)       # slots whose trial has not ended
+    streams = [None] * size
+    pending = []                            # next slice of rngs, next trial last
+    buf = np.empty((size, _REFILL, d))
     dec = params.alpha ** -_FAILURE_EXPONENT
-    t = init.t
-    while t < end and live.any():
-        if not live.all():
-            rows, m, sigma, fm = rows[live], m[live], sigma[live], fm[live]
-            rngs = [rng for rng, keep in zip(rngs, live) if keep]
+    # every trial starts at a refill, so all budgets run out at this step of a block
+    cut = params.max_iters % _REFILL
+    nxt = s = 0                             # next trial to start, lockstep steps taken
+
+    def freeze(ended):
+        live[ended] = False
+        fm[ended] = np.nan
+        sigma[ended] = np.inf
+        for i in np.flatnonzero(ended):
+            streams[i] = None
+
+    while True:
+        free = np.flatnonzero(~live)[:n - nxt]
+        if free.size:
+            trial[free] = np.arange(nxt, nxt + free.size)
+            for i in free:
+                if not pending:
+                    pending = list(reversed(rngs[nxt:nxt + size]))
+                streams[i] = pending.pop()
+                nxt += 1
+            start[free] = s
+            m[free] = init.m
+            sigma[free] = init.sigma
+            fm[free] = f0
+            live[free] = True
+        if nxt == n and not live.all():
+            trial, start, m, sigma, fm = trial[live], start[live], m[live], sigma[live], fm[live]
+            streams = [stream for stream in streams if stream is not None]
+            buf = buf[:len(streams)]
             live = live[live]
-        z = buf[:rows.size]
-        for rng, zi in zip(rngs, z):
-            rng.standard_normal(out=zi)
-        for k in range(min(_REFILL, end - t)):
-            x = sigma[:, None] * z[:, k]
+        if not live.size:
+            break
+        for stream, z in zip(streams, buf):
+            stream.standard_normal(out=z)
+        col = sigma[:, None]
+        x, sq = np.empty_like(m), np.empty_like(m)  # each step's offspring and squares
+        for k in range(_REFILL):
+            if k == cut:
+                over = live & (start == s - params.max_iters)
+                if over.any():
+                    freeze(over)
+                    if not live.any():
+                        break
+            np.multiply(col, buf[:, k], out=x)
             x += m
-            fx = _f(np.square(x), a)
+            fx = _f(np.square(x, out=sq), a)
             acc = fx <= fm
-            acc &= live
             np.copyto(m, x, where=acc[:, None])
             np.copyto(fm, fx, where=acc)
             sigma *= np.where(acc, params.alpha, dec)
-            t += 1
-            escaped = acc & (fx < 0.0)
-            under = live & (sigma < params.sigma_min)
-            ended = escaped | under
-            if ended.any():
-                reasons[rows[escaped]] = TARGET
-                reasons[rows[under]] = UNDERFLOW
-                times[rows[ended]] = t
-                live &= ~ended
+            s += 1
+            # fmin skips the frozen slots' nan
+            if np.fmin.reduce(fm) < 0.0 or sigma.min() < params.sigma_min:
+                under = sigma < params.sigma_min
+                ended = fm < 0.0
+                ended |= under
+                reasons[trial[ended]] = TARGET
+                reasons[trial[under]] = UNDERFLOW
+                times[trial[ended]] = init.t + s - start[ended]
+                freeze(ended)
                 if not live.any():
                     break
     return reasons.tolist(), times

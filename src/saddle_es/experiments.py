@@ -14,13 +14,12 @@ from typing import Optional
 
 import numpy as np
 
-from .es import (BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, _batch_trials,
-                 escape_times)
+from .es import BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, escape_times
 from .estimators import (DEFAULT_CONFIDENCE, GridPointEstimate, GridSpec, _grid_pass,
                          _grid_row, _increment)
 from .normalization import _shell_point
 from .objective import SaddleProblem
-from .tasks import _map_tasks, _task_rngs
+from .tasks import _map_tasks, _TaskStreams
 
 ESCAPED = "escaped"
 CENSORED = "censored"
@@ -142,14 +141,16 @@ class HittingTimeStats:
         return [(int(t), float(s)) for t, s in zip(self.survival_t, self.survival_s)]
 
 
-def _escape_batch(args) -> tuple[list, np.ndarray]:
-    """Trials lo..hi-1 of an escape experiment, each on its own trial stream
-    ``task_rng(spec.master_seed, "trial", k)``; the batch's streams are derived
-    in one vectorized pass (``tasks._task_rngs``)."""
-    spec, lo, hi = args
-    rngs = _task_rngs(spec.master_seed, "trial", lo, hi)
+def _escape_trials(args) -> tuple[list, np.ndarray]:
+    """Worker i's share of an escape experiment: the contiguous trial range
+    [trials * i // workers, trials * (i + 1) // workers), all in one
+    ``escape_times`` call.  Trial k reads its own stream
+    ``task_rng(spec.master_seed, "trial", k)``; the engine derives the streams a
+    slice at a time as its slots free up (``tasks._TaskStreams``)."""
+    spec, i, workers = args
+    lo, hi = spec.trials * i // workers, spec.trials * (i + 1) // workers
     return escape_times(spec.problem, replace(spec.params, max_iters=spec.budget),
-                        spec.initial_state(), rngs)
+                        spec.initial_state(), _TaskStreams(spec.master_seed, "trial", lo, hi))
 
 
 def survival_curve(times: np.ndarray, escaped_mask: np.ndarray):
@@ -198,15 +199,16 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
                           fit_s_range: tuple = (0.01, 0.5)) -> HittingTimeStats:
     """Run ``spec.trials`` independent escape trials and summarize them.
 
-    Trials run in batches of consecutive indices through ``es.escape_times``;
-    each trial reads its own stream, so batching and ``threads`` never change a
+    Each of ``min(threads, trials)`` workers runs one contiguous range of
+    trial indices through one ``es.escape_times`` call; each trial reads its
+    own stream, so neither the engine's slots nor ``threads`` ever change a
     trial's result.  Only the escape time and terminal reason are kept.
     ``fit_s_range`` is checked before any trial runs.
     """
     _check_s_range(fit_s_range)
-    size = _batch_trials(spec.problem.d)
-    batches = [(spec, lo, min(lo + size, spec.trials)) for lo in range(0, spec.trials, size)]
-    results = _map_tasks(_escape_batch, batches, threads)
+    # the ranges are cut inside the tasks, after _map_tasks has checked threads
+    workers = min(threads, spec.trials)
+    results = _map_tasks(_escape_trials, [(spec, i, workers) for i in range(workers)], threads)
     status = {TARGET: ESCAPED, BUDGET: CENSORED, UNDERFLOW: UNDERFLOWED}
     statuses = [status[reason] for reasons, _ in results for reason in reasons]
     times = np.concatenate([t for _, t in results])

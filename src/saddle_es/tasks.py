@@ -8,12 +8,13 @@ scheduling.  Grid row w_i reads the one stream ``task_rng(master_seed, "row",
 i)``.  Its draws serve every sigma~_j of the row (common random numbers along
 sigma~), so the constants pipeline takes the success rate, the V drift and the
 W drift of a point from one set of draws, and the row's sigma~40 from one
-replay of the same stream.  Escape trials take their streams a batch at a time
-from ``_task_rngs``, which computes the ``SeedSequence`` hashing of a range of
-indices in one numpy pass and returns the same generators as ``task_rng``;
-``task_rng`` stays the single-task path and the reference for it.
+replay of the same stream.  Escape trials take their streams from
+``_TaskStreams``, a lazy sequence whose slices come from ``_task_rngs``, which
+computes the ``SeedSequence`` hashing of a range of indices in one numpy pass
+and returns the same generators as ``task_rng``; ``task_rng`` stays the
+single-task path and the reference for it.
 
-``_map_tasks`` runs a pipeline's tasks, grid rows or trial batches, in order on
+``_map_tasks`` runs a pipeline's tasks, grid rows or trial ranges, in order on
 a fork pool.  Every task reads only its own streams, so the worker count
 changes wall time but never a result.  ``_usable_cpus`` is the worker count the
 command line defaults to.
@@ -109,6 +110,27 @@ def _task_rngs(master_seed: int, stage: str, lo: int, hi: int) -> list:
         state[:, i] = value ^ value >> 16
     seeds = state.astype("<u4").view("<u8").astype(np.uint64)
     return [Generator(PCG64(_SeedWords(row))) for row in seeds]
+
+
+class _TaskStreams:
+    """``[task_rng(master_seed, stage, k) for k in range(lo, hi)]`` as a lazy
+    sequence read in contiguous slices: a slice derives only its own
+    generators, in one ``_task_rngs`` pass, so a reader that takes a slice at a
+    time never holds every stream."""
+
+    __slots__ = ("master_seed", "stage", "indices")
+
+    def __init__(self, master_seed: int, stage: str, lo: int, hi: int):
+        self.master_seed, self.stage, self.indices = master_seed, stage, range(lo, hi)
+
+    def __len__(self) -> int:
+        return len(self.indices)
+
+    def __getitem__(self, key: slice) -> list:
+        ks = self.indices[key]
+        if not isinstance(ks, range) or ks.step != 1:
+            raise TypeError("task streams are read in contiguous slices")
+        return _task_rngs(self.master_seed, self.stage, ks.start, ks.start + len(ks))
 
 
 def _usable_cpus() -> int:

@@ -37,6 +37,28 @@ class FixedDraws:
         return out
 
 
+class Draws:
+    """A seeded generator for the refill tests.  With ``ties``, every third draw
+    vector is zero: that offspring is the mean itself, an exact tie.  The zeros
+    follow the draw count, so ``run`` and the engine, which draw in different
+    block shapes, see the same vectors.  Drawing past ``limit`` vectors fails
+    the test, so a trial that misses its budget cannot run on forever."""
+
+    def __init__(self, seed, d, ties, limit=256):
+        self.rng = np.random.default_rng(seed)
+        self.d, self.ties, self.limit = d, ties, limit
+        self.rows = 0
+
+    def standard_normal(self, size=None, out=None):
+        z = self.rng.standard_normal(size, out=out)
+        rows = z.reshape(-1, self.d)
+        if self.ties:
+            rows[(self.rows + np.arange(len(rows))) % 3 == 0] = 0.0
+        self.rows += len(rows)
+        assert self.rows <= self.limit, "a trial drew past its budget"
+        return z
+
+
 @pytest.fixture(params=[0.25, 1.0])
 def failure_exponent(request, monkeypatch):
     """The paper's failure exponent 1/4 and a patched 1: every reader must follow it."""
@@ -366,6 +388,30 @@ class TestEscapeTimes:
             expected.append((trace.reason, trace.t_final))
         assert list(zip(reasons, times.tolist())) == expected
         assert set(reasons) == {TARGET, BUDGET, UNDERFLOW}
+
+    # (d, a, m, sigma, max_iters, sigma_min): both budgets end mid-block
+    REFILLED = [(3, (-1.0, 20.0, 5.0), (0.1, 0.5, 0.2), 0.3, 20, 0.2),
+                (100, (-1.0,) + (1.0,) * 99, (0.5, 0.55) + (0.0,) * 98, 0.1, 45, 0.01)]
+
+    @pytest.mark.parametrize("d,a,m,sigma,max_iters,sigma_min", REFILLED)
+    def test_refilled_slots_match_run(self, monkeypatch, d, a, m, sigma, max_iters, sigma_min):
+        # three slots for 40 trials: every slot is refilled many times, at
+        # refills that differ from trial to trial; every fourth trial draws a
+        # zero vector at iterations 1, 4, 7, ..., an exact tie that it accepts
+        monkeypatch.setattr(es, "_batch_trials", lambda d: 3)
+        p = problem(a)
+        params = EsParams(max_iters=max_iters, sigma_min=sigma_min)
+        init = EsState(m=np.array(m), sigma=sigma, t=5)
+
+        def streams():
+            return [Draws(s, d, ties=s % 4 == 0) for s in range(40)]
+
+        reasons, times = escape_times(p, params, init, streams())
+        traces = [run(p, params, init, rng, record_every=0) for rng in streams()]
+        assert list(zip(reasons, times.tolist())) == [(t.reason, t.t_final) for t in traces]
+        assert set(reasons) == {TARGET, BUDGET, UNDERFLOW}
+        # more budget ends than slots: some of them started at different refills
+        assert reasons.count(BUDGET) > 3
 
     def test_escape_to_minus_inf_is_target(self):
         # offspring squares near 1e308 overflow: an accepted f = -inf is an

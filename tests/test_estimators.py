@@ -30,7 +30,7 @@ from saddle_es import (
 )
 from saddle_es import estimators
 from saddle_es.estimators import _drift, _increment, _scalars, _sigma_40, _success_curve
-from saddle_es.tasks import _STAGES, _task_rngs
+from saddle_es.tasks import _STAGES, _task_rngs, _TaskStreams
 
 
 def drift(quantity, p, params, ns, n, rng, beta=0.0):
@@ -186,6 +186,17 @@ class TestTaskSeed:
 
     def test_batched_streams_empty_range(self):
         assert _task_rngs(3, "trial", 5, 5) == []
+
+    def test_lazy_streams_slice_to_task_rng(self):
+        streams = _TaskStreams(3, "trial", 10, 20)
+        assert len(streams) == 10
+        for part, ks in ((streams[2:5], range(12, 15)), (streams[8:50], range(18, 20)),
+                         (streams[4:4], range(0))):
+            assert [rng.bit_generator.state for rng in part] == \
+                [task_rng(3, "trial", k).bit_generator.state for k in ks]
+        for key in (0, slice(0, 10, 2)):
+            with pytest.raises(TypeError, match="contiguous slices"):
+                streams[key]
 
     def test_batched_streams_reject_negative_master(self):
         with pytest.raises(ValueError):

@@ -194,13 +194,51 @@ class TestEngineMatchesRun:
         assert batched(s) == run_per_trial(s)
 
     def test_threads_with_partial_batch(self):
-        s = spec(trials=_batch_trials(2) + 37)
-        one = run_escape_experiment(s, threads=1)
-        two = run_escape_experiment(s, threads=2)
-        assert one.statuses == two.statuses
-        assert one.times.tolist() == two.times.tolist()
-        assert one.to_dict() == two.to_dict()
-        assert one.survival_rows() == two.survival_rows()
+        # each worker runs one contiguous trial range; 7 and 1,061 trials split
+        # unevenly over 2 and 3 workers, and 1,061 leaves a partly filled
+        # last slice of streams
+        for trials in (7, _batch_trials(2) + 37):
+            s = spec(trials=trials)
+            one = run_escape_experiment(s, threads=1)
+            for threads in (2, 3):
+                split = run_escape_experiment(s, threads=threads)
+                assert split.statuses == one.statuses
+                assert split.times.tolist() == one.times.tolist()
+                assert split.to_dict() == one.to_dict()
+                assert split.survival_rows() == one.survival_rows()
+
+    def test_streams_held_stay_bounded(self, monkeypatch):
+        # a counting stream source: every generator derived for the engine is
+        # wrapped, and a wrapper counts itself while anything holds it
+        size = _batch_trials(2)
+        s = spec(trials=10 * size)
+        expected = batched(s)
+        held = {"now": 0, "peak": 0}
+        chunks = []
+        derive = saddle_es.tasks._task_rngs
+
+        class Counted:
+            def __init__(self, rng):
+                self.rng = rng
+                held["now"] += 1
+                held["peak"] = max(held["peak"], held["now"])
+
+            def __del__(self):
+                held["now"] -= 1
+
+            def standard_normal(self, *args, **kwargs):
+                return self.rng.standard_normal(*args, **kwargs)
+
+        def counted(*args):
+            rngs = derive(*args)
+            chunks.append(len(rngs))
+            return [Counted(rng) for rng in rngs]
+
+        monkeypatch.setattr(saddle_es.tasks, "_task_rngs", counted)
+        assert batched(s) == expected
+        # the slots' streams plus one derivation chunk, never all 10,240
+        assert sum(chunks) == s.trials and max(chunks) <= size
+        assert held["peak"] <= 2 * size
 
 
 class TestSurvivalAndTail:
