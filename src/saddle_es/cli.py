@@ -56,7 +56,7 @@ from .experiments import ESCAPED, EscapeExperimentSpec, run_escape_experiment, d
 from .normalization import NormalizedState, sample_M_plus_0
 from .objective import SaddleProblem
 from .serialize import drift_map_to_csv, survival_to_csv, trace_to_csv, write_csv, write_json
-from .tasks import _usable_cpus, task_rng
+from .tasks import _replay_hint, _usable_cpus, task_rng
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -332,8 +332,8 @@ def cmd_escape(ns) -> int:
           f"underflow={stats.n_underflow} -> {ns.stats_out}, {ns.survival_out}")
     failed = [k for k, status in enumerate(stats.statuses) if status != ESCAPED]
     for k in failed[:_LIST_FAILED]:
-        print(f"escape: trial {k} {stats.statuses[k]} at t={stats.times[k]}; replay its stream "
-              f"with task_rng({spec.master_seed}, \"trial\", {k})", file=sys.stderr)
+        print(f"escape: trial {k} {stats.statuses[k]} at t={stats.times[k]}; "
+              f"{_replay_hint(spec.master_seed, 'trial', k)}", file=sys.stderr)
     if len(failed) > _LIST_FAILED:
         print(f"escape: {len(failed) - _LIST_FAILED} more trials did not escape", file=sys.stderr)
     if stats.n_underflow > 0:

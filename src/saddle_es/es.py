@@ -13,20 +13,21 @@ exactly d standard normal draws in component order 1..d.  ``run`` and
 iteration t are always the same d normals regardless of the block size.
 ``escape_times`` advances up to ``_batch_trials(d)`` trials together in lockstep
 slots, each trial on its own stream, and hands a slot whose trial has ended to
-the next trial at the slot's next refill.  f is computed by one expression whose
-bits for a point do not depend on how many points are evaluated together, so
-each of its trials ends exactly as ``run`` ends on that trial's stream.
+the next trial at the slot's next refill.  f is ``objective._f``, the one sum
+behind ``SaddleProblem.evaluate`` and both semi-norms, whose bits for a point do
+not depend on its batch: each trial ends exactly as ``run`` ends on its stream.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .objective import SaddleProblem
+from .objective import SaddleProblem, _f
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -51,15 +52,6 @@ _REFILL = 8
 
 def _batch_trials(d: int) -> int:
     return _NORMALS // (_REFILL * max(d, 8))
-
-
-def _f(sq: np.ndarray, a: np.ndarray):
-    """sum_j a_j * sq[..., j].  Unlike ``sq @ a``, the bits of each point's value
-    do not depend on how many points are evaluated together."""
-    # not objective._sum_columns, whose order differs by an ulp above d=2: its
-    # column fold takes ~95 us on the (81, 100) escape slots against ~7 us here
-    # (numpy 2.4, 2 vCPUs, best of 9)
-    return np.einsum("...j,j->...", sq, a)
 
 
 @dataclass(frozen=True)
@@ -152,7 +144,7 @@ def _check_start(problem: SaddleProblem, params: EsParams, init: EsState) -> flo
         raise ValueError(f"initial mean has dimension {init.m.size}, expected {problem.d}")
     if not init.sigma > params.sigma_min:
         raise ValueError("initial sigma must exceed sigma_min")
-    f0 = float(_f(np.square(init.m), problem.a))
+    f0 = problem.evaluate(init.m)
     if not math.isfinite(f0):
         raise ValueError(f"initial mean has non-finite objective value {f0}")
     return f0
@@ -256,14 +248,14 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     and every slot draws its trial's next (_REFILL, d) block.  Until then an
     ended trial's slot is frozen: f(m) = nan and sigma = inf, so it accepts
     nothing and never reaches the floor.  Slots are compacted once no trial is
-    left to start.  ``rngs`` is read in slices of ``_batch_trials(d)``
-    streams, so a lazy sequence (``tasks._TaskStreams``) is derived at most one
-    slice ahead of the slots, and the streams held at once do not grow with
-    ``len(rngs)``.
+    left to start.  New trials take their streams from one chain over slices of
+    ``_batch_trials(d)`` streams, so a lazy sequence (``tasks._TaskStreams``) is
+    derived at most one slice ahead of the slots, and the streams held at once
+    do not grow with ``len(rngs)``.
     """
     f0 = _check_start(problem, params, init)
     a, d, n = problem.a, problem.d, len(rngs)
-    if f0 < 0.0 or params.max_iters == 0:
+    if f0 < 0.0 or params.max_iters == 0 or n == 0:
         return [TARGET if f0 < 0.0 else BUDGET] * n, np.full(n, init.t)
     reasons = np.full(n, BUDGET, dtype=object)
     times = np.full(n, init.t + params.max_iters)
@@ -275,7 +267,7 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     fm = np.empty(size)
     live = np.zeros(size, dtype=bool)       # slots whose trial has not ended
     streams = [None] * size
-    pending = []                            # next slice of rngs, next trial last
+    hand_out = itertools.chain.from_iterable(rngs[k:k + size] for k in range(0, n, size))
     buf = np.empty((size, _REFILL, d))
     dec = params.alpha ** -_FAILURE_EXPONENT
     # every trial starts at a refill, so all budgets run out at this step of a block
@@ -294,10 +286,8 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
         if free.size:
             trial[free] = np.arange(nxt, nxt + free.size)
             for i in free:
-                if not pending:
-                    pending = list(reversed(rngs[nxt:nxt + size]))
-                streams[i] = pending.pop()
-                nxt += 1
+                streams[i] = next(hand_out)
+            nxt += free.size
             start[free] = s
             m[free] = init.m
             sigma[free] = init.sigma

@@ -39,7 +39,7 @@ from . import es
 from .es import _NORMALS, EsParams
 from .normalization import NormalizedState, NormPlusZeroError, in_M_plus_0, sample_M_plus_0
 from .objective import SaddleProblem
-from .tasks import _map_tasks, task_rng
+from .tasks import _map_tasks, _replay_hint, task_rng
 
 DEFAULT_CONFIDENCE = 0.99
 # sigma~40: the success rate it bounds
@@ -146,8 +146,7 @@ class GridPointEstimate:
 def _describe_point(row: GridPointEstimate, master_seed: int, i: int, j: int) -> str:
     """Grid point (w_i, sigma~_j) of an estimate, with the stream that replays it."""
     return (f"w={row.w!r} sigma~={row.sigma_tilde!r} ci_low={row.est.ci_low!r} "
-            f"n={row.est.n}; replay its stream with task_rng({master_seed}, \"row\", {i}) "
-            f"at sigma index {j}")
+            f"n={row.est.n}; {_replay_hint(master_seed, 'row', i)} at sigma index {j}")
 
 
 def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, c: int,
@@ -501,14 +500,13 @@ def _grid_pass(task, problem: SaddleProblem, params: EsParams, grid: GridSpec, n
 def _success_curve(problem: SaddleProblem, m_tilde: np.ndarray, lo: float, hi: float,
                    n: int, rng: np.random.Generator) -> tuple:
     """The success count of n draws from ``rng`` as a step function of the step
-    size on [lo, hi]: (count at lo, ascending positions in (lo, hi], count change
-    at each).  A count changes where a sample's success interval ends (-1, at the
-    first step size past it) or starts (+1).  Besides one block, it holds only
-    the changes that fall inside the cell."""
-    count, positions, changes = 0, [], []
+    size on (lo, hi], relative to its count at lo: (ascending positions in
+    (lo, hi], count change at each).  A count changes where a sample's success
+    interval ends (-1, at the first step size past it) or starts (+1).  Besides
+    one block, it holds only the changes that fall inside the cell."""
+    positions, changes = [], []
     for c in _blocks(n, problem.d):
         g2, q = _scalars(problem, m_tilde, c, rng)[:2]
-        count += int(np.count_nonzero(_accepted(g2, q, lo)))
         with np.errstate(all="ignore"):
             t = -g2 / q
         keep = np.flatnonzero((t > lo * (1.0 - 1e-9)) & (t <= hi * (1.0 + 1e-9)))
@@ -518,7 +516,7 @@ def _success_curve(problem: SaddleProblem, m_tilde: np.ndarray, lo: float, hi: f
         positions.append(t[inside])
         changes.append(np.where(q[inside] < 0.0, 1, -1))
     positions, where = np.unique(np.concatenate(positions), return_inverse=True)
-    return count, positions, np.bincount(where, np.concatenate(changes)).astype(int)
+    return positions, np.bincount(where, np.concatenate(changes)).astype(int)
 
 
 def _sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigmas: list, hits: list, n: int,
@@ -527,10 +525,10 @@ def _sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigmas: list, hits: l
     >= 0.4, searched upward from the last passing grid point; math.inf when the
     rate never falls below 0.4 on the grid.
 
-    ``hits`` are the row's success counts at the ascending ``sigmas`` from its
-    stream ``task_rng(master_seed, "row", row)``.  Each sample succeeds on one
-    interval of step sizes, so the row's rate is a step function; one replay of
-    the stream reads it off inside the first failing grid cell.
+    ``hits`` are the kernel's success counts at the ascending ``sigmas`` from the
+    row's stream ``task_rng(master_seed, "row", row)``.  Each sample succeeds on
+    one interval of step sizes, so the row's rate is a step function; one replay
+    of the stream reads its steps inside the first failing grid cell.
     """
     first_fail = next((j for j, h in enumerate(hits) if h / n < _SIGMA40_RATE), None)
     if first_fail is None:
@@ -538,12 +536,12 @@ def _sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigmas: list, hits: l
     if first_fail == 0:
         raise ValueError("success rate below threshold at the smallest grid step size; extend "
                          f"the grid downward.  Row {row}: w={problem.norm_minus(m_tilde)!r} "
-                         f"sigma~={sigmas[0]!r} rate={hits[0] / n!r} n={n}; replay its stream "
-                         f"with task_rng({master_seed}, \"row\", {row}) at sigma index 0")
-    count, positions, changes = _success_curve(problem, m_tilde, sigmas[first_fail - 1],
-                                               sigmas[first_fail], n,
-                                               task_rng(master_seed, "row", row))
-    drop = int(np.flatnonzero((count + np.cumsum(changes)) / n < _SIGMA40_RATE)[0])
+                         f"sigma~={sigmas[0]!r} rate={hits[0] / n!r} n={n}; "
+                         f"{_replay_hint(master_seed, 'row', row)} at sigma index 0")
+    positions, changes = _success_curve(problem, m_tilde, sigmas[first_fail - 1],
+                                        sigmas[first_fail], n, task_rng(master_seed, "row", row))
+    drop = int(np.flatnonzero((hits[first_fail - 1] + np.cumsum(changes)) / n
+                              < _SIGMA40_RATE)[0])
     return float(np.nextafter(positions[drop], 0.0))
 
 

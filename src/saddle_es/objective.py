@@ -3,23 +3,24 @@
 The objective is f(x) = sum_i a_i * x_i**2 with the first ``b`` coefficients
 strictly negative and the rest strictly positive, so the origin is the saddle
 point of a full-rank quadratic form.  Everything here is a pure function of
-its arguments.
+its arguments.  f and both semi-norms are one weighted sum, ``_f``, whose bits
+for a point do not depend on its batch; ``es`` decides acceptance and escape
+with the same sum, so ``evaluate`` agrees bit for bit with the f of its runs.
 """
 
 from __future__ import annotations
 
 import enum
-import functools
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 
-def _sum_columns(terms: np.ndarray):
-    """Sum over the last axis, adding one column at a time from the left, so the
-    bits of a row's sum do not depend on the batch it is in."""
-    return functools.reduce(operator.add, terms.transpose(-1, *range(terms.ndim - 1)))
+def _f(sq: np.ndarray, a: np.ndarray):
+    """sum_j a_j * sq[..., j].  Unlike ``sq @ a``, the bits of each point's value
+    do not depend on how many points are evaluated together, nor on the
+    batch's memory layout (the sum is taken over a C-ordered copy)."""
+    return np.einsum("...j,j->...", np.ascontiguousarray(sq), a)
 
 
 class RegionLabel(enum.Enum):
@@ -72,7 +73,7 @@ class SaddleProblem:
     def evaluate(self, x):
         """f(x) = sum_i a_i x_i^2; accepts a single point or a batch (..., d)."""
         x = self._coerce(x)
-        value = _sum_columns(np.square(x) * self.a)
+        value = _f(np.square(x), self.a)
         return float(value) if x.ndim == 1 else value
 
     def norm_minus(self, x):
@@ -81,13 +82,13 @@ class SaddleProblem:
         Formed as sqrt(0 - q), which is +0.0 for a zero block where sqrt(-q) is -0.0.
         """
         x = self._coerce(x)
-        value = np.sqrt(0.0 - _sum_columns(np.square(x[..., : self.b]) * self.a[: self.b]))
+        value = np.sqrt(0.0 - _f(np.square(x[..., : self.b]), self.a[: self.b]))
         return float(value) if x.ndim == 1 else value
 
     def norm_plus(self, x):
         """Mahalanobis semi-norm of the positive-curvature block: sqrt(sum_{i>b} a_i x_i^2)."""
         x = self._coerce(x)
-        value = np.sqrt(_sum_columns(np.square(x[..., self.b :]) * self.a[self.b :]))
+        value = np.sqrt(_f(np.square(x[..., self.b :]), self.a[self.b :]))
         return float(value) if x.ndim == 1 else value
 
     def classify(self, x, tol: float = 0.0) -> RegionLabel:

@@ -42,6 +42,12 @@ def task_rng(master_seed: int, stage: str, *index: int) -> np.random.Generator:
         np.random.SeedSequence(master_seed, spawn_key=(_STAGES[stage], *index)))
 
 
+def _replay_hint(master_seed: int, stage: str, *index: int) -> str:
+    """The words a failure message uses to name a task's stream."""
+    key = ", ".join(map(str, (master_seed, f'"{stage}"', *index)))
+    return f"replay its stream with task_rng({key})"
+
+
 _MASK32 = 0xFFFFFFFF
 
 

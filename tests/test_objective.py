@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from saddle_es import RegionLabel, SaddleProblem
+from saddle_es import EsParams, EsState, RegionLabel, SaddleProblem, run, sample_M_plus_0
+from saddle_es.es import _f
 
 
 def make(a, b=1):
@@ -60,13 +61,43 @@ class TestEvaluate:
     @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-3.0, -0.5, 7.0, 2.0, 0.1), 2)])
     def test_single_point_equals_its_batch_value(self, a, b):
         # a BLAS dot and a BLAS matrix-vector product round a d=2 point
-        # differently, by an ulp on about a quarter of random points
+        # differently, by an ulp on about a quarter of random points; nor may
+        # the batch's memory layout change the bits
         p = make(a, b)
         x = np.random.default_rng(6).standard_normal((2000, p.d))
         for method in (p.evaluate, p.norm_minus, p.norm_plus):
             batch = method(x)
             assert all(method(point) == value for point, value in zip(x, batch.tolist()))
             assert method(x.reshape(-1, 4, p.d)).ravel().tobytes() == batch.tobytes()
+            assert method(np.asfortranarray(x)).tobytes() == batch.tobytes()
+            assert method(np.repeat(x, 2, axis=0)[::2]).tobytes() == batch.tobytes()
+
+
+class TestOneSumWithTheEs:
+    """evaluate, classify and the ES's acceptance and escape decisions use one sum."""
+
+    def test_run_records_equal_evaluate(self):
+        p = make((-1.0, -3.0, 2.0, 5.0, 20.0), 2)
+        init = EsState(m=sample_M_plus_0(p, 0.5), sigma=0.3)
+        trace = run(p, EsParams(max_iters=2000), init, np.random.default_rng(7), stop=False,
+                    record_every=1)
+        assert len(trace.records) == 2001
+        for record in trace.records:
+            assert record.f_value == p.evaluate(record.m)
+            assert p.classify(record.m).value == np.sign(record.f_value)
+
+    @pytest.mark.parametrize("d", [3, 5, 100])
+    def test_cone_points_equal_the_es_f(self, d):
+        # points of the f = 0 cone, where the sign of f is decided by the last
+        # bits of the sum: x_1 = sqrt(sum_{j>1} a_j x_j**2) with a_1 = -1
+        rng = np.random.default_rng(d)
+        p = make((-1.0, *rng.uniform(0.1, 50.0, d - 1)))
+        for _ in range(10):     # 10**5 points in blocks of 10**4
+            x = rng.standard_normal((10_000, d)) * rng.uniform(1e-3, 1e3)
+            x[:, 0] = np.sqrt(np.square(x[:, 1:]) @ p.a[1:])
+            es_f = _f(np.square(x), p.a)
+            assert p.evaluate(x).tobytes() == es_f.tobytes()
+        assert all(p.evaluate(point) == value for point, value in zip(x[:500], es_f[:500]))
 
 
 class TestSemiNorms:
