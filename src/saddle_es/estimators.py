@@ -449,7 +449,8 @@ def _w_parts(norm_minus, norm_plus, w0: float, alpha: float) -> tuple:
 
 
 def _phi_parts(beta: float, *step) -> tuple:
-    """Parts of the change of phi = beta * V + W; unlike a closure, its partial pickles."""
+    """Parts of the change of phi = beta * V + W; bound to beta by a partial,
+    whose repr, unlike a closure's, shows beta."""
     if beta == 0.0:
         return _w_parts(*step)
     (v_rejected, v), (w_rejected, w) = _v_parts(*step), _w_parts(*step)
@@ -457,7 +458,7 @@ def _phi_parts(beta: float, *step) -> tuple:
 
 
 def _increment(quantity: str, beta: float = 0.0):
-    """The picklable increment, (norm_minus, norm_plus, w0, alpha) of the accepted
+    """The increment, (norm_minus, norm_plus, w0, alpha) of the accepted
     offspring -> (rejection constant, accepted-row values),
     of drift quantity "V", "W" or "Phi" (any case), where phi = beta * V + W on the
     same steps, so its confidence interval is honest; beta = 0 gives the W drift."""

@@ -1,4 +1,4 @@
-"""Task streams and the worker pool of the grid and trial pipelines.
+"""Task streams and the worker processes of the grid and trial pipelines.
 
 Grid pipelines derive one independent stream per task with ``task_rng``: the
 master seed seeds a numpy ``SeedSequence`` spawned at key (stage id, *task
@@ -15,15 +15,18 @@ and returns the same generators as ``task_rng``; ``task_rng`` stays the
 single-task path and the reference for it.
 
 ``_map_tasks`` runs a pipeline's tasks, grid rows or trial ranges, in order on
-a fork pool.  Every task reads only its own streams, so the worker count
-changes wall time but never a result.  ``_usable_cpus`` is the worker count the
-command line defaults to.
+forked workers, each of which sends its share's results back pickled over a
+pipe, so only results need to pickle.  Every task reads only its own streams,
+so the worker count changes wall time but never a result.  ``_usable_cpus`` is
+the worker count the command line defaults to.
 """
 
 from __future__ import annotations
 
 import operator
 import os
+import pickle
+import signal
 
 import numpy as np
 
@@ -150,21 +153,86 @@ def _usable_cpus() -> int:
 
 def _map_tasks(fn, args_list, threads: int):
     """``[fn(args) for args in args_list]``; with ``threads`` > 1 and more than
-    one task, on a fork pool of at most ``threads`` workers, so ``fn`` (a
-    module-level function) and its arguments must then pickle.  Results come in
-    task order, and an exception raised by a task is raised here."""
+    one task, on ``min(threads, len(args_list))`` forked workers, worker w
+    running tasks w, w + workers, ... in order.  Only the results must pickle:
+    each worker sends its share's results back over a pipe.  Results come in
+    task order; an exception raised by a task is raised here, the lowest task
+    index's if several fail, and a worker that ends without sending anything
+    raises a ``RuntimeError`` that names it.  No worker outlives the call."""
     if threads < 1:
         raise ValueError("threads must be at least 1")
     if threads == 1 or len(args_list) <= 1:
         return [fn(args) for args in args_list]
-    # imported here, so serial commands do not load the pool modules
-    import concurrent.futures
-    import multiprocessing
-
-    # a fork pool starts all its workers at the first submit, so never ask for
-    # more workers than there are tasks
     workers = min(threads, len(args_list))
-    ctx = multiprocessing.get_context("fork")
-    chunk = max(1, len(args_list) // (workers * 8))
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=ctx) as ex:
-        return list(ex.map(fn, args_list, chunksize=chunk))
+    pids, reads = [], []
+    try:
+        for w in range(workers):
+            read_fd, write_fd = os.pipe()
+            reads.append(read_fd)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_share(fn, args_list, w, workers, write_fd, reads)
+            finally:
+                os.close(write_fd)
+            pids.append(pid)
+        results, failures = [None] * len(args_list), []
+        for w in range(workers):
+            with open(reads[w], "rb") as pipe:
+                reads[w] = None
+                data = pipe.read()
+            _, status = os.waitpid(pids[w], 0)
+            pids[w] = None
+            if status != 0:
+                code = os.waitstatus_to_exitcode(status)
+                how = f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+                raise RuntimeError(f"task worker {w} of {workers} ended without a result ({how})")
+            ok, share = pickle.loads(data)
+            if ok:
+                results[w::workers] = share
+            else:
+                failures.append(share)
+        if failures:
+            raise min(failures, key=operator.itemgetter(0))[1]
+        return results
+    finally:
+        for fd in reads:
+            if fd is not None:
+                os.close(fd)
+        for pid in pids:
+            if pid is not None:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+
+
+def _run_share(fn, args_list, first: int, step: int, write_fd: int, read_fds: list):
+    """A ``_map_tasks`` worker: run tasks first, first + step, ... in order,
+    write one pickled ``(True, results)``, or ``(False, (task index,
+    exception))`` at the first task that raises, to ``write_fd`` and exit.
+    An exception that does not survive pickling is sent as a ``RuntimeError``
+    carrying its repr.  Never returns."""
+    status = 1
+    try:
+        # with no read end left but the parent's, a worker whose parent died
+        # gets an error from its write instead of blocking on a full pipe
+        for fd in read_fds:
+            os.close(fd)
+        k, results = first, []
+        try:
+            for k in range(first, len(args_list), step):
+                results.append(fn(args_list[k]))
+            # protocol 5 writes numpy arrays' buffers without copying them first
+            data = pickle.dumps((True, results), pickle.HIGHEST_PROTOCOL)
+        except BaseException as exc:
+            # even an interrupt or exit goes to the parent, which raises it;
+            # a worker never unwinds into its caller's frames
+            try:
+                data = pickle.dumps((False, (k, exc)))
+                pickle.loads(data)
+            except Exception:
+                data = pickle.dumps((False, (k, RuntimeError(repr(exc)))))
+        with open(write_fd, "wb") as pipe:
+            pipe.write(data)
+        status = 0
+    finally:
+        os._exit(status)

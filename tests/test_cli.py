@@ -380,10 +380,13 @@ class TestConstantsCommand:
         assert code == EXIT_CONFIG
         assert "extend the grid downward" in capsys.readouterr().err
 
-    def test_grid_missing_low_step_sizes_names_row(self, tmp_path, capsys):
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grid_missing_low_step_sizes_names_row(self, tmp_path, capsys, threads):
+        # both rows fail; on 2 workers row 1's error comes back too, and row 0's,
+        # the lowest task's, is the one reported
         code = run_cli("constants", "--a=-1,100", "--b=1", "--n=20000", "--seed=3",
                        "--w-values=0,0.5", "--sigma-grid-min=10", "--sigma-grid-points=8",
-                       f"--constants-out={tmp_path}/c.json")
+                       f"--threads={threads}", f"--constants-out={tmp_path}/c.json")
         assert code == EXIT_CONFIG
         p = SaddleProblem(a=[-1.0, 100.0], b=1)
         rate = success_probability(p, NormalizedState(sample_M_plus_0(p, 0.0), 10.0), 20_000,
@@ -663,15 +666,18 @@ class TestParser:
 def test_import_defers_numpy_random_and_the_pool():
     # numpy.random costs ~6 MB and ~5 ms to load; the parent process of a
     # threaded escape never needs it, since only its workers derive streams.
-    # The pool modules serve threaded commands only, and --version, run and
-    # every serial command would pay for them at startup
+    # The executor pool modules are not loaded at startup, nor by a map on
+    # forked workers
     src = os.path.dirname(os.path.dirname(saddle_es.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    code = ("import sys, saddle_es, saddle_es.cli; print(sorted({'numpy.random', "
-            "'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    code = ("import sys, saddle_es, saddle_es.cli\n"
+            "pool = {'concurrent.futures', 'multiprocessing'}\n"
+            "print(sorted({'numpy.random', *pool} & set(sys.modules)))\n"
+            "assert saddle_es.tasks._map_tasks(abs, [-1, -2], threads=2) == [1, 2]\n"
+            "print(sorted(pool & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True)
-    assert out.stdout.strip() == "[]"
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 def test_public_callables_take_no_hidden_keywords():

@@ -570,7 +570,7 @@ class TestConstants:
         assert c1 == c2
 
     def test_threads_do_not_change_report(self):
-        # threads=2 maps the grid rows, each with its sigma~40, on a fork pool
+        # threads=2 maps the grid rows, each with its sigma~40, on forked workers
         p = problem((-1.0, 20.0))
         kw = dict(grid=self.SMALL_GRID, n=3000, master_seed=33)
         one = estimate_constants_report(p, EsParams(alpha=1.5), threads=1, **kw)

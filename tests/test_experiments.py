@@ -1,7 +1,8 @@
 import ast
-import concurrent.futures
 import math
 import os
+import signal
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -300,7 +301,7 @@ class TestDriftMap:
 
     @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
     def test_reproducible_and_thread_invariant(self, quantity):
-        # threads=2 pickles each point's increment into a fork-pool worker
+        # threads=2 runs the rows on forked workers, which send back only the estimates
         kw = dict(grid=self.GRID, n=2000, master_seed=4, beta=0.3)
         r1 = drift_map(problem(), EsParams(), quantity, threads=1, **kw)
         r2 = drift_map(problem(), EsParams(), quantity, threads=2, **kw)
@@ -352,45 +353,120 @@ class TestDriftMap:
 
 
 
+class TwoArgError(Exception):
+    """Pickles, but unpickling calls TwoArgError(a) and fails."""
+
+    def __init__(self, a, b):
+        super().__init__(a)
+
+
 class TestMapTasks:
-    class SerialPool:
-        """Stands in for ProcessPoolExecutor: records its sizes, maps in this process."""
-
-        made = []
-
-        def __init__(self, max_workers, mp_context):
-            self.max_workers = max_workers
-            self.made.append(self)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, iterable, chunksize=1):
-            self.chunksize = chunksize
-            return map(fn, iterable)
-
     @pytest.fixture
-    def pools(self, monkeypatch):
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", self.SerialPool)
-        self.SerialPool.made = []
-        return self.SerialPool.made
+    def forks(self, monkeypatch):
+        """The pids of the workers that _map_tasks forks; conftest's autouse
+        fixture fails a test that leaves any of them running or unreaped."""
+        pids, fork = [], os.fork
 
-    def test_no_more_workers_than_tasks(self, pools):
-        # a fork pool starts all max_workers processes at the first submit
-        assert _map_tasks(lambda x: x * x, [1, 2, 3], threads=1000) == [1, 4, 9]
-        assert [(p.max_workers, p.chunksize) for p in pools] == [(3, 1)]
+        def counted_fork():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
 
-    def test_chunks_follow_worker_count(self, pools):
-        assert _map_tasks(lambda x: -x, list(range(40)), threads=2) == [-x for x in range(40)]
-        assert [(p.max_workers, p.chunksize) for p in pools] == [(2, 2)]
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return pids
 
-    def test_single_task_or_thread_runs_inline(self, pools):
+    @pytest.mark.parametrize("threads, n_tasks", [(1000, 3), (3, 7), (2, 40)])
+    def test_one_worker_per_task_up_to_threads(self, forks, threads, n_tasks):
+        # worker w runs tasks w, w + workers, ...; uneven shares keep task order
+        results = _map_tasks(lambda k: (k * k, os.getpid()), list(range(n_tasks)), threads)
+        workers = min(threads, n_tasks)
+        assert len(forks) == workers
+        assert results == [(k * k, forks[k % workers]) for k in range(n_tasks)]
+
+    def test_single_task_or_thread_runs_inline(self, forks):
         assert _map_tasks(str, [5], threads=8) == ["5"]
         assert _map_tasks(str, [5, 6], threads=1) == ["5", "6"]
-        assert pools == []
+        assert forks == []
+
+    def test_lowest_failing_task_is_raised(self, forks):
+        # task 3 fails in worker 0, which is read first; task 1 fails in worker 1
+        def task(k):
+            if k in (1, 3):
+                raise KeyError(k)
+            return k
+
+        with pytest.raises(KeyError) as info:
+            _map_tasks(task, list(range(7)), threads=3)
+        assert info.value.args == (1,)
+        assert len(forks) == 3
+
+    @pytest.mark.parametrize("where", ["local", "module"])
+    def test_exception_that_does_not_pickle_is_sent_as_its_repr(self, forks, where):
+        # a local class does not pickle; TwoArgError pickles but does not unpickle
+        class LocalError(TwoArgError):
+            pass
+
+        error = {"local": LocalError, "module": TwoArgError}[where]
+
+        def task(k):
+            raise error(k, "b")
+
+        with pytest.raises(RuntimeError, match=rf"^{error.__name__}\(0\)$"):
+            _map_tasks(task, [0, 1], threads=2)
+
+    def test_worker_killed_without_a_result_is_named(self, forks):
+        def task(k):
+            if k == 1:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return k
+
+        with pytest.raises(RuntimeError, match=r"worker 1 of 2 ended without a result "
+                                               r"\(killed by signal 9\)"):
+            _map_tasks(task, list(range(4)), threads=2)
+
+    def test_workers_hold_no_read_end(self, forks, monkeypatch):
+        # a worker holding a read end would block forever on a result larger
+        # than the pipe's buffer once the parent died
+        read_fds, pipe = [], os.pipe
+
+        def recorded_pipe():
+            fds = pipe()
+            read_fds.append(fds[0])
+            return fds
+
+        def open_read_fds(k):
+            still_open = []
+            for fd in read_fds:
+                try:
+                    os.fstat(fd)
+                except OSError:
+                    continue
+                still_open.append(fd)
+            return still_open
+
+        monkeypatch.setattr(os, "pipe", recorded_pipe)
+        assert _map_tasks(open_read_fds, [0, 1, 2], threads=3) == [[], [], []]
+        assert len(read_fds) == 3
+
+    def test_interrupt_kills_and_reaps_the_workers(self, forks):
+        class Interrupt(Exception):
+            pass
+
+        def interrupt(signum, frame):
+            raise Interrupt
+
+        previous = signal.signal(signal.SIGALRM, interrupt)
+        start = time.monotonic()
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 0.2)
+            with pytest.raises(Interrupt):
+                _map_tasks(time.sleep, [60, 60], threads=2)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert time.monotonic() - start < 30
+        assert len(forks) == 2
 
     def test_usable_cpus_follow_the_affinity_mask(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
@@ -403,10 +479,10 @@ class TestMapTasks:
 
     @pytest.mark.parametrize("threads", [0, -4])
     @pytest.mark.parametrize("tasks", [[], [5], [5, 6, 7]])
-    def test_threads_below_one_rejected(self, pools, threads, tasks):
+    def test_threads_below_one_rejected(self, forks, threads, tasks):
         with pytest.raises(ValueError, match="threads must be at least 1"):
             _map_tasks(str, tasks, threads=threads)
-        assert pools == []
+        assert forks == []
 
 
 def test_tasks_module_imports_no_saddle_es_module():
@@ -424,7 +500,7 @@ def test_tasks_module_imports_no_saddle_es_module():
 
 @pytest.mark.parametrize("module", [saddle_es.objective, saddle_es.estimators])
 def test_sample_kernel_makes_no_blas_call(module):
-    # BLAS starts helper threads that compete with the fork pool's workers for the
+    # BLAS starts helper threads that compete with the forked workers for the
     # cores, and its rounding of a point depends on the batch around it
     tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
     calls = []
