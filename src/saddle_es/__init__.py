@@ -33,7 +33,6 @@ from .estimators import (
     one_step_samples,
     pairing_check,
     saddle_success_analytic_2d,
-    saddle_success_mc,
     success_probability,
 )
 from .experiments import (
@@ -51,5 +50,5 @@ from .normalization import (
     in_M_plus_0,
     sample_M_plus_0,
 )
-from .objective import RegionLabel, SaddleProblem
+from .objective import SaddleProblem
 from .tasks import task_rng

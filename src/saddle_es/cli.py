@@ -49,7 +49,6 @@ from .estimators import (
     estimate_constants_report,
     pairing_check,
     saddle_success_analytic_2d,
-    saddle_success_mc,
     success_probability,
 )
 from .experiments import ESCAPED, EscapeExperimentSpec, run_escape_experiment, drift_map
@@ -386,7 +385,9 @@ def cmd_succ_prob(ns) -> int:
     if ns.at_saddle:
         if ns.w is not None or ns.sigma is not None:
             raise ConfigError("succ-prob takes --w and --sigma or --at-saddle, not both")
-        est = saddle_success_mc(problem, ns.n, rng, **confidence)
+        # at the saddle the rate does not depend on the step size (scale invariance)
+        est = success_probability(problem, NormalizedState(np.zeros(problem.d), 1.0), ns.n,
+                                  rng, **confidence)
         payload["at_saddle"] = True
         if problem.d == 2:
             analytic = saddle_success_analytic_2d(problem)

@@ -38,6 +38,9 @@ NONFINITE = "nonfinite"
 
 _FAILURE_EXPONENT = 0.25
 
+# keeps a success from carrying the step size past the float range (see ``run``)
+_ALPHA_MAX = 1e100
+
 _BLOCK = 256
 
 # the most normals one block of draws may hold: the escape slots' draws here, a
@@ -63,8 +66,8 @@ class EsParams:
     sigma_min: float = 1e-300
 
     def __post_init__(self):
-        if not self.alpha > 1.0:
-            raise ValueError("alpha must be > 1")
+        if not 1.0 < self.alpha <= _ALPHA_MAX:
+            raise ValueError(f"alpha must be > 1 and at most {_ALPHA_MAX:g}, got {self.alpha!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
         if not self.sigma_min > 0.0:
@@ -73,18 +76,17 @@ class EsParams:
 
 @dataclass(frozen=True)
 class EsState:
-    """Algorithm state: mean, step size, iteration counter (search-space units)."""
+    """Algorithm state: mean and step size (search-space units)."""
 
     m: np.ndarray
     sigma: float
-    t: int = 0
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
         if m.ndim != 1:
             raise ValueError("mean must be a one-dimensional point")
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be positive")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError(f"sigma must be positive and finite, got {self.sigma!r}")
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "sigma", float(self.sigma))
 
@@ -116,10 +118,7 @@ class RunTrace:
 
     @property
     def t_final(self) -> int:
-        return self.final_state.t
-
-    def f_values(self) -> np.ndarray:
-        return np.array([r.f_value for r in self.records])
+        return self.records[-1].t
 
     def summary_dict(self, seed: int, params: EsParams, problem: SaddleProblem) -> dict:
         return {
@@ -162,14 +161,18 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
     underflows ``params.sigma_min`` or f(m) is not finite.
 
     With ``stop`` true, f(m) < 0 is checked before each iteration (an initial
-    state with f < 0 terminates at t = init.t with reason "target"); a false
+    state with f < 0 terminates at t = 0 with reason "target"); a false
     ``stop`` (``False`` or ``None``) runs to the budget.  A mean whose f is not
     finite ends the run with reason "nonfinite", checked after the target, so
     with ``stop`` true an escape to f = -inf is "target".  ``record_every=k``
     keeps every k-th iteration plus all acceptances; ``record_every=0`` keeps
     only the initial and final states.
     Underflow and non-finite values are reported as terminal reasons, never
-    raised, and no numpy overflow warning escapes.
+    raised, and no numpy overflow warning escapes.  From a finite start the
+    step size stays finite: a success needs f(x) finite or -inf (an escape), so
+    on the positive block x_j**2 and m_j**2 do not overflow (|x_j|, |m_j| <
+    1.3e154), and it multiplies a step size below 2.7e154 / |z_j| by alpha <=
+    ``_ALPHA_MAX``, which overflows only if |z_j| < 1e-54.
     """
     fm = _check_start(problem, params, init)
     if record_every < 0:
@@ -179,7 +182,7 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
     d = problem.d
     m = np.array(init.m, dtype=float)
     sigma = float(init.sigma)
-    t = init.t
+    t = 0
     t_escape = t if fm < 0.0 else None
     n_accepts = n_rejects = 0
     records = [TraceRecord(t, m.copy(), sigma, fm, None)]
@@ -196,7 +199,7 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
         if not math.isfinite(fm):
             reason = NONFINITE
             break
-        if t - init.t >= params.max_iters:
+        if t >= params.max_iters:
             reason = BUDGET
             break
         if k >= _BLOCK:
@@ -221,13 +224,12 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
         if sigma < params.sigma_min:
             reason = UNDERFLOW
             break
-        if record_every and (last_accepted or (t - init.t) % record_every == 0):
+        if record_every and (last_accepted or t % record_every == 0):
             records.append(TraceRecord(t, m.copy(), sigma, fm, last_accepted))
 
     if records[-1].t != t:
         records.append(TraceRecord(t, m.copy(), sigma, fm, last_accepted))
-    final_state = EsState(m=m, sigma=sigma, t=t)
-    return RunTrace(records=records, reason=reason, final_state=final_state,
+    return RunTrace(records=records, reason=reason, final_state=EsState(m=m, sigma=sigma),
                     t_escape=t_escape, n_accepts=n_accepts, n_rejects=n_rejects)
 
 
@@ -256,9 +258,9 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     f0 = _check_start(problem, params, init)
     a, d, n = problem.a, problem.d, len(rngs)
     if f0 < 0.0 or params.max_iters == 0 or n == 0:
-        return [TARGET if f0 < 0.0 else BUDGET] * n, np.full(n, init.t)
+        return [TARGET if f0 < 0.0 else BUDGET] * n, np.zeros(n, dtype=int)
     reasons = np.full(n, BUDGET, dtype=object)
-    times = np.full(n, init.t + params.max_iters)
+    times = np.full(n, params.max_iters)
     size = min(_batch_trials(d), n)
     trial = np.zeros(size, dtype=np.intp)   # trial in each slot
     start = np.zeros(size, dtype=np.intp)   # lockstep step at which it started
@@ -326,7 +328,7 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
                 ended |= under
                 reasons[trial[ended]] = TARGET
                 reasons[trial[under]] = UNDERFLOW
-                times[trial[ended]] = init.t + s - start[ended]
+                times[trial[ended]] = s - start[ended]
                 freeze(ended)
                 if not live.any():
                     break

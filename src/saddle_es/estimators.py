@@ -296,16 +296,6 @@ def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
     return DriftEstimate.from_binomial(hits, n, confidence)
 
 
-def saddle_success_mc(problem: SaddleProblem, n: int, rng: np.random.Generator,
-                      confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
-    """Success probability sampling from the saddle point itself (m = 0).
-
-    Step-size independent by scale invariance, so unit sigma is used.
-    """
-    return success_probability(problem, NormalizedState(np.zeros(problem.d), 1.0), n,
-                               rng, confidence)
-
-
 def saddle_success_analytic_2d(problem: SaddleProblem) -> float:
     """Closed form for d = 2: the fraction of the plane covered by the double
     cone {f < 0} around the negative axis, (2/pi) * atan(sqrt(|a1| / a2)).
@@ -576,7 +566,9 @@ class DriftConstants:
     smallest per-mean success-rate crossing (inf if never crossed), read
     exactly off each grid row's success curve, with no bisection;
     sigma_tilde_star is the largest grid sigma~ below which the measured V
-    drift stays above B2 at the requested confidence.
+    drift stays above B2 at the requested confidence.  beta and theta are
+    derived from B1, B2 and C (``derive_beta_theta``); B1 < 0 < B2 and C > 0
+    make both positive, with theta = min(beta B2, C / 2).
     """
 
     alpha: float
@@ -585,8 +577,6 @@ class DriftConstants:
     C: float
     sigma_tilde_40: float
     sigma_tilde_star: float
-    beta: float
-    theta: float
     confidence: float
     seed: int | None = None
 
@@ -595,11 +585,14 @@ class DriftConstants:
             raise ValueError("need B1 < 0 < B2 (requires alpha > 1)")
         if not self.C > 0.0:
             raise ValueError("C must be positive")
-        beta, theta = derive_beta_theta(self.B1, self.B2, self.C)
-        if not math.isclose(self.beta, beta, rel_tol=1e-12):
-            raise ValueError("beta must equal -C / (2 B1)")
-        if not (self.theta > 0.0 and math.isclose(self.theta, theta, rel_tol=1e-12)):
-            raise ValueError("theta must equal min(beta B2, C + beta B1) > 0")
+
+    @property
+    def beta(self) -> float:
+        return derive_beta_theta(self.B1, self.B2, self.C)[0]
+
+    @property
+    def theta(self) -> float:
+        return derive_beta_theta(self.B1, self.B2, self.C)[1]
 
     def to_dict(self) -> dict:
         return {
@@ -701,11 +694,9 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
         raise ConstantsEstimationError(
             f"W-drift lower bound {c:.3g} is not positive at confidence {confidence}; increase "
             f"n.  Lowest at {_describe_point(w_all[worst], master_seed, *divmod(worst, n_sigma))}")
-    beta, theta = derive_beta_theta(b1, b2, c)
     constants = DriftConstants(alpha=alpha, B1=b1, B2=b2, C=c,
                                sigma_tilde_40=sigma_tilde_40,
                                sigma_tilde_star=sigma_tilde_star,
-                               beta=beta, theta=theta,
                                confidence=confidence, seed=master_seed)
     return ConstantsReport(constants=constants, sigma_40_by_w=sigma_40_by_w,
                            v_map=v_map, w_map=w_map)

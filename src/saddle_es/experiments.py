@@ -33,7 +33,8 @@ class EscapeExperimentSpec:
     The initial mean sits on the norm_plus = 1 shell at norm_minus = w0
     (deterministic parametrization, so sigma_tilde0 is also the raw initial
     step size); w0 in [0, 1] covers the compact shell, larger values start
-    inside the negative region.
+    inside the negative region.  ``budget`` is the experiment's only iteration
+    budget: every trial runs with it in place of ``params.max_iters``.
     """
 
     problem: SaddleProblem
@@ -45,10 +46,10 @@ class EscapeExperimentSpec:
     master_seed: int = 0
 
     def __post_init__(self):
-        if self.w0 < 0.0:
-            raise ValueError("w0 must be nonnegative")
-        if not self.sigma_tilde0 > 0.0:
-            raise ValueError("sigma_tilde0 must be positive")
+        if not 0.0 <= self.w0 < math.inf:
+            raise ValueError(f"w0 must be nonnegative and finite, got {self.w0!r}")
+        if not 0.0 < self.sigma_tilde0 < math.inf:
+            raise ValueError(f"sigma_tilde0 must be positive and finite, got {self.sigma_tilde0!r}")
         if self.trials < 1:
             raise ValueError("need at least one trial")
         if self.budget < 1:
@@ -136,9 +137,6 @@ class HittingTimeStats:
             "quantiles": self.quantiles,
             "tail": None if self.tail is None else self.tail.to_dict(),
         }
-
-    def survival_rows(self):
-        return [(int(t), float(s)) for t, s in zip(self.survival_t, self.survival_s)]
 
 
 def _escape_trials(args) -> tuple[list, np.ndarray]:

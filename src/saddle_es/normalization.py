@@ -14,6 +14,8 @@ import numpy as np
 
 from .objective import SaddleProblem
 
+_M_PLUS_0_TOL = 1e-12
+
 
 class NormPlusZeroError(ValueError):
     """The positive-block semi-norm of the mean vanished; normalization is undefined."""
@@ -30,18 +32,18 @@ class NormalizedState:
         m = np.asarray(self.m_tilde, dtype=float)
         if m.ndim != 1:
             raise ValueError("normalized mean must be a one-dimensional point")
-        if not self.sigma_tilde > 0.0:
-            raise ValueError("sigma_tilde must be positive")
+        if not 0.0 < self.sigma_tilde < math.inf:
+            raise ValueError(f"sigma_tilde must be positive and finite, got {self.sigma_tilde!r}")
         object.__setattr__(self, "m_tilde", m)
         object.__setattr__(self, "sigma_tilde", float(self.sigma_tilde))
 
 
-def in_M_plus_0(problem: SaddleProblem, ns: NormalizedState, tol: float = 1e-12) -> bool:
-    """True iff norm_minus(m~) <= 1 (closed set; within ``tol`` of the boundary counts inside)."""
+def in_M_plus_0(problem: SaddleProblem, ns: NormalizedState) -> bool:
+    """True iff norm_minus(m~) <= 1 + _M_PLUS_0_TOL (the closed set, boundary included)."""
     plus = problem.norm_plus(ns.m_tilde)
     if abs(plus - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized: norm_plus(m_tilde) = {plus}")
-    return float(problem.norm_minus(ns.m_tilde)) <= 1.0 + tol
+    return float(problem.norm_minus(ns.m_tilde)) <= 1.0 + _M_PLUS_0_TOL
 
 
 def sample_M_plus_0(problem: SaddleProblem, w: float) -> np.ndarray:

@@ -10,7 +10,6 @@ with the same sum, so ``evaluate`` agrees bit for bit with the f of its runs.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,14 +20,6 @@ def _f(sq: np.ndarray, a: np.ndarray):
     do not depend on how many points are evaluated together, nor on the
     batch's memory layout (the sum is taken over a C-ordered copy)."""
     return np.einsum("...j,j->...", np.ascontiguousarray(sq), a)
-
-
-class RegionLabel(enum.Enum):
-    """Sign region of the objective; the label of x is the sign of f(x)."""
-
-    NEGATIVE = -1
-    ZERO = 0
-    POSITIVE = 1
 
 
 @dataclass(frozen=True)
@@ -90,17 +81,6 @@ class SaddleProblem:
         x = self._coerce(x)
         value = np.sqrt(_f(np.square(x[..., self.b :]), self.a[self.b :]))
         return float(value) if x.ndim == 1 else value
-
-    def classify(self, x, tol: float = 0.0) -> RegionLabel:
-        """Region of a single point: NEGATIVE if f < -tol, ZERO if |f| <= tol, else POSITIVE."""
-        if tol < 0.0:
-            raise ValueError("tolerance must be nonnegative")
-        f = self.evaluate(x)
-        if f < -tol:
-            return RegionLabel.NEGATIVE
-        if abs(f) <= tol:
-            return RegionLabel.ZERO
-        return RegionLabel.POSITIVE
 
     def to_dict(self) -> dict:
         return {"a": [float(v) for v in self.a], "b": int(self.b)}

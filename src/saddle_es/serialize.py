@@ -84,4 +84,4 @@ def drift_map_to_csv(rows, path) -> None:
 
 
 def survival_to_csv(stats, path) -> None:
-    write_csv(path, ["t", "S"], stats.survival_rows())
+    write_csv(path, ["t", "S"], zip(stats.survival_t, stats.survival_s))

@@ -23,7 +23,6 @@ from saddle_es import (
     run,
     run_escape_experiment,
     saddle_success_analytic_2d,
-    saddle_success_mc,
     sample_M_plus_0,
     success_probability,
 )
@@ -54,10 +53,10 @@ def test_criterion_01_elitism_and_region_monotonicity():
         sigma0 = float(10.0 ** spec_rng.uniform(-2.0, 1.0))
         trace = run(p, params, EsState(m=sample_M_plus_0(p, w0), sigma=sigma0),
                     np.random.default_rng(MASTER_SEED ^ (1000 + i)), record_every=1)
-        f = trace.f_values()
+        f = np.array([r.f_value for r in trace.records])
         if np.any(np.diff(f) > 0.0):
             violations += 1
-        ranks = np.array([p.classify(r.m).value for r in trace.records])
+        ranks = np.sign([p.evaluate(r.m) for r in trace.records])
         if np.any(np.diff(ranks) > 0):
             violations += 1
         runs += 1
@@ -72,6 +71,7 @@ def test_criterion_02_coupled_scale_invariance():
     params = EsParams(alpha=1.5, max_iters=1000)
     spec_rng = np.random.default_rng(MASTER_SEED + 1)
     worst = 0.0
+    diverged = []       # (triple, seed, c, step, f(m) and sigma of both runs before it)
     for i in range(100):
         m0 = spec_rng.standard_normal(2)
         if p.norm_plus(m0) == 0.0:
@@ -87,12 +87,19 @@ def test_criterion_02_coupled_scale_invariance():
         for r1, r2 in zip(t1.records, t2.records):
             if r1.accepted != r2.accepted:
                 worst = math.inf
+                diverged.append((i, seed, c, r1.t, q1.f_value, q2.f_value, q1.sigma, q2.sigma))
                 break
             scale = c * (float(np.abs(r1.m).max()) + r1.sigma)
             worst = max(worst, float(np.abs(c * r1.m - r2.m).max()) / scale,
                         abs(c * r1.sigma - r2.sigma) / (c * r1.sigma))
-    report("2 coupled scale invariance", worst <= 1e-9,
-           f"worst relative deviation={worst:.3e} over 100 triples x 1000 steps")
+            q1, q2 = r1, r2
+    detail = f"worst relative deviation={worst:.3e} over 100 triples x 1000 steps"
+    if diverged:
+        i, seed, c, t, f1, f2, s1, s2 = diverged[0]
+        detail += (f"; acceptance differs in {len(diverged)} triples, first in triple {i} "
+                   f"(seed={seed}, c={c:.4g}) at step t={t}, from f={f1!r} and {f2!r}, "
+                   f"sigma={s1!r} and {s2!r}")
+    report("2 coupled scale invariance", worst <= 1e-9, detail)
 
 
 def test_criterion_03_saddle_success_probability():
@@ -103,7 +110,8 @@ def test_criterion_03_saddle_success_probability():
         p = make(a)
         analytic = saddle_success_analytic_2d(p)
         ok &= abs(analytic - quoted) < 5e-6
-        est = saddle_success_mc(p, 1_000_000, np.random.default_rng(MASTER_SEED ^ (3000 + i)))
+        est = success_probability(p, NormalizedState(np.zeros(2), 1.0), 1_000_000,
+                                  np.random.default_rng(MASTER_SEED ^ (3000 + i)))
         ok &= abs(est.mean - analytic) <= 3.0 * est.stderr
         details.append(f"a={a}: mc={est.mean:.5f} analytic={analytic:.5f} "
                        f"3se={3 * est.stderr:.1e}")

@@ -717,9 +717,9 @@ def test_public_surface():
         "GridSpec", "PairingReport", "StepSamples", "closed_form_b1", "closed_form_b2",
         "derive_beta_theta", "drift_w", "estimate_constants_report",
         "mirror_pair_margins", "one_step_samples", "pairing_check",
-        "saddle_success_analytic_2d", "saddle_success_mc", "success_probability", "task_rng",
+        "saddle_success_analytic_2d", "success_probability", "task_rng",
         "EscapeExperimentSpec", "HittingTimeStats", "TailFit", "drift_map",
         "fit_exponential_tail", "run_escape_experiment", "survival_curve",
         "NormalizedState", "NormPlusZeroError", "in_M_plus_0", "sample_M_plus_0",
-        "RegionLabel", "SaddleProblem",
+        "SaddleProblem",
     }

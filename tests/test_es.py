@@ -83,9 +83,16 @@ class TestParamsAndState:
         with pytest.raises(ValueError):
             EsParams(sigma_min=0.0)
 
-    def test_state_sigma_positive(self):
-        with pytest.raises(ValueError):
-            EsState(m=np.zeros(2), sigma=0.0)
+    def test_alpha_bounded(self):
+        EsParams(alpha=es._ALPHA_MAX)
+        for alpha in (es._ALPHA_MAX * 10.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="alpha"):
+                EsParams(alpha=alpha)
+
+    @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+    def test_state_sigma_positive_and_finite(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            EsState(m=np.zeros(2), sigma=sigma)
 
 
 class TestSampleOffspring:
@@ -131,7 +138,7 @@ class TestSampleOffspring:
         for rec, zt in zip(trace.records[1:], z):
             m = self.expected_mean(p, state, zt)
             sigma = state.sigma * (1.5 if rec.accepted else 1.5 ** -0.25)
-            state = EsState(m=m, sigma=sigma, t=state.t + 1)
+            state = EsState(m=m, sigma=sigma)
             assert np.array_equal(rec.m, state.m)
             assert rec.sigma == state.sigma
 
@@ -207,12 +214,6 @@ class TestStep:
             state = new
         assert state.sigma == pytest.approx(1.0, rel=1e-12)
 
-    def test_iteration_counter_advances(self):
-        p = problem()
-        _, new = one_step(p, EsParams(), EsState(m=np.array([0.0, 1.0]), sigma=1.0, t=7),
-                          np.random.default_rng(0))
-        assert new.t == 8
-
     def test_underflow_precondition(self):
         p = problem()
         params = EsParams(sigma_min=1.0)
@@ -247,6 +248,16 @@ class TestRun:
             assert trace.reason == TARGET
             assert p.evaluate(trace.final_state.m) < 0.0
 
+    def test_huge_start_step_size_shrinks_back(self):
+        # offspring at sigma = 1e300 overflow to f = nan or +inf and are
+        # rejected until the step size is small enough to make progress
+        p = problem((-1.0, 20.0))
+        for seed in range(3):
+            trace = run(p, EsParams(max_iters=10_000), EsState(m=np.array([0.0, 1.0]), sigma=1e300),
+                        np.random.default_rng(seed), record_every=0)
+            assert trace.reason == TARGET
+            assert trace.final_state.sigma < 1e160
+
     def test_matches_manual_stepping(self):
         p = problem((-1.0, 20.0))
         params = EsParams(alpha=1.5, max_iters=200)
@@ -271,7 +282,7 @@ class TestRun:
         for seed in range(20):
             trace = run(p, EsParams(max_iters=2000), EsState(m=np.array([0.0, 0.5]), sigma=0.3),
                         np.random.default_rng(seed), record_every=1)
-            f = trace.f_values()
+            f = [r.f_value for r in trace.records]
             assert np.all(np.diff(f) <= 0.0)
 
     def test_region_monotonicity(self):
@@ -279,7 +290,7 @@ class TestRun:
         for seed in range(20):
             trace = run(p, EsParams(max_iters=2000), EsState(m=np.array([0.0, 0.5]), sigma=0.3),
                         np.random.default_rng(seed), record_every=1)
-            ranks = [p.classify(r.m).value for r in trace.records]
+            ranks = [np.sign(p.evaluate(r.m)) for r in trace.records]
             assert np.all(np.diff(ranks) <= 0)
 
     def test_step_size_ledger(self):
@@ -375,11 +386,10 @@ class TestEscapeTimes:
 
     def test_matches_run_on_each_stream(self, failure_exponent):
         # all three terminal reasons occur (the floor is lower under the faster
-        # shrink); the budget of 20 ends mid-block and the iteration counter
-        # starts at 5
+        # shrink); the budget of 20 ends mid-block
         p = problem((-1.0, 20.0, 5.0))
         params = EsParams(max_iters=20, sigma_min=0.2 if failure_exponent == 0.25 else 0.02)
-        init = EsState(m=np.array([0.1, 0.5, 0.2]), sigma=0.3, t=5)
+        init = EsState(m=np.array([0.1, 0.5, 0.2]), sigma=0.3)
         reasons, times = escape_times(p, params, init,
                                       [np.random.default_rng(s) for s in range(200)])
         expected = []
@@ -401,7 +411,7 @@ class TestEscapeTimes:
         monkeypatch.setattr(es, "_batch_trials", lambda d: 3)
         p = problem(a)
         params = EsParams(max_iters=max_iters, sigma_min=sigma_min)
-        init = EsState(m=np.array(m), sigma=sigma, t=5)
+        init = EsState(m=np.array(m), sigma=sigma)
 
         def streams():
             return [Draws(s, d, ties=s % 4 == 0) for s in range(40)]
@@ -440,9 +450,9 @@ class TestEscapeTimes:
     def test_negative_start_zero_budget_and_no_streams(self):
         p = problem()
         rngs = [np.random.default_rng(s) for s in range(3)]
-        reasons, times = escape_times(p, EsParams(), EsState(m=np.array([2.0, 1.0]), sigma=1.0,
-                                                             t=4), rngs)
-        assert reasons == [TARGET] * 3 and times.tolist() == [4] * 3
+        reasons, times = escape_times(p, EsParams(), EsState(m=np.array([2.0, 1.0]), sigma=1.0),
+                                      rngs)
+        assert reasons == [TARGET] * 3 and times.tolist() == [0] * 3
         reasons, times = escape_times(p, EsParams(max_iters=0),
                                       EsState(m=np.array([0.0, 1.0]), sigma=1.0), rngs)
         assert reasons == [BUDGET] * 3 and times.tolist() == [0] * 3

@@ -23,7 +23,6 @@ from saddle_es import (
     one_step_samples,
     pairing_check,
     saddle_success_analytic_2d,
-    saddle_success_mc,
     sample_M_plus_0,
     success_probability,
     task_rng,
@@ -220,7 +219,8 @@ class TestSaddleSuccess:
 
     def test_mc_matches_analytic(self):
         p = problem((-1.0, 20.0))
-        est = saddle_success_mc(p, 200_000, np.random.default_rng(5))
+        est = success_probability(p, NormalizedState(np.zeros(2), 1.0), 200_000,
+                                  np.random.default_rng(5))
         assert abs(est.mean - saddle_success_analytic_2d(p)) < 3.0 * est.stderr
 
     def test_closed_form_requires_2d(self):

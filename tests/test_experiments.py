@@ -60,6 +60,12 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             spec(master_seed=-1)
 
+    @pytest.mark.parametrize("field", ["w0", "sigma_tilde0"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan])
+    def test_rejects_non_finite_start(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            spec(**{field: value})
+
     def test_initial_state_on_shell(self):
         s = spec(w0=0.5)
         p = s.problem
@@ -86,6 +92,14 @@ class TestEscapeExperiment:
                                            budget=1, trials=20))
         assert stats.n_censored == 20
         assert stats.times.tolist() == [1] * 20
+
+    def test_budget_replaces_params_max_iters(self):
+        # from sigma~0 = 1e-12 the mean escape time is about 170, and no trial
+        # can escape within 50 iterations
+        stats = run_escape_experiment(spec(params=EsParams(max_iters=5), budget=50,
+                                           sigma_tilde0=1e-12, trials=20))
+        assert stats.n_censored == 20
+        assert stats.times.tolist() == [50] * 20
 
     def test_start_inside_negative_region(self):
         stats = run_escape_experiment(spec(w0=1.2, trials=10))
@@ -206,7 +220,8 @@ class TestEngineMatchesRun:
                 assert split.statuses == one.statuses
                 assert split.times.tolist() == one.times.tolist()
                 assert split.to_dict() == one.to_dict()
-                assert split.survival_rows() == one.survival_rows()
+                assert split.survival_t.tolist() == one.survival_t.tolist()
+                assert split.survival_s.tolist() == one.survival_s.tolist()
 
     def test_streams_held_stay_bounded(self, monkeypatch):
         # a counting stream source: every generator derived for the engine is

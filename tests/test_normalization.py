@@ -1,9 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
 from saddle_es import (
     NormalizedState,
-    RegionLabel,
     SaddleProblem,
     in_M_plus_0,
     sample_M_plus_0,
@@ -28,11 +29,11 @@ class TestPotentials:
             if p.norm_plus(m) == 0.0:
                 continue
             w = w_of(p, m)
-            label = p.classify(m)
+            sign = np.sign(p.evaluate(m))
             if w > 1.0 + 1e-12:
-                assert label is RegionLabel.NEGATIVE
+                assert sign == -1.0
             elif w < 1.0 - 1e-12:
-                assert label is RegionLabel.POSITIVE
+                assert sign == 1.0
 
     def test_w_raw_state_example(self):
         p = problem()
@@ -50,6 +51,12 @@ class TestMPlusZero:
     def test_rejects_unnormalized_state(self):
         with pytest.raises(ValueError):
             in_M_plus_0(problem(), NormalizedState(np.array([0.0, 2.0]), 1.0))
+
+
+@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
+def test_state_rejects_step_size_outside_positive_finite(sigma):
+    with pytest.raises(ValueError, match="sigma_tilde"):
+        NormalizedState(np.array([0.0, 1.0]), sigma)
 
 
 class TestSampleMPlus0:

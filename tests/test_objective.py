@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from saddle_es import EsParams, EsState, RegionLabel, SaddleProblem, run, sample_M_plus_0
+from saddle_es import EsParams, EsState, SaddleProblem, run, sample_M_plus_0
 from saddle_es.es import _f
 
 
@@ -74,7 +74,7 @@ class TestEvaluate:
 
 
 class TestOneSumWithTheEs:
-    """evaluate, classify and the ES's acceptance and escape decisions use one sum."""
+    """evaluate and the ES's acceptance and escape decisions use one sum."""
 
     def test_run_records_equal_evaluate(self):
         p = make((-1.0, -3.0, 2.0, 5.0, 20.0), 2)
@@ -84,7 +84,6 @@ class TestOneSumWithTheEs:
         assert len(trace.records) == 2001
         for record in trace.records:
             assert record.f_value == p.evaluate(record.m)
-            assert p.classify(record.m).value == np.sign(record.f_value)
 
     @pytest.mark.parametrize("d", [3, 5, 100])
     def test_cone_points_equal_the_es_f(self, d):
@@ -154,26 +153,3 @@ class TestScaleInvariance:
             x, y = rng.standard_normal(2), rng.standard_normal(2)
             c = float(rng.uniform(0.01, 100.0))
             assert (p.evaluate(x) < p.evaluate(y)) == (p.evaluate(c * x) < p.evaluate(c * y))
-
-
-class TestClassify:
-    def test_examples(self):
-        assert make([-1.0, 1.0]).classify([1.0, 1.0]) is RegionLabel.ZERO
-        assert make([-1.0, 1.0]).classify([2.0, 1.0]) is RegionLabel.NEGATIVE
-        assert make([-1.0, 20.0]).classify([1.0, 1.0]) is RegionLabel.POSITIVE
-
-    def test_tolerance_band(self):
-        p = make([-1.0, 1.0])
-        assert p.classify([1.001, 1.0], tol=0.01) is RegionLabel.ZERO
-        assert p.classify([1.001, 1.0], tol=0.0) is RegionLabel.NEGATIVE
-
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            make([-1.0, 1.0]).classify([1.0, 1.0], tol=-1.0)
-
-    def test_label_is_sign_of_f(self):
-        rng = np.random.default_rng(7)
-        p = make([-1.0, 20.0])
-        for _ in range(100):
-            x = rng.standard_normal(2)
-            assert p.classify(x).value == np.sign(p.evaluate(x))
