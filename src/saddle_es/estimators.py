@@ -17,12 +17,15 @@ sigma**2 R + sum |a_j| (m_j + sigma z_j)**2 at every step size sigma, so
 grow with d for the grid's means (one nonzero coordinate per block), and a grid
 row draws once for all of its sigma~.
 
-Each sample succeeds on one interval of step sizes: up to its threshold -2G/Q,
-from it upward, always or never.  The drifts order each block once by
-threshold (``_slices``), so the samples accepted at any sigma~ are one slice of
-it, found by a binary search per sigma~.  A point's moments sum its accepted
-samples in that threshold order, not in draw order, and merge them with the
-rejections' known constant.  The order does not depend on the worker count.
+Each sample succeeds on one interval of step sizes, bounded by its threshold
+t = -2G/Q, and ``_rule`` alone decides it (up to rounding, f(x) <= f(m~)): a
+falling sample (2G < 0 < Q) succeeds at sigma <= t, a rising one (Q < 0 < 2G)
+at sigma >= t, one with 2G <= 0 and Q <= 0 always and any other never.  The
+drifts order each block once by threshold (``_slices``), so the samples
+accepted at any sigma~ are one slice of it, found by a binary search per
+sigma~.  A point's moments sum its accepted samples in that threshold order,
+not in draw order, and merge them with the rejections' known constant.  The
+order does not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -185,75 +188,55 @@ def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, c: int,
     return rows[0], rows[1], x, halves
 
 
-def _accepted(g2: np.ndarray, q: np.ndarray, sigma) -> np.ndarray:
-    """Success mask 2G + sigma Q <= 0, that is f(x) <= f(m~), at step size sigma
-    (a scalar, or one per sample).  As sigma grows, fl(sigma Q) never moves
-    against the sign of Q, so each sample succeeds on one interval of step
-    sizes."""
-    t = q * sigma
-    t += g2
-    return t <= 0.0
+def _rule(g2: np.ndarray, q: np.ndarray) -> tuple:
+    """The success rule of the module docstring, per sample: the threshold t and
+    the masks of the samples that succeed at sigma <= t, at sigma >= t and at
+    every sigma (Q = 0 gives t = +-inf or nan, which no mask reads)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.divide(g2, q)
+    np.negative(t, out=t)
+    return t, (q > 0.0) & (g2 < 0.0), (q < 0.0) & (g2 > 0.0), (q <= 0.0) & (g2 <= 0.0)
 
 
-def _thresholds(g2: np.ndarray, q: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """The step size at which each sample's success changes under the kernel's
-    own test: the first at which a falling sample (Q > 0 > 2G) fails, the first
-    at which a rising one (Q < 0 < 2G) succeeds.  t = -2G/Q lies within 2 ulps
-    of it; take it from the 4 ulps around."""
-    near = [t]
-    for _ in range(4):
-        near = [np.nextafter(near[0], 0.0), *near, np.nextafter(near[-1], math.inf)]
-    near = np.array(near)
-    hit = _accepted(g2, q, near) == (q < 0.0)
-    if hit[0].any() or not hit[-1].all():
-        raise RuntimeError("a success interval ends more than 4 ulps from -2G/Q")
-    return near[hit.argmax(axis=0), np.arange(t.size)]
-
-
-# the kernel's threshold lies within 2 ulps (4.4e-16, relative) of -2G/Q; a
-# sample whose -2G/Q lies this close to a step size is placed by the former
-_NEAR = 1e-14
+def _accepted(g2: np.ndarray, q: np.ndarray, sigma: float) -> np.ndarray:
+    """Success mask by ``_rule`` at step size sigma (a scalar, or one per sample)."""
+    t, falling, rising, always = _rule(g2, q)
+    return always | falling & (t >= sigma) | rising & (t <= sigma)
 
 
 def _slices(g2: np.ndarray, q: np.ndarray, sigmas: np.ndarray) -> tuple:
-    """Order a block's samples so the kernel accepts one slice of them at each
+    """Order a block's samples so ``_rule`` accepts one slice of them at each
     step size of ``sigmas``: (order, starts, stops), the slice at sigmas[k]
     being order[starts[k]:stops[k]] (starts and stops are lists).
 
-    The order is [falling | always | rising].  A falling sample succeeds below
-    its threshold and a rising one from its threshold up, so each group is
-    sorted by threshold (stably); samples with 2G <= 0 and Q <= 0 succeed at
-    every step size, and the rest, which succeed at none, are left out.  A
-    threshold is -2G/Q, or ``_thresholds``' exact one where -2G/Q lies near a
-    step size of ``sigmas``: that is len(sigmas) searches, not one per sample.
+    The order is [falling | always | rising], each of falling and rising sorted
+    by threshold (stably); the samples that succeed at no step size are left
+    out.  At sigma the falling samples with t < sigma have failed and the
+    rising ones with t <= sigma have succeeded: two binary searches per step
+    size.
     """
-    def by_threshold(rows, t):
+    t, falling, rising, always = _rule(g2, q)
+    # the block-sized t goes before the sorts allocate: held while they
+    # allocate, it pushes the heap past malloc's trim threshold, and every block
+    # faults its memory in again (a drift pass about 30% slower at d=2)
+    parts = [(rows, t.take(rows)) for rows in (np.flatnonzero(falling), np.flatnonzero(rising))]
+    always = np.flatnonzero(always)
+    t = falling = rising = None
+    groups, cuts = [], []
+    for (rows, keys), side in zip(parts, ("left", "right")):
         # the stable order, from numpy's default sort, several times faster than
         # its stable one; equal thresholds, which continuous draws all but never
         # give, go back to draw order
-        order = np.argsort(t)
-        rows, t = rows.take(order), t.take(order)
-        if np.any(t[1:] == t[:-1]):
-            order = np.lexsort((rows, t))
-            rows, t = rows.take(order), t.take(order)
-        return rows, t
-
-    groups, cuts = [], []
-    for rows in (np.flatnonzero((q > 0.0) & (g2 < 0.0)), np.flatnonzero((q < 0.0) & (g2 > 0.0))):
-        rows, t = by_threshold(rows, -g2[rows] / q[rows])
+        order = np.argsort(keys)
+        rows, keys = rows.take(order), keys.take(order)
+        if np.any(keys[1:] == keys[:-1]):
+            order = np.lexsort((rows, keys))
+            rows, keys = rows.take(order), keys.take(order)
+        groups.append(rows)
         # index arithmetic on Python ints: every numpy loop a worker runs for
         # the first time pages in more of numpy's code
-        lo = np.searchsorted(t, sigmas * (1.0 - _NEAR)).tolist()
-        hi = np.searchsorted(t, sigmas * (1.0 + _NEAR), "right").tolist()
-        near = [k for a, b in zip(lo, hi) for k in range(a, b)]
-        if near:
-            t[near] = _thresholds(g2.take(rows[near]), q.take(rows[near]), t[near])
-            rows, t = by_threshold(rows, t)
-        groups.append(rows)
-        # a falling sample fails, and a rising one succeeds, from its threshold up
-        cuts.append(np.searchsorted(t, sigmas, "right").tolist())
+        cuts.append(np.searchsorted(keys, sigmas, side).tolist())
     (falls, rises), (failed, risen) = groups, cuts
-    always = np.flatnonzero((q <= 0.0) & (g2 <= 0.0))
     return (np.concatenate([falls, always, rises]), failed,
             [falls.size + always.size + k for k in risen])
 
@@ -492,20 +475,17 @@ def _success_curve(problem: SaddleProblem, m_tilde: np.ndarray, lo: float, hi: f
                    n: int, rng: np.random.Generator) -> tuple:
     """The success count of n draws from ``rng`` as a step function of the step
     size on (lo, hi], relative to its count at lo: (ascending positions in
-    (lo, hi], count change at each).  A count changes where a sample's success
-    interval ends (-1, at the first step size past it) or starts (+1).  Besides
-    one block, it holds only the changes that fall inside the cell."""
+    (lo, hi], count change at each).  By ``_rule`` the count rises (+1) at a
+    rising sample's threshold t and drops (-1) at the first step size past a
+    falling one's.  Besides one block, it holds only the changes that fall
+    inside the cell."""
     positions, changes = [], []
     for c in _blocks(n, problem.d):
-        g2, q = _scalars(problem, m_tilde, c, rng)[:2]
-        with np.errstate(all="ignore"):
-            t = -g2 / q
-        keep = np.flatnonzero((t > lo * (1.0 - 1e-9)) & (t <= hi * (1.0 + 1e-9)))
-        g2, q = g2[keep], q[keep]
-        t = _thresholds(g2, q, t[keep])
-        inside = (t > lo) & (t <= hi)
-        positions.append(t[inside])
-        changes.append(np.where(q[inside] < 0.0, 1, -1))
+        t, falling, rising, _ = _rule(*_scalars(problem, m_tilde, c, rng)[:2])
+        keep = np.flatnonzero(falling & (t >= lo) & (t < hi) | rising & (t > lo) & (t <= hi))
+        t, rising = t.take(keep), rising.take(keep)
+        positions.append(np.where(rising, t, np.nextafter(t, math.inf)))
+        changes.append(np.where(rising, 1, -1))
     positions, where = np.unique(np.concatenate(positions), return_inverse=True)
     return positions, np.bincount(where, np.concatenate(changes)).astype(int)
 
@@ -516,10 +496,12 @@ def _sigma_40(problem: SaddleProblem, m_tilde: np.ndarray, sigmas: list, hits: l
     >= 0.4, searched upward from the last passing grid point; math.inf when the
     rate never falls below 0.4 on the grid.
 
-    ``hits`` are the kernel's success counts at the ascending ``sigmas`` from the
-    row's stream ``task_rng(master_seed, "row", row)``.  Each sample succeeds on
-    one interval of step sizes, so the row's rate is a step function; one replay
-    of the stream reads its steps inside the first failing grid cell.
+    ``hits`` are the success counts at the ascending ``sigmas`` from the row's
+    stream ``task_rng(master_seed, "row", row)``.  Each sample succeeds on one
+    interval of step sizes, so the row's rate is a step function; one replay of
+    the stream reads its steps inside the first failing grid cell.  The rate
+    first falls below 0.4 just past the threshold of a falling sample, and that
+    threshold, -2G/Q of one sample, is sigma~40.
     """
     first_fail = next((j for j, h in enumerate(hits) if h / n < _SIGMA40_RATE), None)
     if first_fail is None:

@@ -33,8 +33,11 @@ class EscapeExperimentSpec:
     The initial mean sits on the norm_plus = 1 shell at norm_minus = w0
     (deterministic parametrization, so sigma_tilde0 is also the raw initial
     step size); w0 in [0, 1] covers the compact shell, larger values start
-    inside the negative region.  ``budget`` is the experiment's only iteration
-    budget: every trial runs with it in place of ``params.max_iters``.
+    inside the negative region.  The point at w0 = 1 lies on the cone f = 0,
+    where rounding decides the sign of f, so a start with w0 <= 1 and f < 0,
+    which every trial would count as escaped at t = 0, is rejected.
+    ``budget`` is the experiment's only iteration budget: every trial runs
+    with it in place of ``params.max_iters``.
     """
 
     problem: SaddleProblem
@@ -48,6 +51,11 @@ class EscapeExperimentSpec:
     def __post_init__(self):
         if not 0.0 <= self.w0 < math.inf:
             raise ValueError(f"w0 must be nonnegative and finite, got {self.w0!r}")
+        f = self.problem.evaluate(_shell_point(self.problem, self.w0))
+        if self.w0 <= 1.0 and f < 0.0:
+            raise ValueError(f"the start at w0={self.w0!r} has f={f!r} < 0 by rounding (w0 = 1 "
+                             "lies on the cone f = 0); give w0 > 1 to start inside the "
+                             "negative region")
         if not 0.0 < self.sigma_tilde0 < math.inf:
             raise ValueError(f"sigma_tilde0 must be positive and finite, got {self.sigma_tilde0!r}")
         if self.trials < 1:

@@ -256,6 +256,14 @@ class TestEscapeCommand:
         expected.append(f"escape: {len(failed) - 10} more trials did not escape")
         assert capsys.readouterr().err.splitlines() == expected
 
+    def test_shell_start_with_negative_f_is_config_error(self, tmp_path, capsys):
+        code = run_cli("escape", "--a=-1,20", "--b=1", "--w0=1", "--trials=20",
+                       f"--stats-out={tmp_path}/e.json", f"--survival-out={tmp_path}/e.csv")
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error: the start at w0=1.0 has f=-1.1102230246251565e-16 < 0")
+        assert not (tmp_path / "e.json").exists()
+
     def test_bad_fit_range_is_config_error_before_any_trial(self, tmp_path, capsys):
         # no trial escapes, so the tail fit that used to check the range never runs
         code = run_cli("escape", "--a=-1,100", "--b=1", "--trials=20", "--sigma0=1e-6",

@@ -946,8 +946,9 @@ class TestKernelBits:
 
 class TestSlices:
     """The drift kernel's ordered block holds, at every step size, exactly the
-    samples the kernel's test 2G + sigma Q <= 0 accepts as one slice, also where
-    -2G/Q lands on a grid step size or 1 or 2 ulps beside it."""
+    samples the threshold rule accepts as one slice, also where -2G/Q lands on a
+    grid step size or 1 or 2 ulps beside it; the success counts, the drift pass,
+    the success curve and sigma~40 read the same rule there."""
 
     GRID = np.geomspace(0.01, 5.0, 8)
 
@@ -1015,12 +1016,26 @@ class TestSlices:
             accepted = np.flatnonzero(estimators._accepted(g2, q, sigma))
             assert np.array_equal(np.sort(order[start:stop]), accepted), sigma
             counts.append(accepted.size)
-        # the draws have ties that -2G/Q alone would decide wrongly
+        # _accepted is the rule on t = -2G/Q: at t itself and one ulp to each
+        # side, a falling sample succeeds up to t and a rising one from t up
         with np.errstate(divide="ignore", invalid="ignore"):
             t = -g2 / q
         falls, rises = (q > 0.0) & (g2 < 0.0), (q < 0.0) & (g2 > 0.0)
-        assert any(np.any(((q <= 0.0) & (g2 <= 0.0) | falls & (t > s) | rises & (t <= s))
-                          != estimators._accepted(g2, q, s)) for s in self.GRID)
+        always = (q <= 0.0) & (g2 <= 0.0)
+        for rows, expected in ((np.flatnonzero(falls), (True, True, False)),
+                               (np.flatnonzero(rises), (False, True, True))):
+            for sigma, hit in zip((np.nextafter(t[rows], 0.0), t[rows],
+                                   np.nextafter(t[rows], math.inf)), expected):
+                assert np.all(estimators._accepted(g2[rows], q[rows], sigma) == hit)
+        for sigma in self.GRID:
+            assert np.array_equal(estimators._accepted(g2, q, sigma),
+                                  always | falls & (t >= sigma) | rises & (t <= sigma))
+        # and the draws put thresholds of both classes on a grid step size and
+        # one ulp to each side of it
+        for shift in (lambda s: np.nextafter(s, 0.0), lambda s: s,
+                      lambda s: np.nextafter(s, math.inf)):
+            on_grid = np.isin(t, shift(self.GRID))
+            assert np.any(on_grid & falls) and np.any(on_grid & rises)
         # the drift pass over the same draws, in blocks, counts the same hits
         hits = [h for h, _ in estimators._drifts(p, EsParams(), m, self.GRID.tolist(), len(z),
                                                  FixedDraws(z), 0.99, (_increment("W"),))]
@@ -1030,10 +1045,27 @@ class TestSlices:
         monkeypatch.setattr(estimators, "task_rng", lambda *key: FixedDraws(z))
         value = _sigma_40(p, m, self.GRID.tolist(), counts, len(z), 0, 0)
 
+        def hits_at(sigma):
+            return np.count_nonzero(estimators._accepted(g2, q, sigma))
+
         def rate(sigma):
-            return np.count_nonzero(estimators._accepted(g2, q, sigma)) / len(z)
+            return hits_at(sigma) / len(z)
 
         assert rate(value) >= 0.4 > rate(math.nextafter(value, math.inf))
+        # sigma~40 is, bit for bit, the threshold of one falling sample
+        assert np.any(falls & (t == value))
+        # the success curve of each grid cell steps from the count at its lower
+        # end to the count at its upper end, where thresholds lie on both ends
+        for j in range(1, len(self.GRID)):
+            lo, hi = self.GRID[j - 1], self.GRID[j]
+            positions, changes = _success_curve(p, m, lo, hi, len(z), FixedDraws(z))
+            assert counts[j - 1] + changes.sum() == counts[j]
+            steps = np.flatnonzero(np.isclose(positions, lo, rtol=1e-14, atol=0.0)
+                                   | np.isclose(positions, hi, rtol=1e-14, atol=0.0))
+            for k in steps.tolist():
+                below = counts[j - 1] + changes[:k].sum()
+                assert hits_at(np.nextafter(positions[k], 0.0)) == below
+                assert hits_at(positions[k]) == below + changes[k]
 
 
     @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])

@@ -66,6 +66,21 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match=field):
             spec(**{field: value})
 
+    @pytest.mark.parametrize("a,f", [((-1.0, 20.0), -1.1102230246251565e-16),
+                                     ((-3.0, 7.0), -4.440892098500626e-16)])
+    def test_rejects_shell_start_that_rounds_negative(self, a, f):
+        # the shell point at w0 = 1 lies on the cone f = 0, and here rounding
+        # puts it below: every trial would count as escaped at t = 0
+        with pytest.raises(ValueError, match=rf"w0=1\.0 has f={f!r} < 0"):
+            spec(a, w0=1.0)
+
+    @pytest.mark.parametrize("a", [(-1.0, 100.0), (-1.0,) + (1.0,) * 99])
+    def test_shell_start_that_rounds_nonnegative_runs(self, a):
+        s = spec(a, w0=1.0, trials=10)
+        assert s.problem.evaluate(s.initial_state().m) >= 0.0
+        stats = run_escape_experiment(s)
+        assert stats.n_escaped == 10 and min(stats.times) > 0
+
     def test_initial_state_on_shell(self):
         s = spec(w0=0.5)
         p = s.problem
