@@ -29,7 +29,6 @@ from .estimators import (
     derive_beta_theta,
     drift_w,
     estimate_constants_report,
-    mirror_pair_margins,
     one_step_samples,
     pairing_check,
     saddle_success_analytic_2d,
@@ -47,7 +46,6 @@ from .experiments import (
 from .normalization import (
     NormalizedState,
     NormPlusZeroError,
-    in_M_plus_0,
     sample_M_plus_0,
 )
 from .objective import SaddleProblem

@@ -43,6 +43,8 @@ from .es import (
     run,
 )
 from .estimators import (
+    CONFIDENCE,
+    PAIRING_EPSILON,
     ConstantsEstimationError,
     GridSpec,
     _describe_point,
@@ -172,7 +174,6 @@ _OPTIONS = {
     "quantity": (_str, "drift quantity: V, W or Phi"),
     "beta": (_float, "weight for the combined potential"),
     "n": (_int, "Monte Carlo sample size per estimate"),
-    "confidence": (_float, "confidence level of the intervals"),
     "w-values": (_floats, "comma-separated W values of the mean grid"),
     "sigma-grid-min": (_float, "smallest sigma~ of the log-spaced grid"),
     "sigma-grid-max": (_float, "largest sigma~ of the log-spaced grid"),
@@ -185,7 +186,6 @@ _OPTIONS = {
     "at-saddle": (_switch, "sample from the saddle point itself (compares to the d=2 "
                            "closed form)"),
     "radii": (_floats, "comma-separated sphere radii"),
-    "epsilon": (_float, "tolerance of the pairing inequality"),
     "extent": (_float, "half-width of the square grid"),
     "points": (_int, "grid points per axis"),
     "out": (_path, "output path"),
@@ -214,17 +214,16 @@ _COMMANDS = {
         "fit-s-high": _default(run_escape_experiment, "fit_s_range")[1],
         "stats-out": "escape_stats.json", "survival-out": "escape_survival.csv"}),
     "drift-map": ("drift estimates over the (w, sigma~) grid; writes CSV", {
-        **_COMMON, "alpha": None, "quantity": "W", "beta": None, "n": None, "confidence": None,
-        **_GRID, "threads": _CPUS, "map-out": "drift_map.csv", "check-positive": False}),
+        **_COMMON, "alpha": None, "quantity": "W", "beta": None, "n": None, **_GRID,
+        "threads": _CPUS, "map-out": "drift_map.csv", "check-positive": False}),
     "constants": ("estimate the drift constants; writes JSON record", {
         **_COMMON, "alpha": None, "n": _default(estimate_constants_report, "n"),
-        "confidence": None, **_GRID, "threads": _CPUS, "constants-out": "constants.json"}),
+        **_GRID, "threads": _CPUS, "constants-out": "constants.json"}),
     "succ-prob": ("Monte Carlo success probability at one state", {
-        **_COMMON, "w": None, "sigma": None, "n": 1_000_000, "confidence": None,
-        "at-saddle": False, "out": "succ_prob.json"}),
+        **_COMMON, "w": None, "sigma": None, "n": 1_000_000, "at-saddle": False,
+        "out": "succ_prob.json"}),
     "pairing": ("mirror-pairing inequality check; writes JSON report", {
-        **_COMMON, "w": _REQUIRED, "radii": "0.1,1,10", "n": 100_000,
-        "epsilon": _default(pairing_check, "epsilon"), "out": "pairing.json"}),
+        **_COMMON, "w": _REQUIRED, "radii": "0.1,1,10", "n": 100_000, "out": "pairing.json"}),
     "levels": ("level-set point grid for plotting (d = 2); writes CSV", {
         **_COMMON, "extent": 1.0, "points": 101, "out": "levels.csv"}),
 }
@@ -346,7 +345,7 @@ def cmd_drift_map(ns) -> int:
     grid = _grid(ns)
     rows = drift_map(ns.problem, EsParams(**_given(alpha=ns.alpha)), ns.quantity, grid=grid,
                      master_seed=ns.seed, beta=ns.beta,
-                     threads=ns.threads, **_given(n=ns.n, confidence=ns.confidence))
+                     threads=ns.threads, **_given(n=ns.n))
     drift_map_to_csv(rows, ns.map_out)
     n_positive = sum(1 for r in rows if r.est.ci_low > 0.0)
     print(f"drift-map: quantity={ns.quantity} rows={len(rows)} "
@@ -363,8 +362,7 @@ def cmd_constants(ns) -> int:
     try:
         constants = estimate_constants_report(
             ns.problem, EsParams(**_given(alpha=ns.alpha)), grid=_grid(ns), n=ns.n,
-            master_seed=ns.seed, threads=ns.threads,
-            **_given(confidence=ns.confidence)).constants
+            master_seed=ns.seed, threads=ns.threads).constants
     except ConstantsEstimationError as exc:
         print(f"constants estimation failed: {exc}", file=sys.stderr)
         return EXIT_CONSTANTS
@@ -379,15 +377,13 @@ def cmd_constants(ns) -> int:
 def cmd_succ_prob(ns) -> int:
     problem = ns.problem
     rng = np.random.default_rng(ns.seed)
-    confidence = _given(confidence=ns.confidence)
     payload = {"command": "succ-prob", "problem": problem.to_dict(), "n": ns.n,
                "seed": ns.seed, "generator": GENERATOR_NAME}
     if ns.at_saddle:
         if ns.w is not None or ns.sigma is not None:
             raise ConfigError("succ-prob takes --w and --sigma or --at-saddle, not both")
         # at the saddle the rate does not depend on the step size (scale invariance)
-        est = success_probability(problem, NormalizedState(np.zeros(problem.d), 1.0), ns.n,
-                                  rng, **confidence)
+        est = success_probability(problem, NormalizedState(np.zeros(problem.d), 1.0), ns.n, rng)
         payload["at_saddle"] = True
         if problem.d == 2:
             analytic = saddle_success_analytic_2d(problem)
@@ -397,12 +393,12 @@ def cmd_succ_prob(ns) -> int:
         if ns.w is None or ns.sigma is None:
             raise ConfigError("succ-prob needs --w and --sigma (or --at-saddle)")
         state = NormalizedState(sample_M_plus_0(problem, ns.w), ns.sigma)
-        est = success_probability(problem, state, ns.n, rng, **confidence)
+        est = success_probability(problem, state, ns.n, rng)
         payload["w"] = ns.w
         payload["sigma"] = ns.sigma
     payload.update({"estimate": est.mean, "stderr": est.stderr,
                     "ci_low": est.ci_low, "ci_high": est.ci_high,
-                    "confidence": est.confidence})
+                    "confidence": CONFIDENCE})
     write_json(ns.out, payload)
     print(f"succ-prob: estimate={est.mean!r} stderr={est.stderr!r} -> {ns.out}")
     return EXIT_OK
@@ -412,14 +408,13 @@ def cmd_pairing(ns) -> int:
     m_tilde = sample_M_plus_0(ns.problem, ns.w)
     results = []
     for i, radius in enumerate(ns.radii):
-        report = pairing_check(ns.problem, m_tilde, radius, ns.n,
-                               task_rng(ns.seed, "pairing", i), ns.epsilon)
+        report = pairing_check(ns.problem, m_tilde, radius, ns.n, task_rng(ns.seed, "pairing", i))
         results.append({"radius": radius, "violations": report.violations,
                         "min_margin": report.min_margin, "n_pairs": report.n_pairs})
     total = sum(r["violations"] for r in results)
     write_json(ns.out, {"command": "pairing", "problem": ns.problem.to_dict(), "w": ns.w,
                         "n": ns.n, "seed": ns.seed, "generator": GENERATOR_NAME,
-                        "epsilon": ns.epsilon, "results": results,
+                        "epsilon": PAIRING_EPSILON, "results": results,
                         "total_violations": total})
     print(f"pairing: w={ns.w} radii={ns.radii} violations={total} -> {ns.out}")
     return EXIT_OK if total == 0 else EXIT_CRITERION

@@ -44,7 +44,11 @@ from .normalization import NormalizedState, NormPlusZeroError, in_M_plus_0, samp
 from .objective import SaddleProblem
 from .tasks import _map_tasks, _replay_hint, task_rng
 
-DEFAULT_CONFIDENCE = 0.99
+# the level of every interval, and the tolerance of the pairing inequality: the
+# acceptance gates are calibrated at these values
+CONFIDENCE = 0.99
+_Z = NormalDist().inv_cdf(0.5 + CONFIDENCE / 2.0)
+PAIRING_EPSILON = 1e-9
 # sigma~40: the success rate it bounds
 _SIGMA40_RATE = 0.4
 
@@ -59,23 +63,15 @@ def _blocks(n: int, d: int) -> list:
     return [n // k + (i < n % k) for i in range(k)]
 
 
-def z_critical(confidence: float) -> float:
-    """Two-sided normal quantile for the given confidence level."""
-    if not 0.0 < confidence < 1.0:
-        raise ValueError("confidence must lie in (0, 1)")
-    return NormalDist().inv_cdf(0.5 + confidence / 2.0)
-
-
 @dataclass(frozen=True)
 class DriftEstimate:
-    """Monte Carlo mean with normal-approximation confidence interval."""
+    """Monte Carlo mean with its normal-approximation interval at level CONFIDENCE."""
 
     mean: float
     stderr: float
     n: int
     ci_low: float
     ci_high: float
-    confidence: float = DEFAULT_CONFIDENCE
 
     def __post_init__(self):
         if self.n < 2:
@@ -86,33 +82,27 @@ class DriftEstimate:
             raise ValueError("confidence interval must bracket the mean")
 
     @classmethod
-    def from_moments(cls, n: int, mean: float, m2: float,
-                     confidence: float = DEFAULT_CONFIDENCE) -> "DriftEstimate":
+    def from_moments(cls, n: int, mean: float, m2: float) -> "DriftEstimate":
         """Estimate from a sample's count, mean and summed squared deviations."""
         if n < 2:
             raise ValueError("an estimate needs at least 2 samples")
         stderr = math.sqrt(m2 / (n - 1)) / math.sqrt(n)
-        z = z_critical(confidence)
         return cls(mean=mean, stderr=stderr, n=n,
-                   ci_low=mean - z * stderr, ci_high=mean + z * stderr,
-                   confidence=confidence)
+                   ci_low=mean - _Z * stderr, ci_high=mean + _Z * stderr)
 
     @classmethod
-    def from_binomial(cls, successes: int, n: int,
-                      confidence: float = DEFAULT_CONFIDENCE) -> "DriftEstimate":
+    def from_binomial(cls, successes: int, n: int) -> "DriftEstimate":
         """Hit fraction with the Wald stderr and the Wilson (1927) score interval,
         which keeps a positive width at 0 or n hits."""
         p = successes / n
         stderr = math.sqrt(p * (1.0 - p) / n)
-        z = z_critical(confidence)
-        shrink = 1.0 + z * z / n
-        center = (p + z * z / (2 * n)) / shrink
-        half = z * math.sqrt(stderr * stderr + z * z / (4 * n * n)) / shrink
+        shrink = 1.0 + _Z * _Z / n
+        center = (p + _Z * _Z / (2 * n)) / shrink
+        half = _Z * math.sqrt(stderr * stderr + _Z * _Z / (4 * n * n)) / shrink
         # the exact interval holds p and lies in [0, 1]; clamp the rounding
         return cls(mean=p, stderr=stderr, n=n,
                    ci_low=max(0.0, min(p, center - half)),
-                   ci_high=min(1.0, max(p, center + half)),
-                   confidence=confidence)
+                   ci_high=min(1.0, max(p, center + half)))
 
 
 def _moments(values: np.ndarray) -> tuple:
@@ -264,8 +254,7 @@ def _norms(x: np.ndarray, halves: tuple, sigma: float) -> tuple:
 
 
 def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
-                        rng: np.random.Generator,
-                        confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
+                        rng: np.random.Generator) -> DriftEstimate:
     """Fraction of offspring x ~ N(m~, sigma~^2 I) with f(x) <= f(m~).
 
     Binomial standard error sqrt(p(1-p)/n).  By scale invariance this is the
@@ -276,7 +265,7 @@ def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
     hits = sum(int(np.count_nonzero(_accepted(*_scalars(problem, ns.m_tilde, c, rng)[:2],
                                               ns.sigma_tilde)))
                for c in _blocks(n, problem.d))
-    return DriftEstimate.from_binomial(hits, n, confidence)
+    return DriftEstimate.from_binomial(hits, n)
 
 
 def saddle_success_analytic_2d(problem: SaddleProblem) -> float:
@@ -353,7 +342,7 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedSta
 
 
 def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigmas: list,
-            n: int, rng: np.random.Generator, confidence: float, increments: tuple) -> list:
+            n: int, rng: np.random.Generator, increments: tuple) -> list:
     """(hit count, [estimate of each increment]) at each ascending step size of
     ``sigmas``, all from the same n draws.  Per block, ``_slices`` orders the
     samples so those accepted at each step size are one slice; a point sums
@@ -380,26 +369,24 @@ def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigma
                           for m, (rejected, values) in zip(moments[k],
                                                            [inc(*step) for inc in increments])]
         x = step = None
-    return [(h, [DriftEstimate.from_moments(*m, confidence) for m in ms])
+    return [(h, [DriftEstimate.from_moments(*m) for m in ms])
             for h, ms in zip(hits, moments)]
 
 
 def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
-           rng: np.random.Generator, confidence: float, *increments) -> tuple:
+           rng: np.random.Generator, *increments) -> tuple:
     """Hit count and the mean of each increment over the same n steps from one state."""
     if not in_M_plus_0(problem, ns):
         warnings.warn("normalized mean lies outside the compact shell (norm_minus > 1); "
                       "the estimate is a valid Monte Carlo average but the drift bounds "
                       "are calibrated inside it", stacklevel=3)
-    return _drifts(problem, params, ns.m_tilde, [ns.sigma_tilde], n, rng, confidence,
-                   increments)[0]
+    return _drifts(problem, params, ns.m_tilde, [ns.sigma_tilde], n, rng, increments)[0]
 
 
 def drift_w(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
-            rng: np.random.Generator,
-            confidence: float = DEFAULT_CONFIDENCE) -> DriftEstimate:
+            rng: np.random.Generator) -> DriftEstimate:
     """Expected one-step truncated change of W = norm_minus(m~)."""
-    return _drift(problem, params, ns, n, rng, confidence, _increment("W"))[1][0]
+    return _drift(problem, params, ns, n, rng, _increment("W"))[1][0]
 
 
 def _v_parts(norm_minus, norm_plus, w0: float, alpha: float) -> tuple:
@@ -435,6 +422,8 @@ def _increment(quantity: str, beta: float = 0.0):
     offspring -> (rejection constant, accepted-row values),
     of drift quantity "V", "W" or "Phi" (any case), where phi = beta * V + W on the
     same steps, so its confidence interval is honest; beta = 0 gives the W drift."""
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     increment = {"v": _v_parts, "w": _w_parts,
                  "phi": functools.partial(_phi_parts, beta)}.get(quantity.lower())
     if increment is None:
@@ -444,31 +433,27 @@ def _increment(quantity: str, beta: float = 0.0):
     return increment
 
 
-def _grid_row(args) -> list:
+def _grid_row(problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,
+              master_seed: int, increments: tuple, i: int) -> list:
     """(w, sigma~, hits, estimates) of every point of grid row i, in sigma~ order:
     ``_drifts`` of the row's mean on the row's stream ``task_rng(master_seed, "row", i)``."""
-    (problem, params, grid, n, master_seed, confidence, increments), i = args
     w = float(grid.w_values[i])
     sigmas = grid.sigma_values.tolist()
     return [(w, s, *point) for s, point in
             zip(sigmas, _drifts(problem, params, sample_M_plus_0(problem, w), sigmas, n,
-                                task_rng(master_seed, "row", i), confidence, increments))]
+                                task_rng(master_seed, "row", i), increments))]
 
 
-def _constants_row(args) -> tuple:
-    """``_grid_row`` of row i and the row's sigma~40 from its success curve."""
-    points = _grid_row(args)
-    (problem, _, grid, n, master_seed, _, _), i = args
+def _constants_row(problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,
+                   master_seed: int, i: int) -> tuple:
+    """``_grid_row`` of row i with the V and W increments, whose points take the
+    success rate, the V drift and the W drift from the same draws, and the
+    row's sigma~40 from its success curve."""
+    points = _grid_row(problem, params, grid, n, master_seed,
+                       (_increment("V"), _increment("W")), i)
     return points, _sigma_40(problem, sample_M_plus_0(problem, float(grid.w_values[i])),
                              grid.sigma_values.tolist(), [hits for _, _, hits, _ in points], n,
                              master_seed, i)
-
-
-def _grid_pass(task, problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,
-               master_seed: int, confidence: float, increments: tuple, threads: int) -> list:
-    """``task`` (``_grid_row`` or ``_constants_row``) of every grid row in w order."""
-    job = (problem, params, grid, n, master_seed, confidence, increments)
-    return _map_tasks(task, [(job, i) for i in range(grid.w_values.size)], threads)
 
 
 def _success_curve(problem: SaddleProblem, m_tilde: np.ndarray, lo: float, hi: float,
@@ -536,7 +521,7 @@ def derive_beta_theta(b1: float, b2: float, c: float) -> tuple[float, float]:
 
 
 class ConstantsEstimationError(RuntimeError):
-    """The measured drifts do not support positive constants at the requested confidence."""
+    """The measured drifts do not support positive constants at 99% confidence."""
 
 
 @dataclass(frozen=True)
@@ -548,7 +533,7 @@ class DriftConstants:
     smallest per-mean success-rate crossing (inf if never crossed), read
     exactly off each grid row's success curve, with no bisection;
     sigma_tilde_star is the largest grid sigma~ below which the measured V
-    drift stays above B2 at the requested confidence.  beta and theta are
+    drift stays above B2 at 99% confidence.  beta and theta are
     derived from B1, B2 and C (``derive_beta_theta``); B1 < 0 < B2 and C > 0
     make both positive, with theta = min(beta B2, C / 2).
     """
@@ -559,7 +544,6 @@ class DriftConstants:
     C: float
     sigma_tilde_40: float
     sigma_tilde_star: float
-    confidence: float
     seed: int | None = None
 
     def __post_init__(self):
@@ -582,7 +566,7 @@ class DriftConstants:
             "sigma_tilde_40": self.sigma_tilde_40,
             "sigma_tilde_star": self.sigma_tilde_star,
             "beta": self.beta, "theta": self.theta,
-            "confidence": self.confidence, "seed": self.seed,
+            "confidence": CONFIDENCE, "seed": self.seed,
         }
 
 
@@ -596,6 +580,10 @@ class GridSpec:
     def __post_init__(self):
         w = np.asarray(self.w_values, dtype=float)
         s = np.asarray(self.sigma_values, dtype=float)
+        for name, values in (("w", w), ("sigma", s)):
+            bad = values[~np.isfinite(values)]
+            if bad.size:
+                raise ValueError(f"{name} values must be finite, got {float(bad[0])!r}")
         if w.size < 1 or np.any(w < 0.0) or np.any(w > 1.0):
             raise ValueError("w values must lie in [0, 1]")
         if s.size < 8:
@@ -625,9 +613,7 @@ class ConstantsReport:
 
 def estimate_constants_report(problem: SaddleProblem, params: EsParams,
                               grid: GridSpec | None = None, n: int = 100_000,
-                              master_seed: int = 0,
-                              confidence: float = DEFAULT_CONFIDENCE,
-                              threads: int = 1) -> ConstantsReport:
+                              master_seed: int = 0, threads: int = 1) -> ConstantsReport:
     """Full constants pipeline, keeping the intermediate drift maps.
 
     One task per grid row draws the row's n steps once, from the row's stream
@@ -645,9 +631,8 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     b2 = closed_form_b2(alpha)
     n_sigma = grid.sigma_values.size
 
-    # a point's success rate, V drift and W drift come from the same draws
-    rows = _grid_pass(_constants_row, problem, params, grid, n, master_seed, confidence,
-                      (_increment("V"), _increment("W")), threads)
+    rows = _map_tasks(functools.partial(_constants_row, problem, params, grid, n, master_seed),
+                      range(grid.w_values.size), threads)
     points = [point for row_points, _ in rows for point in row_points]
     v_map = [GridPointEstimate(w, s, v) for w, s, _, (v, _) in points]
     w_all = [GridPointEstimate(w, s, w_est) for w, s, _, (_, w_est) in points]
@@ -656,7 +641,7 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     sigma_tilde_40 = min(sigma_40_by_w)
 
     # sigma* = top of the longest grid prefix on which every mean's V drift is
-    # lower-bounded by B2 at the requested confidence.
+    # lower-bounded by B2 at 99% confidence.
     ok = np.all(v_low >= b2, axis=0)
     ok_prefix = n_sigma if ok.all() else int(np.argmin(ok))
     if ok_prefix == 0:
@@ -674,12 +659,11 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     c = w_all[worst].est.ci_low
     if c <= 0.0:
         raise ConstantsEstimationError(
-            f"W-drift lower bound {c:.3g} is not positive at confidence {confidence}; increase "
+            f"W-drift lower bound {c:.3g} is not positive at confidence {CONFIDENCE}; increase "
             f"n.  Lowest at {_describe_point(w_all[worst], master_seed, *divmod(worst, n_sigma))}")
     constants = DriftConstants(alpha=alpha, B1=b1, B2=b2, C=c,
                                sigma_tilde_40=sigma_tilde_40,
-                               sigma_tilde_star=sigma_tilde_star,
-                               confidence=confidence, seed=master_seed)
+                               sigma_tilde_star=sigma_tilde_star, seed=master_seed)
     return ConstantsReport(constants=constants, sigma_40_by_w=sigma_40_by_w,
                            v_map=v_map, w_map=w_map)
 
@@ -692,7 +676,6 @@ class PairingReport:
     min_margin: float
     n_pairs: int
     n_sampled: int
-    epsilon: float
 
 
 def mirror_pair_margins(problem: SaddleProblem, m_tilde: np.ndarray, z):
@@ -723,19 +706,18 @@ def mirror_pair_margins(problem: SaddleProblem, m_tilde: np.ndarray, z):
 
 
 def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
-                  n: int, rng: np.random.Generator,
-                  epsilon: float = 1e-9) -> PairingReport:
+                  n: int, rng: np.random.Generator) -> PairingReport:
     """Sample n points uniformly on the sphere of ``radius`` around the mean,
     keep the successful ones (f(z) <= f(m~)) whose own W contribution is
     negative, and verify that each mirror pair's combined contribution is
-    >= -epsilon.
+    >= -PAIRING_EPSILON.
 
     Both filters matter: success plus W(z) < W(m~) force norm_plus(z) <= 1,
     which is what makes the combined contribution nonnegative.  Unsuccessful
     points never move the mean, so they are outside the construction.
     """
-    if radius <= 0.0:
-        raise ValueError("radius must be positive")
+    if not 0.0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius!r}")
     if n < 1:
         raise ValueError("need at least one sample")
     m_tilde = np.asarray(m_tilde, dtype=float)
@@ -753,8 +735,8 @@ def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
         in_set, margin = mirror_pair_margins(problem, m_tilde, z)
         margins = margin[in_set & (problem.evaluate(z) <= fm)]
         if margins.size:
-            violations += int(np.count_nonzero(margins < -epsilon))
+            violations += int(np.count_nonzero(margins < -PAIRING_EPSILON))
             min_margin = min(min_margin, float(margins.min()))
             n_pairs += margins.size
     return PairingReport(violations=violations, min_margin=min_margin,
-                         n_pairs=n_pairs, n_sampled=n, epsilon=epsilon)
+                         n_pairs=n_pairs, n_sampled=n)

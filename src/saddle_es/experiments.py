@@ -8,6 +8,7 @@ results are bit-identical for any thread count given the same master seed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -15,8 +16,7 @@ from typing import Optional
 import numpy as np
 
 from .es import BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, escape_times
-from .estimators import (DEFAULT_CONFIDENCE, GridPointEstimate, GridSpec, _grid_pass,
-                         _grid_row, _increment)
+from .estimators import GridPointEstimate, GridSpec, _grid_row, _increment
 from .normalization import _shell_point
 from .objective import SaddleProblem
 from .tasks import _map_tasks, _TaskStreams
@@ -147,13 +147,12 @@ class HittingTimeStats:
         }
 
 
-def _escape_trials(args) -> tuple[list, np.ndarray]:
+def _escape_trials(spec: EscapeExperimentSpec, workers: int, i: int) -> tuple[list, np.ndarray]:
     """Worker i's share of an escape experiment: the contiguous trial range
     [trials * i // workers, trials * (i + 1) // workers), all in one
     ``escape_times`` call.  Trial k reads its own stream
     ``task_rng(spec.master_seed, "trial", k)``; the engine derives the streams a
     slice at a time as its slots free up (``tasks._TaskStreams``)."""
-    spec, i, workers = args
     lo, hi = spec.trials * i // workers, spec.trials * (i + 1) // workers
     return escape_times(spec.problem, replace(spec.params, max_iters=spec.budget),
                         spec.initial_state(), _TaskStreams(spec.master_seed, "trial", lo, hi))
@@ -214,7 +213,7 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
     _check_s_range(fit_s_range)
     # the ranges are cut inside the tasks, after _map_tasks has checked threads
     workers = min(threads, spec.trials)
-    results = _map_tasks(_escape_trials, [(spec, i, workers) for i in range(workers)], threads)
+    results = _map_tasks(functools.partial(_escape_trials, spec, workers), range(workers), threads)
     status = {TARGET: ESCAPED, BUDGET: CENSORED, UNDERFLOW: UNDERFLOWED}
     statuses = [status[reason] for reasons, _ in results for reason in reasons]
     times = np.concatenate([t for _, t in results])
@@ -241,8 +240,7 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
 
 def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
               grid: GridSpec | None = None, n: int = 100_000,
-              master_seed: int = 0, beta: Optional[float] = None,
-              confidence: float = DEFAULT_CONFIDENCE, threads: int = 1) -> list:
+              master_seed: int = 0, beta: Optional[float] = None, threads: int = 1) -> list:
     """Evaluate one drift quantity ("V", "W", or "Phi") on the full (w, sigma~)
     grid, one derived stream per grid row, rows in grid order (w-major).
 
@@ -253,6 +251,6 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
         raise ValueError("a Phi map needs beta (the constants record gives beta = -C / (2 B1))")
     increment = _increment(quantity, 0.0 if beta is None else beta)
     grid = grid if grid is not None else GridSpec.default()
-    rows = _grid_pass(_grid_row, problem, params, grid, n, master_seed, confidence,
-                      (increment,), threads)
+    rows = _map_tasks(functools.partial(_grid_row, problem, params, grid, n, master_seed,
+                                        (increment,)), range(grid.w_values.size), threads)
     return [GridPointEstimate(w, s, est) for row in rows for w, s, _, (est,) in row]

@@ -155,7 +155,8 @@ def _map_tasks(fn, args_list, threads: int):
     """``[fn(args) for args in args_list]``; with ``threads`` > 1 and more than
     one task, on ``min(threads, len(args_list))`` forked workers, worker w
     running tasks w, w + workers, ... in order.  Only the results must pickle:
-    each worker sends its share's results back over a pipe.  Results come in
+    each worker sends its share's results back over a pipe, so the pipelines
+    map a ``functools.partial`` over a ``range`` of task indices.  Results come in
     task order; an exception raised by a task is raised here, the lowest task
     index's if several fail, and a worker that ends without sending anything
     raises a ``RuntimeError`` that names it.  No worker outlives the call."""

@@ -16,8 +16,8 @@ import pytest
 import saddle_es
 from saddle_es import cli, experiments
 from saddle_es import (EscapeExperimentSpec, EsParams, GridSpec, NormalizedState, SaddleProblem,
-                       closed_form_b1, closed_form_b2, drift_map, estimate_constants_report,
-                       run_escape_experiment, sample_M_plus_0, success_probability, task_rng)
+                       closed_form_b1, closed_form_b2, drift_map, run_escape_experiment,
+                       sample_M_plus_0, success_probability, task_rng)
 from saddle_es.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -222,6 +222,36 @@ class TestConfigHandling:
         assert capsys.readouterr().err == f"error: {message}\n"
         assert os.listdir(tmp_path) == ["cfg.json"]
 
+    @pytest.mark.parametrize("command, key", [
+        ("drift-map", "confidence"), ("constants", "confidence"), ("succ-prob", "confidence"),
+        ("pairing", "epsilon")])
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_interval_level_and_pairing_tolerance_are_fixed(self, command, key, source,
+                                                            tmp_path, monkeypatch, capsys):
+        # the gates are calibrated at the 99% level and the 1e-9 tolerance, so
+        # no run may restate its claim at another
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps({key: 0.5} if source == "config" else {}))
+        flag = [f"--{key}=0.5"] if source == "flag" else []
+        assert run_cli(command, *self.ARGV[command], "--b=1", *flag, "--config=cfg.json") \
+            == EXIT_CONFIG
+        err = capsys.readouterr().err
+        if source == "config":
+            assert err == f"error: unknown config keys: {key}\n"
+        else:
+            assert f"error: unrecognized arguments: --{key}=0.5" in err
+        assert os.listdir(tmp_path) == ["cfg.json"]
+
+    # acceptance criterion 10 checks the constants record's level
+    @pytest.mark.parametrize("command, key, value", [
+        ("succ-prob", "confidence", 0.99), ("pairing", "epsilon", 1e-9)])
+    def test_outputs_record_the_fixed_level_and_tolerance(self, command, key, value, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli(command, *self.ARGV[command], "--b=1") == EXIT_OK
+        [name] = os.listdir(tmp_path)
+        assert json.loads((tmp_path / name).read_text())[key] == value
+
 
 class TestEscapeCommand:
     def test_full_escape_exits_zero(self, tmp_path):
@@ -303,7 +333,7 @@ class TestDriftMapCommand:
         def no_tasks(*args):
             raise AssertionError("a grid task ran")
 
-        monkeypatch.setattr(experiments, "_grid_pass", no_tasks)
+        monkeypatch.setattr(experiments, "_map_tasks", no_tasks)
         code = run_cli("drift-map", "--a=-1,20", "--b=1", "--quantity=Phi", "--n=2000",
                        f"--map-out={tmp_path}/m.csv")
         assert code == EXIT_CONFIG
@@ -580,15 +610,14 @@ PINNED = {
                "fit-s-low": 0.01, "fit-s-high": 0.5, "stats-out": "escape_stats.json",
                "survival-out": "escape_survival.csv"},
     "drift-map": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "alpha": 1.5, "quantity": "W",
-                  "beta": None, "n": 100_000, "confidence": 0.99, **_GRID, "threads": CPUS,
+                  "beta": None, "n": 100_000, **_GRID, "threads": CPUS,
                   "map-out": "drift_map.csv", "check-positive": False},
     "constants": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "alpha": 1.5, "n": 100_000,
-                  "confidence": 0.99, **_GRID, "threads": CPUS, "constants-out": "constants.json"},
+                  **_GRID, "threads": CPUS, "constants-out": "constants.json"},
     "succ-prob": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "w": None, "sigma": None,
-                  "n": 1_000_000, "confidence": 0.99, "at-saddle": False,
-                  "out": "succ_prob.json"},
+                  "n": 1_000_000, "at-saddle": False, "out": "succ_prob.json"},
     "pairing": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "w": REQUIRED,
-                "radii": [0.1, 1.0, 10.0], "n": 100_000, "epsilon": 1e-9, "out": "pairing.json"},
+                "radii": [0.1, 1.0, 10.0], "n": 100_000, "out": "pairing.json"},
     "levels": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "extent": 1.0, "points": 101,
                "out": "levels.csv"},
 }
@@ -612,10 +641,8 @@ def library_defaults(command) -> dict:
         "escape": {"alpha": es.alpha, "sigma-min": es.sigma_min, "w0": spec.w0,
                    "sigma0": spec.sigma_tilde0, "trials": spec.trials, "budget": spec.budget},
         "drift-map": {"alpha": es.alpha, "beta": arg(drift_map, "beta"), "n": arg(drift_map, "n"),
-                      "confidence": arg(drift_map, "confidence"), **grid},
-        "constants": {"alpha": es.alpha,
-                      "confidence": arg(estimate_constants_report, "confidence"), **grid},
-        "succ-prob": {"confidence": arg(success_probability, "confidence")},
+                      **grid},
+        "constants": {"alpha": es.alpha, **grid},
     }.get(command, {})
 
 
@@ -724,10 +751,10 @@ def test_public_surface():
         "ConstantsEstimationError", "DriftConstants", "DriftEstimate", "GridPointEstimate",
         "GridSpec", "PairingReport", "StepSamples", "closed_form_b1", "closed_form_b2",
         "derive_beta_theta", "drift_w", "estimate_constants_report",
-        "mirror_pair_margins", "one_step_samples", "pairing_check",
+        "one_step_samples", "pairing_check",
         "saddle_success_analytic_2d", "success_probability", "task_rng",
         "EscapeExperimentSpec", "HittingTimeStats", "TailFit", "drift_map",
         "fit_exponential_tail", "run_escape_experiment", "survival_curve",
-        "NormalizedState", "NormPlusZeroError", "in_M_plus_0", "sample_M_plus_0",
+        "NormalizedState", "NormPlusZeroError", "sample_M_plus_0",
         "SaddleProblem",
     }

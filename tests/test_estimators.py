@@ -19,7 +19,6 @@ from saddle_es import (
     drift_map,
     drift_w,
     estimate_constants_report,
-    mirror_pair_margins,
     one_step_samples,
     pairing_check,
     saddle_success_analytic_2d,
@@ -28,14 +27,14 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es import estimators
-from saddle_es.estimators import _drift, _increment, _scalars, _sigma_40, _success_curve
+from saddle_es.estimators import (_drift, _increment, _scalars, _sigma_40, _success_curve,
+                                  mirror_pair_margins)
 from saddle_es.tasks import _STAGES, _task_rngs, _TaskStreams
 
 
 def drift(quantity, p, params, ns, n, rng, beta=0.0):
     """One point's drift estimate of "V", "W" or "Phi" through the increment table."""
-    return _drift(p, params, ns, n, rng, estimators.DEFAULT_CONFIDENCE,
-                  _increment(quantity, beta))[1][0]
+    return _drift(p, params, ns, n, rng, _increment(quantity, beta))[1][0]
 
 
 def hits(p, m_tilde, sigma, n, rng):
@@ -76,11 +75,11 @@ def normalized(p, m, sigma):
     return NormalizedState(m / scale, sigma / scale)
 
 
-def sample_estimate(values, confidence=0.99):
+def sample_estimate(values):
     values = np.asarray(values, dtype=float)
     mean = values.mean()
     return DriftEstimate.from_moments(values.size, float(mean),
-                                      float(np.square(values - mean).sum()), confidence)
+                                      float(np.square(values - mean).sum()))
 
 
 class TestDriftEstimate:
@@ -102,11 +101,13 @@ class TestDriftEstimate:
         with pytest.raises(ValueError):
             sample_estimate([1.0])
 
-    def test_z_critical_is_two_sided(self):
-        # exact quantiles 2.5758293035489007... and 1.9599639845400542...; the
-        # stdlib's inverse CDF lands one ulp below the nearest double
-        assert estimators.z_critical(0.99) == pytest.approx(2.5758293035489004, rel=1e-15)
-        assert estimators.z_critical(0.95) == pytest.approx(1.959963984540054, rel=1e-15)
+    def test_z_is_the_two_sided_99_percent_quantile(self):
+        # exact quantile 2.5758293035489007...; the stdlib's inverse CDF lands
+        # one ulp below the nearest double
+        assert estimators.CONFIDENCE == 0.99
+        assert estimators._Z == pytest.approx(2.5758293035489004, rel=1e-15)
+        est = sample_estimate(np.random.default_rng(1).standard_normal(500))
+        assert est.ci_high - est.mean == estimators._Z * est.stderr
 
     @pytest.mark.parametrize("n", [1000, 100_000])
     @pytest.mark.parametrize("k", [0, 1, 137, "n"])
@@ -114,7 +115,7 @@ class TestDriftEstimate:
         # the Wilson bounds solve (p_hat - p)**2 = z**2 p (1 - p) / n; bisect for
         # each root on the side of p_hat where it lies
         k = n if k == "n" else k
-        p_hat, z = k / n, estimators.z_critical(0.99)
+        p_hat, z = k / n, estimators._Z
 
         def root(outside, inside):
             # score(outside) >= 0 >= score(inside)
@@ -132,12 +133,6 @@ class TestDriftEstimate:
         for hits in (0, 1000):
             est = DriftEstimate.from_binomial(hits, 1000)
             assert 0.0 <= est.ci_low < est.ci_high <= 1.0
-
-    def test_wider_interval_at_higher_confidence(self):
-        values = np.random.default_rng(1).standard_normal(500)
-        lo = sample_estimate(values, confidence=0.9)
-        hi = sample_estimate(values, confidence=0.99)
-        assert hi.ci_high - hi.ci_low > lo.ci_high - lo.ci_low
 
 
 class TestTaskSeed:
@@ -527,6 +522,19 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="sigma grid"):
             GridSpec(np.array([0.0, 1.0]), sigma_values)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_w(self, bad):
+        # a NaN w passed the [0, 1] test and failed later, inside a worker
+        with pytest.raises(ValueError, match=f"^w values must be finite, got {bad!r}$"):
+            GridSpec(np.array([0.0, bad]), np.geomspace(1e-4, 1e3, 8))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_sigma(self, bad):
+        # sigma~ = inf made a grid point of its own and broke the constants pipeline
+        sigmas = np.append(np.geomspace(1e-4, 1e3, 8), bad)
+        with pytest.raises(ValueError, match=f"^sigma values must be finite, got {bad!r}$"):
+            GridSpec(np.array([0.0, 1.0]), sigmas)
+
 
 class TestConstants:
     SMALL_GRID = GridSpec(w_values=np.array([0.0, 0.5, 1.0]),
@@ -605,7 +613,7 @@ class TestConstants:
         params = EsParams(alpha=1.5)
         ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.3)
         n = (1 << 18) + 3000    # seventeen blocks at d=2
-        shared, (v, w) = _drift(p, params, ns, n, task_rng(36, "row", 1), 0.99,
+        shared, (v, w) = _drift(p, params, ns, n, task_rng(36, "row", 1),
                                 _increment("V"), _increment("W"))
         assert shared / n == success_probability(p, ns, n, task_rng(36, "row", 1)).mean
         assert v == drift("V", p, params, ns, n, task_rng(36, "row", 1))
@@ -687,10 +695,13 @@ class TestPairing:
         assert report.violations == 0
         assert report.min_margin >= -1e-9
 
-    def test_invalid_radius(self):
+    @pytest.mark.parametrize("radius", [0.0, -1.0, math.nan, math.inf])
+    def test_invalid_radius(self, radius):
+        # a non-finite radius would sample no pair and report a pass
         p = problem()
-        with pytest.raises(ValueError):
-            pairing_check(p, apex(p), 0.0, 100, np.random.default_rng(0))
+        message = f"^radius must be positive and finite, got {radius}$"
+        with pytest.raises(ValueError, match=message):
+            pairing_check(p, apex(p), radius, 100, np.random.default_rng(0))
 
 
 def mask_reference(p, params, ns, z):
@@ -777,11 +788,11 @@ class TestBlockKernel:
         ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.2 / d)
         n = 1 << 19
         increments = (_increment("V"), _increment("W"))
-        calls = (lambda rng: _drift(p, EsParams(), ns, n, rng, 0.99, *increments),
+        calls = (lambda rng: _drift(p, EsParams(), ns, n, rng, *increments),
                  # a grid row: every block is ordered once for all 36 sigma~
                  lambda rng: estimators._drifts(p, EsParams(), ns.m_tilde,
                                                 GridSpec.default().sigma_values.tolist(), n, rng,
-                                                0.99, increments),
+                                                increments),
                  lambda rng: success_probability(p, ns, n, rng))
         for call in calls:
             tracemalloc.start()
@@ -798,7 +809,7 @@ class TestBlockKernel:
         n = 100_000
 
         def counts():
-            hits = _drift(p, params, ns, n, np.random.default_rng(77), 0.99, _increment("W"))[0]
+            hits = _drift(p, params, ns, n, np.random.default_rng(77), _increment("W"))[0]
             return (hits, success_probability(p, ns, n, np.random.default_rng(77)),
                     pairing_check(p, ns.m_tilde, 0.3, n, np.random.default_rng(77)))
 
@@ -865,7 +876,7 @@ class TestMaskEdges:
         assert_bitwise(samples.v_increments(), v)
         assert_bitwise(samples.w_increments(), w)
 
-        drift_hits, estimates = _drift(p, params, ns, self.N, FixedDraws(z), 0.99,
+        drift_hits, estimates = _drift(p, params, ns, self.N, FixedDraws(z),
                                        _increment("V"), _increment("W"))
         assert drift_hits == hits
         order = slice_order(p, ns.m_tilde, z)
@@ -1038,7 +1049,7 @@ class TestSlices:
             assert np.any(on_grid & falls) and np.any(on_grid & rises)
         # the drift pass over the same draws, in blocks, counts the same hits
         hits = [h for h, _ in estimators._drifts(p, EsParams(), m, self.GRID.tolist(), len(z),
-                                                 FixedDraws(z), 0.99, (_increment("W"),))]
+                                                 FixedDraws(z), (_increment("W"),))]
         assert len(estimators._blocks(len(z), p.d)) > 1 and hits == counts
         # and sigma~40 of the draws is the last step size at which the kernel's
         # own count is still >= 0.4

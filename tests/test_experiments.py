@@ -347,7 +347,7 @@ class TestDriftMap:
             ns = NormalizedState(sample_M_plus_0(p, float(self.GRID.w_values[i])),
                                  float(self.GRID.sigma_values[j]))
             rng = task_rng(8, "row", i)
-            _, (est,) = _drift(p, params, ns, 2000, rng, 0.99, _increment(quantity, 0.3))
+            _, (est,) = _drift(p, params, ns, 2000, rng, _increment(quantity, 0.3))
             assert (row.w, row.sigma_tilde, row.est) == (
                 self.GRID.w_values[i], self.GRID.sigma_values[j], est)
 
@@ -375,6 +375,18 @@ class TestDriftMap:
                          master_seed=5, beta=0.0)
         assert rows == drift_map(problem(), EsParams(), "W", grid=self.GRID, n=2000,
                                  master_seed=5)
+
+    @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_nonfinite_beta_rejected_before_any_row(self, quantity, beta, monkeypatch):
+        # a Phi map drew every row with such a beta and then failed on a NaN
+        # stderr, and a V or W map ignored it; a negative beta is rejected for all
+        def no_tasks(*args):
+            raise AssertionError("a grid row ran")
+
+        monkeypatch.setattr("saddle_es.experiments._map_tasks", no_tasks)
+        with pytest.raises(ValueError, match=f"^beta must be finite, got {beta}$"):
+            drift_map(problem(), EsParams(), quantity, grid=self.GRID, n=2000, beta=beta)
 
     def test_case_insensitive_quantity(self):
         kw = dict(grid=self.GRID, n=2000, master_seed=6)

@@ -3,12 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from saddle_es import (
-    NormalizedState,
-    SaddleProblem,
-    in_M_plus_0,
-    sample_M_plus_0,
-)
+from saddle_es import NormalizedState, SaddleProblem, sample_M_plus_0
+from saddle_es.normalization import in_M_plus_0
 
 
 def problem(a=(-1.0, 1.0), b=1):
