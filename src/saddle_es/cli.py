@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: run, escape, drift-map, constants, succ-prob, pairing, levels.
+Subcommands: run, escape, drift-map, constants, succ-prob, pairing.
 Every command is a pure function of (config, seed) to its output bytes; the
 default seed comes from the SADDLE_ES_SEED environment variable (0 if unset).
 
@@ -56,7 +56,7 @@ from .estimators import (
 from .experiments import ESCAPED, EscapeExperimentSpec, run_escape_experiment, drift_map
 from .normalization import NormalizedState, sample_M_plus_0
 from .objective import SaddleProblem
-from .serialize import drift_map_to_csv, survival_to_csv, trace_to_csv, write_csv, write_json
+from .serialize import drift_map_to_csv, survival_to_csv, trace_to_csv, write_json
 from .tasks import _replay_hint, _usable_cpus, task_rng
 
 EXIT_OK = 0
@@ -159,7 +159,6 @@ _OPTIONS = {
     "sigma0": (_float, "initial step size"),
     "alpha": (_float, "step-size factor on success, > 1"),
     "budget": (_int, "iteration budget of a run"),
-    "sigma-min": (_float, "step-size floor; reaching it ends a run in underflow"),
     "record-every": (_int, "trace every k-th iteration and every acceptance"),
     "trace-out": (_path, "trace CSV path"),
     "summary-out": (_path, "summary JSON path"),
@@ -167,8 +166,6 @@ _OPTIONS = {
     "trials": (_int, "number of independent trials"),
     "threads": (_int, "worker processes; results do not depend on it (default: the "
                       "CPUs this process may use)"),
-    "fit-s-low": (_float, "lowest survival value of the exponential-tail fit"),
-    "fit-s-high": (_float, "highest survival value of the exponential-tail fit"),
     "stats-out": (_path, "statistics JSON path"),
     "survival-out": (_path, "survival CSV path"),
     "quantity": (_str, "drift quantity: V, W or Phi"),
@@ -186,8 +183,6 @@ _OPTIONS = {
     "at-saddle": (_switch, "sample from the saddle point itself (compares to the d=2 "
                            "closed form)"),
     "radii": (_floats, "comma-separated sphere radii"),
-    "extent": (_float, "half-width of the square grid"),
-    "points": (_int, "grid points per axis"),
     "out": (_path, "output path"),
 }
 
@@ -205,14 +200,11 @@ _GRID = dict.fromkeys(("w-values", "sigma-grid-min", "sigma-grid-max", "sigma-gr
 _COMMANDS = {
     "run": ("single seeded run; writes trace CSV + summary JSON", {
         **_COMMON, "m0": _REQUIRED, "sigma0": _REQUIRED, "alpha": None, "budget": None,
-        "sigma-min": None, "record-every": _default(run, "record_every"),
+        "record-every": _default(run, "record_every"),
         "trace-out": "run_trace.csv", "summary-out": "run_summary.json"}),
     "escape": ("escape-time experiment; writes stats JSON + survival CSV", {
         **_COMMON, "w0": None, "sigma0": None, "alpha": None, "budget": None, "trials": None,
-        "threads": _CPUS, "sigma-min": None,
-        "fit-s-low": _default(run_escape_experiment, "fit_s_range")[0],
-        "fit-s-high": _default(run_escape_experiment, "fit_s_range")[1],
-        "stats-out": "escape_stats.json", "survival-out": "escape_survival.csv"}),
+        "threads": _CPUS, "stats-out": "escape_stats.json", "survival-out": "escape_survival.csv"}),
     "drift-map": ("drift estimates over the (w, sigma~) grid; writes CSV", {
         **_COMMON, "alpha": None, "quantity": "W", "beta": None, "n": None, **_GRID,
         "threads": _CPUS, "map-out": "drift_map.csv", "check-positive": False}),
@@ -224,8 +216,6 @@ _COMMANDS = {
         "out": "succ_prob.json"}),
     "pairing": ("mirror-pairing inequality check; writes JSON report", {
         **_COMMON, "w": _REQUIRED, "radii": "0.1,1,10", "n": 100_000, "out": "pairing.json"}),
-    "levels": ("level-set point grid for plotting (d = 2); writes CSV", {
-        **_COMMON, "extent": 1.0, "points": 101, "out": "levels.csv"}),
 }
 
 
@@ -301,7 +291,7 @@ def _grid(ns) -> GridSpec:
 # ---------------------------------------------------------------------------
 
 def cmd_run(ns) -> int:
-    params = EsParams(**_given(alpha=ns.alpha, max_iters=ns.budget, sigma_min=ns.sigma_min))
+    params = EsParams(**_given(alpha=ns.alpha, max_iters=ns.budget))
     rng = np.random.default_rng(ns.seed)
     trace = run(ns.problem, params, EsState(m=np.asarray(ns.m0), sigma=ns.sigma0), rng,
                 record_every=ns.record_every)
@@ -316,11 +306,9 @@ def cmd_run(ns) -> int:
 
 def cmd_escape(ns) -> int:
     spec = EscapeExperimentSpec(
-        problem=ns.problem, params=EsParams(**_given(alpha=ns.alpha, sigma_min=ns.sigma_min)),
-        master_seed=ns.seed,
+        problem=ns.problem, params=EsParams(**_given(alpha=ns.alpha)), master_seed=ns.seed,
         **_given(w0=ns.w0, sigma_tilde0=ns.sigma0, trials=ns.trials, budget=ns.budget))
-    stats = run_escape_experiment(spec, threads=ns.threads,
-                                  fit_s_range=(ns.fit_s_low, ns.fit_s_high))
+    stats = run_escape_experiment(spec, threads=ns.threads)
     payload = stats.to_dict()
     payload.update(command="escape", problem=ns.problem.to_dict(), alpha=spec.params.alpha,
                    w0=spec.w0, sigma0=spec.sigma_tilde0)
@@ -418,20 +406,6 @@ def cmd_pairing(ns) -> int:
                         "total_violations": total})
     print(f"pairing: w={ns.w} radii={ns.radii} violations={total} -> {ns.out}")
     return EXIT_OK if total == 0 else EXIT_CRITERION
-
-
-def cmd_levels(ns) -> int:
-    if ns.problem.d != 2:
-        raise ConfigError("levels output is only defined for d = 2")
-    extent, points = ns.extent, ns.points
-    if extent <= 0.0 or points < 2:
-        raise ConfigError("need extent > 0 and points >= 2")
-    axis = np.linspace(-extent, extent, points)
-    x = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1).reshape(-1, 2)
-    f = ns.problem.evaluate(x)
-    write_csv(ns.out, ["x1", "x2", "f"], zip(x[:, 0], x[:, 1], f))
-    print(f"levels: {points}x{points} grid over [-{extent}, {extent}]^2 -> {ns.out}")
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------

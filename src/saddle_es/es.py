@@ -38,6 +38,11 @@ NONFINITE = "nonfinite"
 
 _FAILURE_EXPONENT = 0.25
 
+# a step size below this floor ends a run in underflow.  No shell start reaches
+# it: accepting ties holds sigma / |m| above about 1e-16, so a stalled ES runs
+# to its budget instead
+_SIGMA_MIN = 1e-300
+
 # keeps a success from carrying the step size past the float range (see ``run``)
 _ALPHA_MAX = 1e100
 
@@ -59,19 +64,16 @@ def _batch_trials(d: int) -> int:
 
 @dataclass(frozen=True)
 class EsParams:
-    """Strategy parameters: step-size factor, iteration budget, underflow guard."""
+    """Strategy parameters: step-size factor and iteration budget."""
 
     alpha: float = 1.5
     max_iters: int = 100_000
-    sigma_min: float = 1e-300
 
     def __post_init__(self):
         if not 1.0 < self.alpha <= _ALPHA_MAX:
             raise ValueError(f"alpha must be > 1 and at most {_ALPHA_MAX:g}, got {self.alpha!r}")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        if not self.sigma_min > 0.0:
-            raise ValueError("sigma_min must be positive")
 
 
 @dataclass(frozen=True)
@@ -132,17 +134,17 @@ class RunTrace:
             "n_accepts": int(self.n_accepts),
             "n_rejects": int(self.n_rejects),
             "params": {"alpha": params.alpha, "max_iters": params.max_iters,
-                       "sigma_min": params.sigma_min},
+                       "sigma_min": _SIGMA_MIN},
             "problem": problem.to_dict(),
         }
 
 
-def _check_start(problem: SaddleProblem, params: EsParams, init: EsState) -> float:
+def _check_start(problem: SaddleProblem, init: EsState) -> float:
     """Check the start and return f(init.m), which must be finite."""
     if init.m.size != problem.d:
         raise ValueError(f"initial mean has dimension {init.m.size}, expected {problem.d}")
-    if not init.sigma > params.sigma_min:
-        raise ValueError("initial sigma must exceed sigma_min")
+    if not init.sigma > _SIGMA_MIN:
+        raise ValueError(f"initial sigma must exceed the step-size floor {_SIGMA_MIN:g}")
     f0 = problem.evaluate(init.m)
     if not math.isfinite(f0):
         raise ValueError(f"initial mean has non-finite objective value {f0}")
@@ -158,7 +160,7 @@ _quiet_overflow = np.errstate(over="ignore", invalid="ignore")
 def run(problem: SaddleProblem, params: EsParams, init: EsState,
         rng: np.random.Generator, stop: bool = True, record_every: int = 100) -> RunTrace:
     """Iterate until f(m) < 0 (if ``stop``), the budget runs out, the step size
-    underflows ``params.sigma_min`` or f(m) is not finite.
+    falls below ``_SIGMA_MIN`` (underflow) or f(m) is not finite.
 
     With ``stop`` true, f(m) < 0 is checked before each iteration (an initial
     state with f < 0 terminates at t = 0 with reason "target"); a false
@@ -174,7 +176,7 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
     1.3e154), and it multiplies a step size below 2.7e154 / |z_j| by alpha <=
     ``_ALPHA_MAX``, which overflows only if |z_j| < 1e-54.
     """
-    fm = _check_start(problem, params, init)
+    fm = _check_start(problem, init)
     if record_every < 0:
         raise ValueError("record_every must be nonnegative")
 
@@ -221,7 +223,7 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
             last_accepted = False
             sigma *= dec
             n_rejects += 1
-        if sigma < params.sigma_min:
+        if sigma < _SIGMA_MIN:
             reason = UNDERFLOW
             break
         if record_every and (last_accepted or t % record_every == 0):
@@ -241,8 +243,10 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     Trial k ends as ``run(problem, params, init, rngs[k], record_every=0)``
     ends: the returned ``reasons[k]`` and ``times[k]`` equal that run's
     ``reason`` and ``t_final``.  A trial ends when its mean reaches f < 0
-    (target), its step size falls below ``params.sigma_min`` (underflow) or it
-    has used ``params.max_iters`` iterations (budget).
+    (target), its step size falls below ``_SIGMA_MIN`` (underflow) or it has
+    used ``params.max_iters`` iterations (budget).  No shell start reaches the
+    floor (see ``_SIGMA_MIN``), so a trial that stalls ends as budget, and no
+    underflow is no evidence that none stalled.
 
     At most ``_batch_trials(d)`` trials run at once, each in a slot of the
     lockstep arrays.  Every ``_REFILL`` iterations a slot whose trial has ended
@@ -255,7 +259,7 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     derived at most one slice ahead of the slots, and the streams held at once
     do not grow with ``len(rngs)``.
     """
-    f0 = _check_start(problem, params, init)
+    f0 = _check_start(problem, init)
     a, d, n = problem.a, problem.d, len(rngs)
     if f0 < 0.0 or params.max_iters == 0 or n == 0:
         return [TARGET if f0 < 0.0 else BUDGET] * n, np.zeros(n, dtype=int)
@@ -322,8 +326,8 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
             sigma *= np.where(acc, params.alpha, dec)
             s += 1
             # fmin skips the frozen slots' nan
-            if np.fmin.reduce(fm) < 0.0 or sigma.min() < params.sigma_min:
-                under = sigma < params.sigma_min
+            if np.fmin.reduce(fm) < 0.0 or sigma.min() < _SIGMA_MIN:
+                under = sigma < _SIGMA_MIN
                 ended = fm < 0.0
                 ended |= under
                 reasons[trial[ended]] = TARGET

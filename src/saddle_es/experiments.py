@@ -25,6 +25,9 @@ ESCAPED = "escaped"
 CENSORED = "censored"
 UNDERFLOWED = "underflow"
 
+# the survival values S(t) that the exponential-tail fit uses
+_FIT_S_RANGE = (0.01, 0.5)
+
 
 @dataclass(frozen=True)
 class EscapeExperimentSpec:
@@ -71,7 +74,7 @@ class EscapeExperimentSpec:
 
 @dataclass(frozen=True)
 class TailFit:
-    """Least-squares line through log S(t) over a survival range.
+    """Least-squares line through log S(t) over the survival range ``_FIT_S_RANGE``.
 
     A goodness-of-line diagnostic, not a hypothesis test.  ``rate`` is the
     negated slope (nan when fewer than 3 curve points fall in the range).
@@ -81,12 +84,11 @@ class TailFit:
     intercept: float
     r_squared: float
     n_points: int
-    s_range: tuple
 
     def to_dict(self) -> dict:
         return {"rate": self.rate, "intercept": self.intercept,
                 "r_squared": self.r_squared, "n_points": self.n_points,
-                "s_range": list(self.s_range)}
+                "s_range": list(_FIT_S_RANGE)}
 
 
 @dataclass
@@ -96,8 +98,10 @@ class HittingTimeStats:
     Counts are primary (they sum to ``trials`` exactly); fractions are derived.
     ``times`` holds the first iteration in the negative region for escaped
     trials, the budget for censored trials, and the stopping iteration for
-    step-size-underflow trials.  An underflow count > 0 flags premature
-    convergence, which the escape model predicts cannot happen.
+    step-size-underflow trials.  Underflow means sigma < ``es._SIGMA_MIN`` =
+    1e-300, which no shell start reaches, so ``premature_convergence_detected``
+    false is no evidence that no trial stalled: a stalled trial runs to the
+    budget and counts as censored.
     """
 
     statuses: list
@@ -172,24 +176,16 @@ def survival_curve(times: np.ndarray, escaped_mask: np.ndarray):
     return t_values.astype(int), s
 
 
-def _check_s_range(s_range: tuple) -> tuple:
-    lo, hi = s_range
-    if not 0.0 < lo < hi <= 1.0:
-        raise ValueError("survival fit range must satisfy 0 < low < high <= 1")
-    return lo, hi
-
-
-def fit_exponential_tail(t: np.ndarray, s: np.ndarray,
-                         s_range: tuple = (0.01, 0.5)) -> TailFit:
-    """Fit log S(t) = intercept - rate * t over the points with S in ``s_range``."""
-    lo, hi = _check_s_range(s_range)
+def fit_exponential_tail(t: np.ndarray, s: np.ndarray) -> TailFit:
+    """Fit log S(t) = intercept - rate * t over the points with S in ``_FIT_S_RANGE``."""
+    lo, hi = _FIT_S_RANGE
     t = np.asarray(t, dtype=float)
     s = np.asarray(s, dtype=float)
-    mask = (s >= lo) & (s <= hi) & (s > 0.0)
+    mask = (s >= lo) & (s <= hi)
     n_points = int(np.count_nonzero(mask))
     if n_points < 3:
         return TailFit(rate=math.nan, intercept=math.nan, r_squared=math.nan,
-                       n_points=n_points, s_range=tuple(s_range))
+                       n_points=n_points)
     x = t[mask]
     y = np.log(s[mask])
     slope, intercept = np.polyfit(x, y, 1)
@@ -197,20 +193,17 @@ def fit_exponential_tail(t: np.ndarray, s: np.ndarray,
     ss_tot = float((y - y.mean()) @ (y - y.mean()))
     r2 = 1.0 - float(resid @ resid) / ss_tot if ss_tot > 0.0 else math.nan
     return TailFit(rate=float(-slope), intercept=float(intercept), r_squared=r2,
-                   n_points=n_points, s_range=tuple(s_range))
+                   n_points=n_points)
 
 
-def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
-                          fit_s_range: tuple = (0.01, 0.5)) -> HittingTimeStats:
+def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1) -> HittingTimeStats:
     """Run ``spec.trials`` independent escape trials and summarize them.
 
     Each of ``min(threads, trials)`` workers runs one contiguous range of
     trial indices through one ``es.escape_times`` call; each trial reads its
     own stream, so neither the engine's slots nor ``threads`` ever change a
     trial's result.  Only the escape time and terminal reason are kept.
-    ``fit_s_range`` is checked before any trial runs.
     """
-    _check_s_range(fit_s_range)
     # the ranges are cut inside the tasks, after _map_tasks has checked threads
     workers = min(threads, spec.trials)
     results = _map_tasks(functools.partial(_escape_trials, spec, workers), range(workers), threads)
@@ -229,7 +222,7 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1,
     else:
         quantiles = {}
     surv_t, surv_s = survival_curve(times, escaped_mask)
-    tail = fit_exponential_tail(surv_t, surv_s, fit_s_range) if surv_t.size else None
+    tail = fit_exponential_tail(surv_t, surv_s) if surv_t.size else None
     return HittingTimeStats(statuses=statuses, times=times,
                             n_escaped=n_escaped, n_censored=n_censored,
                             n_underflow=n_underflow, quantiles=quantiles,
@@ -245,10 +238,14 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
     grid, one derived stream per grid row, rows in grid order (w-major).
 
     Every quantity reads the per-row streams of the constants pipeline, so the
-    V and W maps agree with it for the same master seed, grid, and n.  Phi needs beta.
+    V and W maps agree with it for the same master seed, grid, and n.  Phi needs
+    beta, and the other quantities take none; both are checked before any row runs.
     """
-    if beta is None and quantity.lower() == "phi":
+    phi = quantity.lower() == "phi"
+    if beta is None and phi:
         raise ValueError("a Phi map needs beta (the constants record gives beta = -C / (2 B1))")
+    if beta is not None and not phi:
+        raise ValueError(f"beta weights V in a Phi map only; a {quantity} map takes none")
     increment = _increment(quantity, 0.0 if beta is None else beta)
     grid = grid if grid is not None else GridSpec.default()
     rows = _map_tasks(functools.partial(_grid_row, problem, params, grid, n, master_seed,

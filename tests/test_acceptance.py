@@ -221,7 +221,7 @@ def test_criterion_09_exponential_tail():
     spec = EscapeExperimentSpec(problem=make((-1.0, 100.0)), params=EsParams(alpha=1.5),
                                 w0=0.0, sigma_tilde0=1.0, trials=10_000,
                                 budget=1_000_000, master_seed=MASTER_SEED ^ 9000)
-    stats = run_escape_experiment(spec, fit_s_range=(0.01, 0.5))
+    stats = run_escape_experiment(spec)
     fit = stats.tail
     elapsed = time.perf_counter() - t0
     ok = (stats.escape_fraction == 1.0 and fit is not None

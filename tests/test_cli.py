@@ -29,7 +29,7 @@ from saddle_es.cli import (
     main,
 )
 
-COMMANDS = ("run", "escape", "drift-map", "constants", "succ-prob", "pairing", "levels")
+COMMANDS = ("run", "escape", "drift-map", "constants", "succ-prob", "pairing")
 
 
 def run_cli(*args):
@@ -56,6 +56,7 @@ class TestRunCommand:
         assert summary["seed"] == 42
         assert summary["generator"] == "numpy-pcg64"
         assert summary["t_escape"] is not None
+        assert summary["params"]["sigma_min"] == 1e-300
 
     def test_trace_csv_columns(self, tmp_path):
         run_cli("run", "--a=-1,20", "--b=1", "--m0=0,0.5", "--sigma0=0.5",
@@ -83,11 +84,12 @@ class TestRunCommand:
                        f"--trace-out={tmp_path}/t.csv", f"--summary-out={tmp_path}/s.json")
         assert code == EXIT_CRITERION
 
-    def test_underflow_exits_three(self, tmp_path):
+    def test_underflow_exits_three(self, tmp_path, monkeypatch):
+        # no shell start reaches the real floor; one just below sigma0 does
+        monkeypatch.setattr("saddle_es.es._SIGMA_MIN", 0.000999)
         for seed in range(30):
             code = run_cli("run", "--a=-1,100", "--b=1", "--m0=0,0.1",
-                           "--sigma0=0.001", "--sigma-min=0.000999",
-                           "--budget=100000", f"--seed={seed}",
+                           "--sigma0=0.001", "--budget=100000", f"--seed={seed}",
                            f"--trace-out={tmp_path}/t.csv",
                            f"--summary-out={tmp_path}/s.json")
             if code == EXIT_UNDERFLOW:
@@ -134,15 +136,14 @@ class TestConfigHandling:
             "escape": {"a": [-1, 1], "b": 1, "trials": 20},
             "drift-map": {"a": [-1, 20], "b": 1, "n": 2000, "w-values": [0],
                           "sigma-grid-points": 8},
-            "succ-prob": {"a": [-1, 20], "b": 1, "n": 1000},
-            "levels": {"a": [-1, 20], "b": 1, "points": 3}}
+            "succ-prob": {"a": [-1, 20], "b": 1, "n": 1000}}
 
     # an int path would be opened as a file descriptor; 99999 is not an open one
     @pytest.mark.parametrize("command, key, value", [
-        ("run", "seed", 1.5), ("escape", "trials", 10.9), ("levels", "b", True),
+        ("run", "seed", 1.5), ("escape", "trials", 10.9), ("succ-prob", "b", True),
         ("drift-map", "check-positive", "false"), ("succ-prob", "at-saddle", "no"),
         ("run", "summary-out", 99999), ("run", "trace-out", ["t.csv"]),
-        ("levels", "a", [-1, True]), ("levels", "extent", "1,2")])
+        ("succ-prob", "a", [-1, True]), ("succ-prob", "sigma", "1,2")])
     def test_config_values_are_parsed_like_flags(self, command, key, value, tmp_path,
                                                  monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
@@ -164,13 +165,13 @@ class TestConfigHandling:
     @pytest.mark.parametrize("source", ["flag", "config"])
     def test_nonfinite_numbers_rejected(self, value, source, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"extent": float(value)} if source == "config" else {}))
-        extent = [f"--extent={value}"] if source == "flag" else []
-        code = run_cli("levels", "--a=-1,20", "--b=1", "--points=3", *extent, f"--config={cfg}",
-                       f"--out={tmp_path}/l.csv")
+        cfg.write_text(json.dumps({"w": float(value)} if source == "config" else {}))
+        w = [f"--w={value}"] if source == "flag" else []
+        code = run_cli("pairing", "--a=-1,20", "--b=1", "--n=1000", *w, f"--config={cfg}",
+                       f"--out={tmp_path}/p.json")
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err.startswith("error: --extent: expected a finite number")
-        assert not (tmp_path / "l.csv").exists()
+        assert capsys.readouterr().err.startswith("error: --w: expected a finite number")
+        assert not (tmp_path / "p.json").exists()
 
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -203,7 +204,7 @@ class TestConfigHandling:
             "drift-map": ("--a=-1,20", "--n=2000", "--w-values=0", "--sigma-grid-points=8"),
             "constants": ("--a=-1,20", "--n=3000", "--w-values=0", "--sigma-grid-points=8"),
             "succ-prob": ("--a=-1,20", "--at-saddle", "--n=1000"),
-            "pairing": ("--a=-1,20", "--w=0.5", "--n=1000"), "levels": ("--a=-1,20", "--points=3")}
+            "pairing": ("--a=-1,20", "--w=0.5", "--n=1000")}
 
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("source, message", [
@@ -224,12 +225,14 @@ class TestConfigHandling:
 
     @pytest.mark.parametrize("command, key", [
         ("drift-map", "confidence"), ("constants", "confidence"), ("succ-prob", "confidence"),
-        ("pairing", "epsilon")])
+        ("pairing", "epsilon"), ("run", "sigma-min"), ("escape", "sigma-min"),
+        ("escape", "fit-s-low"), ("escape", "fit-s-high")])
     @pytest.mark.parametrize("source", ["flag", "config"])
-    def test_interval_level_and_pairing_tolerance_are_fixed(self, command, key, source,
-                                                            tmp_path, monkeypatch, capsys):
-        # the gates are calibrated at the 99% level and the 1e-9 tolerance, so
-        # no run may restate its claim at another
+    def test_fixed_settings_are_not_options(self, command, key, source, tmp_path, monkeypatch,
+                                            capsys):
+        # the gates are calibrated at the 99% level, the 1e-9 tolerance and the
+        # survival range [0.01, 0.5] of the tail fit, so no run may restate its
+        # claim at another; the step-size floor is fixed with them
         monkeypatch.chdir(tmp_path)
         (tmp_path / "cfg.json").write_text(json.dumps({key: 0.5} if source == "config" else {}))
         flag = [f"--{key}=0.5"] if source == "flag" else []
@@ -263,6 +266,7 @@ class TestEscapeCommand:
         stats = json.loads((tmp_path / "e.json").read_text())
         assert stats["escape_fraction"] == 1.0
         assert stats["n_underflow"] == 0
+        assert stats["tail"]["s_range"] == [0.01, 0.5]
         assert (tmp_path / "e.csv").read_text().splitlines()[0] == "t,S"
 
     def test_budget_one_exits_two(self, tmp_path):
@@ -294,16 +298,6 @@ class TestEscapeCommand:
         assert err.startswith("error: the start at w0=1.0 has f=-1.1102230246251565e-16 < 0")
         assert not (tmp_path / "e.json").exists()
 
-    def test_bad_fit_range_is_config_error_before_any_trial(self, tmp_path, capsys):
-        # no trial escapes, so the tail fit that used to check the range never runs
-        code = run_cli("escape", "--a=-1,100", "--b=1", "--trials=20", "--sigma0=1e-6",
-                       "--budget=1", "--fit-s-low=0.5", "--fit-s-high=0.1",
-                       f"--stats-out={tmp_path}/e.json", f"--survival-out={tmp_path}/e.csv")
-        assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == \
-            "error: survival fit range must satisfy 0 < low < high <= 1\n"
-        assert not (tmp_path / "e.json").exists()
-
 
 class TestDriftMapCommand:
     def test_default_grid_row_count(self, tmp_path):
@@ -321,12 +315,30 @@ class TestDriftMapCommand:
         run_cli(*args, f"--map-out={tmp_path}/m2.csv")
         assert (tmp_path / "m1.csv").read_bytes() == (tmp_path / "m2.csv").read_bytes()
 
-    @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
-    def test_negative_beta_is_config_error(self, quantity, tmp_path, capsys):
+    @pytest.mark.parametrize("quantity, message", [
+        ("V", "beta weights V in a Phi map only; a V map takes none"),
+        ("W", "beta weights V in a Phi map only; a W map takes none"),
+        ("Phi", "beta must be nonnegative")], ids=["V", "W", "Phi"])
+    def test_negative_beta_is_config_error(self, quantity, message, tmp_path, capsys):
         code = run_cli("drift-map", "--a=-1,20", "--b=1", f"--quantity={quantity}",
                        "--beta=-1", "--n=2000", f"--map-out={tmp_path}/m.csv")
         assert code == EXIT_CONFIG
-        assert capsys.readouterr().err == "error: beta must be nonnegative\n"
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "m.csv").exists()
+
+    @pytest.mark.parametrize("quantity", ["V", "W"])
+    def test_beta_without_phi_is_config_error_before_any_row(self, quantity, tmp_path, capsys,
+                                                            monkeypatch):
+        # a V or W map used to ignore beta and write the map
+        def no_tasks(*args):
+            raise AssertionError("a grid task ran")
+
+        monkeypatch.setattr(experiments, "_map_tasks", no_tasks)
+        code = run_cli("drift-map", "--a=-1,20", "--b=1", f"--quantity={quantity}",
+                       "--beta=5", "--n=2000", f"--map-out={tmp_path}/m.csv")
+        assert code == EXIT_CONFIG
+        assert capsys.readouterr().err == \
+            f"error: beta weights V in a Phi map only; a {quantity} map takes none\n"
         assert not (tmp_path / "m.csv").exists()
 
     def test_phi_without_beta_is_config_error(self, tmp_path, capsys, monkeypatch):
@@ -530,30 +542,6 @@ class TestPairingCommand:
         assert len(record["results"]) == 3
 
 
-class TestLevelsCommand:
-    def test_grid_output(self, tmp_path):
-        code = run_cli("levels", "--a=-1,20", "--b=1", "--extent=2", "--points=11",
-                       f"--out={tmp_path}/l.csv")
-        assert code == EXIT_OK
-        lines = (tmp_path / "l.csv").read_text().splitlines()
-        assert lines[0] == "x1,x2,f"
-        assert len(lines) == 1 + 11 * 11
-
-    def test_matches_per_point_evaluation(self, tmp_path):
-        # each row's f has the bits of that point evaluated alone
-        code = run_cli("levels", "--a=-1,20", "--b=1", f"--out={tmp_path}/l.csv")
-        assert code == EXIT_OK
-        p = SaddleProblem(a=[-1.0, 20.0], b=1)
-        axis = np.linspace(-1.0, 1.0, 101)
-        expected = ["x1,x2,f"] + [f"{x1!r},{x2!r},{p.evaluate(np.array([x1, x2]))!r}"
-                                  for x1 in axis.tolist() for x2 in axis.tolist()]
-        assert (tmp_path / "l.csv").read_text().splitlines() == expected
-
-    def test_requires_2d(self, tmp_path):
-        assert run_cli("levels", "--a=-1,1,1", "--b=1",
-                       f"--out={tmp_path}/l.csv") == EXIT_CONFIG
-
-
 class TestOutputPaths:
     # each output option, with a small argv of its command
     RUN = ("--a=-1,1", "--m0=0,1", "--sigma0=1")
@@ -567,7 +555,6 @@ class TestOutputPaths:
                                         "--sigma-grid-points=12")),
         ("succ-prob", "out", ("--a=-1,20", "--at-saddle", "--n=1000")),
         ("pairing", "out", ("--a=-1,20", "--w=0.9", "--n=1000")),
-        ("levels", "out", ("--a=-1,20", "--points=3")),
     ]
 
     @pytest.mark.parametrize("command, key, args", CASES)
@@ -580,7 +567,7 @@ class TestOutputPaths:
         assert os.listdir(tmp_path) == []
 
     def test_directory_is_config_error(self, tmp_path, capsys):
-        code = run_cli("levels", "--a=-1,20", "--b=1", "--points=3", f"--out={tmp_path}")
+        code = run_cli("pairing", "--a=-1,20", "--b=1", "--w=0.9", "--n=1000", f"--out={tmp_path}")
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: --out: {str(tmp_path)!r} is a directory\n"
 
@@ -588,8 +575,9 @@ class TestOutputPaths:
         def full(*args):
             raise OSError("No space left on device")
 
-        monkeypatch.setattr(cli, "write_csv", full)
-        code = run_cli("levels", "--a=-1,20", "--b=1", "--points=3", f"--out={tmp_path}/l.csv")
+        monkeypatch.setattr(cli, "write_json", full)
+        code = run_cli("pairing", "--a=-1,20", "--b=1", "--w=0.9", "--n=1000",
+                       f"--out={tmp_path}/p.json")
         assert code == EXIT_CONFIG
         assert capsys.readouterr().err == "error: No space left on device\n"
 
@@ -603,12 +591,11 @@ CPUS = 3
 # flag, config key or SADDLE_ES_SEED sets it
 PINNED = {
     "run": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "m0": REQUIRED, "sigma0": REQUIRED,
-            "alpha": 1.5, "budget": 100_000, "sigma-min": 1e-300, "record-every": 100,
+            "alpha": 1.5, "budget": 100_000, "record-every": 100,
             "trace-out": "run_trace.csv", "summary-out": "run_summary.json"},
     "escape": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "w0": 0.0, "sigma0": 1.0, "alpha": 1.5,
-               "budget": 1_000_000, "trials": 1000, "threads": CPUS, "sigma-min": 1e-300,
-               "fit-s-low": 0.01, "fit-s-high": 0.5, "stats-out": "escape_stats.json",
-               "survival-out": "escape_survival.csv"},
+               "budget": 1_000_000, "trials": 1000, "threads": CPUS,
+               "stats-out": "escape_stats.json", "survival-out": "escape_survival.csv"},
     "drift-map": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "alpha": 1.5, "quantity": "W",
                   "beta": None, "n": 100_000, **_GRID, "threads": CPUS,
                   "map-out": "drift_map.csv", "check-positive": False},
@@ -618,8 +605,6 @@ PINNED = {
                   "n": 1_000_000, "at-saddle": False, "out": "succ_prob.json"},
     "pairing": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "w": REQUIRED,
                 "radii": [0.1, 1.0, 10.0], "n": 100_000, "out": "pairing.json"},
-    "levels": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "extent": 1.0, "points": 101,
-               "out": "levels.csv"},
 }
 REQUIRED_VALUES = {"a": "-1,20", "b": "1", "m0": "0,1", "sigma0": "1", "w": "0.5"}
 
@@ -637,8 +622,8 @@ def library_defaults(command) -> dict:
     grid = {"w-values": w.tolist(), "sigma-grid-min": s[0], "sigma-grid-max": s[-1],
             "sigma-grid-points": s.size}
     return {
-        "run": {"alpha": es.alpha, "budget": es.max_iters, "sigma-min": es.sigma_min},
-        "escape": {"alpha": es.alpha, "sigma-min": es.sigma_min, "w0": spec.w0,
+        "run": {"alpha": es.alpha, "budget": es.max_iters},
+        "escape": {"alpha": es.alpha, "w0": spec.w0,
                    "sigma0": spec.sigma_tilde0, "trials": spec.trials, "budget": spec.budget},
         "drift-map": {"alpha": es.alpha, "beta": arg(drift_map, "beta"), "n": arg(drift_map, "n"),
                       **grid},
@@ -690,12 +675,39 @@ class TestParser:
         assert argv[0] == "saddle-es"
         resolved(argv[1:])
 
-    def test_unknown_command_is_config_error(self):
-        assert main(["no-such-command"]) == EXIT_CONFIG
+    @pytest.mark.parametrize("command", ["no-such-command", "levels"])
+    def test_unknown_command_is_config_error(self, command):
+        assert main([command]) == EXIT_CONFIG
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
         assert "saddle-es" in capsys.readouterr().out
+
+
+def package_env() -> dict:
+    """The environment of a child interpreter that imports this saddle_es."""
+    src = os.path.dirname(os.path.dirname(saddle_es.__file__))
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
+def test_entry_points_pass_on_exit_codes(tmp_path):
+    # the installed script is cli.main_entry, and `python -m saddle_es` exits
+    # with the code main returns
+    tomllib = pytest.importorskip("tomllib")  # in the standard library from Python 3.11
+    project = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text("utf-8"))
+    module, _, name = project["project"]["scripts"]["saddle-es"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.main_entry
+
+    def exit_code(*argv):
+        return subprocess.run([sys.executable, "-m", "saddle_es", *argv], env=package_env(),
+                              cwd=tmp_path, capture_output=True).returncode
+
+    assert exit_code("--version") == EXIT_OK
+    assert exit_code("escape", "--a=-1,100", "--b=1", "--sigma-min=1") == EXIT_CONFIG
+    assert os.listdir(tmp_path) == []
+    assert exit_code("escape", "--a=-1,100", "--b=1", "--sigma0=0.001", "--trials=10",
+                     "--budget=1", "--threads=1") == EXIT_CRITERION
+    assert sorted(os.listdir(tmp_path)) == ["escape_stats.json", "escape_survival.csv"]
 
 
 def test_import_defers_numpy_random_and_the_pool():
@@ -703,15 +715,13 @@ def test_import_defers_numpy_random_and_the_pool():
     # threaded escape never needs it, since only its workers derive streams.
     # The executor pool modules are not loaded at startup, nor by a map on
     # forked workers
-    src = os.path.dirname(os.path.dirname(saddle_es.__file__))
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = ("import sys, saddle_es, saddle_es.cli\n"
             "pool = {'concurrent.futures', 'multiprocessing'}\n"
             "print(sorted({'numpy.random', *pool} & set(sys.modules)))\n"
             "assert saddle_es.tasks._map_tasks(abs, [-1, -2], threads=2) == [1, 2]\n"
             "print(sorted(pool & set(sys.modules)))")
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
-                         check=True)
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(), capture_output=True,
+                         text=True, check=True)
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 

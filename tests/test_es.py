@@ -79,10 +79,6 @@ class TestParamsAndState:
         with pytest.raises(ValueError):
             EsParams(alpha=0.5)
 
-    def test_sigma_min_positive(self):
-        with pytest.raises(ValueError):
-            EsParams(sigma_min=0.0)
-
     def test_alpha_bounded(self):
         EsParams(alpha=es._ALPHA_MAX)
         for alpha in (es._ALPHA_MAX * 10.0, math.inf, math.nan):
@@ -121,11 +117,11 @@ class TestSampleOffspring:
             accepted += acc
         assert 0 < accepted < 10
 
-    def test_degenerate_sigma_limit(self):
+    def test_degenerate_sigma_limit(self, monkeypatch):
         # sigma > 0 is required, but the affine contract sends offspring -> m
+        monkeypatch.setattr(es, "_SIGMA_MIN", 1e-310)
         state = EsState(m=np.array([3.0, 2.0]), sigma=1e-300)
-        _, new = one_step(problem(), EsParams(sigma_min=1e-310), state,
-                          np.random.default_rng(13))
+        _, new = one_step(problem(), EsParams(), state, np.random.default_rng(13))
         assert new.m == pytest.approx(state.m, abs=1e-290)
 
     def test_consumes_exactly_d_draws(self):
@@ -214,11 +210,10 @@ class TestStep:
             state = new
         assert state.sigma == pytest.approx(1.0, rel=1e-12)
 
-    def test_underflow_precondition(self):
-        p = problem()
-        params = EsParams(sigma_min=1.0)
-        with pytest.raises(ValueError):
-            one_step(p, params, EsState(m=np.array([0.0, 1.0]), sigma=0.5),
+    def test_underflow_precondition(self, monkeypatch):
+        monkeypatch.setattr(es, "_SIGMA_MIN", 1.0)
+        with pytest.raises(ValueError, match="step-size floor 1$"):
+            one_step(problem(), EsParams(), EsState(m=np.array([0.0, 1.0]), sigma=0.5),
                      np.random.default_rng(0))
 
 
@@ -322,15 +317,16 @@ class TestRun:
                 np.testing.assert_allclose(c * r1.m, r2.m, rtol=1e-9, atol=1e-12)
                 assert c * r1.sigma == pytest.approx(r2.sigma, rel=1e-9)
 
-    def test_underflow_terminates_with_reason(self):
+    def test_underflow_terminates_with_reason(self, monkeypatch):
         p = problem((-1.0, 20.0))
-        # sigma_min just below sigma0: a single net shrink ends the run
-        params = EsParams(alpha=1.5, max_iters=10_000, sigma_min=0.999)
+        # a floor just below sigma0: a single net shrink ends the run
+        monkeypatch.setattr(es, "_SIGMA_MIN", 0.999)
+        params = EsParams(alpha=1.5, max_iters=10_000)
         for seed in range(50):
             trace = run(p, params, EsState(m=np.array([0.0, 1.0]), sigma=1.0),
                         np.random.default_rng(seed))
             if trace.reason == UNDERFLOW:
-                assert trace.final_state.sigma < params.sigma_min
+                assert trace.final_state.sigma < 0.999
                 break
         else:
             pytest.fail("no underflow observed in 50 seeds")
@@ -384,11 +380,12 @@ class TestEscapeTimes:
             rows = np.array([_f(row, a) for row in sq])
             assert np.array_equal(_f(sq, a), rows)
 
-    def test_matches_run_on_each_stream(self, failure_exponent):
+    def test_matches_run_on_each_stream(self, failure_exponent, monkeypatch):
         # all three terminal reasons occur (the floor is lower under the faster
         # shrink); the budget of 20 ends mid-block
+        monkeypatch.setattr(es, "_SIGMA_MIN", 0.2 if failure_exponent == 0.25 else 0.02)
         p = problem((-1.0, 20.0, 5.0))
-        params = EsParams(max_iters=20, sigma_min=0.2 if failure_exponent == 0.25 else 0.02)
+        params = EsParams(max_iters=20)
         init = EsState(m=np.array([0.1, 0.5, 0.2]), sigma=0.3)
         reasons, times = escape_times(p, params, init,
                                       [np.random.default_rng(s) for s in range(200)])
@@ -399,18 +396,19 @@ class TestEscapeTimes:
         assert list(zip(reasons, times.tolist())) == expected
         assert set(reasons) == {TARGET, BUDGET, UNDERFLOW}
 
-    # (d, a, m, sigma, max_iters, sigma_min): both budgets end mid-block
+    # (d, a, m, sigma, max_iters, step-size floor): both budgets end mid-block
     REFILLED = [(3, (-1.0, 20.0, 5.0), (0.1, 0.5, 0.2), 0.3, 20, 0.2),
                 (100, (-1.0,) + (1.0,) * 99, (0.5, 0.55) + (0.0,) * 98, 0.1, 45, 0.01)]
 
-    @pytest.mark.parametrize("d,a,m,sigma,max_iters,sigma_min", REFILLED)
-    def test_refilled_slots_match_run(self, monkeypatch, d, a, m, sigma, max_iters, sigma_min):
+    @pytest.mark.parametrize("d,a,m,sigma,max_iters,floor", REFILLED)
+    def test_refilled_slots_match_run(self, monkeypatch, d, a, m, sigma, max_iters, floor):
         # three slots for 40 trials: every slot is refilled many times, at
         # refills that differ from trial to trial; every fourth trial draws a
         # zero vector at iterations 1, 4, 7, ..., an exact tie that it accepts
         monkeypatch.setattr(es, "_batch_trials", lambda d: 3)
+        monkeypatch.setattr(es, "_SIGMA_MIN", floor)
         p = problem(a)
-        params = EsParams(max_iters=max_iters, sigma_min=sigma_min)
+        params = EsParams(max_iters=max_iters)
         init = EsState(m=np.array(m), sigma=sigma)
 
         def streams():
@@ -437,11 +435,12 @@ class TestEscapeTimes:
         assert set(reasons) == {TARGET}
         assert any(t.records[-1].f_value == -np.inf for t in traces)
 
-    def test_exact_ties_accept(self):
+    def test_exact_ties_accept(self, monkeypatch):
         # every offspring m + sigma * (0.5, 0.5) from (1, 1) ties f(m) = 0; were
-        # ties rejected, sigma would fall below sigma_min at t=5
+        # ties rejected, sigma would fall below the floor at t=5
+        monkeypatch.setattr(es, "_SIGMA_MIN", 0.5)
         p = problem()
-        params = EsParams(alpha=2.0, max_iters=10, sigma_min=0.5)
+        params = EsParams(alpha=2.0, max_iters=10)
         init = EsState(m=np.array([1.0, 1.0]), sigma=1.0)
         reasons, times = escape_times(p, params, init, [FixedDraws([0.5, 0.5])])
         trace = run(p, params, init, FixedDraws([0.5, 0.5]), record_every=0)
@@ -460,10 +459,11 @@ class TestEscapeTimes:
                                       [])
         assert reasons == [] and times.size == 0
 
-    def test_checks_start_like_run(self):
+    def test_checks_start_like_run(self, monkeypatch):
         p = problem()
-        with pytest.raises(ValueError):
-            escape_times(p, EsParams(sigma_min=1.0), EsState(m=np.array([0.0, 1.0]), sigma=0.5),
+        monkeypatch.setattr(es, "_SIGMA_MIN", 1.0)
+        with pytest.raises(ValueError, match="step-size floor"):
+            escape_times(p, EsParams(), EsState(m=np.array([0.0, 1.0]), sigma=0.5),
                          [np.random.default_rng(0)])
         with pytest.raises(ValueError):
             escape_times(p, EsParams(), EsState(m=np.zeros(3), sigma=1.0),

@@ -781,12 +781,17 @@ class TestBlockKernel:
         # the normals cap come one per block
         assert (len(sizes) - 1) * max((1 << 16) // max(d, 4), 1) < n
 
+    @pytest.mark.parametrize("unblocked", [False, True])
     @pytest.mark.parametrize("d", [2, 10, 100])
-    def test_peak_memory_is_flat_in_d(self, d):
+    def test_peak_memory_is_flat_in_d(self, d, unblocked, monkeypatch):
         p = problem((-1.0,) + (1.0,) * (d - 1))
         # about half the offspring are accepted at every d
         ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.2 / d)
-        n = 1 << 19
+        # 2^21 normals per call: 16 MiB drawn at once, 4x the bound, so the
+        # control that draws each call in one block goes over it
+        n = (1 << 21) // d
+        if unblocked:
+            monkeypatch.setattr(estimators, "_NORMALS", 1 << 30)
         increments = (_increment("V"), _increment("W"))
         calls = (lambda rng: _drift(p, EsParams(), ns, n, rng, *increments),
                  # a grid row: every block is ordered once for all 36 sigma~
@@ -799,7 +804,7 @@ class TestBlockKernel:
             call(np.random.default_rng(76))
             peak = tracemalloc.get_traced_memory()[1]
             tracemalloc.stop()
-            assert peak < 4 << 20, (d, peak)
+            assert (peak > 4 << 20) if unblocked else (peak < 4 << 20), (d, peak)
 
     @pytest.mark.parametrize("a,b", [((-1.0, 20.0), 1), ((-1.0, -3.0, 2.0, 5.0, 20.0), 2)])
     def test_block_size_does_not_change_counts(self, monkeypatch, a, b):

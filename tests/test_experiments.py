@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from test_acceptance import MASTER_SEED
 
+import saddle_es.es
 import saddle_es.estimators
 import saddle_es.objective
 import saddle_es.tasks
@@ -142,10 +143,10 @@ class TestEscapeExperiment:
                  for seed in range(8)}
         assert len(times) == 8
 
-    def test_underflow_counted_separately(self):
-        # sigma_min just below sigma0 turns the first net shrink into underflow
-        s = spec(trials=40, params=EsParams(alpha=1.5, sigma_min=0.999),
-                 sigma_tilde0=1.0)
+    def test_underflow_counted_separately(self, monkeypatch):
+        # a floor just below sigma0 turns the first net shrink into underflow
+        monkeypatch.setattr(saddle_es.es, "_SIGMA_MIN", 0.999)
+        s = spec(trials=40, params=EsParams(alpha=1.5), sigma_tilde0=1.0)
         stats = run_escape_experiment(s)
         assert stats.n_underflow > 0
         assert stats.premature_convergence_detected
@@ -208,9 +209,9 @@ class TestEngineMatchesRun:
         assert result == run_per_trial(s)
         assert {status for status, _ in result} == {"censored"}
 
-    def test_underflow(self):
-        s = spec((-1.0, 1.0), params=EsParams(alpha=1.5, sigma_min=0.5), sigma_tilde0=0.55,
-                 trials=300)
+    def test_underflow(self, monkeypatch):
+        monkeypatch.setattr(saddle_es.es, "_SIGMA_MIN", 0.5)
+        s = spec((-1.0, 1.0), params=EsParams(alpha=1.5), sigma_tilde0=0.55, trials=300)
         result = batched(s)
         assert result == run_per_trial(s)
         assert {status for status, _ in result} == {"escaped", "underflow"}
@@ -290,7 +291,7 @@ class TestSurvivalAndTail:
         q = 0.05
         times = rng.geometric(q, size=20_000)
         t, s = survival_curve(times, np.ones(times.size, dtype=bool))
-        fit = fit_exponential_tail(t, s, (0.01, 0.5))
+        fit = fit_exponential_tail(t, s)
         assert fit.rate == pytest.approx(-math.log(1 - q), rel=0.05)
         assert fit.r_squared > 0.99
         assert fit.rate >= 0.0
@@ -300,22 +301,13 @@ class TestSurvivalAndTail:
         assert math.isnan(fit.rate)
         assert fit.n_points == 2
 
-    def test_bad_range_rejected(self):
-        with pytest.raises(ValueError):
-            fit_exponential_tail(np.array([1, 2, 3]), np.array([0.5, 0.4, 0.3]),
-                                 s_range=(0.5, 0.1))
-
-    @pytest.mark.parametrize("s_range", [(0.5, 0.1), (0.0, 0.5), (0.1, 1.5)])
-    def test_experiment_rejects_bad_range_before_any_trial(self, s_range, monkeypatch):
-        # from this step size no trial escapes within the budget, so the fit
-        # itself never runs; the range is checked before any task is mapped
-        def no_tasks(*args):
-            raise AssertionError("a trial ran")
-
-        monkeypatch.setattr("saddle_es.experiments._map_tasks", no_tasks)
-        with pytest.raises(ValueError, match="survival fit range"):
-            run_escape_experiment(spec(a=(-1.0, 100.0), sigma_tilde0=1e-6, budget=1),
-                                  fit_s_range=s_range)
+    def test_fit_range_is_fixed_and_closed(self):
+        # the fit takes the points with 0.01 <= S <= 0.5, both ends included, and
+        # its record writes that range
+        s = np.array([0.6, 0.5, 0.3, 0.1, 0.05, 0.01, 0.005])
+        fit = fit_exponential_tail(np.arange(1, 8), s)
+        assert fit.n_points == 5
+        assert fit.to_dict()["s_range"] == [0.01, 0.5]
 
 
 class TestDriftMap:
@@ -332,7 +324,7 @@ class TestDriftMap:
     @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
     def test_reproducible_and_thread_invariant(self, quantity):
         # threads=2 runs the rows on forked workers, which send back only the estimates
-        kw = dict(grid=self.GRID, n=2000, master_seed=4, beta=0.3)
+        kw = dict(grid=self.GRID, n=2000, master_seed=4, beta=0.3 if quantity == "Phi" else None)
         r1 = drift_map(problem(), EsParams(), quantity, threads=1, **kw)
         r2 = drift_map(problem(), EsParams(), quantity, threads=2, **kw)
         assert r1 == r2
@@ -341,13 +333,14 @@ class TestDriftMap:
     def test_rows_equal_point_estimators_on_row_streams(self, quantity):
         # every point of a row replays the row's draws at its own sigma~
         p, params = problem(), EsParams()
-        rows = drift_map(p, params, quantity, grid=self.GRID, n=2000, master_seed=8, beta=0.3)
+        beta = 0.3 if quantity == "Phi" else None
+        rows = drift_map(p, params, quantity, grid=self.GRID, n=2000, master_seed=8, beta=beta)
         for k, row in enumerate(rows):
             i, j = divmod(k, 8)
             ns = NormalizedState(sample_M_plus_0(p, float(self.GRID.w_values[i])),
                                  float(self.GRID.sigma_values[j]))
             rng = task_rng(8, "row", i)
-            _, (est,) = _drift(p, params, ns, 2000, rng, _increment(quantity, 0.3))
+            _, (est,) = _drift(p, params, ns, 2000, rng, _increment(quantity, beta or 0.0))
             assert (row.w, row.sigma_tilde, row.est) == (
                 self.GRID.w_values[i], self.GRID.sigma_values[j], est)
 
@@ -376,16 +369,26 @@ class TestDriftMap:
         assert rows == drift_map(problem(), EsParams(), "W", grid=self.GRID, n=2000,
                                  master_seed=5)
 
-    @pytest.mark.parametrize("quantity", ["V", "W", "Phi"])
     @pytest.mark.parametrize("beta", [math.nan, math.inf])
-    def test_nonfinite_beta_rejected_before_any_row(self, quantity, beta, monkeypatch):
-        # a Phi map drew every row with such a beta and then failed on a NaN
-        # stderr, and a V or W map ignored it; a negative beta is rejected for all
+    def test_nonfinite_beta_rejected_before_any_row(self, beta, monkeypatch):
+        # a Phi map drew every row with such a beta and then failed on a NaN stderr
         def no_tasks(*args):
             raise AssertionError("a grid row ran")
 
         monkeypatch.setattr("saddle_es.experiments._map_tasks", no_tasks)
         with pytest.raises(ValueError, match=f"^beta must be finite, got {beta}$"):
+            drift_map(problem(), EsParams(), "Phi", grid=self.GRID, n=2000, beta=beta)
+
+    @pytest.mark.parametrize("quantity", ["V", "W", "w"])
+    @pytest.mark.parametrize("beta", [0.0, 5.0, -1.0, math.nan])
+    def test_beta_without_phi_rejected_before_any_row(self, quantity, beta, monkeypatch):
+        # a V or W map ignored beta, so a run meant as a Phi map got a W map
+        def no_tasks(*args):
+            raise AssertionError("a grid row ran")
+
+        monkeypatch.setattr("saddle_es.experiments._map_tasks", no_tasks)
+        message = f"^beta weights V in a Phi map only; a {quantity} map takes none$"
+        with pytest.raises(ValueError, match=message):
             drift_map(problem(), EsParams(), quantity, grid=self.GRID, n=2000, beta=beta)
 
     def test_case_insensitive_quantity(self):
