@@ -7,15 +7,31 @@ one copy of that exponent), so one success balances four failures at the 1/5
 success rate.
 
 Randomness contract: streams are ``numpy.random.Generator`` instances (use
-``numpy.random.default_rng(seed)``, i.e. PCG64).  Every iteration consumes
-exactly d standard normal draws in component order 1..d.  ``run`` and
-``escape_times`` prefetch draws from the stream in blocks; the values used for
-iteration t are always the same d normals regardless of the block size.
-``escape_times`` advances up to ``_batch_trials(d)`` trials together in lockstep
-slots, each trial on its own stream, and hands a slot whose trial has ended to
-the next trial at the slot's next refill.  f is ``objective._f``, the one sum
-behind ``SaddleProblem.evaluate`` and both semi-norms, whose bits for a point do
-not depend on its batch: each trial ends exactly as ``run`` ends on its stream.
+``numpy.random.default_rng(seed)``, i.e. PCG64).  Every iteration of ``run``
+consumes exactly d standard normal draws in component order 1..d; ``run``
+prefetches them in blocks, and the values used for iteration t are always the
+same d normals regardless of the block size.
+
+``escape_times`` runs the lumped chain of the same ES.  Axes with one
+coefficient form a group (``objective._groups``); f depends on a group of k
+axes only through its radius r = |m_G|, and |m_G + sigma z_G|^2 has the law
+of (r + sigma u)^2 + sigma^2 chi^2_(k-1) (Beyer 2001), so one radius per group
+of k >= 2 axes carries the escape-time law.  A one-axis group keeps its signed
+coordinate.  The reduced state has D coordinates, the one-axis groups' in axis
+order and then the G radii.  Each iteration consumes D normals, the radial
+normal u of each radius in its group's column, and G chi-square draws
+``2 * standard_gamma((k - 1) / 2)``; an accepted offspring's radius is
+sqrt((r + sigma u)^2 + sigma^2 chi^2).  Every ``_REFILL`` iterations a trial's
+stream gives an (_REFILL, D) block of normals and then, if G > 0, an
+(_REFILL, G) block of gammas.  With all coefficients distinct, G = 0, the
+reduced state is the mean, no gamma is drawn, and each trial ends exactly as
+``run`` ends on its stream; otherwise the two agree in law only, and a trial is
+replayed by ``escape_times`` on its one stream.  ``escape_times`` advances up to
+``_batch_trials(D + G)`` trials together in lockstep slots, each trial on its
+own stream, and hands a slot whose trial has ended to the next trial at the
+slot's next refill, so a trial's result does not depend on its slot.  f is
+``objective._f``, the one sum behind ``SaddleProblem.evaluate`` and both
+semi-norms, whose bits for a point do not depend on its batch.
 """
 
 from __future__ import annotations
@@ -27,7 +43,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .objective import SaddleProblem, _f
+from .objective import SaddleProblem, _f, _groups
 
 GENERATOR_NAME = "numpy-pcg64"
 
@@ -52,14 +68,14 @@ _BLOCK = 256
 # one-step block in ``estimators``
 _NORMALS = 1 << 16
 
-# escape_times refills each slot's (_REFILL, d) block of draws every _REFILL
-# iterations and runs at most _batch_trials(d) trials at a time in its slots,
-# so the slots buffer at most _NORMALS normals
+# escape_times refills each slot's draws, _REFILL iterations of `width` = D + G
+# draws each, every _REFILL iterations and runs at most _batch_trials(width)
+# trials at a time in its slots, so the slots buffer at most _NORMALS draws
 _REFILL = 8
 
 
-def _batch_trials(d: int) -> int:
-    return _NORMALS // (_REFILL * max(d, 8))
+def _batch_trials(width: int) -> int:
+    return _NORMALS // (_REFILL * max(width, 8))
 
 
 @dataclass(frozen=True)
@@ -235,46 +251,70 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
                     t_escape=t_escape, n_accepts=n_accepts, n_rejects=n_rejects)
 
 
+def _lumped(problem: SaddleProblem, m: np.ndarray):
+    """The lumped chain's coefficients, its reduced state at mean ``m`` and the
+    gamma shapes of its radii (see the module docstring): (a, y, shape), where
+    a and y have the D reduced coordinates, one-axis groups first, and shape
+    has (k - 1) / 2 for each of the last G coordinates, the radii.  With G = 0,
+    a and y equal ``problem.a`` and ``m``."""
+    groups = _groups(problem.a)
+    lone = [g[0] for g in groups if len(g) == 1]
+    radii = [g for g in groups if len(g) > 1]
+    a = np.array([problem.a[i] for i in lone] + [problem.a[g[0]] for g in radii])
+    y = np.array([m[i] for i in lone] + [math.hypot(*m[g]) for g in radii])
+    return a, y, np.array([(len(g) - 1) / 2 for g in radii])
+
+
 @_quiet_overflow
 def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
                  rngs: Sequence[np.random.Generator]) -> tuple[list, np.ndarray]:
-    """One trial per stream from ``init``, advancing together as arrays.
+    """One trial per stream from ``init``, advancing together as arrays on the
+    lumped chain (see the module docstring).
 
-    Trial k ends as ``run(problem, params, init, rngs[k], record_every=0)``
-    ends: the returned ``reasons[k]`` and ``times[k]`` equal that run's
-    ``reason`` and ``t_final``.  A trial ends when its mean reaches f < 0
-    (target), its step size falls below ``_SIGMA_MIN`` (underflow) or it has
-    used ``params.max_iters`` iterations (budget).  No shell start reaches the
-    floor (see ``_SIGMA_MIN``), so a trial that stalls ends as budget, and no
-    underflow is no evidence that none stalled.
+    With all coefficients distinct, trial k ends as ``run(problem, params,
+    init, rngs[k], record_every=0)`` ends: the returned ``reasons[k]`` and
+    ``times[k]`` equal that run's ``reason`` and ``t_final``.  With a repeated
+    coefficient they agree with ``run``'s in law only, and
+    ``escape_times(problem, params, init, [rngs[k]])`` replays trial k.  A
+    trial ends when its mean reaches f < 0 (target), its step size falls below
+    ``_SIGMA_MIN`` (underflow) or it has used ``params.max_iters`` iterations
+    (budget).  No shell start reaches the floor (see ``_SIGMA_MIN``), so a
+    trial that stalls ends as budget, and no underflow is no evidence that none
+    stalled.
 
-    At most ``_batch_trials(d)`` trials run at once, each in a slot of the
+    At most ``_batch_trials(D + G)`` trials run at once, each in a slot of the
     lockstep arrays.  Every ``_REFILL`` iterations a slot whose trial has ended
     takes the next trial, which counts its iterations and budget from there,
-    and every slot draws its trial's next (_REFILL, d) block.  Until then an
-    ended trial's slot is frozen: f(m) = nan and sigma = inf, so it accepts
-    nothing and never reaches the floor.  Slots are compacted once no trial is
-    left to start.  New trials take their streams from one chain over slices of
-    ``_batch_trials(d)`` streams, so a lazy sequence (``tasks._TaskStreams``) is
-    derived at most one slice ahead of the slots, and the streams held at once
-    do not grow with ``len(rngs)``.
+    and every slot draws its trial's next blocks.  Until then an ended trial's
+    slot is frozen: f(m) = nan and sigma = inf, so it accepts nothing and never
+    reaches the floor.  Slots are compacted once no trial is left to start.
+    New trials take their streams from one chain over slices of as many
+    streams as slots, so a lazy sequence (``tasks._TaskStreams``) is derived
+    at most one slice ahead of the slots, and the streams held at once do not
+    grow with ``len(rngs)``.
     """
     f0 = _check_start(problem, init)
-    a, d, n = problem.a, problem.d, len(rngs)
+    n = len(rngs)
     if f0 < 0.0 or params.max_iters == 0 or n == 0:
         return [TARGET if f0 < 0.0 else BUDGET] * n, np.zeros(n, dtype=int)
+    a, y0, shape = _lumped(problem, init.m)
+    d, g = a.size, shape.size
+    if g and np.all(shape == shape[0]):
+        # a scalar shape spares standard_gamma broadcasting an array on every call
+        shape = float(shape[0])
     reasons = np.full(n, BUDGET, dtype=object)
     times = np.full(n, params.max_iters)
-    size = min(_batch_trials(d), n)
+    size = min(_batch_trials(d + g), n)
     trial = np.zeros(size, dtype=np.intp)   # trial in each slot
     start = np.zeros(size, dtype=np.intp)   # lockstep step at which it started
-    m = np.empty((size, d))
+    m = np.empty((size, d))                 # reduced state: coordinates, then radii
     sigma = np.empty(size)
     fm = np.empty(size)
     live = np.zeros(size, dtype=bool)       # slots whose trial has not ended
     streams = [None] * size
     hand_out = itertools.chain.from_iterable(rngs[k:k + size] for k in range(0, n, size))
     buf = np.empty((size, _REFILL, d))
+    chi = np.empty((size, _REFILL, g))      # sqrt of each radius' chi-square draw
     dec = params.alpha ** -_FAILURE_EXPONENT
     # every trial starts at a refill, so all budgets run out at this step of a block
     cut = params.max_iters % _REFILL
@@ -295,19 +335,23 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
                 streams[i] = next(hand_out)
             nxt += free.size
             start[free] = s
-            m[free] = init.m
+            m[free] = y0
             sigma[free] = init.sigma
             fm[free] = f0
             live[free] = True
         if nxt == n and not live.all():
             trial, start, m, sigma, fm = trial[live], start[live], m[live], sigma[live], fm[live]
             streams = [stream for stream in streams if stream is not None]
-            buf = buf[:len(streams)]
+            buf, chi = buf[:len(streams)], chi[:len(streams)]
             live = live[live]
         if not live.size:
             break
         for stream, z in zip(streams, buf):
             stream.standard_normal(out=z)
+        if g:
+            for stream, c in zip(streams, chi):
+                stream.standard_gamma(shape, out=c)
+            np.sqrt(np.multiply(chi, 2.0, out=chi), out=chi)
         col = sigma[:, None]
         x, sq = np.empty_like(m), np.empty_like(m)  # each step's offspring and squares
         for k in range(_REFILL):
@@ -319,7 +363,12 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
                         break
             np.multiply(col, buf[:, k], out=x)
             x += m
-            fx = _f(np.square(x, out=sq), a)
+            np.square(x, out=sq)
+            if g:
+                # each radius' square gains sigma^2 chi^2, and x takes the new radius
+                sq[:, d - g:] += np.square(col * chi[:, k])
+                np.sqrt(sq[:, d - g:], out=x[:, d - g:])
+            fx = _f(sq, a)
             acc = fx <= fm
             np.copyto(m, x, where=acc[:, None])
             np.copyto(fm, fx, where=acc)

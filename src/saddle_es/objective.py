@@ -6,6 +6,8 @@ point of a full-rank quadratic form.  Everything here is a pure function of
 its arguments.  f and both semi-norms are one weighted sum, ``_f``, whose bits
 for a point do not depend on its batch; ``es`` decides acceptance and escape
 with the same sum, so ``evaluate`` agrees bit for bit with the f of its runs.
+``_groups`` splits the axes by equal coefficient; the escape engine in ``es``
+keeps one radius per group of two or more axes.
 """
 
 from __future__ import annotations
@@ -20,6 +22,16 @@ def _f(sq: np.ndarray, a: np.ndarray):
     do not depend on how many points are evaluated together, nor on the
     batch's memory layout (the sum is taken over a C-ordered copy)."""
     return np.einsum("...j,j->...", np.ascontiguousarray(sq), a)
+
+
+def _groups(a: np.ndarray) -> list:
+    """The axes of each distinct coefficient, as lists in the order of their
+    first axes.  f depends on a group's axes only through their sum of
+    squares, so f is invariant under rotations within each group."""
+    axes = {}
+    for j, coefficient in enumerate(a.tolist()):
+        axes.setdefault(coefficient, []).append(j)
+    return list(axes.values())
 
 
 @dataclass(frozen=True)

@@ -5,8 +5,10 @@ PASS/FAIL line with its measured numbers.  Sample sizes and tolerances are
 fixed here, not calibrated at run time.
 """
 
+import functools
 import math
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from saddle_es import (
     NormalizedState,
     SaddleProblem,
     drift_map,
+    escape_times,
     estimate_constants_report,
     one_step_samples,
     pairing_check,
@@ -25,6 +28,7 @@ from saddle_es import (
     saddle_success_analytic_2d,
     sample_M_plus_0,
     success_probability,
+    task_rng,
 )
 from saddle_es.cli import EXIT_OK, main
 
@@ -248,3 +252,107 @@ def test_criterion_10_constants_pipeline_via_cli(tmp_path):
            f"C={record['C']:.4f} theta={record['theta']:.4f} "
            f"beta={record['beta']:.4f} identical={b1 == b2} "
            f"elapsed={time.perf_counter() - t0:.0f}s")
+
+
+def kolmogorov_sf(lam: float) -> float:
+    """P(K > lam) for the Kolmogorov distribution: the theta-function series
+    below lam = 1.18, the alternating series 2 sum (-1)^(j-1) exp(-2 j^2 lam^2)
+    above; each converges within a few terms on its side."""
+    if lam <= 0.0:
+        return 1.0
+    if lam < 1.18:
+        c = math.pi ** 2 / (8.0 * lam * lam)
+        return 1.0 - math.sqrt(2.0 * math.pi) / lam * sum(
+            math.exp(-(2 * j - 1) ** 2 * c) for j in range(1, 20))
+    return 2.0 * sum((-1) ** (j - 1) * math.exp(-2.0 * j * j * lam * lam) for j in range(1, 20))
+
+
+def ks_two_sample(x, y) -> tuple:
+    """Two-sample Kolmogorov-Smirnov statistic D = sup |F_x - F_y| and its
+    asymptotic p-value kolmogorov_sf(sqrt(nm / (n + m)) D).  Tied values, as
+    integer escape times have, make the asymptotic p conservative."""
+    x, y = np.sort(x), np.sort(y)
+    at = np.concatenate([x, y])
+    d = float(np.abs(np.searchsorted(x, at, side="right") / x.size
+                     - np.searchsorted(y, at, side="right") / y.size).max())
+    return d, kolmogorov_sf(math.sqrt(x.size * y.size / (x.size + y.size)) * d)
+
+
+def test_kolmogorov_sf_reference_values():
+    # the survival function of the Kolmogorov distribution, as scipy.special.kolmogorov
+    # gives it
+    for lam, q in [(0.3, 0.9999906941986655), (0.5, 0.9639452436648751),
+                   (1.0, 0.26999967167735456), (1.18, 0.1234538094297657),
+                   (1.36, 0.049485876755377876), (3.0, 3.045995948942526e-08),
+                   (10.0, 2.767793053473475e-87)]:
+        assert math.isclose(kolmogorov_sf(lam), q, rel_tol=1e-9)
+    assert ks_two_sample(np.arange(5), np.arange(5)) == (0.0, 1.0)
+    assert ks_two_sample(np.array([1, 2, 3]), np.array([2, 3, 4, 5]))[0] == 0.5
+
+
+# d: (engine trials, per-trial run trials), all from the shell point at w0 = 0
+# with sigma~0 = 1; the sides read disjoint master seeds, so no trial of one
+# shares a stream with a trial of the other
+LAW_CASES = {3: (4000, 4000), 4: (4000, 4000), 100: (2000, 300)}
+
+
+def law_spec(d: int) -> EscapeExperimentSpec:
+    return EscapeExperimentSpec(problem=make((-1.0,) + (1.0,) * (d - 1)),
+                                params=EsParams(alpha=1.5), w0=0.0, sigma_tilde0=1.0,
+                                trials=LAW_CASES[d][0], budget=1_000_000,
+                                master_seed=MASTER_SEED ^ (11000 + d))
+
+
+@functools.lru_cache(maxsize=None)
+def run_escape_sample(d: int) -> np.ndarray:
+    """Escape times of per-trial ``run`` on the full d-dimensional state."""
+    spec = law_spec(d)
+    params = replace(spec.params, max_iters=spec.budget)
+    seed = MASTER_SEED ^ (11500 + d)
+    traces = [run(spec.problem, params, spec.initial_state(), task_rng(seed, "trial", k),
+                  record_every=0) for k in range(LAW_CASES[d][1])]
+    assert all(trace.t_escape is not None for trace in traces)
+    return np.array([trace.t_escape for trace in traces])
+
+
+def test_criterion_11_engine_escape_time_law():
+    t0 = time.perf_counter()
+    ok = True
+    details = []
+    for d in LAW_CASES:
+        stats = run_escape_experiment(law_spec(d))
+        dist, p = ks_two_sample(stats.times, run_escape_sample(d))
+        ok &= stats.escape_fraction == 1.0 and p >= 1e-3
+        details.append(f"d={d}: D={dist:.4f} p={p:.3g}")
+    report("11 engine escape-time law equals run's (KS, p >= 0.001)", ok,
+           "; ".join(details) + f" elapsed={time.perf_counter() - t0:.0f}s")
+
+
+class ChiSquareOffByOne:
+    """A stream whose chi-square draws have one degree of freedom too many."""
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, size=None, out=None):
+        return self.rng.standard_normal(size, out=out)
+
+    def standard_gamma(self, shape, size=None, out=None):
+        return self.rng.standard_gamma(np.add(shape, 0.5), size, out=out)
+
+
+def test_criterion_11_control_off_by_one_chi_square_fails():
+    # the lumped chain with chi^2_k in place of chi^2_(k-1); at d=100 the extra
+    # degree of freedom out of 99 is too small to detect
+    details = []
+    ok = True
+    for d in (3, 4):
+        spec = law_spec(d)
+        rngs = [ChiSquareOffByOne(task_rng(spec.master_seed, "trial", k))
+                for k in range(spec.trials)]
+        reasons, times = escape_times(spec.problem, replace(spec.params, max_iters=spec.budget),
+                                      spec.initial_state(), rngs)
+        dist, p = ks_two_sample(times, run_escape_sample(d))
+        ok &= p < 1e-3
+        details.append(f"d={d}: D={dist:.4f} p={p:.3g}")
+    report("11 control: an off-by-one chi-square fails the law gate", ok, "; ".join(details))

@@ -17,7 +17,7 @@ from saddle_es import (
     escape_times,
     run,
 )
-from saddle_es.es import _f
+from saddle_es.es import _f, _lumped
 
 
 def problem(a=(-1.0, 1.0), b=1):
@@ -34,6 +34,15 @@ class FixedDraws:
         if out is None:
             return np.broadcast_to(self.z, size).copy()
         out[...] = self.z
+        return out
+
+
+class LumpedFixedDraws(FixedDraws):
+    """FixedDraws for the lumped chain: z holds the reduced state's normals, and
+    every chi-square draw is zero."""
+
+    def standard_gamma(self, shape, size=None, out=None):
+        out[...] = 0.0
         return out
 
 
@@ -380,6 +389,55 @@ class TestEscapeTimes:
             rows = np.array([_f(row, a) for row in sq])
             assert np.array_equal(_f(sq, a), rows)
 
+    def test_lumped_state(self):
+        # lone axes keep their signed coordinates, in axis order, and each group
+        # of k axes then keeps its radius and draws chi^2_(k-1)
+        a, y, shape = _lumped(problem((-3.0, -3.0, -1.0, 20.0, 5.0, 20.0, 20.0), b=3),
+                              np.array([0.3, -0.4, 0.7, 2.0, -1.0, 3.0, 6.0]))
+        assert a.tolist() == [-1.0, 5.0, -3.0, 20.0]
+        assert y.tolist() == [0.7, -1.0, 0.5, 7.0]
+        assert shape.tolist() == [0.5, 1.0]
+        # distinct coefficients: the reduced state is the mean
+        p = problem((-1.0, 20.0, 5.0))
+        m = np.array([0.1, -0.5, 0.2])
+        a, y, shape = _lumped(p, m)
+        assert a.tolist() == p.a.tolist() and y.tolist() == m.tolist() and shape.size == 0
+
+    @pytest.mark.parametrize("a,calls", [
+        ((-1.0, 20.0, 5.0), [("normal", (8, 3))]),
+        ((-1.0, 20.0, 20.0), [("normal", (8, 2)), ("gamma", (8, 1), 0.5)]),
+        ((-3.0, -3.0, -1.0, 20.0, 5.0, 20.0, 20.0),
+         [("normal", (8, 4)), ("gamma", (8, 2), [0.5, 1.0])])])
+    def test_draw_layout_per_refill(self, a, calls):
+        # every refill draws an (8, D) block of normals and then, only with a
+        # group, an (8, G) block of gammas of shape (k - 1) / 2; each trial
+        # replays alone on its stream, whatever its slot
+        class Recorded:
+            def __init__(self, seed):
+                self.rng, self.calls = np.random.default_rng(seed), []
+
+            def standard_normal(self, size=None, out=None):
+                self.calls.append(("normal", out.shape))
+                return self.rng.standard_normal(size, out=out)
+
+            def standard_gamma(self, shape, size=None, out=None):
+                self.calls.append(("gamma", out.shape, np.asarray(shape).tolist()))
+                return self.rng.standard_gamma(shape, size, out=out)
+
+        p = problem(a, b=a.count(-3.0) + 1)
+        params = EsParams(max_iters=30)
+        init = EsState(m=np.array([0.0] * p.b + [1.0] * (p.d - p.b)), sigma=1e-3)
+        streams = [Recorded(s) for s in range(20)]
+        reasons, times = escape_times(p, params, init, streams)
+        assert set(reasons) == {BUDGET}
+        for stream in streams:
+            assert stream.calls == calls * 4     # refills at iterations 0, 8, 16 and 24
+        alone = [escape_times(p, params, replace(init, sigma=0.5), [np.random.default_rng(s)])
+                 for s in range(20)]
+        together = escape_times(p, params, replace(init, sigma=0.5),
+                                [np.random.default_rng(s) for s in range(20)])
+        assert [(r[0], t[0]) for r, t in alone] == list(zip(*together))
+
     def test_matches_run_on_each_stream(self, failure_exponent, monkeypatch):
         # all three terminal reasons occur (the floor is lower under the faster
         # shrink); the budget of 20 ends mid-block
@@ -396,9 +454,11 @@ class TestEscapeTimes:
         assert list(zip(reasons, times.tolist())) == expected
         assert set(reasons) == {TARGET, BUDGET, UNDERFLOW}
 
-    # (d, a, m, sigma, max_iters, step-size floor): both budgets end mid-block
+    # (d, a, m, sigma, max_iters, step-size floor): both budgets end mid-block;
+    # distinct coefficients, so the engine steps every axis as run does
     REFILLED = [(3, (-1.0, 20.0, 5.0), (0.1, 0.5, 0.2), 0.3, 20, 0.2),
-                (100, (-1.0,) + (1.0,) * 99, (0.5, 0.55) + (0.0,) * 98, 0.1, 45, 0.01)]
+                (100, (-1.0,) + tuple(1 + j / 1000 for j in range(99)), (0.5, 0.55) + (0.0,) * 98,
+                 0.1, 45, 0.01)]
 
     @pytest.mark.parametrize("d,a,m,sigma,max_iters,floor", REFILLED)
     def test_refilled_slots_match_run(self, monkeypatch, d, a, m, sigma, max_iters, floor):
@@ -434,6 +494,32 @@ class TestEscapeTimes:
         assert list(zip(reasons, times.tolist())) == [(t.reason, t.t_final) for t in traces]
         assert set(reasons) == {TARGET}
         assert any(t.records[-1].f_value == -np.inf for t in traces)
+
+    def test_group_escape_to_minus_inf_is_target(self, monkeypatch):
+        # a=(-1, 20, 20) lumps its last two axes into one radius, whose offspring
+        # squares overflow as in the test above.  Every trial escapes within its
+        # budget, so no step size overflowed (a slot at sigma = inf accepts
+        # nothing), and no numpy warning escaped (they fail the suite)
+        p = problem((-1.0, 20.0, 20.0))
+        params = EsParams(max_iters=200)
+        init = EsState(m=np.array([0.0, 1e153, 0.0]), sigma=1e154)
+        offspring = []
+
+        def recorded_f(sq, a):
+            offspring.append(_f(sq, a))
+            return offspring[-1]
+
+        monkeypatch.setattr(es, "_f", recorded_f)
+        reasons, times = escape_times(p, params, init,
+                                      [np.random.default_rng(s) for s in range(40)])
+        assert set(reasons) == {TARGET} and times.max() < 200
+        assert any(np.isneginf(fx).any() for fx in offspring)
+        # one step whose negative square overflows while the radius' stays
+        # finite: the offspring at f = -inf is accepted and ends the trial
+        offspring.clear()
+        reasons, times = escape_times(p, params, init, [LumpedFixedDraws([2.0, -0.1])])
+        assert (reasons, times.tolist()) == ([TARGET], [1])
+        assert offspring == [-np.inf]
 
     def test_exact_ties_accept(self, monkeypatch):
         # every offspring m + sigma * (0.5, 0.5) from (1, 1) ties f(m) = 0; were

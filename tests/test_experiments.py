@@ -22,6 +22,7 @@ from saddle_es import (
     NormalizedState,
     SaddleProblem,
     drift_map,
+    escape_times,
     fit_exponential_tail,
     run,
     run_escape_experiment,
@@ -221,8 +222,24 @@ class TestEngineMatchesRun:
         assert batched(s) == run_per_trial(s) == [("escaped", 0)] * 20
 
     def test_d100(self):
-        s = spec((-1.0,) + (1.0,) * 99, trials=300, budget=1_000_000, master_seed=3)
+        # distinct coefficients: no axis group is lumped into a radius
+        s = spec((-1.0,) + tuple(1 + j / 1000 for j in range(99)), trials=300, budget=1_000_000,
+                 master_seed=3)
         assert batched(s) == run_per_trial(s)
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_grouped_trial_replays_on_its_stream(self, threads):
+        # a=(-1, 1, 1) lumps its last two axes into a radius, so run does not
+        # replay its trials; the engine does, from the trial's one stream
+        s = spec((-1.0, 1.0, 1.0), trials=60)
+        stats = run_escape_experiment(s, threads=threads)
+        params = replace(s.params, max_iters=s.budget)
+        for k in range(s.trials):
+            reasons, times = escape_times(s.problem, params, s.initial_state(),
+                                          [task_rng(s.master_seed, "trial", k)])
+            assert ({TARGET: ESCAPED}[reasons[0]], times[0]) == (stats.statuses[k],
+                                                                  stats.times[k])
+        assert batched(s) != run_per_trial(s)
 
     def test_threads_with_partial_batch(self):
         # each worker runs one contiguous trial range; 7 and 1,061 trials split

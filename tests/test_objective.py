@@ -5,6 +5,7 @@ import pytest
 
 from saddle_es import EsParams, EsState, SaddleProblem, run, sample_M_plus_0
 from saddle_es.es import _f
+from saddle_es.objective import _groups
 
 
 def make(a, b=1):
@@ -97,6 +98,11 @@ class TestOneSumWithTheEs:
             es_f = _f(np.square(x), p.a)
             assert p.evaluate(x).tobytes() == es_f.tobytes()
         assert all(p.evaluate(point) == value for point, value in zip(x[:500], es_f[:500]))
+
+
+def test_groups_split_axes_by_equal_coefficient():
+    assert _groups(np.array([-1.0, 20.0, 5.0, 20.0, -1.0, 7.0])) == [[0, 4], [1, 3], [2], [5]]
+    assert _groups(np.array([-2.0, 3.0, 1.0])) == [[0], [1], [2]]
 
 
 class TestSemiNorms:
