@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -40,7 +39,7 @@ import numpy as np
 
 from . import es
 from .es import _NORMALS, EsParams
-from .normalization import NormalizedState, NormPlusZeroError, in_M_plus_0, sample_M_plus_0
+from .normalization import NormalizedState, NormPlusZeroError, sample_M_plus_0
 from .objective import SaddleProblem
 from .tasks import _map_tasks, _replay_hint, task_rng
 
@@ -287,7 +286,7 @@ class StepSamples:
     ``accepted`` has one entry per sample.  ``norm_minus``/``norm_plus`` are the
     semi-norms of the accepted offspring only, in draw order: a rejection leaves
     the mean in place and shrinks the step size by the exact factor
-    alpha**-es._FAILURE_EXPONENT.
+    alpha**-es._FAILURE_EXPONENT.  ``increments`` reads the drifts' increment table.
     """
 
     accepted: np.ndarray
@@ -300,31 +299,14 @@ class StepSamples:
     def n(self) -> int:
         return self.accepted.size
 
-    def _scatter(self, rejected: float, accepted: np.ndarray) -> np.ndarray:
-        """Per-sample values: ``accepted`` on the accepted samples, else ``rejected``."""
+    def increments(self, quantity: str, beta: float | None = None) -> np.ndarray:
+        """Per-sample change of drift quantity ``quantity`` by ``_increment``: the
+        accepted samples' values, and the exact rejection constant on the others."""
+        rejected, accepted = _increment(quantity, beta)(self.norm_minus, self.norm_plus,
+                                                        self.w0, self.alpha)
         out = np.full(self.n, rejected)
         out[np.flatnonzero(self.accepted)] = accepted
         return out
-
-    def _step(self) -> tuple:
-        """The arguments of the increments (``_v_parts``, ``_w_parts``)."""
-        return self.norm_minus, self.norm_plus, self.w0, self.alpha
-
-    def v_increments(self) -> np.ndarray:
-        """Per-sample change of log(sigma~).
-
-        Rejections contribute the constant -log(alpha)/4 with no estimation
-        noise; acceptances contribute log(alpha) - log(norm_plus(offspring)).
-        """
-        return self._scatter(*_v_parts(*self._step()))
-
-    def w_increments(self) -> np.ndarray:
-        """Per-sample truncated change of W: min(W' - W, 1); rejections contribute 0.
-
-        A successor with zero positive-block semi-norm has W' = +inf and
-        contributes the cap 1, so no error can occur on this path.
-        """
-        return self._scatter(*_w_parts(*self._step()))
 
 
 def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
@@ -373,20 +355,16 @@ def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigma
             for h, ms in zip(hits, moments)]
 
 
-def _drift(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
-           rng: np.random.Generator, *increments) -> tuple:
-    """Hit count and the mean of each increment over the same n steps from one state."""
-    if not in_M_plus_0(problem, ns):
-        warnings.warn("normalized mean lies outside the compact shell (norm_minus > 1); "
-                      "the estimate is a valid Monte Carlo average but the drift bounds "
-                      "are calibrated inside it", stacklevel=3)
-    return _drifts(problem, params, ns.m_tilde, [ns.sigma_tilde], n, rng, increments)[0]
-
-
 def drift_w(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
             rng: np.random.Generator) -> DriftEstimate:
-    """Expected one-step truncated change of W = norm_minus(m~)."""
-    return _drift(problem, params, ns, n, rng, _increment("W"))[1][0]
+    """Expected one-step truncated change of W = norm_minus(m~): ``_drifts`` at
+    the one step size sigma~, so it equals, bit for bit, the W map's point at
+    sigma~ on the same stream.  The state must be normalized (norm_plus(m~) = 1)."""
+    plus = problem.norm_plus(ns.m_tilde)
+    if abs(plus - 1.0) > 1e-6:
+        raise ValueError(f"state is not normalized: norm_plus(m_tilde) = {plus}")
+    return _drifts(problem, params, ns.m_tilde, [ns.sigma_tilde], n, rng,
+                   (_increment("W"),))[0][1][0]
 
 
 def _v_parts(norm_minus, norm_plus, w0: float, alpha: float) -> tuple:
@@ -417,20 +395,27 @@ def _phi_parts(beta: float, *step) -> tuple:
     return beta * v_rejected + w_rejected, beta * v + w
 
 
-def _increment(quantity: str, beta: float = 0.0):
+def _increment(quantity: str, beta: float | None = None):
     """The increment, (norm_minus, norm_plus, w0, alpha) of the accepted
     offspring -> (rejection constant, accepted-row values),
     of drift quantity "V", "W" or "Phi" (any case), where phi = beta * V + W on the
-    same steps, so its confidence interval is honest; beta = 0 gives the W drift."""
-    if not math.isfinite(beta):
-        raise ValueError(f"beta must be finite, got {beta!r}")
-    increment = {"v": _v_parts, "w": _w_parts,
-                 "phi": functools.partial(_phi_parts, beta)}.get(quantity.lower())
+    same steps, so its confidence interval is honest; beta = 0 gives the W drift.
+    The one check of a (quantity, beta) pair: Phi needs a finite beta >= 0, and V
+    and W take none."""
+    increment = {"v": _v_parts, "w": _w_parts, "phi": _phi_parts}.get(quantity.lower())
     if increment is None:
         raise ValueError("quantity must be one of V, W, Phi")
+    if increment is not _phi_parts:
+        if beta is not None:
+            raise ValueError(f"beta weights V in a Phi map only; a {quantity} map takes none")
+        return increment
+    if beta is None:
+        raise ValueError("a Phi map needs beta (the constants record gives beta = -C / (2 B1))")
+    if not math.isfinite(beta):
+        raise ValueError(f"beta must be finite, got {beta!r}")
     if beta < 0.0:
         raise ValueError("beta must be nonnegative")
-    return increment
+    return functools.partial(_phi_parts, beta)
 
 
 def _grid_row(problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,

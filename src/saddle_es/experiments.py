@@ -239,14 +239,10 @@ def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,
 
     Every quantity reads the per-row streams of the constants pipeline, so the
     V and W maps agree with it for the same master seed, grid, and n.  Phi needs
-    beta, and the other quantities take none; both are checked before any row runs.
+    beta, and the other quantities take none; ``_increment`` checks both before
+    any row runs.
     """
-    phi = quantity.lower() == "phi"
-    if beta is None and phi:
-        raise ValueError("a Phi map needs beta (the constants record gives beta = -C / (2 B1))")
-    if beta is not None and not phi:
-        raise ValueError(f"beta weights V in a Phi map only; a {quantity} map takes none")
-    increment = _increment(quantity, 0.0 if beta is None else beta)
+    increment = _increment(quantity, beta)
     grid = grid if grid is not None else GridSpec.default()
     rows = _map_tasks(functools.partial(_grid_row, problem, params, grid, n, master_seed,
                                         (increment,)), range(grid.w_values.size), threads)

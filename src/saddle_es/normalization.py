@@ -14,11 +14,10 @@ import numpy as np
 
 from .objective import SaddleProblem
 
-_M_PLUS_0_TOL = 1e-12
-
 
 class NormPlusZeroError(ValueError):
-    """The positive-block semi-norm of the mean vanished; normalization is undefined."""
+    """An accepted offspring's positive-block semi-norm is 0, so its V increment
+    log(alpha) - log(norm_plus) is undefined; only ``estimators._v_parts`` raises it."""
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,6 @@ class NormalizedState:
             raise ValueError(f"sigma_tilde must be positive and finite, got {self.sigma_tilde!r}")
         object.__setattr__(self, "m_tilde", m)
         object.__setattr__(self, "sigma_tilde", float(self.sigma_tilde))
-
-
-def in_M_plus_0(problem: SaddleProblem, ns: NormalizedState) -> bool:
-    """True iff norm_minus(m~) <= 1 + _M_PLUS_0_TOL (the closed set, boundary included)."""
-    plus = problem.norm_plus(ns.m_tilde)
-    if abs(plus - 1.0) > 1e-6:
-        raise ValueError(f"state is not normalized: norm_plus(m_tilde) = {plus}")
-    return float(problem.norm_minus(ns.m_tilde)) <= 1.0 + _M_PLUS_0_TOL
 
 
 def sample_M_plus_0(problem: SaddleProblem, w: float) -> np.ndarray:

@@ -153,7 +153,7 @@ def test_criterion_05_step_size_drift():
 
     samples = one_step_samples(p, params, NormalizedState(sample_M_plus_0(p, 0.5), 1.0),
                                100_000, np.random.default_rng(MASTER_SEED ^ 5000))
-    v_inc = samples.v_increments()
+    v_inc = samples.increments("V")
     rejected = ~samples.accepted
     exact = -0.25 * math.log(1.5)
     ok &= rejected.sum() > 0 and bool(np.all(v_inc[rejected] == exact))

@@ -27,14 +27,20 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es import estimators
-from saddle_es.estimators import (_drift, _increment, _scalars, _sigma_40, _success_curve,
+from saddle_es.estimators import (_drifts, _increment, _scalars, _sigma_40, _success_curve,
                                   mirror_pair_margins)
 from saddle_es.tasks import _STAGES, _task_rngs, _TaskStreams
 
 
-def drift(quantity, p, params, ns, n, rng, beta=0.0):
+def one_sigma(p, params, ns, n, rng, *increments):
+    """``_drifts`` at the one step size of ns: (hit count, [estimate of each
+    increment]) over the same n steps."""
+    return _drifts(p, params, ns.m_tilde, [ns.sigma_tilde], n, rng, increments)[0]
+
+
+def drift(quantity, p, params, ns, n, rng, beta=None):
     """One point's drift estimate of "V", "W" or "Phi" through the increment table."""
-    return _drift(p, params, ns, n, rng, _increment(quantity, beta))[1][0]
+    return one_sigma(p, params, ns, n, rng, _increment(quantity, beta))[1][0]
 
 
 def hits(p, m_tilde, sigma, n, rng):
@@ -271,7 +277,7 @@ class TestStepSamples:
         params = EsParams(alpha=1.5)
         ns = NormalizedState(apex(p), 1e4)
         samples = one_step_samples(p, params, ns, 5000, np.random.default_rng(10))
-        v = samples.v_increments()
+        v = samples.increments("V")
         rejected = ~samples.accepted
         assert rejected.sum() > 4900
         assert np.all(v[rejected] == -0.25 * math.log(1.5))
@@ -280,14 +286,14 @@ class TestStepSamples:
         p = problem((-1.0, 20.0))
         ns = NormalizedState(apex(p), 1e3)
         samples = one_step_samples(p, EsParams(), ns, 20_000, np.random.default_rng(11))
-        assert np.all(samples.w_increments() <= 1.0)
+        assert np.all(samples.increments("W") <= 1.0)
 
     def test_w_increment_bounds_inside_shell(self):
         # increments lie in (-1, 1]: W of the source state is < 1 and rejections give 0
         p = problem((-1.0, 20.0))
         ns = NormalizedState(sample_M_plus_0(p, 0.9), 1.0)
         samples = one_step_samples(p, EsParams(), ns, 20_000, np.random.default_rng(12))
-        inc = samples.w_increments()
+        inc = samples.increments("W")
         assert np.all(inc > -1.0) and np.all(inc <= 1.0)
 
     def test_norm_plus_zero_successor(self):
@@ -297,9 +303,9 @@ class TestStepSamples:
                                 norm_plus=np.array([0.0]),
                                 w0=0.5, alpha=1.5)
         with pytest.raises(NormPlusZeroError):
-            synthetic.v_increments()
+            synthetic.increments("V")
         # the truncated W path absorbs the same successor at the cap
-        assert synthetic.w_increments()[0] == 1.0
+        assert synthetic.increments("W")[0] == 1.0
 
 
 class TestDriftV:
@@ -324,17 +330,11 @@ class TestDriftV:
         with pytest.raises(ValueError):
             drift("V", p, EsParams(), NormalizedState(apex(p), 1.0), 999, np.random.default_rng(0))
 
-    def test_warns_outside_shell(self):
-        p = problem((-1.0, 1.0))
-        outside = NormalizedState(np.array([1.5, 1.0]), 1.0)
-        with pytest.warns(UserWarning):
-            drift("V", p, EsParams(), outside, 1000, np.random.default_rng(0))
-
     def test_rejects_unnormalized_state(self):
         p = problem((-1.0, 20.0))
-        with pytest.raises(ValueError):
-            drift("V", p, EsParams(), NormalizedState(np.array([1.5, 1.0]), 1.0), 1000,
-                  np.random.default_rng(0))
+        with pytest.raises(ValueError, match=r"^state is not normalized: norm_plus\(m_tilde\) = "):
+            drift_w(p, EsParams(), NormalizedState(np.array([1.5, 1.0]), 1.0), 1000,
+                    np.random.default_rng(0))
 
 
 class TestDriftW:
@@ -370,11 +370,10 @@ class TestDriftPhi:
         v = drift("V", p, params, ns, 5000, np.random.default_rng(17))
         assert phi2.mean - phi1.mean == pytest.approx(v.mean, rel=1e-9)
 
-    def test_negative_beta_rejected(self):
-        # for every quantity, so a map of V or W cannot carry a bad beta either
-        for quantity in ("V", "W", "Phi"):
-            with pytest.raises(ValueError, match="^beta must be nonnegative$"):
-                _increment(quantity, -1.0)
+    @pytest.mark.parametrize("quantity", ["Phi", "phi"])
+    def test_negative_beta_rejected(self, quantity):
+        with pytest.raises(ValueError, match="^beta must be nonnegative$"):
+            _increment(quantity, -1.0)
 
     def test_positive_below_hitting_threshold(self):
         # with beta from the constants pipeline, the combined drift is positive
@@ -409,16 +408,54 @@ class TestDriftPhi:
         assert est.ci_high < 0.0
 
 
+def increment_outcome(quantity, beta):
+    """What ``_increment`` should do with a (quantity, beta) pair: the message it
+    raises, or None where it gives an increment."""
+    if quantity.lower() not in ("v", "w", "phi"):
+        return "quantity must be one of V, W, Phi"
+    if quantity.lower() != "phi":
+        return None if beta is None else \
+            f"beta weights V in a Phi map only; a {quantity} map takes none"
+    if beta is None:
+        return "a Phi map needs beta (the constants record gives beta = -C / (2 B1))"
+    if not math.isfinite(beta):
+        return f"beta must be finite, got {beta!r}"
+    return "beta must be nonnegative" if beta < 0.0 else None
+
+
 class TestIncrementTable:
-    def test_quantity_checked_before_beta(self):
-        with pytest.raises(ValueError, match="^quantity must be one of V, W, Phi$"):
-            _increment("X", -1.0)
+    @pytest.mark.parametrize("beta", [None, 0.0, 0.3, -1.0, math.nan, math.inf])
+    @pytest.mark.parametrize("quantity", ["V", "W", "Phi", "phi", "X"])
+    def test_pairs(self, quantity, beta):
+        message = increment_outcome(quantity, beta)
+        if message is None:
+            # a valid pair gives its quantity's per-sample changes: two accepted
+            # offspring around one rejection
+            samples = StepSamples(accepted=np.array([True, False, True]),
+                                  norm_minus=np.array([0.5, 0.25]),
+                                  norm_plus=np.array([0.5, 2.0]), w0=0.5, alpha=1.5)
+            v = np.array([math.log(1.5 / 0.5), closed_form_b1(1.5), math.log(1.5 / 2.0)])
+            w = np.array([0.5, 0.0, 0.125 - 0.5])
+            expected = {"v": v, "w": w}.get(quantity.lower())
+            np.testing.assert_allclose(samples.increments(quantity, beta),
+                                       (beta * v + w) if expected is None else expected,
+                                       rtol=1e-12, atol=1e-15)
+        else:
+            with pytest.raises(ValueError) as raised:
+                _increment(quantity, beta)
+            assert str(raised.value) == message
+            with pytest.raises(ValueError) as raised:
+                StepSamples(np.array([False, False]), np.empty(0), np.empty(0),
+                            0.5, 1.5).increments(quantity, beta)
+            assert str(raised.value) == message
 
     def test_each_drift_check_is_made_once_in_estimators(self):
-        # drift_w, drift_map and the constants pass all draw on the one table
+        # drift_w, drift_map, the constants pass and StepSamples all draw on the
+        # one table
         files = Path(estimators.__file__).parent.glob("*.py")
         text = {f.name: f.read_text(encoding="utf-8") for f in files}
-        for message in ("beta must be nonnegative", "quantity must be one of V, W, Phi"):
+        for message in ("beta must be nonnegative", "quantity must be one of V, W, Phi",
+                        "a Phi map needs beta", "beta weights V in a Phi map only"):
             assert {name: t.count(message) for name, t in text.items() if message in t} == \
                    {"estimators.py": 1}
 
@@ -613,8 +650,8 @@ class TestConstants:
         params = EsParams(alpha=1.5)
         ns = NormalizedState(sample_M_plus_0(p, 0.5), 0.3)
         n = (1 << 18) + 3000    # seventeen blocks at d=2
-        shared, (v, w) = _drift(p, params, ns, n, task_rng(36, "row", 1),
-                                _increment("V"), _increment("W"))
+        shared, (v, w) = one_sigma(p, params, ns, n, task_rng(36, "row", 1),
+                                   _increment("V"), _increment("W"))
         assert shared / n == success_probability(p, ns, n, task_rng(36, "row", 1)).mean
         assert v == drift("V", p, params, ns, n, task_rng(36, "row", 1))
         assert w == drift_w(p, params, ns, n, task_rng(36, "row", 1))
@@ -793,7 +830,7 @@ class TestBlockKernel:
         if unblocked:
             monkeypatch.setattr(estimators, "_NORMALS", 1 << 30)
         increments = (_increment("V"), _increment("W"))
-        calls = (lambda rng: _drift(p, EsParams(), ns, n, rng, *increments),
+        calls = (lambda rng: one_sigma(p, EsParams(), ns, n, rng, *increments),
                  # a grid row: every block is ordered once for all 36 sigma~
                  lambda rng: estimators._drifts(p, EsParams(), ns.m_tilde,
                                                 GridSpec.default().sigma_values.tolist(), n, rng,
@@ -814,7 +851,7 @@ class TestBlockKernel:
         n = 100_000
 
         def counts():
-            hits = _drift(p, params, ns, n, np.random.default_rng(77), _increment("W"))[0]
+            hits = one_sigma(p, params, ns, n, np.random.default_rng(77), _increment("W"))[0]
             return (hits, success_probability(p, ns, n, np.random.default_rng(77)),
                     pairing_check(p, ns.m_tilde, 0.3, n, np.random.default_rng(77)))
 
@@ -878,11 +915,11 @@ class TestMaskEdges:
         v[acc] = math.log(1.5) - np.log(samples.norm_plus)
         w = np.zeros(self.N)
         w[acc] = np.minimum(samples.norm_minus / samples.norm_plus - samples.w0, 1.0)
-        assert_bitwise(samples.v_increments(), v)
-        assert_bitwise(samples.w_increments(), w)
+        assert_bitwise(samples.increments("V"), v)
+        assert_bitwise(samples.increments("W"), w)
 
-        drift_hits, estimates = _drift(p, params, ns, self.N, FixedDraws(z),
-                                       _increment("V"), _increment("W"))
+        drift_hits, estimates = one_sigma(p, params, ns, self.N, FixedDraws(z),
+                                          _increment("V"), _increment("W"))
         assert drift_hits == hits
         order = slice_order(p, ns.m_tilde, z)
         for est, ref, rejected in zip(estimates, (v, w), (closed_form_b1(1.5), 0.0)):
@@ -942,7 +979,7 @@ class TestRowKernel:
         x = m + sigma * z
         assert_bitwise(samples.norm_plus, p.norm_plus(x))
         assert np.all(samples.norm_plus > 0.0) and np.all(samples.norm_plus < 1e-7)
-        assert np.all(np.isfinite(samples.v_increments()))
+        assert np.all(np.isfinite(samples.increments("V")))
 
 class TestKernelBits:
     """A sample's numbers do not depend on the block it is drawn in."""

@@ -22,6 +22,7 @@ from saddle_es import (
     NormalizedState,
     SaddleProblem,
     drift_map,
+    drift_w,
     escape_times,
     fit_exponential_tail,
     run,
@@ -31,7 +32,7 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es.es import TARGET, UNDERFLOW, _batch_trials
-from saddle_es.estimators import _drift, _increment
+from saddle_es.estimators import _drifts, _increment
 from saddle_es.experiments import ESCAPED
 from saddle_es.serialize import drift_map_to_csv
 from saddle_es.tasks import _map_tasks, _usable_cpus
@@ -356,10 +357,13 @@ class TestDriftMap:
             i, j = divmod(k, 8)
             ns = NormalizedState(sample_M_plus_0(p, float(self.GRID.w_values[i])),
                                  float(self.GRID.sigma_values[j]))
-            rng = task_rng(8, "row", i)
-            _, (est,) = _drift(p, params, ns, 2000, rng, _increment(quantity, beta or 0.0))
+            _, (est,) = _drifts(p, params, ns.m_tilde, [ns.sigma_tilde], 2000,
+                                task_rng(8, "row", i), (_increment(quantity, beta),))[0]
             assert (row.w, row.sigma_tilde, row.est) == (
                 self.GRID.w_values[i], self.GRID.sigma_values[j], est)
+            if quantity == "W":
+                # the public one-sigma entry gives the map's point, bit for bit
+                assert drift_w(p, params, ns, 2000, task_rng(8, "row", i)) == row.est
 
     @pytest.mark.parametrize("quantity", ["V", "W"])
     def test_thread_invariant_bytes_at_d100(self, quantity, tmp_path):
@@ -373,9 +377,11 @@ class TestDriftMap:
             files.append((tmp_path / f"map{threads}.csv").read_bytes())
         assert files[0] == files[1]
 
-    def test_quantity_validation(self):
-        with pytest.raises(ValueError):
-            drift_map(problem(), EsParams(), "X", grid=self.GRID, n=2000)
+    @pytest.mark.parametrize("beta", [None, 0.3])
+    def test_quantity_validation(self, beta):
+        # an unknown quantity is reported as such, with or without beta
+        with pytest.raises(ValueError, match="^quantity must be one of V, W, Phi$"):
+            drift_map(problem(), EsParams(), "X", grid=self.GRID, n=2000, beta=beta)
 
     @pytest.mark.parametrize("quantity", ["Phi", "phi"])
     def test_phi_requires_beta(self, quantity):

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -23,3 +24,58 @@ def test_package_imports_only_numpy_and_the_standard_library():
     outside = [f"{path.name}:{line}: {module}" for path in files
                for line, module in absolute_imports(path) if module not in ALLOWED]
     assert not outside, outside
+
+
+BENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def saddle_es_names(path):
+    """(line, dotted name) of every saddle_es name a source file imports or
+    reads: the names its saddle_es imports bind, and every attribute chain read
+    off one of those names, such as ``estimators.drift_w``."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 0 \
+                and node.module.split(".")[0] == "saddle_es":
+            for alias in node.names:
+                bound[alias.asname or alias.name] = f"{node.module}.{alias.name}"
+                yield node.lineno, f"{node.module}.{alias.name}"
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "saddle_es":
+                    # "import saddle_es.cli" binds saddle_es; with "as x", x is saddle_es.cli
+                    bound[alias.asname or "saddle_es"] = alias.asname and alias.name or "saddle_es"
+                    yield node.lineno, alias.name
+    for node in ast.walk(tree):
+        chain, base = [], node
+        while isinstance(base, ast.Attribute):
+            chain.append(base.attr)
+            base = base.value
+        if chain and isinstance(base, ast.Name) and base.id in bound:
+            yield node.lineno, ".".join([bound[base.id], *reversed(chain)])
+
+
+def resolves(dotted):
+    """Whether a dotted saddle_es name names a module or an attribute."""
+    parts = dotted.split(".")
+    obj = importlib.import_module(parts[0])
+    for i, part in enumerate(parts[1:], 2):
+        if not hasattr(obj, part):
+            try:
+                importlib.import_module(".".join(parts[:i]))
+            except ImportError:
+                return False
+        obj = getattr(obj, part)
+    return True
+
+
+def test_every_saddle_es_name_the_benchmark_uses_resolves():
+    # the benchmark runs these files against the package; a name deleted from
+    # the package would otherwise show only when the benchmark runs
+    names = {(path.name, line, name) for path in (BENCH / "probe.py", BENCH / "workloads.py")
+             for line, name in saddle_es_names(path)}
+    assert {"saddle_es.estimators.drift_w", "saddle_es.normalization.NormalizedState",
+            "saddle_es.cli.main", "saddle_es.drift_map"} <= {name for _, _, name in names}
+    missing = sorted(f"{file}:{line}: {name}" for file, line, name in names if not resolves(name))
+    assert not missing, missing

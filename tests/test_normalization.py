@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from saddle_es import NormalizedState, SaddleProblem, sample_M_plus_0
-from saddle_es.normalization import in_M_plus_0
 
 
 def problem(a=(-1.0, 1.0), b=1):
@@ -35,18 +34,6 @@ class TestPotentials:
         p = problem()
         assert w_of(p, np.array([3.0, 2.0])) == 1.5
         assert p.evaluate([3.0, 2.0]) < 0.0
-
-
-class TestMPlusZero:
-    def test_membership_examples(self):
-        p = problem()
-        assert in_M_plus_0(p, NormalizedState(np.array([0.0, 1.0]), 1.0))
-        assert in_M_plus_0(p, NormalizedState(np.array([1.0, 1.0]), 1.0))  # boundary included
-        assert not in_M_plus_0(p, NormalizedState(np.array([1.5, 1.0]), 1.0))
-
-    def test_rejects_unnormalized_state(self):
-        with pytest.raises(ValueError):
-            in_M_plus_0(problem(), NormalizedState(np.array([0.0, 2.0]), 1.0))
 
 
 @pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
