@@ -26,17 +26,16 @@ stream gives an (_REFILL, D) block of normals and then, if G > 0, an
 (_REFILL, G) block of gammas.  With all coefficients distinct, G = 0, the
 reduced state is the mean, no gamma is drawn, and each trial ends exactly as
 ``run`` ends on its stream; otherwise the two agree in law only, and a trial is
-replayed by ``escape_times`` on its one stream.  ``escape_times`` advances up to
-``_batch_trials(D + G)`` trials together in lockstep slots, each trial on its
-own stream, and hands a slot whose trial has ended to the next trial at the
-slot's next refill, so a trial's result does not depend on its slot.  f is
-``objective._f``, the one sum behind ``SaddleProblem.evaluate`` and both
-semi-norms, whose bits for a point do not depend on its batch.
+replayed by ``escape_times`` on its one stream.  ``escape_times`` runs the
+trials in consecutive batches of ``_batch_trials(D + G)``, each batch until
+none of its trials is left and each trial on its own stream, so a trial's
+result does not depend on the trials beside it.  f is ``objective._f``, the
+one sum behind ``SaddleProblem.evaluate`` and both semi-norms, whose bits for
+a point do not depend on its batch.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -64,13 +63,13 @@ _ALPHA_MAX = 1e100
 
 _BLOCK = 256
 
-# the most normals one block of draws may hold: the escape slots' draws here, a
+# the most normals one block of draws may hold: an escape batch's draws here, a
 # one-step block in ``estimators``
 _NORMALS = 1 << 16
 
-# escape_times refills each slot's draws, _REFILL iterations of `width` = D + G
-# draws each, every _REFILL iterations and runs at most _batch_trials(width)
-# trials at a time in its slots, so the slots buffer at most _NORMALS draws
+# escape_times draws each trial's next _REFILL iterations, of `width` = D + G
+# draws each, every _REFILL iterations and runs _batch_trials(width) trials at a
+# time, so a batch buffers at most _NORMALS draws
 _REFILL = 8
 
 
@@ -282,16 +281,12 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     trial that stalls ends as budget, and no underflow is no evidence that none
     stalled.
 
-    At most ``_batch_trials(D + G)`` trials run at once, each in a slot of the
-    lockstep arrays.  Every ``_REFILL`` iterations a slot whose trial has ended
-    takes the next trial, which counts its iterations and budget from there,
-    and every slot draws its trial's next blocks.  Until then an ended trial's
-    slot is frozen: f(m) = nan and sigma = inf, so it accepts nothing and never
-    reaches the floor.  Slots are compacted once no trial is left to start.
-    New trials take their streams from one chain over slices of as many
-    streams as slots, so a lazy sequence (``tasks._TaskStreams``) is derived
-    at most one slice ahead of the slots, and the streams held at once do not
-    grow with ``len(rngs)``.
+    The trials run in consecutive batches ``rngs[lo:lo + size]`` of size =
+    ``_batch_trials(D + G)``, each to completion, so a lazy sequence
+    (``tasks._TaskStreams``) is read one batch at a time and no stream is held
+    past its batch.  A trial that ends is frozen for the rest of its block
+    (f(m) = nan and sigma = inf, so it accepts nothing and never reaches the
+    floor) and leaves the arrays at the next refill.
     """
     f0 = _check_start(problem, init)
     n = len(rngs)
@@ -304,85 +299,56 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
         shape = float(shape[0])
     reasons = np.full(n, BUDGET, dtype=object)
     times = np.full(n, params.max_iters)
-    size = min(_batch_trials(d + g), n)
-    trial = np.zeros(size, dtype=np.intp)   # trial in each slot
-    start = np.zeros(size, dtype=np.intp)   # lockstep step at which it started
-    m = np.empty((size, d))                 # reduced state: coordinates, then radii
-    sigma = np.empty(size)
-    fm = np.empty(size)
-    live = np.zeros(size, dtype=bool)       # slots whose trial has not ended
-    streams = [None] * size
-    hand_out = itertools.chain.from_iterable(rngs[k:k + size] for k in range(0, n, size))
-    buf = np.empty((size, _REFILL, d))
-    chi = np.empty((size, _REFILL, g))      # sqrt of each radius' chi-square draw
+    size = _batch_trials(d + g)
     dec = params.alpha ** -_FAILURE_EXPONENT
-    # every trial starts at a refill, so all budgets run out at this step of a block
-    cut = params.max_iters % _REFILL
-    nxt = s = 0                             # next trial to start, lockstep steps taken
-
-    def freeze(ended):
-        live[ended] = False
-        fm[ended] = np.nan
-        sigma[ended] = np.inf
-        for i in np.flatnonzero(ended):
-            streams[i] = None
-
-    while True:
-        free = np.flatnonzero(~live)[:n - nxt]
-        if free.size:
-            trial[free] = np.arange(nxt, nxt + free.size)
-            for i in free:
-                streams[i] = next(hand_out)
-            nxt += free.size
-            start[free] = s
-            m[free] = y0
-            sigma[free] = init.sigma
-            fm[free] = f0
-            live[free] = True
-        if nxt == n and not live.all():
-            trial, start, m, sigma, fm = trial[live], start[live], m[live], sigma[live], fm[live]
-            streams = [stream for stream in streams if stream is not None]
-            buf, chi = buf[:len(streams)], chi[:len(streams)]
-            live = live[live]
-        if not live.size:
-            break
-        for stream, z in zip(streams, buf):
-            stream.standard_normal(out=z)
-        if g:
-            for stream, c in zip(streams, chi):
-                stream.standard_gamma(shape, out=c)
-            np.sqrt(np.multiply(chi, 2.0, out=chi), out=chi)
-        col = sigma[:, None]
-        x, sq = np.empty_like(m), np.empty_like(m)  # each step's offspring and squares
-        for k in range(_REFILL):
-            if k == cut:
-                over = live & (start == s - params.max_iters)
-                if over.any():
-                    freeze(over)
-                    if not live.any():
-                        break
-            np.multiply(col, buf[:, k], out=x)
-            x += m
-            np.square(x, out=sq)
+    for lo in range(0, n, size):
+        streams = rngs[lo:lo + size]
+        trial = np.arange(lo, lo + len(streams))
+        m = np.tile(y0, (trial.size, 1))    # reduced state: coordinates, then radii
+        sigma = np.full(trial.size, init.sigma)
+        fm = np.full(trial.size, f0)
+        buf = np.empty((trial.size, _REFILL, d))
+        chi = np.empty((trial.size, _REFILL, g))  # sqrt of each radius' chi-square draw
+        t = 0
+        while streams:
+            # indexed, so that no loop variable holds a stream past its batch
+            for i, z in enumerate(buf):
+                streams[i].standard_normal(out=z)
             if g:
-                # each radius' square gains sigma^2 chi^2, and x takes the new radius
-                sq[:, d - g:] += np.square(col * chi[:, k])
-                np.sqrt(sq[:, d - g:], out=x[:, d - g:])
-            fx = _f(sq, a)
-            acc = fx <= fm
-            np.copyto(m, x, where=acc[:, None])
-            np.copyto(fm, fx, where=acc)
-            sigma *= np.where(acc, params.alpha, dec)
-            s += 1
-            # fmin skips the frozen slots' nan
-            if np.fmin.reduce(fm) < 0.0 or sigma.min() < _SIGMA_MIN:
-                under = sigma < _SIGMA_MIN
-                ended = fm < 0.0
-                ended |= under
-                reasons[trial[ended]] = TARGET
-                reasons[trial[under]] = UNDERFLOW
-                times[trial[ended]] = s - start[ended]
-                freeze(ended)
-                if not live.any():
-                    break
+                for i, c in enumerate(chi):
+                    streams[i].standard_gamma(shape, out=c)
+                np.sqrt(np.multiply(chi, 2.0, out=chi), out=chi)
+            col = sigma[:, None]
+            x, sq = np.empty_like(m), np.empty_like(m)  # each step's offspring and squares
+            for k in range(min(_REFILL, params.max_iters - t)):
+                np.multiply(col, buf[:, k], out=x)
+                x += m
+                np.square(x, out=sq)
+                if g:
+                    # each radius' square gains sigma^2 chi^2, and x takes the new radius
+                    sq[:, d - g:] += np.square(col * chi[:, k])
+                    np.sqrt(sq[:, d - g:], out=x[:, d - g:])
+                fx = _f(sq, a)
+                acc = fx <= fm
+                np.copyto(m, x, where=acc[:, None])
+                np.copyto(fm, fx, where=acc)
+                sigma *= np.where(acc, params.alpha, dec)
+                t += 1
+                # fmin skips the frozen trials' nan
+                if np.fmin.reduce(fm) < 0.0 or sigma.min() < _SIGMA_MIN:
+                    under = sigma < _SIGMA_MIN
+                    ended = fm < 0.0
+                    ended |= under
+                    reasons[trial[ended]] = TARGET
+                    reasons[trial[under]] = UNDERFLOW
+                    times[trial[ended]] = t
+                    fm[ended] = np.nan
+                    sigma[ended] = np.inf
+                    if np.isnan(fm).all():
+                        break
+            # the trials left to run: none once the budget is spent
+            keep = np.flatnonzero(~np.isnan(fm)) if t < params.max_iters else []
+            streams = [streams[i] for i in keep]
+            trial, m, sigma, fm = trial[keep], m[keep], sigma[keep], fm[keep]
+            buf, chi = buf[:len(keep)], chi[:len(keep)]
     return reasons.tolist(), times

@@ -155,8 +155,8 @@ def _escape_trials(spec: EscapeExperimentSpec, workers: int, i: int) -> tuple[li
     """Worker i's share of an escape experiment: the contiguous trial range
     [trials * i // workers, trials * (i + 1) // workers), all in one
     ``escape_times`` call.  Trial k reads its own stream
-    ``task_rng(spec.master_seed, "trial", k)``; the engine derives the streams a
-    slice at a time as its slots free up (``tasks._TaskStreams``)."""
+    ``task_rng(spec.master_seed, "trial", k)``; the engine derives the streams
+    one batch at a time (``tasks._TaskStreams``)."""
     lo, hi = spec.trials * i // workers, spec.trials * (i + 1) // workers
     return escape_times(spec.problem, replace(spec.params, max_iters=spec.budget),
                         spec.initial_state(), _TaskStreams(spec.master_seed, "trial", lo, hi))
@@ -201,7 +201,7 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1) -> Hitti
 
     Each of ``min(threads, trials)`` workers runs one contiguous range of
     trial indices through one ``es.escape_times`` call; each trial reads its
-    own stream, so neither the engine's slots nor ``threads`` ever change a
+    own stream, so neither the engine's batches nor ``threads`` ever change a
     trial's result.  Only the escape time and terminal reason are kept.
     """
     # the ranges are cut inside the tasks, after _map_tasks has checked threads

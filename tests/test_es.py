@@ -1,4 +1,6 @@
+import hashlib
 import math
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -9,6 +11,7 @@ from saddle_es import (
     NONFINITE,
     TARGET,
     UNDERFLOW,
+    EscapeExperimentSpec,
     EsParams,
     EsState,
     SaddleProblem,
@@ -16,6 +19,7 @@ from saddle_es import (
     es,
     escape_times,
     run,
+    run_escape_experiment,
 )
 from saddle_es.es import _f, _lumped
 
@@ -47,7 +51,7 @@ class LumpedFixedDraws(FixedDraws):
 
 
 class Draws:
-    """A seeded generator for the refill tests.  With ``ties``, every third draw
+    """A seeded generator for the batch tests.  With ``ties``, every third draw
     vector is zero: that offspring is the mean itself, an exact tie.  The zeros
     follow the draw count, so ``run`` and the engine, which draw in different
     block shapes, see the same vectors.  Drawing past ``limit`` vectors fails
@@ -66,6 +70,13 @@ class Draws:
         self.rows += len(rows)
         assert self.rows <= self.limit, "a trial drew past its budget"
         return z
+
+
+def digest(reasons, times):
+    """SHA-256 of the times (int64, little-endian) and then the comma-joined reasons."""
+    h = hashlib.sha256(np.asarray(times, dtype="<i8").tobytes())
+    h.update(",".join(reasons).encode())
+    return h.hexdigest()
 
 
 @pytest.fixture(params=[0.25, 1.0])
@@ -411,7 +422,7 @@ class TestEscapeTimes:
     def test_draw_layout_per_refill(self, a, calls):
         # every refill draws an (8, D) block of normals and then, only with a
         # group, an (8, G) block of gammas of shape (k - 1) / 2; each trial
-        # replays alone on its stream, whatever its slot
+        # replays alone on its stream, whatever its batch
         class Recorded:
             def __init__(self, seed):
                 self.rng, self.calls = np.random.default_rng(seed), []
@@ -456,15 +467,15 @@ class TestEscapeTimes:
 
     # (d, a, m, sigma, max_iters, step-size floor): both budgets end mid-block;
     # distinct coefficients, so the engine steps every axis as run does
-    REFILLED = [(3, (-1.0, 20.0, 5.0), (0.1, 0.5, 0.2), 0.3, 20, 0.2),
+    BATCHES = [(3, (-1.0, 20.0, 5.0), (0.1, 0.5, 0.2), 0.3, 20, 0.2),
                 (100, (-1.0,) + tuple(1 + j / 1000 for j in range(99)), (0.5, 0.55) + (0.0,) * 98,
                  0.1, 45, 0.01)]
 
-    @pytest.mark.parametrize("d,a,m,sigma,max_iters,floor", REFILLED)
-    def test_refilled_slots_match_run(self, monkeypatch, d, a, m, sigma, max_iters, floor):
-        # three slots for 40 trials: every slot is refilled many times, at
-        # refills that differ from trial to trial; every fourth trial draws a
-        # zero vector at iterations 1, 4, 7, ..., an exact tie that it accepts
+    @pytest.mark.parametrize("d,a,m,sigma,max_iters,floor", BATCHES)
+    def test_batches_match_run(self, monkeypatch, d, a, m, sigma, max_iters, floor):
+        # batches of three for 40 trials: 14 batches, the last of one trial;
+        # every fourth trial draws a zero vector at iterations 1, 4, 7, ..., an
+        # exact tie that it accepts
         monkeypatch.setattr(es, "_batch_trials", lambda d: 3)
         monkeypatch.setattr(es, "_SIGMA_MIN", floor)
         p = problem(a)
@@ -478,8 +489,32 @@ class TestEscapeTimes:
         traces = [run(p, params, init, rng, record_every=0) for rng in streams()]
         assert list(zip(reasons, times.tolist())) == [(t.reason, t.t_final) for t in traces]
         assert set(reasons) == {TARGET, BUDGET, UNDERFLOW}
-        # more budget ends than slots: some of them started at different refills
-        assert reasons.count(BUDGET) > 3
+        # the budget ends trials in more than one batch
+        assert len({k // 3 for k, reason in enumerate(reasons) if reason == BUDGET}) >= 2
+
+    # pinned results (numpy 2.4 streams): any change to a trial's reason or time
+    # changes its digest
+    @pytest.mark.parametrize("a,trials,expected", [
+        ((-1.0, 100.0), 2000, "c6944476963f248e8fdcaebe76b9c76667b2b7717c66ebc7703af2b941eba378"),
+        ((-1.0,) + (1.0,) * 99, 20,
+         "60be99ee5b324139e89e141de8fbed716508477c0603677e723daebef81d9718")], ids=["d2", "d100"])
+    def test_experiment_digest(self, a, trials, expected):
+        stats = run_escape_experiment(EscapeExperimentSpec(problem(a), EsParams(), trials=trials,
+                                                           master_seed=5))
+        assert digest(stats.statuses, stats.times) == expected
+
+    def test_grouped_digest(self, monkeypatch):
+        # run is no reference for a grouped problem.  Batches of three; target,
+        # budget (ending mid-block at 21) and underflow all occur
+        monkeypatch.setattr(es, "_batch_trials", lambda width: 3)
+        monkeypatch.setattr(es, "_SIGMA_MIN", 0.1)
+        p = problem((-3.0, -3.0, -1.0, 20.0, 5.0, 20.0, 20.0), b=3)
+        init = EsState(m=np.array([0.1, -0.1, 0.05, 0.3, -0.2, 0.1, 0.2]), sigma=0.3)
+        reasons, times = escape_times(p, EsParams(max_iters=21), init,
+                                      [np.random.default_rng(s) for s in range(40)])
+        assert Counter(reasons) == {TARGET: 30, BUDGET: 6, UNDERFLOW: 4}
+        assert digest(reasons, times) == \
+            "b9b1d638134bd1f7b27be5c5cc636672cf3a21896c34eeaf8f182bf87af70b49"
 
     def test_escape_to_minus_inf_is_target(self):
         # offspring squares near 1e308 overflow: an accepted f = -inf is an
@@ -498,7 +533,7 @@ class TestEscapeTimes:
     def test_group_escape_to_minus_inf_is_target(self, monkeypatch):
         # a=(-1, 20, 20) lumps its last two axes into one radius, whose offspring
         # squares overflow as in the test above.  Every trial escapes within its
-        # budget, so no step size overflowed (a slot at sigma = inf accepts
+        # budget, so no step size overflowed (a trial at sigma = inf accepts
         # nothing), and no numpy warning escaped (they fail the suite)
         p = problem((-1.0, 20.0, 20.0))
         params = EsParams(max_iters=200)
