@@ -21,17 +21,20 @@ coordinate.  The reduced state has D coordinates, the one-axis groups' in axis
 order and then the G radii.  Each iteration consumes D normals, the radial
 normal u of each radius in its group's column, and G chi-square draws
 ``2 * standard_gamma((k - 1) / 2)``; an accepted offspring's radius is
-sqrt((r + sigma u)^2 + sigma^2 chi^2).  Every ``_REFILL`` iterations a trial's
-stream gives an (_REFILL, D) block of normals and then, if G > 0, an
-(_REFILL, G) block of gammas.  With all coefficients distinct, G = 0, the
-reduced state is the mean, no gamma is drawn, and each trial ends exactly as
-``run`` ends on its stream; otherwise the two agree in law only, and a trial is
-replayed by ``escape_times`` on its one stream.  ``escape_times`` runs the
-trials in consecutive batches of ``_batch_trials(D + G)``, each batch until
-none of its trials is left and each trial on its own stream, so a trial's
-result does not depend on the trials beside it.  f is ``objective._f``, the
-one sum behind ``SaddleProblem.evaluate`` and both semi-norms, whose bits for
-a point do not depend on its batch.
+sqrt((r + sigma u)^2 + sigma^2 chi^2).  ``escape_times`` runs the trials in
+consecutive batches of ``_batch_trials(D + G)``, each batch from t = 0 until
+none of its trials is left and each trial on its own stream.  A batch refills
+at t = 0, 8, 16, 32, 64, 128, ...: each refill covers rows = min(max(t,
+``_REFILL``), ``_REFILL_MAX``, budget - t) iterations, and a trial's stream
+gives a (rows, D) block of normals and then, if G > 0, a (rows, G) block of
+gammas.  The schedule depends on t and the budget only, so a trial's result
+does not depend on the trials beside it.  With all coefficients distinct, G =
+0, the reduced state is the mean, no gamma is drawn, a trial reads its normals
+in order whatever the block size, and each trial ends exactly as ``run`` ends
+on its stream; otherwise the two agree in law only, and a trial is replayed by
+``escape_times`` on its one stream.  f is ``objective._f``, the one sum behind
+``SaddleProblem.evaluate`` and both semi-norms, whose bits for a point do not
+depend on its batch.
 """
 
 from __future__ import annotations
@@ -63,18 +66,24 @@ _ALPHA_MAX = 1e100
 
 _BLOCK = 256
 
-# the most normals one block of draws may hold: an escape batch's draws here, a
-# one-step block in ``estimators``
+# the most normals a one-step block in ``estimators`` may hold; an escape batch
+# buffers at most _REFILL_MAX / _REFILL = 8 times as many draws
 _NORMALS = 1 << 16
 
-# escape_times draws each trial's next _REFILL iterations, of `width` = D + G
-# draws each, every _REFILL iterations and runs _batch_trials(width) trials at a
-# time, so a batch buffers at most _NORMALS draws
+# escape_times refills each live trial of a batch at its iteration count t with
+# rows = min(max(t, _REFILL), _REFILL_MAX, budget - t) iterations of `width` =
+# D + G draws each, so rows double from _REFILL to _REFILL_MAX: one refill per
+# doubling and then one per _REFILL_MAX iterations, where an ended trial waits
+# up to _REFILL_MAX - 1 frozen steps to leave
 _REFILL = 8
+_REFILL_MAX = 64
 
 
 def _batch_trials(width: int) -> int:
-    return _NORMALS // (_REFILL * max(width, 8))
+    """Trials per escape batch, whose buffers then hold at most _REFILL_MAX /
+    _REFILL * _NORMALS draws, about 4 MB (a narrow batch, width 3 and 1,024
+    trials, about 1.5 MB); one trial if a width exceeds _NORMALS / _REFILL."""
+    return max(_NORMALS // (_REFILL * max(width, 8)), 1)
 
 
 @dataclass(frozen=True)
@@ -284,9 +293,11 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     The trials run in consecutive batches ``rngs[lo:lo + size]`` of size =
     ``_batch_trials(D + G)``, each to completion, so a lazy sequence
     (``tasks._TaskStreams``) is read one batch at a time and no stream is held
-    past its batch.  A trial that ends is frozen for the rest of its block
-    (f(m) = nan and sigma = inf, so it accepts nothing and never reaches the
-    floor) and leaves the arrays at the next refill.
+    past its batch.  Refills grow with the batch's iteration count, up to
+    ``_REFILL_MAX`` rows (see the module docstring).  A trial that ends is
+    frozen for the rest of its block, up to ``_REFILL_MAX - 1`` steps (f(m) =
+    nan and sigma = inf, so it accepts nothing and never reaches the floor),
+    and leaves the arrays at the next refill.
     """
     f0 = _check_start(problem, init)
     n = len(rngs)
@@ -301,32 +312,35 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     times = np.full(n, params.max_iters)
     size = _batch_trials(d + g)
     dec = params.alpha ** -_FAILURE_EXPONENT
+    # one batch's refill buffers, at the largest refill the budget allows
+    buf = np.empty((min(size, n), min(_REFILL_MAX, params.max_iters), d))
+    chi = np.empty(buf.shape[:2] + (g,))  # sqrt of each radius' chi-square draw
     for lo in range(0, n, size):
         streams = rngs[lo:lo + size]
         trial = np.arange(lo, lo + len(streams))
         m = np.tile(y0, (trial.size, 1))    # reduced state: coordinates, then radii
         sigma = np.full(trial.size, init.sigma)
         fm = np.full(trial.size, f0)
-        buf = np.empty((trial.size, _REFILL, d))
-        chi = np.empty((trial.size, _REFILL, g))  # sqrt of each radius' chi-square draw
         t = 0
         while streams:
+            rows = min(max(t, _REFILL), _REFILL_MAX, params.max_iters - t)
+            z, c = buf[:len(streams), :rows], chi[:len(streams), :rows]
             # indexed, so that no loop variable holds a stream past its batch
-            for i, z in enumerate(buf):
-                streams[i].standard_normal(out=z)
+            for i, block in enumerate(z):
+                streams[i].standard_normal(out=block)
             if g:
-                for i, c in enumerate(chi):
-                    streams[i].standard_gamma(shape, out=c)
-                np.sqrt(np.multiply(chi, 2.0, out=chi), out=chi)
+                for i, block in enumerate(c):
+                    streams[i].standard_gamma(shape, out=block)
+                np.sqrt(np.multiply(c, 2.0, out=c), out=c)
             col = sigma[:, None]
             x, sq = np.empty_like(m), np.empty_like(m)  # each step's offspring and squares
-            for k in range(min(_REFILL, params.max_iters - t)):
-                np.multiply(col, buf[:, k], out=x)
+            for k in range(rows):
+                np.multiply(col, z[:, k], out=x)
                 x += m
                 np.square(x, out=sq)
                 if g:
                     # each radius' square gains sigma^2 chi^2, and x takes the new radius
-                    sq[:, d - g:] += np.square(col * chi[:, k])
+                    sq[:, d - g:] += np.square(col * c[:, k])
                     np.sqrt(sq[:, d - g:], out=x[:, d - g:])
                 fx = _f(sq, a)
                 acc = fx <= fm
@@ -350,5 +364,4 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
             keep = np.flatnonzero(~np.isnan(fm)) if t < params.max_iters else []
             streams = [streams[i] for i in keep]
             trial, m, sigma, fm = trial[keep], m[keep], sigma[keep], fm[keep]
-            buf, chi = buf[:len(keep)], chi[:len(keep)]
     return reasons.tolist(), times

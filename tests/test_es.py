@@ -50,6 +50,22 @@ class LumpedFixedDraws(FixedDraws):
         return out
 
 
+class Recorded:
+    """A stream that records each call: ("normal", out.shape) and ("gamma",
+    out.shape, shape), then draws from ``rng``."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, []
+
+    def standard_normal(self, size=None, out=None):
+        self.calls.append(("normal", out.shape))
+        return self.rng.standard_normal(size, out=out)
+
+    def standard_gamma(self, shape, size=None, out=None):
+        self.calls.append(("gamma", out.shape, np.asarray(shape).tolist()))
+        return self.rng.standard_gamma(shape, size, out=out)
+
+
 class Draws:
     """A seeded generator for the batch tests.  With ``ties``, every third draw
     vector is zero: that offspring is the mean itself, an exact tie.  The zeros
@@ -414,40 +430,56 @@ class TestEscapeTimes:
         a, y, shape = _lumped(p, m)
         assert a.tolist() == p.a.tolist() and y.tolist() == m.tolist() and shape.size == 0
 
-    @pytest.mark.parametrize("a,calls", [
-        ((-1.0, 20.0, 5.0), [("normal", (8, 3))]),
-        ((-1.0, 20.0, 20.0), [("normal", (8, 2)), ("gamma", (8, 1), 0.5)]),
-        ((-3.0, -3.0, -1.0, 20.0, 5.0, 20.0, 20.0),
-         [("normal", (8, 4)), ("gamma", (8, 2), [0.5, 1.0])])])
-    def test_draw_layout_per_refill(self, a, calls):
-        # every refill draws an (8, D) block of normals and then, only with a
-        # group, an (8, G) block of gammas of shape (k - 1) / 2; each trial
+    # (a, D, the gamma shapes or None): distinct coefficients; one radius; two
+    # radii of different k
+    LAYOUTS = [((-1.0, 20.0, 5.0), 3, None),
+               ((-1.0, 20.0, 20.0), 2, 0.5),
+               ((-3.0, -3.0, -1.0, 20.0, 5.0, 20.0, 20.0), 4, [0.5, 1.0])]
+
+    @staticmethod
+    def layout(rows, d, shape):
+        """The calls of refills of the given row counts: an (rows, D) block of
+        normals and then, only with a group, an (rows, G) block of gammas."""
+        calls = []
+        for r in rows:
+            calls.append(("normal", (r, d)))
+            if shape is not None:
+                calls.append(("gamma", (r, np.size(shape)), shape))
+        return calls
+
+    @pytest.mark.parametrize("a,d,shape", LAYOUTS, ids=["distinct", "radius", "radii"])
+    def test_draw_layout_per_refill(self, a, d, shape):
+        # refills grow with the batch's iteration count t, min(max(t, 8), 64,
+        # budget left) rows each: from t = 0, 8, 16 and 32 a budget of 50 gives
+        # 8, 8, 16 and 18 rows, the last cutting a 32-row block.  Each trial
         # replays alone on its stream, whatever its batch
-        class Recorded:
-            def __init__(self, seed):
-                self.rng, self.calls = np.random.default_rng(seed), []
-
-            def standard_normal(self, size=None, out=None):
-                self.calls.append(("normal", out.shape))
-                return self.rng.standard_normal(size, out=out)
-
-            def standard_gamma(self, shape, size=None, out=None):
-                self.calls.append(("gamma", out.shape, np.asarray(shape).tolist()))
-                return self.rng.standard_gamma(shape, size, out=out)
-
         p = problem(a, b=a.count(-3.0) + 1)
-        params = EsParams(max_iters=30)
-        init = EsState(m=np.array([0.0] * p.b + [1.0] * (p.d - p.b)), sigma=1e-3)
-        streams = [Recorded(s) for s in range(20)]
+        params = EsParams(max_iters=50)
+        init = EsState(m=np.array([0.0] * p.b + [1.0] * (p.d - p.b)), sigma=1e-6)
+        streams = [Recorded(np.random.default_rng(s)) for s in range(20)]
         reasons, times = escape_times(p, params, init, streams)
         assert set(reasons) == {BUDGET}
         for stream in streams:
-            assert stream.calls == calls * 4     # refills at iterations 0, 8, 16 and 24
+            assert stream.calls == self.layout([8, 8, 16, 18], d, shape)
         alone = [escape_times(p, params, replace(init, sigma=0.5), [np.random.default_rng(s)])
                  for s in range(20)]
         together = escape_times(p, params, replace(init, sigma=0.5),
                                 [np.random.default_rng(s) for s in range(20)])
         assert [(r[0], t[0]) for r, t in alone] == list(zip(*together))
+
+    @pytest.mark.parametrize("a,d,shape", LAYOUTS[1:], ids=["radius", "radii"])
+    def test_refills_double_up_to_the_cap(self, a, d, shape):
+        # zero draws make every offspring a tie, so a grouped trial runs to its
+        # budget of 600: 13 refills, about log2(64 / 8) + 600 / 64, where
+        # 8-row refills would take 75
+        p = problem(a, b=a.count(-3.0) + 1)
+        init = EsState(m=np.array([0.0] * p.b + [1.0] * (p.d - p.b)), sigma=1e-3)
+        stream = Recorded(LumpedFixedDraws(np.zeros(d)))
+        reasons, times = escape_times(p, EsParams(max_iters=600), init, [stream])
+        assert (reasons, times.tolist()) == ([BUDGET], [600])
+        assert stream.calls == self.layout([8, 8, 16, 32] + [64] * 8 + [24], d, shape)
+        # the guard a re-pinned layout must still pass: far fewer than 75 refills
+        assert len(stream.calls) <= 2 * 16
 
     def test_matches_run_on_each_stream(self, failure_exponent, monkeypatch):
         # all three terminal reasons occur (the floor is lower under the faster
@@ -497,7 +529,7 @@ class TestEscapeTimes:
     @pytest.mark.parametrize("a,trials,expected", [
         ((-1.0, 100.0), 2000, "c6944476963f248e8fdcaebe76b9c76667b2b7717c66ebc7703af2b941eba378"),
         ((-1.0,) + (1.0,) * 99, 20,
-         "60be99ee5b324139e89e141de8fbed716508477c0603677e723daebef81d9718")], ids=["d2", "d100"])
+         "17fbd7e465dd7a6298f67994c7e8d7a86bfd700d1a236c641377cd6f2b9a49b5")], ids=["d2", "d100"])
     def test_experiment_digest(self, a, trials, expected):
         stats = run_escape_experiment(EscapeExperimentSpec(problem(a), EsParams(), trials=trials,
                                                            master_seed=5))
@@ -505,16 +537,17 @@ class TestEscapeTimes:
 
     def test_grouped_digest(self, monkeypatch):
         # run is no reference for a grouped problem.  Batches of three; target,
-        # budget (ending mid-block at 21) and underflow all occur
+        # budget (at 21, cutting the 16-row block from t = 16) and underflow
+        # all occur
         monkeypatch.setattr(es, "_batch_trials", lambda width: 3)
         monkeypatch.setattr(es, "_SIGMA_MIN", 0.1)
         p = problem((-3.0, -3.0, -1.0, 20.0, 5.0, 20.0, 20.0), b=3)
         init = EsState(m=np.array([0.1, -0.1, 0.05, 0.3, -0.2, 0.1, 0.2]), sigma=0.3)
         reasons, times = escape_times(p, EsParams(max_iters=21), init,
                                       [np.random.default_rng(s) for s in range(40)])
-        assert Counter(reasons) == {TARGET: 30, BUDGET: 6, UNDERFLOW: 4}
+        assert Counter(reasons) == {TARGET: 26, BUDGET: 12, UNDERFLOW: 2}
         assert digest(reasons, times) == \
-            "b9b1d638134bd1f7b27be5c5cc636672cf3a21896c34eeaf8f182bf87af70b49"
+            "a216433c0b8bc397756d75926f86c32cb50436f95d2616d5425794341173c312"
 
     def test_escape_to_minus_inf_is_target(self):
         # offspring squares near 1e308 overflow: an accepted f = -inf is an
@@ -555,6 +588,20 @@ class TestEscapeTimes:
         reasons, times = escape_times(p, params, init, [LumpedFixedDraws([2.0, -0.1])])
         assert (reasons, times.tolist()) == ([TARGET], [1])
         assert offspring == [-np.inf]
+
+    def test_wider_than_a_batch_buffer(self):
+        # d = 9,000 distinct coefficients exceed _NORMALS / 8 draws per row: one
+        # trial per batch, each ending as run does, by target or budget
+        d = 9000
+        p = SaddleProblem(a=np.concatenate([[-1.0], 1.0 + np.arange(d - 1) / d]), b=1)
+        params = EsParams(max_iters=12)
+        init = EsState(m=np.concatenate([[1.0, 1.0], np.zeros(d - 2)]), sigma=3e-4)
+        reasons, times = escape_times(p, params, init,
+                                      [np.random.default_rng(s) for s in range(3)])
+        traces = [run(p, params, init, np.random.default_rng(s), record_every=0)
+                  for s in range(3)]
+        assert list(zip(reasons, times.tolist())) == [(t.reason, t.t_final) for t in traces]
+        assert set(reasons) == {TARGET, BUDGET}
 
     def test_exact_ties_accept(self, monkeypatch):
         # every offspring m + sigma * (0.5, 0.5) from (1, 1) ties f(m) = 0; were

@@ -228,11 +228,16 @@ class TestEngineMatchesRun:
                  master_seed=3)
         assert batched(s) == run_per_trial(s)
 
+    # (a, sigma~0): a=(-1, 1, 1) lumps its last two axes into a radius; every
+    # trial of a=(-1, 1 x 9) from sigma~0 = 1e-6 lives past t = 64, so it
+    # draws the 64-row refills of a grown schedule
+    @pytest.mark.parametrize("a,sigma0", [((-1.0, 1.0, 1.0), 1.0), ((-1.0,) + (1.0,) * 9, 1e-6)],
+                             ids=["d3", "d10"])
     @pytest.mark.parametrize("threads", [1, 2])
-    def test_grouped_trial_replays_on_its_stream(self, threads):
-        # a=(-1, 1, 1) lumps its last two axes into a radius, so run does not
-        # replay its trials; the engine does, from the trial's one stream
-        s = spec((-1.0, 1.0, 1.0), trials=60)
+    def test_grouped_trial_replays_on_its_stream(self, monkeypatch, threads, a, sigma0):
+        # run does not replay a grouped problem's trials; the engine does, from
+        # the trial's one stream, and batches of three give the same results
+        s = spec(a, sigma_tilde0=sigma0, trials=60)
         stats = run_escape_experiment(s, threads=threads)
         params = replace(s.params, max_iters=s.budget)
         for k in range(s.trials):
@@ -240,6 +245,10 @@ class TestEngineMatchesRun:
                                           [task_rng(s.master_seed, "trial", k)])
             assert ({TARGET: ESCAPED}[reasons[0]], times[0]) == (stats.statuses[k],
                                                                   stats.times[k])
+        if sigma0 < 1.0:
+            assert stats.times.min() > 64
+        monkeypatch.setattr(saddle_es.es, "_batch_trials", lambda width: 3)
+        assert batched(s, threads) == list(zip(stats.statuses, stats.times.tolist()))
         assert batched(s) != run_per_trial(s)
 
     def test_threads_with_partial_batch(self):
