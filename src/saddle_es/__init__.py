@@ -43,10 +43,6 @@ from .experiments import (
     run_escape_experiment,
     survival_curve,
 )
-from .normalization import (
-    NormalizedState,
-    NormPlusZeroError,
-    sample_M_plus_0,
-)
+from .normalization import sample_M_plus_0
 from .objective import SaddleProblem
 from .tasks import task_rng

@@ -54,7 +54,7 @@ from .estimators import (
     success_probability,
 )
 from .experiments import ESCAPED, EscapeExperimentSpec, run_escape_experiment, drift_map
-from .normalization import NormalizedState, sample_M_plus_0
+from .normalization import sample_M_plus_0
 from .objective import SaddleProblem
 from .serialize import drift_map_to_csv, survival_to_csv, trace_to_csv, write_json
 from .tasks import _replay_hint, _usable_cpus, task_rng
@@ -371,7 +371,7 @@ def cmd_succ_prob(ns) -> int:
         if ns.w is not None or ns.sigma is not None:
             raise ConfigError("succ-prob takes --w and --sigma or --at-saddle, not both")
         # at the saddle the rate does not depend on the step size (scale invariance)
-        est = success_probability(problem, NormalizedState(np.zeros(problem.d), 1.0), ns.n, rng)
+        est = success_probability(problem, EsState(np.zeros(problem.d), 1.0), ns.n, rng)
         payload["at_saddle"] = True
         if problem.d == 2:
             analytic = saddle_success_analytic_2d(problem)
@@ -380,7 +380,7 @@ def cmd_succ_prob(ns) -> int:
     else:
         if ns.w is None or ns.sigma is None:
             raise ConfigError("succ-prob needs --w and --sigma (or --at-saddle)")
-        state = NormalizedState(sample_M_plus_0(problem, ns.w), ns.sigma)
+        state = EsState(sample_M_plus_0(problem, ns.w), ns.sigma)
         est = success_probability(problem, state, ns.n, rng)
         payload["w"] = ns.w
         payload["sigma"] = ns.sigma

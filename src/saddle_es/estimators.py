@@ -38,8 +38,8 @@ from statistics import NormalDist
 import numpy as np
 
 from . import es
-from .es import _NORMALS, EsParams
-from .normalization import NormalizedState, NormPlusZeroError, sample_M_plus_0
+from .es import _NORMALS, EsParams, EsState
+from .normalization import sample_M_plus_0
 from .objective import SaddleProblem
 from .tasks import _map_tasks, _replay_hint, task_rng
 
@@ -252,17 +252,17 @@ def _norms(x: np.ndarray, halves: tuple, sigma: float) -> tuple:
     return norm(*halves[0]), norm(*halves[1])
 
 
-def success_probability(problem: SaddleProblem, ns: NormalizedState, n: int,
+def success_probability(problem: SaddleProblem, state: EsState, n: int,
                         rng: np.random.Generator) -> DriftEstimate:
-    """Fraction of offspring x ~ N(m~, sigma~^2 I) with f(x) <= f(m~).
+    """Fraction of offspring x ~ N(m, sigma^2 I) with f(x) <= f(m).
 
     Binomial standard error sqrt(p(1-p)/n).  By scale invariance this is the
     success probability of every raw state on the same ray.
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    hits = sum(int(np.count_nonzero(_accepted(*_scalars(problem, ns.m_tilde, c, rng)[:2],
-                                              ns.sigma_tilde)))
+    hits = sum(int(np.count_nonzero(_accepted(*_scalars(problem, state.m, c, rng)[:2],
+                                              state.sigma)))
                for c in _blocks(n, problem.d))
     return DriftEstimate.from_binomial(hits, n)
 
@@ -309,18 +309,18 @@ class StepSamples:
         return out
 
 
-def one_step_samples(problem: SaddleProblem, params: EsParams, ns: NormalizedState,
+def one_step_samples(problem: SaddleProblem, params: EsParams, state: EsState,
                      n: int, rng: np.random.Generator) -> StepSamples:
-    """Draw n independent single steps from (m~, sigma~) at scale one, as one block."""
+    """Draw n independent single steps from the state (m, sigma) at scale one, as one block."""
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    g2, q, x, halves = _scalars(problem, ns.m_tilde, n, rng)
-    accepted = _accepted(g2, q, ns.sigma_tilde)
+    g2, q, x, halves = _scalars(problem, state.m, n, rng)
+    accepted = _accepted(g2, q, state.sigma)
     # gather by index: indexing with a random boolean mask is about 10x slower
     norm_minus, norm_plus = _norms(x.take(np.flatnonzero(accepted), axis=1), halves,
-                                   ns.sigma_tilde)
+                                   state.sigma)
     return StepSamples(accepted=accepted, norm_minus=norm_minus, norm_plus=norm_plus,
-                       w0=float(problem.norm_minus(ns.m_tilde)), alpha=params.alpha)
+                       w0=float(problem.norm_minus(state.m)), alpha=params.alpha)
 
 
 def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigmas: list,
@@ -355,15 +355,15 @@ def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigma
             for h, ms in zip(hits, moments)]
 
 
-def drift_w(problem: SaddleProblem, params: EsParams, ns: NormalizedState, n: int,
+def drift_w(problem: SaddleProblem, params: EsParams, state: EsState, n: int,
             rng: np.random.Generator) -> DriftEstimate:
-    """Expected one-step truncated change of W = norm_minus(m~): ``_drifts`` at
-    the one step size sigma~, so it equals, bit for bit, the W map's point at
-    sigma~ on the same stream.  The state must be normalized (norm_plus(m~) = 1)."""
-    plus = problem.norm_plus(ns.m_tilde)
+    """Expected one-step truncated change of W = norm_minus(m): ``_drifts`` at
+    the one step size sigma, so it equals, bit for bit, the W map's point at
+    sigma on the same stream.  The state must be normalized (norm_plus(m) = 1)."""
+    plus = problem.norm_plus(state.m)
     if abs(plus - 1.0) > 1e-6:
         raise ValueError(f"state is not normalized: norm_plus(m_tilde) = {plus}")
-    return _drifts(problem, params, ns.m_tilde, [ns.sigma_tilde], n, rng,
+    return _drifts(problem, params, state.m, [state.sigma], n, rng,
                    (_increment("W"),))[0][1][0]
 
 
@@ -371,7 +371,7 @@ def _v_parts(norm_minus, norm_plus, w0: float, alpha: float) -> tuple:
     """(rejection constant, accepted-row values) of the change of log(sigma~),
     from the accepted offspring's semi-norms."""
     if np.any(norm_plus == 0.0):
-        raise NormPlusZeroError("accepted offspring with zero positive-block semi-norm")
+        raise ValueError("accepted offspring with zero positive-block semi-norm")
     v = np.log(norm_plus)
     return closed_form_b1(alpha), np.subtract(math.log(alpha), v, out=v)
 

@@ -77,7 +77,9 @@ class TailFit:
     """Least-squares line through log S(t) over the survival range ``_FIT_S_RANGE``.
 
     A goodness-of-line diagnostic, not a hypothesis test.  ``rate`` is the
-    negated slope (nan when fewer than 3 curve points fall in the range).
+    negated slope (nan when fewer than 3 curve points fall in the range): the
+    decay rate of S over the range from the experiment's start, a transient
+    that depends on that start, not an asymptotic rate of the tail.
     """
 
     rate: float
@@ -167,13 +169,28 @@ def survival_curve(times: np.ndarray, escaped_mask: np.ndarray):
     evaluated at the distinct escape times.  Non-escaped trials never count as
     escaped, so they hold the curve up.
     """
-    finite = np.asarray(times)[np.asarray(escaped_mask)]
-    if finite.size == 0:
+    return _survival(np.sort(np.asarray(times)[np.asarray(escaped_mask)]), len(times))
+
+
+def _survival(escaped: np.ndarray, trials: int):
+    """``survival_curve`` off the sorted escape times: the last index of each
+    distinct time counts the trials escaped by then (np.unique loads numpy.ma)."""
+    if escaped.size == 0:
         return np.array([], dtype=int), np.array([])
-    t_values = np.unique(finite)
-    counts = np.searchsorted(np.sort(finite), t_values, side="right")
-    s = 1.0 - counts / len(times)
-    return t_values.astype(int), s
+    last = np.append(np.flatnonzero(escaped[1:] != escaped[:-1]), escaped.size - 1)
+    return escaped[last].astype(int), 1.0 - (last + 1) / trials
+
+
+def _quantile(escaped: np.ndarray, q: float) -> float:
+    """np.quantile(escaped, q) of the sorted escape times, bit for bit, without
+    loading numpy.ma: the linear method at index (n - 1) q, both lerp branches."""
+    index = (escaped.size - 1) * q
+    lo = math.floor(index)
+    if lo >= escaped.size - 1:
+        return float(escaped[-1])
+    a, b, t = escaped[lo], escaped[lo + 1], index - lo
+    diff = b - a
+    return float(b - diff * (1.0 - t) if t >= 0.5 else a + diff * t)
 
 
 def fit_exponential_tail(t: np.ndarray, s: np.ndarray) -> TailFit:
@@ -215,13 +232,10 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1) -> Hitti
     n_censored = statuses.count(CENSORED)
     n_underflow = statuses.count(UNDERFLOWED)
 
-    escaped_times = times[escaped_mask]
-    if escaped_times.size:
-        quantiles = {f"p{int(q * 100)}": float(np.quantile(escaped_times, q))
-                     for q in (0.1, 0.5, 0.9, 0.99)}
-    else:
-        quantiles = {}
-    surv_t, surv_s = survival_curve(times, escaped_mask)
+    escaped = np.sort(times[escaped_mask])
+    quantiles = ({f"p{int(q * 100)}": _quantile(escaped, q) for q in (0.1, 0.5, 0.9, 0.99)}
+                 if escaped.size else {})
+    surv_t, surv_s = _survival(escaped, times.size)
     tail = fit_exponential_tail(surv_t, surv_s) if surv_t.size else None
     return HittingTimeStats(statuses=statuses, times=times,
                             n_escaped=n_escaped, n_censored=n_censored,

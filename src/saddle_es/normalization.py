@@ -1,40 +1,21 @@
-"""Scale-invariant normalized states.
+"""The compact shell of means: norm_plus(m) = 1 and norm_minus(m) = w in [0, 1].
 
-A raw state (m, sigma) is divided by the positive-block semi-norm of the mean,
-collapsing each scaling ray onto a single normalized state (m~, sigma~) with
-norm_plus(m~) = 1.
+A raw state (m, sigma) divided by norm_plus(m) is, by scale invariance, the
+strategy's own state at scale one, so the one-step estimators take an
+``es.EsState``; the shell points are the means of the grids' states.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .es import EsState
 from .objective import SaddleProblem
 
-
-class NormPlusZeroError(ValueError):
-    """An accepted offspring's positive-block semi-norm is 0, so its V increment
-    log(alpha) - log(norm_plus) is undefined; only ``estimators._v_parts`` raises it."""
-
-
-@dataclass(frozen=True)
-class NormalizedState:
-    """State on the unit shell of the positive-block semi-norm."""
-
-    m_tilde: np.ndarray
-    sigma_tilde: float
-
-    def __post_init__(self):
-        m = np.asarray(self.m_tilde, dtype=float)
-        if m.ndim != 1:
-            raise ValueError("normalized mean must be a one-dimensional point")
-        if not 0.0 < self.sigma_tilde < math.inf:
-            raise ValueError(f"sigma_tilde must be positive and finite, got {self.sigma_tilde!r}")
-        object.__setattr__(self, "m_tilde", m)
-        object.__setattr__(self, "sigma_tilde", float(self.sigma_tilde))
+# the benchmark's probe builds its state under this name
+NormalizedState = EsState
 
 
 def sample_M_plus_0(problem: SaddleProblem, w: float) -> np.ndarray:
@@ -53,4 +34,3 @@ def _shell_point(problem: SaddleProblem, w: float) -> np.ndarray:
     m[0] = w / math.sqrt(-problem.a[0])
     m[problem.b] = 1.0 / math.sqrt(problem.a[problem.b])
     return m
-

@@ -23,6 +23,7 @@ the worker count the command line defaults to.
 
 from __future__ import annotations
 
+import functools
 import operator
 import os
 import pickle
@@ -54,19 +55,24 @@ def _replay_hint(master_seed: int, stage: str, *index: int) -> str:
 _MASK32 = 0xFFFFFFFF
 
 
-class _SeedWords:
-    """A task's precomputed ``SeedSequence.generate_state(4, uint64)`` words,
-    handed to PCG64 as its seed sequence.  ``_task_rngs`` registers it as an
-    ``ISeedSequence`` on first use, so importing this module does not load
-    ``numpy.random``."""
+@functools.cache
+def _seed_words():
+    """Class of a task's precomputed ``SeedSequence.generate_state(4, uint64)``
+    words, PCG64's seed sequence: a true ``ISeedSequence`` subclass (a registered
+    one costs an ABC check per PCG64), made on first use so importing this
+    module does not load ``numpy.random``."""
+    from numpy.random.bit_generator import ISeedSequence
 
-    __slots__ = ("words",)
+    class _SeedWords(ISeedSequence):
+        __slots__ = ("words",)
 
-    def __init__(self, words: np.ndarray):
-        self.words = words
+        def __init__(self, words: np.ndarray):
+            self.words = words
 
-    def generate_state(self, n_words, dtype=np.uint32):
-        return self.words
+        def generate_state(self, n_words, dtype=np.uint32):
+            return self.words
+
+    return _SeedWords
 
 
 def _task_rngs(master_seed: int, stage: str, lo: int, hi: int) -> list:
@@ -77,14 +83,12 @@ def _task_rngs(master_seed: int, stage: str, lo: int, hi: int) -> list:
     pool is mixed on Python ints up to it and on a uint32 array from there.
     Indices must fit one uint32 word: ``0 <= lo <= hi <= 2**32``."""
     from numpy.random import PCG64, Generator
-    from numpy.random.bit_generator import ISeedSequence
 
     master_seed = operator.index(master_seed)
     if master_seed < 0:
         raise ValueError("expected non-negative integer")
     if not 0 <= lo <= hi <= 1 << 32:
         raise ValueError("task indices must lie in [0, 2**32)")
-    ISeedSequence.register(_SeedWords)
     words = [master_seed >> s & _MASK32 for s in range(0, max(master_seed.bit_length(), 1), 32)]
     # SeedSequence pads the run entropy to the pool size when a spawn key follows
     entropy = words + [0] * (4 - len(words)) + [_STAGES[stage], np.arange(lo, hi, dtype=np.uint32)]
@@ -118,7 +122,8 @@ def _task_rngs(master_seed: int, stage: str, lo: int, hi: int) -> list:
         value = value * hash_b & _MASK32
         state[:, i] = value ^ value >> 16
     seeds = state.astype("<u4").view("<u8").astype(np.uint64)
-    return [Generator(PCG64(_SeedWords(row))) for row in seeds]
+    seed_words = _seed_words()
+    return [Generator(PCG64(seed_words(row))) for row in seeds]
 
 
 class _TaskStreams:

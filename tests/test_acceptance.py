@@ -16,7 +16,6 @@ from saddle_es import (
     EscapeExperimentSpec,
     EsParams,
     EsState,
-    NormalizedState,
     SaddleProblem,
     drift_map,
     escape_times,
@@ -114,7 +113,7 @@ def test_criterion_03_saddle_success_probability():
         p = make(a)
         analytic = saddle_success_analytic_2d(p)
         ok &= abs(analytic - quoted) < 5e-6
-        est = success_probability(p, NormalizedState(np.zeros(2), 1.0), 1_000_000,
+        est = success_probability(p, EsState(np.zeros(2), 1.0), 1_000_000,
                                   np.random.default_rng(MASTER_SEED ^ (3000 + i)))
         ok &= abs(est.mean - analytic) <= 3.0 * est.stderr
         details.append(f"a={a}: mc={est.mean:.5f} analytic={analytic:.5f} "
@@ -127,7 +126,7 @@ def test_criterion_04_small_sigma_success_limit():
     results = {}
     ok = True
     for i, w in enumerate((0.0, 0.25, 0.5, 0.75, 0.9)):
-        ns = NormalizedState(sample_M_plus_0(p, w), 1e-4)
+        ns = EsState(sample_M_plus_0(p, w), 1e-4)
         est = success_probability(p, ns, 100_000,
                                   np.random.default_rng(MASTER_SEED ^ (4000 + i)))
         results[w] = est.mean
@@ -151,7 +150,7 @@ def test_criterion_05_step_size_drift():
     below = [row for row in rep.v_map if row.sigma_tilde < c.sigma_tilde_star]
     ok &= len(below) > 0 and all(row.est.ci_low > 0.0 for row in below)
 
-    samples = one_step_samples(p, params, NormalizedState(sample_M_plus_0(p, 0.5), 1.0),
+    samples = one_step_samples(p, params, EsState(sample_M_plus_0(p, 0.5), 1.0),
                                100_000, np.random.default_rng(MASTER_SEED ^ 5000))
     v_inc = samples.increments("V")
     rejected = ~samples.accepted

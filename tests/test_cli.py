@@ -15,7 +15,7 @@ import pytest
 
 import saddle_es
 from saddle_es import cli, experiments
-from saddle_es import (EscapeExperimentSpec, EsParams, GridSpec, NormalizedState, SaddleProblem,
+from saddle_es import (EscapeExperimentSpec, EsParams, EsState, GridSpec, SaddleProblem,
                        closed_form_b1, closed_form_b2, drift_map, run_escape_experiment,
                        sample_M_plus_0, success_probability, task_rng)
 from saddle_es.cli import (
@@ -439,7 +439,7 @@ class TestConstantsCommand:
                        f"--threads={threads}", f"--constants-out={tmp_path}/c.json")
         assert code == EXIT_CONFIG
         p = SaddleProblem(a=[-1.0, 100.0], b=1)
-        rate = success_probability(p, NormalizedState(sample_M_plus_0(p, 0.0), 10.0), 20_000,
+        rate = success_probability(p, EsState(sample_M_plus_0(p, 0.0), 10.0), 20_000,
                                    task_rng(3, "row", 0)).mean
         assert capsys.readouterr().err.rstrip().endswith(
             f"Row 0: w=0.0 sigma~=10.0 rate={rate!r} n=20000; replay its stream with "
@@ -725,6 +725,19 @@ def test_import_defers_numpy_random_and_the_pool():
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_escape_run_leaves_numpy_ma_unloaded(tmp_path):
+    # np.unique and np.quantile load numpy.ma (~10 ms); the escape summary
+    # reads its survival curve and quantiles off one sort instead
+    code = ("import sys\n"
+            "from saddle_es.cli import main\n"
+            "assert main(['escape', '--a=-1,20', '--b=1', '--trials=50', '--threads=1']) == 0\n"
+            "print('numpy.ma' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], env=package_env(), cwd=tmp_path,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.splitlines()[-1] == "False"
+    assert sorted(os.listdir(tmp_path)) == ["escape_stats.json", "escape_survival.csv"]
+
+
 def test_public_callables_take_no_hidden_keywords():
     # a keyword that only the library passes is a second path behind a public name
     checked, hidden = set(), []
@@ -765,6 +778,6 @@ def test_public_surface():
         "saddle_success_analytic_2d", "success_probability", "task_rng",
         "EscapeExperimentSpec", "HittingTimeStats", "TailFit", "drift_map",
         "fit_exponential_tail", "run_escape_experiment", "survival_curve",
-        "NormalizedState", "NormPlusZeroError", "sample_M_plus_0",
+        "sample_M_plus_0",
         "SaddleProblem",
     }

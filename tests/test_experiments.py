@@ -18,8 +18,8 @@ from saddle_es import (
     BUDGET,
     EscapeExperimentSpec,
     EsParams,
+    EsState,
     GridSpec,
-    NormalizedState,
     SaddleProblem,
     drift_map,
     drift_w,
@@ -33,7 +33,7 @@ from saddle_es import (
 )
 from saddle_es.es import TARGET, UNDERFLOW, _batch_trials
 from saddle_es.estimators import _drifts, _increment
-from saddle_es.experiments import ESCAPED
+from saddle_es.experiments import ESCAPED, _quantile, _survival
 from saddle_es.serialize import drift_map_to_csv
 from saddle_es.tasks import _map_tasks, _usable_cpus
 
@@ -323,6 +323,24 @@ class TestSurvivalAndTail:
         assert fit.r_squared > 0.99
         assert fit.rate >= 0.0
 
+    def test_sorted_readings_equal_numpy_bitwise(self):
+        # the escape summary reads its quantiles and survival curve off one sort
+        # instead of calling np.quantile and np.unique, which load numpy.ma
+        rng = np.random.default_rng(31)
+        qs = [0.1, 0.5, 0.9, 0.99, 0.0, 1.0, *rng.random(4)]
+        for n in (1, 2, 3, 7, 100, 1001):
+            for high in (3, 10**6):    # heavy ties, then mostly distinct times
+                times = rng.integers(1, high, size=n)
+                escaped = np.sort(times)
+                for q in qs:
+                    got = _quantile(escaped, float(q))
+                    assert got.hex() == float(np.quantile(times, q)).hex(), (n, high, q)
+                t, s = _survival(escaped, n + 5)
+                t_values = np.unique(times)
+                counts = np.searchsorted(escaped, t_values, side="right")
+                assert np.array_equal(t, t_values) and t.dtype == int
+                assert np.array_equal(s, 1.0 - counts / (n + 5))
+
     def test_too_few_points_gives_nan(self):
         fit = fit_exponential_tail(np.array([1, 2]), np.array([0.4, 0.2]))
         assert math.isnan(fit.rate)
@@ -364,9 +382,9 @@ class TestDriftMap:
         rows = drift_map(p, params, quantity, grid=self.GRID, n=2000, master_seed=8, beta=beta)
         for k, row in enumerate(rows):
             i, j = divmod(k, 8)
-            ns = NormalizedState(sample_M_plus_0(p, float(self.GRID.w_values[i])),
-                                 float(self.GRID.sigma_values[j]))
-            _, (est,) = _drifts(p, params, ns.m_tilde, [ns.sigma_tilde], 2000,
+            ns = EsState(sample_M_plus_0(p, float(self.GRID.w_values[i])),
+                         float(self.GRID.sigma_values[j]))
+            _, (est,) = _drifts(p, params, ns.m, [ns.sigma], 2000,
                                 task_rng(8, "row", i), (_increment(quantity, beta),))[0]
             assert (row.w, row.sigma_tilde, row.est) == (
                 self.GRID.w_values[i], self.GRID.sigma_values[j], est)

@@ -1,9 +1,7 @@
-import math
-
 import numpy as np
 import pytest
 
-from saddle_es import NormalizedState, SaddleProblem, sample_M_plus_0
+from saddle_es import SaddleProblem, sample_M_plus_0
 
 
 def problem(a=(-1.0, 1.0), b=1):
@@ -34,12 +32,6 @@ class TestPotentials:
         p = problem()
         assert w_of(p, np.array([3.0, 2.0])) == 1.5
         assert p.evaluate([3.0, 2.0]) < 0.0
-
-
-@pytest.mark.parametrize("sigma", [0.0, -1.0, math.inf, math.nan])
-def test_state_rejects_step_size_outside_positive_finite(sigma):
-    with pytest.raises(ValueError, match="sigma_tilde"):
-        NormalizedState(np.array([0.0, 1.0]), sigma)
 
 
 class TestSampleMPlus0:
