@@ -16,9 +16,9 @@ CPUs the process may use, and a negative seed, from --seed, the config file or
 SADDLE_ES_SEED, is rejected there, before any work.
 
 Exit codes: 0 success / criteria met, 1 configuration error or failed write (an
-output path in a missing directory is rejected before any work), 2 criterion
-not met (censored run, nonpositive interval, pairing violation), 3 step-size
-underflow, 4 constants estimation failure.
+empty output path or one in a missing directory is rejected before any work), 2
+criterion not met (censored run, nonpositive interval, pairing violation), 3
+step-size underflow, 4 constants estimation failure.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .estimators import (
     saddle_success_analytic_2d,
     success_probability,
 )
-from .experiments import ESCAPED, EscapeExperimentSpec, run_escape_experiment, drift_map
+from .experiments import EscapeExperimentSpec, run_escape_experiment, drift_map
 from .normalization import sample_M_plus_0
 from .objective import SaddleProblem
 from .serialize import drift_map_to_csv, survival_to_csv, trace_to_csv, write_json
@@ -64,6 +64,8 @@ EXIT_CONFIG = 1
 EXIT_CRITERION = 2
 EXIT_UNDERFLOW = 3
 EXIT_CONSTANTS = 4
+# a terminal reason's exit code; escape exits with the highest among its trials
+_EXIT = {TARGET: EXIT_OK, BUDGET: EXIT_CRITERION, UNDERFLOW: EXIT_UNDERFLOW}
 
 # escape lists at most this many trials that did not escape
 _LIST_FAILED = 10
@@ -136,7 +138,9 @@ def _str(value) -> str:
 
 def _path(value) -> str:
     """An output file path in an existing directory, checked before any work."""
-    directory = os.path.dirname(_str(value))
+    if not _str(value):
+        raise ValueError("expected a file path, got ''")
+    directory = os.path.dirname(value)
     if directory and not os.path.isdir(directory):
         raise ValueError(f"no such directory {directory!r}")
     if os.path.isdir(value):
@@ -301,7 +305,7 @@ def cmd_run(ns) -> int:
     write_json(ns.summary_out, summary)
     print(f"run: reason={trace.reason} t={trace.t_final} f={trace.records[-1].f_value!r} "
           f"-> {ns.trace_out}, {ns.summary_out}")
-    return {TARGET: EXIT_OK, BUDGET: EXIT_CRITERION, UNDERFLOW: EXIT_UNDERFLOW}[trace.reason]
+    return _EXIT[trace.reason]
 
 
 def cmd_escape(ns) -> int:
@@ -316,17 +320,13 @@ def cmd_escape(ns) -> int:
     survival_to_csv(stats, ns.survival_out)
     print(f"escape: escaped={stats.n_escaped}/{stats.trials} censored={stats.n_censored} "
           f"underflow={stats.n_underflow} -> {ns.stats_out}, {ns.survival_out}")
-    failed = [k for k, status in enumerate(stats.statuses) if status != ESCAPED]
+    failed = [k for k, reason in enumerate(stats.reasons) if reason != TARGET]
     for k in failed[:_LIST_FAILED]:
-        print(f"escape: trial {k} {stats.statuses[k]} at t={stats.times[k]}; "
+        print(f"escape: trial {k} reason={stats.reasons[k]} t={stats.times[k]}; "
               f"{_replay_hint(spec.master_seed, 'trial', k)}", file=sys.stderr)
     if len(failed) > _LIST_FAILED:
         print(f"escape: {len(failed) - _LIST_FAILED} more trials did not escape", file=sys.stderr)
-    if stats.n_underflow > 0:
-        return EXIT_UNDERFLOW
-    if stats.n_censored > 0:
-        return EXIT_CRITERION
-    return EXIT_OK
+    return max(_EXIT[reason] for reason in set(stats.reasons))
 
 
 def cmd_drift_map(ns) -> int:

@@ -58,7 +58,7 @@ _FAILURE_EXPONENT = 0.25
 
 # a step size below this floor ends a run in underflow.  No shell start reaches
 # it: accepting ties holds sigma / |m| above about 1e-16, so a stalled ES runs
-# to its budget instead
+# to its budget and ends as budget; no underflow is no evidence that none stalled
 _SIGMA_MIN = 1e-300
 
 # keeps a success from carrying the step size past the float range (see ``run``)
@@ -286,9 +286,7 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
     ``escape_times(problem, params, init, [rngs[k]])`` replays trial k.  A
     trial ends when its mean reaches f < 0 (target), its step size falls below
     ``_SIGMA_MIN`` (underflow) or it has used ``params.max_iters`` iterations
-    (budget).  No shell start reaches the floor (see ``_SIGMA_MIN``), so a
-    trial that stalls ends as budget, and no underflow is no evidence that none
-    stalled.
+    (budget); see ``_SIGMA_MIN`` for why a stalled trial ends as budget.
 
     The trials run in consecutive batches ``rngs[lo:lo + size]`` of size =
     ``_batch_trials(D + G)``, each to completion, so a lazy sequence

@@ -513,19 +513,17 @@ class ConstantsEstimationError(RuntimeError):
 class DriftConstants:
     """Closed-form and measured constants of the combined drift argument.
 
-    B1/B2 are closed forms in alpha; C is the smallest 99%-lower-bounded W
-    drift over the grid with sigma~ >= sigma_tilde_star; sigma_tilde_40 is the
-    smallest per-mean success-rate crossing (inf if never crossed), read
-    exactly off each grid row's success curve, with no bisection;
-    sigma_tilde_star is the largest grid sigma~ below which the measured V
-    drift stays above B2 at 99% confidence.  beta and theta are
-    derived from B1, B2 and C (``derive_beta_theta``); B1 < 0 < B2 and C > 0
-    make both positive, with theta = min(beta B2, C / 2).
+    B1 and B2 are ``closed_form_b1`` and ``closed_form_b2`` of alpha; C is the
+    smallest 99%-lower-bounded W drift over the grid with sigma~ >=
+    sigma_tilde_star; sigma_tilde_40 is the smallest per-mean success-rate
+    crossing (inf if never crossed), read exactly off each grid row's success
+    curve, with no bisection; sigma_tilde_star is the largest grid sigma~ below
+    which the measured V drift stays above B2 at 99% confidence.  beta and
+    theta are derived from B1, B2 and C (``derive_beta_theta``); B1 < 0 < B2
+    and C > 0 make both positive, with theta = min(beta B2, C / 2).
     """
 
     alpha: float
-    B1: float
-    B2: float
     C: float
     sigma_tilde_40: float
     sigma_tilde_star: float
@@ -536,6 +534,14 @@ class DriftConstants:
             raise ValueError("need B1 < 0 < B2 (requires alpha > 1)")
         if not self.C > 0.0:
             raise ValueError("C must be positive")
+
+    @property
+    def B1(self) -> float:
+        return closed_form_b1(self.alpha)
+
+    @property
+    def B2(self) -> float:
+        return closed_form_b2(self.alpha)
 
     @property
     def beta(self) -> float:
@@ -612,7 +618,6 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
     """
     grid = grid if grid is not None else GridSpec.default()
     alpha = params.alpha
-    b1 = closed_form_b1(alpha)
     b2 = closed_form_b2(alpha)
     n_sigma = grid.sigma_values.size
 
@@ -646,8 +651,7 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
         raise ConstantsEstimationError(
             f"W-drift lower bound {c:.3g} is not positive at confidence {CONFIDENCE}; increase "
             f"n.  Lowest at {_describe_point(w_all[worst], master_seed, *divmod(worst, n_sigma))}")
-    constants = DriftConstants(alpha=alpha, B1=b1, B2=b2, C=c,
-                               sigma_tilde_40=sigma_tilde_40,
+    constants = DriftConstants(alpha=alpha, C=c, sigma_tilde_40=sigma_tilde_40,
                                sigma_tilde_star=sigma_tilde_star, seed=master_seed)
     return ConstantsReport(constants=constants, sigma_40_by_w=sigma_40_by_w,
                            v_map=v_map, w_map=w_map)
@@ -660,7 +664,6 @@ class PairingReport:
     violations: int
     min_margin: float
     n_pairs: int
-    n_sampled: int
 
 
 def mirror_pair_margins(problem: SaddleProblem, m_tilde: np.ndarray, z):
@@ -723,5 +726,4 @@ def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
             violations += int(np.count_nonzero(margins < -PAIRING_EPSILON))
             min_margin = min(min_margin, float(margins.min()))
             n_pairs += margins.size
-    return PairingReport(violations=violations, min_margin=min_margin,
-                         n_pairs=n_pairs, n_sampled=n)
+    return PairingReport(violations=violations, min_margin=min_margin, n_pairs=n_pairs)

@@ -9,6 +9,7 @@ results are bit-identical for any thread count given the same master seed.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -20,10 +21,6 @@ from .estimators import GridPointEstimate, GridSpec, _grid_row, _increment
 from .normalization import _shell_point
 from .objective import SaddleProblem
 from .tasks import _map_tasks, _TaskStreams
-
-ESCAPED = "escaped"
-CENSORED = "censored"
-UNDERFLOWED = "underflow"
 
 # the survival values S(t) that the exponential-tail fit uses
 _FIT_S_RANGE = (0.01, 0.5)
@@ -97,16 +94,16 @@ class TailFit:
 class HittingTimeStats:
     """Per-trial escape times plus survival-curve summaries.
 
-    Counts are primary (they sum to ``trials`` exactly); fractions are derived.
-    ``times`` holds the first iteration in the negative region for escaped
-    trials, the budget for censored trials, and the stopping iteration for
-    step-size-underflow trials.  Underflow means sigma < ``es._SIGMA_MIN`` =
-    1e-300, which no shell start reaches, so ``premature_convergence_detected``
-    false is no evidence that no trial stalled: a stalled trial runs to the
-    budget and counts as censored.
+    ``reasons`` holds each trial's terminal reason from ``es.escape_times``, in
+    trial order: ``es.TARGET`` (escaped), ``es.BUDGET`` (censored) or
+    ``es.UNDERFLOW``.  The counts are read from it and sum to ``trials``
+    exactly; fractions are derived.  ``times`` holds the first iteration in the
+    negative region for escaped trials, the budget for censored trials, and the
+    stopping iteration for underflow trials.  ``es._SIGMA_MIN`` says why no
+    underflow is no evidence that no trial stalled.
     """
 
-    statuses: list
+    reasons: list
     times: np.ndarray
     n_escaped: int
     n_censored: int
@@ -224,22 +221,16 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1) -> Hitti
     # the ranges are cut inside the tasks, after _map_tasks has checked threads
     workers = min(threads, spec.trials)
     results = _map_tasks(functools.partial(_escape_trials, spec, workers), range(workers), threads)
-    status = {TARGET: ESCAPED, BUDGET: CENSORED, UNDERFLOW: UNDERFLOWED}
-    statuses = [status[reason] for reasons, _ in results for reason in reasons]
+    reasons = list(itertools.chain.from_iterable(r for r, _ in results))
     times = np.concatenate([t for _, t in results])
-    escaped_mask = np.array([s == ESCAPED for s in statuses])
-    n_escaped = int(np.count_nonzero(escaped_mask))
-    n_censored = statuses.count(CENSORED)
-    n_underflow = statuses.count(UNDERFLOWED)
-
-    escaped = np.sort(times[escaped_mask])
+    escaped = np.sort(times[np.fromiter(reasons, object, len(reasons)) == TARGET])
     quantiles = ({f"p{int(q * 100)}": _quantile(escaped, q) for q in (0.1, 0.5, 0.9, 0.99)}
                  if escaped.size else {})
     surv_t, surv_s = _survival(escaped, times.size)
     tail = fit_exponential_tail(surv_t, surv_s) if surv_t.size else None
-    return HittingTimeStats(statuses=statuses, times=times,
-                            n_escaped=n_escaped, n_censored=n_censored,
-                            n_underflow=n_underflow, quantiles=quantiles,
+    return HittingTimeStats(reasons=reasons, times=times, n_escaped=escaped.size,
+                            n_censored=reasons.count(BUDGET),
+                            n_underflow=reasons.count(UNDERFLOW), quantiles=quantiles,
                             survival_t=surv_t, survival_s=surv_s, tail=tail,
                             trials=spec.trials, budget=spec.budget,
                             master_seed=spec.master_seed)

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -16,8 +17,8 @@ import pytest
 import saddle_es
 from saddle_es import cli, experiments
 from saddle_es import (EscapeExperimentSpec, EsParams, EsState, GridSpec, SaddleProblem,
-                       closed_form_b1, closed_form_b2, drift_map, run_escape_experiment,
-                       sample_M_plus_0, success_probability, task_rng)
+                       closed_form_b1, closed_form_b2, drift_map, escape_times,
+                       run_escape_experiment, sample_M_plus_0, success_probability, task_rng)
 from saddle_es.cli import (
     EXIT_CONFIG,
     EXIT_CONSTANTS,
@@ -283,12 +284,34 @@ class TestEscapeCommand:
         assert code == EXIT_CRITERION
         stats = run_escape_experiment(EscapeExperimentSpec(
             SaddleProblem(a=[-1.0, 100.0], b=1), EsParams(), trials=30, budget=2, master_seed=5))
-        failed = [k for k, status in enumerate(stats.statuses) if status != "escaped"]
+        failed = [k for k, reason in enumerate(stats.reasons) if reason != "target"]
         assert len(failed) > 10
-        expected = [f'escape: trial {k} censored at t=2; replay its stream with '
+        expected = [f'escape: trial {k} reason=budget t=2; replay its stream with '
                     f'task_rng(5, "trial", {k})' for k in failed[:10]]
         expected.append(f"escape: {len(failed) - 10} more trials did not escape")
         assert capsys.readouterr().err.splitlines() == expected
+
+    def test_underflow_exits_three_and_names_every_reason(self, tmp_path, monkeypatch, capsys):
+        # a floor just below sigma0: a first failure underflows at t = 1, a
+        # first success lives to the budget of 2; no trial can escape that soon
+        monkeypatch.setattr("saddle_es.es._SIGMA_MIN", 0.000999)
+        code = run_cli("escape", "--a=-1,100", "--b=1", "--sigma0=0.001", "--trials=10",
+                       "--budget=2", "--seed=5", "--threads=1", f"--stats-out={tmp_path}/e.json",
+                       f"--survival-out={tmp_path}/e.csv")
+        assert code == EXIT_UNDERFLOW
+        spec = EscapeExperimentSpec(SaddleProblem(a=[-1.0, 100.0], b=1), EsParams(),
+                                    sigma_tilde0=0.001, trials=10, budget=2, master_seed=5)
+        expected = []
+        for k in range(spec.trials):
+            # each named stream replays its trial
+            (reason,), (t,) = escape_times(spec.problem, EsParams(max_iters=2),
+                                           spec.initial_state(), [task_rng(5, "trial", k)])
+            expected.append(f'escape: trial {k} reason={reason} t={t}; replay its stream with '
+                            f'task_rng(5, "trial", {k})')
+        assert capsys.readouterr().err.splitlines() == expected
+        assert {line.split()[3] for line in expected} == {"reason=budget", "reason=underflow"}
+        stats = json.loads((tmp_path / "e.json").read_text())
+        assert stats["n_underflow"] + stats["n_censored"] == 10
 
     def test_shell_start_with_negative_f_is_config_error(self, tmp_path, capsys):
         code = run_cli("escape", "--a=-1,20", "--b=1", "--w0=1", "--trials=20",
@@ -403,6 +426,15 @@ class TestConstantsCommand:
         assert record["C"] > 0.0
         assert record["theta"] > 0.0
         assert record["seed"] == 11
+
+    def test_record_bytes_are_pinned(self, tmp_path):
+        # numpy 2.4 streams; B1 and B2 are derived from alpha, and the record
+        # keeps the bytes it had when they were stored fields
+        assert run_cli("constants", "--a=-1,20", "--b=1", "--n=20000", "--w-values=0,0.5,1",
+                       "--sigma-grid-points=12", "--seed=0", "--threads=1",
+                       f"--constants-out={tmp_path}/c.json") == EXIT_OK
+        assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() == \
+            "2946beaf871dca45b8141674cbca5babed9b1943c2a694d52c4cf62449a19ab0"
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ("constants", "--a=-1,20", "--b=1", "--n=3000", "--seed=11",
@@ -541,6 +573,13 @@ class TestPairingCommand:
         assert record["total_violations"] == 0
         assert len(record["results"]) == 3
 
+    def test_report_bytes_are_pinned(self, tmp_path):
+        # numpy 2.4 streams; the radius 10 finds no pair, so min_margin is "inf"
+        assert run_cli("pairing", "--a=-1,20", "--b=1", "--w=0.5", "--n=1000", "--seed=0",
+                       f"--out={tmp_path}/pair.json") == EXIT_OK
+        assert hashlib.sha256((tmp_path / "pair.json").read_bytes()).hexdigest() == \
+            "40f9d242e476a950cbb4a0f29f8e61187c3b0d823443135370b4e7456c3f6b2f"
+
 
 class TestOutputPaths:
     # each output option, with a small argv of its command
@@ -565,6 +604,24 @@ class TestOutputPaths:
         assert run_cli(command, "--b=1", *args, f"--{key}={missing}/result") == EXIT_CONFIG
         assert capsys.readouterr().err == f"error: --{key}: no such directory {str(missing)!r}\n"
         assert os.listdir(tmp_path) == []
+
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    @pytest.mark.parametrize("command, key, args", CASES)
+    def test_empty_path_is_config_error_before_any_output(self, command, key, args, source,
+                                                          tmp_path, monkeypatch, capsys):
+        # checked with the other options: no command runs, so no other output
+        # (a default path in the working directory) is written
+        work = tmp_path / "work"
+        work.mkdir()
+        monkeypatch.chdir(work)
+        if source == "flag":
+            given = [f"--{key}="]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps({key: ""}))
+            given = [f"--config={tmp_path}/cfg.json"]
+        assert run_cli(command, "--b=1", *args, *given) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: --{key}: expected a file path, got ''\n"
+        assert os.listdir(work) == []
 
     def test_directory_is_config_error(self, tmp_path, capsys):
         code = run_cli("pairing", "--a=-1,20", "--b=1", "--w=0.9", "--n=1000", f"--out={tmp_path}")

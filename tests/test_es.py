@@ -533,7 +533,9 @@ class TestEscapeTimes:
     def test_experiment_digest(self, a, trials, expected):
         stats = run_escape_experiment(EscapeExperimentSpec(problem(a), EsParams(), trials=trials,
                                                            master_seed=5))
-        assert digest(stats.statuses, stats.times) == expected
+        # the digests were pinned on the words escaped, censored and underflow
+        words = {TARGET: "escaped", BUDGET: "censored", UNDERFLOW: "underflow"}
+        assert digest([words[r] for r in stats.reasons], stats.times) == expected
 
     def test_grouped_digest(self, monkeypatch):
         # run is no reference for a grouped problem.  Batches of three; target,

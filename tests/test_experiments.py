@@ -33,7 +33,7 @@ from saddle_es import (
 )
 from saddle_es.es import TARGET, UNDERFLOW, _batch_trials
 from saddle_es.estimators import _drifts, _increment
-from saddle_es.experiments import ESCAPED, _quantile, _survival
+from saddle_es.experiments import _quantile, _survival
 from saddle_es.serialize import drift_map_to_csv
 from saddle_es.tasks import _map_tasks, _usable_cpus
 
@@ -129,7 +129,7 @@ class TestEscapeExperiment:
         s1 = run_escape_experiment(s)
         s2 = run_escape_experiment(s)
         assert s1.times.tolist() == s2.times.tolist()
-        assert s1.statuses == s2.statuses
+        assert s1.reasons == s2.reasons
         assert s1.to_dict() == s2.to_dict()
 
     def test_threads_do_not_change_results(self):
@@ -137,7 +137,7 @@ class TestEscapeExperiment:
         seq = run_escape_experiment(s, threads=1)
         par = run_escape_experiment(s, threads=2)
         assert seq.times.tolist() == par.times.tolist()
-        assert seq.statuses == par.statuses
+        assert seq.reasons == par.reasons
 
     def test_master_seeds_give_distinct_escape_times(self):
         times = {tuple(np.sort(run_escape_experiment(
@@ -166,7 +166,7 @@ class TestEscapeExperiment:
 
     def test_quantiles_are_numpy_quantiles_of_escaped_times(self):
         stats = run_escape_experiment(spec(a=(-1.0, 100.0), trials=300, budget=20))
-        escaped = stats.times[np.array(stats.statuses) == ESCAPED]
+        escaped = stats.times[np.array(stats.reasons) == TARGET]
         assert stats.n_censored > 0 and escaped.size == stats.n_escaped
         # the sample tells the 0.99 quantile from the 0.999 one
         assert np.quantile(escaped, 0.99) != np.quantile(escaped, 0.999)
@@ -175,22 +175,17 @@ class TestEscapeExperiment:
 
 
 def run_per_trial(s):
-    """(status, time) of each trial from its own ``run``, as escape trials ran
+    """(reason, time) of each trial from its own ``run``, as escape trials ran
     before the batched engine."""
     params = replace(s.params, max_iters=s.budget)
-    out = []
-    for k in range(s.trials):
-        trace = run(s.problem, params, s.initial_state(), task_rng(s.master_seed, "trial", k),
-                    record_every=0)
-        out.append({TARGET: ("escaped", trace.t_escape),
-                    UNDERFLOW: ("underflow", trace.t_final),
-                    BUDGET: ("censored", s.budget)}[trace.reason])
-    return out
+    traces = [run(s.problem, params, s.initial_state(), task_rng(s.master_seed, "trial", k),
+                  record_every=0) for k in range(s.trials)]
+    return [(trace.reason, trace.t_final) for trace in traces]
 
 
 def batched(s, threads=1):
     stats = run_escape_experiment(s, threads=threads)
-    return list(zip(stats.statuses, stats.times.tolist()))
+    return list(zip(stats.reasons, stats.times.tolist()))
 
 
 class TestEngineMatchesRun:
@@ -209,18 +204,18 @@ class TestEngineMatchesRun:
         s = spec((-1.0, 100.0), sigma_tilde0=1e-3, budget=5, trials=200)
         result = batched(s)
         assert result == run_per_trial(s)
-        assert {status for status, _ in result} == {"censored"}
+        assert {reason for reason, _ in result} == {BUDGET}
 
     def test_underflow(self, monkeypatch):
         monkeypatch.setattr(saddle_es.es, "_SIGMA_MIN", 0.5)
         s = spec((-1.0, 1.0), params=EsParams(alpha=1.5), sigma_tilde0=0.55, trials=300)
         result = batched(s)
         assert result == run_per_trial(s)
-        assert {status for status, _ in result} == {"escaped", "underflow"}
+        assert {reason for reason, _ in result} == {TARGET, UNDERFLOW}
 
     def test_start_inside_negative_region(self):
         s = spec(w0=1.2, trials=20)
-        assert batched(s) == run_per_trial(s) == [("escaped", 0)] * 20
+        assert batched(s) == run_per_trial(s) == [(TARGET, 0)] * 20
 
     def test_d100(self):
         # distinct coefficients: no axis group is lumped into a radius
@@ -243,12 +238,12 @@ class TestEngineMatchesRun:
         for k in range(s.trials):
             reasons, times = escape_times(s.problem, params, s.initial_state(),
                                           [task_rng(s.master_seed, "trial", k)])
-            assert ({TARGET: ESCAPED}[reasons[0]], times[0]) == (stats.statuses[k],
-                                                                  stats.times[k])
+            assert (reasons[0], times[0]) == (stats.reasons[k], stats.times[k])
+        assert set(stats.reasons) == {TARGET}
         if sigma0 < 1.0:
             assert stats.times.min() > 64
         monkeypatch.setattr(saddle_es.es, "_batch_trials", lambda width: 3)
-        assert batched(s, threads) == list(zip(stats.statuses, stats.times.tolist()))
+        assert batched(s, threads) == list(zip(stats.reasons, stats.times.tolist()))
         assert batched(s) != run_per_trial(s)
 
     def test_threads_with_partial_batch(self):
@@ -260,7 +255,7 @@ class TestEngineMatchesRun:
             one = run_escape_experiment(s, threads=1)
             for threads in (2, 3):
                 split = run_escape_experiment(s, threads=threads)
-                assert split.statuses == one.statuses
+                assert split.reasons == one.reasons
                 assert split.times.tolist() == one.times.tolist()
                 assert split.to_dict() == one.to_dict()
                 assert split.survival_t.tolist() == one.survival_t.tolist()
