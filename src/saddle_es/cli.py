@@ -19,6 +19,9 @@ Exit codes: 0 success / criteria met, 1 configuration error or failed write (an
 empty output path or one in a missing directory is rejected before any work), 2
 criterion not met (censored run, nonpositive interval, pairing violation), 3
 step-size underflow, 4 constants estimation failure.
+
+Every JSON record names its command, problem, master seed and stream generator;
+``_record`` writes them, and the library's result types hold results only.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, es
 from .es import (
     BUDGET,
     GENERATOR_NAME,
@@ -224,8 +227,10 @@ _COMMANDS = {
 
 
 def _load_config(ns) -> dict:
-    if not ns.config:
+    if ns.config is None:
         return {}
+    if not ns.config:
+        raise ConfigError("--config: expected a file path, got ''")
     try:
         with open(ns.config, "r", encoding="utf-8") as fh:
             config = json.load(fh)
@@ -290,6 +295,13 @@ def _grid(ns) -> GridSpec:
                     sigma_values=np.geomspace(**axis))
 
 
+def _record(ns, path, fields: dict) -> None:
+    """Write a command's JSON record: its own ``fields`` plus the provenance
+    that every record holds, written here and nowhere else."""
+    write_json(path, {**fields, "command": ns.command, "problem": ns.problem.to_dict(),
+                      "seed": ns.seed, "generator": GENERATOR_NAME})
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
@@ -300,10 +312,15 @@ def cmd_run(ns) -> int:
     trace = run(ns.problem, params, EsState(m=np.asarray(ns.m0), sigma=ns.sigma0), rng,
                 record_every=ns.record_every)
     trace_to_csv(trace, ns.trace_out)
-    summary = trace.summary_dict(seed=ns.seed, params=params, problem=ns.problem)
-    summary.update(command="run", m0=ns.m0, sigma0=ns.sigma0, record_every=ns.record_every)
-    write_json(ns.summary_out, summary)
-    print(f"run: reason={trace.reason} t={trace.t_final} f={trace.records[-1].f_value!r} "
+    final = trace.records[-1]
+    _record(ns, ns.summary_out, {
+        "reason": trace.reason, "t_final": trace.t_final, "t_escape": trace.t_escape,
+        "f_final": final.f_value, "sigma_final": final.sigma,
+        "n_accepts": trace.n_accepts, "n_rejects": trace.n_rejects,
+        "params": {"alpha": params.alpha, "max_iters": params.max_iters,
+                   "sigma_min": es._SIGMA_MIN},
+        "m0": ns.m0, "sigma0": ns.sigma0, "record_every": ns.record_every})
+    print(f"run: reason={trace.reason} t={trace.t_final} f={final.f_value!r} "
           f"-> {ns.trace_out}, {ns.summary_out}")
     return _EXIT[trace.reason]
 
@@ -313,10 +330,9 @@ def cmd_escape(ns) -> int:
         problem=ns.problem, params=EsParams(**_given(alpha=ns.alpha)), master_seed=ns.seed,
         **_given(w0=ns.w0, sigma_tilde0=ns.sigma0, trials=ns.trials, budget=ns.budget))
     stats = run_escape_experiment(spec, threads=ns.threads)
-    payload = stats.to_dict()
-    payload.update(command="escape", problem=ns.problem.to_dict(), alpha=spec.params.alpha,
-                   w0=spec.w0, sigma0=spec.sigma_tilde0)
-    write_json(ns.stats_out, payload)
+    _record(ns, ns.stats_out, {**stats.to_dict(), "budget": spec.budget,
+                               "alpha": spec.params.alpha, "w0": spec.w0,
+                               "sigma0": spec.sigma_tilde0})
     survival_to_csv(stats, ns.survival_out)
     print(f"escape: escaped={stats.n_escaped}/{stats.trials} censored={stats.n_censored} "
           f"underflow={stats.n_underflow} -> {ns.stats_out}, {ns.survival_out}")
@@ -354,10 +370,7 @@ def cmd_constants(ns) -> int:
     except ConstantsEstimationError as exc:
         print(f"constants estimation failed: {exc}", file=sys.stderr)
         return EXIT_CONSTANTS
-    payload = constants.to_dict()
-    payload.update(command="constants", problem=ns.problem.to_dict(), n=ns.n,
-                   generator=GENERATOR_NAME)
-    write_json(ns.constants_out, payload)
+    _record(ns, ns.constants_out, {**constants.to_dict(), "n": ns.n})
     print(f"constants: C={constants.C!r} theta={constants.theta!r} -> {ns.constants_out}")
     return EXIT_OK
 
@@ -365,8 +378,7 @@ def cmd_constants(ns) -> int:
 def cmd_succ_prob(ns) -> int:
     problem = ns.problem
     rng = np.random.default_rng(ns.seed)
-    payload = {"command": "succ-prob", "problem": problem.to_dict(), "n": ns.n,
-               "seed": ns.seed, "generator": GENERATOR_NAME}
+    payload = {"n": ns.n}
     if ns.at_saddle:
         if ns.w is not None or ns.sigma is not None:
             raise ConfigError("succ-prob takes --w and --sigma or --at-saddle, not both")
@@ -387,7 +399,7 @@ def cmd_succ_prob(ns) -> int:
     payload.update({"estimate": est.mean, "stderr": est.stderr,
                     "ci_low": est.ci_low, "ci_high": est.ci_high,
                     "confidence": CONFIDENCE})
-    write_json(ns.out, payload)
+    _record(ns, ns.out, payload)
     print(f"succ-prob: estimate={est.mean!r} stderr={est.stderr!r} -> {ns.out}")
     return EXIT_OK
 
@@ -400,10 +412,8 @@ def cmd_pairing(ns) -> int:
         results.append({"radius": radius, "violations": report.violations,
                         "min_margin": report.min_margin, "n_pairs": report.n_pairs})
     total = sum(r["violations"] for r in results)
-    write_json(ns.out, {"command": "pairing", "problem": ns.problem.to_dict(), "w": ns.w,
-                        "n": ns.n, "seed": ns.seed, "generator": GENERATOR_NAME,
-                        "epsilon": PAIRING_EPSILON, "results": results,
-                        "total_violations": total})
+    _record(ns, ns.out, {"w": ns.w, "n": ns.n, "epsilon": PAIRING_EPSILON, "results": results,
+                         "total_violations": total})
     print(f"pairing: w={ns.w} radii={ns.radii} violations={total} -> {ns.out}")
     return EXIT_OK if total == 0 else EXIT_CRITERION
 

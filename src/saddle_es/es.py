@@ -137,7 +137,6 @@ class RunTrace:
 
     records: list
     reason: str
-    final_state: EsState
     t_escape: Optional[int]
     n_accepts: int
     n_rejects: int
@@ -146,21 +145,9 @@ class RunTrace:
     def t_final(self) -> int:
         return self.records[-1].t
 
-    def summary_dict(self, seed: int, params: EsParams, problem: SaddleProblem) -> dict:
-        return {
-            "generator": GENERATOR_NAME,
-            "seed": seed,
-            "reason": self.reason,
-            "t_final": int(self.t_final),
-            "t_escape": None if self.t_escape is None else int(self.t_escape),
-            "f_final": float(self.records[-1].f_value),
-            "sigma_final": float(self.final_state.sigma),
-            "n_accepts": int(self.n_accepts),
-            "n_rejects": int(self.n_rejects),
-            "params": {"alpha": params.alpha, "max_iters": params.max_iters,
-                       "sigma_min": _SIGMA_MIN},
-            "problem": problem.to_dict(),
-        }
+    @property
+    def final_state(self) -> EsState:
+        return EsState(m=self.records[-1].m, sigma=self.records[-1].sigma)
 
 
 def _check_start(problem: SaddleProblem, init: EsState) -> float:
@@ -255,8 +242,8 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
 
     if records[-1].t != t:
         records.append(TraceRecord(t, m.copy(), sigma, fm, last_accepted))
-    return RunTrace(records=records, reason=reason, final_state=EsState(m=m, sigma=sigma),
-                    t_escape=t_escape, n_accepts=n_accepts, n_rejects=n_rejects)
+    return RunTrace(records=records, reason=reason, t_escape=t_escape, n_accepts=n_accepts,
+                    n_rejects=n_rejects)
 
 
 def _lumped(problem: SaddleProblem, m: np.ndarray):

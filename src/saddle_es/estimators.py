@@ -527,7 +527,6 @@ class DriftConstants:
     C: float
     sigma_tilde_40: float
     sigma_tilde_star: float
-    seed: int | None = None
 
     def __post_init__(self):
         if not (self.B1 < 0.0 < self.B2):
@@ -557,7 +556,7 @@ class DriftConstants:
             "sigma_tilde_40": self.sigma_tilde_40,
             "sigma_tilde_star": self.sigma_tilde_star,
             "beta": self.beta, "theta": self.theta,
-            "confidence": CONFIDENCE, "seed": self.seed,
+            "confidence": CONFIDENCE,
         }
 
 
@@ -652,7 +651,7 @@ def estimate_constants_report(problem: SaddleProblem, params: EsParams,
             f"W-drift lower bound {c:.3g} is not positive at confidence {CONFIDENCE}; increase "
             f"n.  Lowest at {_describe_point(w_all[worst], master_seed, *divmod(worst, n_sigma))}")
     constants = DriftConstants(alpha=alpha, C=c, sigma_tilde_40=sigma_tilde_40,
-                               sigma_tilde_star=sigma_tilde_star, seed=master_seed)
+                               sigma_tilde_star=sigma_tilde_star)
     return ConstantsReport(constants=constants, sigma_40_by_w=sigma_40_by_w,
                            v_map=v_map, w_map=w_map)
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .es import BUDGET, GENERATOR_NAME, TARGET, UNDERFLOW, EsParams, EsState, escape_times
+from .es import BUDGET, TARGET, UNDERFLOW, EsParams, EsState, escape_times
 from .estimators import GridPointEstimate, GridSpec, _grid_row, _increment
 from .normalization import _shell_point
 from .objective import SaddleProblem
@@ -112,9 +112,10 @@ class HittingTimeStats:
     survival_t: np.ndarray
     survival_s: np.ndarray
     tail: Optional[TailFit]
-    trials: int
-    budget: int
-    master_seed: int
+
+    @property
+    def trials(self) -> int:
+        return len(self.reasons)
 
     @property
     def escape_fraction(self) -> float:
@@ -134,10 +135,7 @@ class HittingTimeStats:
 
     def to_dict(self) -> dict:
         return {
-            "generator": GENERATOR_NAME,
-            "seed": self.master_seed,
             "trials": self.trials,
-            "budget": self.budget,
             "n_escaped": self.n_escaped,
             "n_censored": self.n_censored,
             "n_underflow": self.n_underflow,
@@ -231,9 +229,7 @@ def run_escape_experiment(spec: EscapeExperimentSpec, threads: int = 1) -> Hitti
     return HittingTimeStats(reasons=reasons, times=times, n_escaped=escaped.size,
                             n_censored=reasons.count(BUDGET),
                             n_underflow=reasons.count(UNDERFLOW), quantiles=quantiles,
-                            survival_t=surv_t, survival_s=surv_s, tail=tail,
-                            trials=spec.trials, budget=spec.budget,
-                            master_seed=spec.master_seed)
+                            survival_t=surv_t, survival_s=surv_s, tail=tail)
 
 
 def drift_map(problem: SaddleProblem, params: EsParams, quantity: str,

@@ -12,6 +12,7 @@ from dataclasses import replace
 
 import numpy as np
 
+from saddle_es import es
 from saddle_es import (
     EscapeExperimentSpec,
     EsParams,
@@ -355,3 +356,64 @@ def test_criterion_11_control_off_by_one_chi_square_fails():
         ok &= p < 1e-3
         details.append(f"d={d}: D={dist:.4f} p={p:.3g}")
     report("11 control: an off-by-one chi-square fails the law gate", ok, "; ".join(details))
+
+
+# the small-sigma~ growth law.  At small sigma~ the success rate is 1/2
+# (criterion 4), so ln sigma makes a random walk with steps +ln alpha and
+# -c ln alpha, where alpha**-c (c = es._FAILURE_EXPONENT) is the failure
+# factor; by Wald's identity each decade by which sigma~0 shrinks then adds
+# L(c) = ln 10 / ((1 - c) / 2 ln alpha) iterations to the mean escape time
+GROWTH_STARTS = (1e-3, 1e-6, 1e-9, 1e-12)
+
+
+def growth_law(c: float, alpha: float = 1.5) -> float:
+    return math.log(10.0) / ((1.0 - c) / 2.0 * math.log(alpha))
+
+
+def growth_slope(a, starts, trials: int, budget: int, seed: int) -> tuple:
+    """Least-squares slope of the mean escape time against log10(1 / sigma~0)
+    over ``starts``, each start from w0 = 0 on its own master seed, and its
+    standard error from the per-start sample variances; also the number of
+    trials that did not escape."""
+    x, means, variances, failed = [], [], [], 0
+    for i, sigma0 in enumerate(starts):
+        stats = run_escape_experiment(EscapeExperimentSpec(
+            problem=make(a), params=EsParams(alpha=1.5), w0=0.0, sigma_tilde0=sigma0,
+            trials=trials, budget=budget, master_seed=seed + i))
+        x.append(-math.log10(sigma0))
+        means.append(stats.times.mean())
+        variances.append(stats.times.var(ddof=1) / trials)
+        failed += trials - stats.n_escaped
+    dx = np.array(x) - np.mean(x)
+    sxx = float(dx @ dx)
+    return float(dx @ np.array(means)) / sxx, math.sqrt(dx ** 2 @ np.array(variances)) / sxx, failed
+
+
+def test_criterion_12_small_sigma_growth_law(monkeypatch):
+    t0 = time.perf_counter()
+    ok = True
+    details = []
+    for ci, c in enumerate((0.25, 0.5, 0.75)):
+        monkeypatch.setattr(es, "_FAILURE_EXPONENT", c)
+        for ai, a in enumerate([(-1.0, 20.0), (-1.0, 100.0)]):
+            slope, se, failed = growth_slope(a, GROWTH_STARTS, 1000, 1_000_000,
+                                             MASTER_SEED ^ (12000 + 100 * ci + 10 * ai))
+            z = (slope - growth_law(c)) / se
+            ok &= failed == 0 and abs(z) <= 3.0
+            details.append(f"c={c} a2={a[1]:g}: {slope:.2f}+-{se:.2f} (L={growth_law(c):.2f}, "
+                           f"z={z:+.2f}, failed={failed})")
+    report("12 small-sigma~ growth law (6 configs x 4 starts x 1000 trials)", ok,
+           "; ".join(details) + f" elapsed={time.perf_counter() - t0:.1f}s")
+
+
+def test_criterion_12_control_null_drift_fails(monkeypatch):
+    # at c = 1 the walk of ln sigma has no drift and escape times grow far
+    # faster than L(1/4) per decade; the budget censors some trials, which
+    # only holds the slope down
+    monkeypatch.setattr(es, "_FAILURE_EXPONENT", 1.0)
+    slope, se, failed = growth_slope((-1.0, 20.0), (1e-3, 1e-6), 300, 5000,
+                                     MASTER_SEED ^ 12900)
+    z = (slope - growth_law(0.25)) / se
+    report("12 control: a null step-size drift fails the growth-law gate", abs(z) > 3.0,
+           f"c=1.0 a2=20: {slope:.1f}+-{se:.1f} per decade (L(1/4)={growth_law(0.25):.2f}, "
+           f"z={z:+.2f}, failed={failed})")

@@ -59,6 +59,14 @@ class TestRunCommand:
         assert summary["t_escape"] is not None
         assert summary["params"]["sigma_min"] == 1e-300
 
+    def test_summary_bytes_are_pinned(self, tmp_path):
+        # numpy 2.4 streams; the summary keeps its bytes whichever module builds it
+        assert run_cli("run", "--a=-1,20", "--b=1", "--m0=0.1,1", "--sigma0=0.5", "--seed=0",
+                       f"--trace-out={tmp_path}/t.csv",
+                       f"--summary-out={tmp_path}/s.json") == EXIT_OK
+        assert hashlib.sha256((tmp_path / "s.json").read_bytes()).hexdigest() == \
+            "a6b8010ed45c1c1a941175eaa72bef7ac63862a77cd01debf674649b4d0de012"
+
     def test_trace_csv_columns(self, tmp_path):
         run_cli("run", "--a=-1,20", "--b=1", "--m0=0,0.5", "--sigma0=0.5",
                 "--budget=1000", "--seed=1", "--record-every=1",
@@ -174,6 +182,14 @@ class TestConfigHandling:
         assert capsys.readouterr().err.startswith("error: --w: expected a finite number")
         assert not (tmp_path / "p.json").exists()
 
+    def test_empty_config_path_is_config_error_before_any_work(self, tmp_path, monkeypatch,
+                                                                capsys):
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("run", "--config=", "--a=-1,1", "--b=1", "--m0=0,1",
+                       "--sigma0=1") == EXIT_CONFIG
+        assert capsys.readouterr().err == "error: --config: expected a file path, got ''\n"
+        assert os.listdir(tmp_path) == []
+
     def test_unknown_config_key_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"a": [-1.0, 1.0], "b": 1, "m0": [0.0, 1.0],
@@ -269,6 +285,15 @@ class TestEscapeCommand:
         assert stats["n_underflow"] == 0
         assert stats["tail"]["s_range"] == [0.01, 0.5]
         assert (tmp_path / "e.csv").read_text().splitlines()[0] == "t,S"
+
+    def test_stats_bytes_are_pinned(self, tmp_path):
+        # numpy 2.4 streams; the record keeps its bytes whichever module writes
+        # its provenance
+        assert run_cli("escape", "--a=-1,20", "--b=1", "--trials=200", "--seed=0",
+                       "--threads=1", f"--stats-out={tmp_path}/e.json",
+                       f"--survival-out={tmp_path}/e.csv") == EXIT_OK
+        assert hashlib.sha256((tmp_path / "e.json").read_bytes()).hexdigest() == \
+            "0b6e61defb825e0ca7859c6d375013acd8f5f6ae03719f9a43ac433e94dadbbb"
 
     def test_budget_one_exits_two(self, tmp_path):
         code = run_cli("escape", "--a=-1,100", "--b=1", "--sigma0=0.001",
@@ -435,6 +460,23 @@ class TestConstantsCommand:
                        f"--constants-out={tmp_path}/c.json") == EXIT_OK
         assert hashlib.sha256((tmp_path / "c.json").read_bytes()).hexdigest() == \
             "2946beaf871dca45b8141674cbca5babed9b1943c2a694d52c4cf62449a19ab0"
+
+    def test_json_record_keys(self, tmp_path):
+        assert run_cli("constants", "--a=-1,20", "--b=1", "--n=3000", "--seed=33",
+                       "--w-values=0,0.5,1", "--sigma-grid-points=12",
+                       f"--constants-out={tmp_path}/c.json") == EXIT_OK
+        assert set(json.loads((tmp_path / "c.json").read_text())) == {
+            "alpha", "B1", "B2", "C", "sigma_tilde_40", "sigma_tilde_star", "beta", "theta",
+            "confidence", "n", "command", "problem", "seed", "generator", "schema"}
+
+    def test_result_types_hold_no_provenance(self):
+        # cli._record alone writes a record's command, problem, seed and generator
+        stats = run_escape_experiment(EscapeExperimentSpec(
+            SaddleProblem(a=[-1.0, 20.0], b=1), EsParams(), trials=10, master_seed=5))
+        constants = saddle_es.DriftConstants(alpha=1.5, C=0.1, sigma_tilde_40=0.3,
+                                             sigma_tilde_star=0.5)
+        for record in (stats.to_dict(), constants.to_dict()):
+            assert not {"command", "problem", "seed", "generator"} & set(record)
 
     def test_rerun_is_byte_identical(self, tmp_path):
         args = ("constants", "--a=-1,20", "--b=1", "--n=3000", "--seed=11",

@@ -699,14 +699,6 @@ class TestConstants:
         assert rep.sigma_40_by_w == crossings
         assert rep.constants.sigma_tilde_40 == 0.002
 
-    def test_json_record_keys(self):
-        p = problem((-1.0, 20.0))
-        c = estimate_constants_report(p, EsParams(alpha=1.5), grid=self.SMALL_GRID,
-                                      n=3000, master_seed=33).constants
-        assert set(c.to_dict()) == {"alpha", "B1", "B2", "C", "sigma_tilde_40",
-                                    "sigma_tilde_star", "beta", "theta",
-                                    "confidence", "seed"}
-
 
 class TestPairing:
     def test_worked_example(self):
