@@ -26,7 +26,6 @@ from .estimators import (
     StepSamples,
     closed_form_b1,
     closed_form_b2,
-    derive_beta_theta,
     drift_w,
     estimate_constants_report,
     one_step_samples,

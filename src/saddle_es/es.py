@@ -9,8 +9,9 @@ success rate.
 Randomness contract: streams are ``numpy.random.Generator`` instances (use
 ``numpy.random.default_rng(seed)``, i.e. PCG64).  Every iteration of ``run``
 consumes exactly d standard normal draws in component order 1..d; ``run``
-prefetches them in blocks, and the values used for iteration t are always the
-same d normals regardless of the block size.
+draws them on the refill schedule of ``escape_times`` (``_rows``: 8, 8, 16,
+32, then 64 iterations, never past the budget), and the values used for
+iteration t are always the same d normals regardless of the block size.
 
 ``escape_times`` runs the lumped chain of the same ES.  Axes with one
 coefficient form a group (``objective._groups``); f depends on a group of k
@@ -24,14 +25,14 @@ normal u of each radius in its group's column, and G chi-square draws
 sqrt((r + sigma u)^2 + sigma^2 chi^2).  ``escape_times`` runs the trials in
 consecutive batches of ``_batch_trials(D + G)``, each batch from t = 0 until
 none of its trials is left and each trial on its own stream.  A batch refills
-at t = 0, 8, 16, 32, 64, 128, ...: each refill covers rows = min(max(t,
-``_REFILL``), ``_REFILL_MAX``, budget - t) iterations, and a trial's stream
-gives a (rows, D) block of normals and then, if G > 0, a (rows, G) block of
-gammas.  The schedule depends on t and the budget only, so a trial's result
-does not depend on the trials beside it.  With all coefficients distinct, G =
-0, the reduced state is the mean, no gamma is drawn, a trial reads its normals
-in order whatever the block size, and each trial ends exactly as ``run`` ends
-on its stream; otherwise the two agree in law only, and a trial is replayed by
+at t = 0, 8, 16, 32, 64, 128, ...: each refill covers rows = ``_rows(t,
+budget)`` iterations, doubling from ``_REFILL`` to ``_REFILL_MAX`` and never
+past the budget, and a trial's stream gives a (rows, D) block of normals and
+then, if G > 0, a (rows, G) block of gammas.  The schedule depends on t and
+the budget only, so a trial's result does not depend on the trials beside it.
+With all coefficients distinct, G = 0, the reduced state is the mean, no gamma
+is drawn, a trial reads its normals in order whatever the block size, and each
+trial ends exactly as ``run`` ends on its stream; otherwise the two agree in law only, and a trial is replayed by
 ``escape_times`` on its one stream.  f is ``objective._f``, the one sum behind
 ``SaddleProblem.evaluate`` and both semi-norms, whose bits for a point do not
 depend on its batch.
@@ -64,19 +65,21 @@ _SIGMA_MIN = 1e-300
 # keeps a success from carrying the step size past the float range (see ``run``)
 _ALPHA_MAX = 1e100
 
-_BLOCK = 256
-
 # the most normals a one-step block in ``estimators`` may hold; an escape batch
 # buffers at most _REFILL_MAX / _REFILL = 8 times as many draws
 _NORMALS = 1 << 16
 
-# escape_times refills each live trial of a batch at its iteration count t with
-# rows = min(max(t, _REFILL), _REFILL_MAX, budget - t) iterations of `width` =
-# D + G draws each, so rows double from _REFILL to _REFILL_MAX: one refill per
-# doubling and then one per _REFILL_MAX iterations, where an ended trial waits
-# up to _REFILL_MAX - 1 frozen steps to leave
+# run and each live trial of an escape_times batch refill at iteration count t
+# with ``_rows(t, budget)`` iterations of draws, so rows double from _REFILL to
+# _REFILL_MAX: one refill per doubling and then one per _REFILL_MAX iterations,
+# where an ended escape trial waits up to _REFILL_MAX - 1 frozen steps to leave
 _REFILL = 8
 _REFILL_MAX = 64
+
+
+def _rows(t: int, budget: int) -> int:
+    """Iterations of draws in the refill at iteration count t < budget."""
+    return min(max(t, _REFILL), _REFILL_MAX, budget - t)
 
 
 def _batch_trials(width: int) -> int:
@@ -203,7 +206,7 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
 
     dec = params.alpha ** -_FAILURE_EXPONENT
     buf = None
-    k = _BLOCK
+    k = rows = 0
 
     while True:
         if stop and fm < 0.0:
@@ -215,8 +218,9 @@ def run(problem: SaddleProblem, params: EsParams, init: EsState,
         if t >= params.max_iters:
             reason = BUDGET
             break
-        if k >= _BLOCK:
-            buf = rng.standard_normal((_BLOCK, d))
+        if k == rows:
+            rows = _rows(t, params.max_iters)
+            buf = rng.standard_normal((rows, d))
             k = 0
         x = m + sigma * buf[k]
         k += 1
@@ -308,7 +312,7 @@ def escape_times(problem: SaddleProblem, params: EsParams, init: EsState,
         fm = np.full(trial.size, f0)
         t = 0
         while streams:
-            rows = min(max(t, _REFILL), _REFILL_MAX, params.max_iters - t)
+            rows = _rows(t, params.max_iters)
             z, c = buf[:len(streams), :rows], chi[:len(streams), :rows]
             # indexed, so that no loop variable holds a stream past its batch
             for i, block in enumerate(z):

@@ -40,7 +40,7 @@ import numpy as np
 from . import es
 from .es import _NORMALS, EsParams, EsState
 from .normalization import sample_M_plus_0
-from .objective import SaddleProblem
+from .objective import SaddleProblem, _f
 from .tasks import _map_tasks, _replay_hint, task_rng
 
 # the level of every interval, and the tolerance of the pairing inequality: the
@@ -237,7 +237,8 @@ def _norms(x: np.ndarray, halves: tuple, sigma: float) -> tuple:
     def norm(rest, coords):
         # sqrt(sigma**2 R + sum |a_j| (m_j + sigma z_j)**2): no term is negative,
         # so nothing cancels where the semi-norm is small
-        square = None if rest is None else np.multiply(x[rest], sigma * sigma)
+        # np.square flags an overflow where sigma * sigma would be a silent inf
+        square = None if rest is None else np.multiply(x[rest], np.square(sigma))
         for a_j, m_j, j in coords:
             step = np.multiply(x[j], sigma)
             step += m_j
@@ -324,12 +325,14 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, state: EsState,
 
 
 def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigmas: list,
-            n: int, rng: np.random.Generator, increments: tuple) -> list:
+            n: int, rng: np.random.Generator, increments: tuple, replay: str = "") -> list:
     """(hit count, [estimate of each increment]) at each ascending step size of
     ``sigmas``, all from the same n draws.  Per block, ``_slices`` orders the
     samples so those accepted at each step size are one slice; a point sums
     its accepted samples' increments in that order and merges the block's
-    rejections as (count, constant, 0)."""
+    rejections as (count, constant, 0).  A float overflow raises a ValueError
+    that names w and sigma~, and ``replay``, the words that name ``rng``, with
+    the sigma index."""
     if n < 1000:
         raise ValueError("drift estimation needs n >= 1000 samples")
     w0 = float(problem.norm_minus(m_tilde))
@@ -344,12 +347,21 @@ def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigma
         # blocks would be alive at the draw, when memory peaks
         x = x.take(order, axis=1)
         g2 = q = order = None
-        for k, (sigma, start, stop) in enumerate(zip(sigmas, starts, stops)):
-            step = (*_norms(x[:, start:stop], halves, sigma), w0, params.alpha)
-            hits[k] += stop - start
-            moments[k] = [_merge(_merge(m, (c - stop + start, rejected, 0.0)), _moments(values))
-                          for m, (rejected, values) in zip(moments[k],
-                                                           [inc(*step) for inc in increments])]
+        # an overflowed semi-norm would read as a capped or nan increment; one
+        # errstate per block, not per sigma~
+        try:
+            with np.errstate(over="raise"):
+                for k, (sigma, start, stop) in enumerate(zip(sigmas, starts, stops)):
+                    step = (*_norms(x[:, start:stop], halves, sigma), w0, params.alpha)
+                    hits[k] += stop - start
+                    moments[k] = [
+                        _merge(_merge(m, (c - stop + start, rejected, 0.0)), _moments(values))
+                        for m, (rejected, values) in zip(moments[k],
+                                                         [inc(*step) for inc in increments])]
+        except FloatingPointError:
+            raise ValueError("the one-step increments overflow the float range; lower the top "
+                             f"of the sigma~ grid.  At w={w0!r} sigma~={sigma!r}"
+                             + (f"; {replay} at sigma index {k}" if replay else "")) from None
         x = step = None
     return [(h, [DriftEstimate.from_moments(*m) for m in ms])
             for h, ms in zip(hits, moments)]
@@ -379,8 +391,8 @@ def _v_parts(norm_minus, norm_plus, w0: float, alpha: float) -> tuple:
 def _w_parts(norm_minus, norm_plus, w0: float, alpha: float) -> tuple:
     """(rejection constant, accepted-row values) of the truncated change of W."""
     # W' = norm_minus / norm_plus is +inf where norm_plus is 0: fmin caps the
-    # inf of x / 0 and the nan of 0 / 0 at 1
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # inf of x / 0, the nan of 0 / 0 and an overflowed huge / tiny at 1
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         ratio = np.divide(norm_minus, norm_plus)
     ratio -= w0
     return 0.0, np.fmin(ratio, 1.0, out=ratio)
@@ -389,8 +401,6 @@ def _w_parts(norm_minus, norm_plus, w0: float, alpha: float) -> tuple:
 def _phi_parts(beta: float, *step) -> tuple:
     """Parts of the change of phi = beta * V + W; bound to beta by a partial,
     whose repr, unlike a closure's, shows beta."""
-    if beta == 0.0:
-        return _w_parts(*step)
     (v_rejected, v), (w_rejected, w) = _v_parts(*step), _w_parts(*step)
     return beta * v_rejected + w_rejected, beta * v + w
 
@@ -426,7 +436,8 @@ def _grid_row(problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,
     sigmas = grid.sigma_values.tolist()
     return [(w, s, *point) for s, point in
             zip(sigmas, _drifts(problem, params, sample_M_plus_0(problem, w), sigmas, n,
-                                task_rng(master_seed, "row", i), increments))]
+                                task_rng(master_seed, "row", i), increments,
+                                _replay_hint(master_seed, "row", i)))]
 
 
 def _constants_row(problem: SaddleProblem, params: EsParams, grid: GridSpec, n: int,
@@ -498,13 +509,6 @@ def closed_form_b2(alpha: float) -> float:
     return math.log(alpha) / 20.0
 
 
-def derive_beta_theta(b1: float, b2: float, c: float) -> tuple[float, float]:
-    """beta = -C / (2 B1) and theta = min(beta * B2, C + beta * B1)."""
-    beta = -c / (2.0 * b1)
-    theta = min(beta * b2, c + beta * b1)
-    return beta, theta
-
-
 class ConstantsEstimationError(RuntimeError):
     """The measured drifts do not support positive constants at 99% confidence."""
 
@@ -518,9 +522,10 @@ class DriftConstants:
     sigma_tilde_star; sigma_tilde_40 is the smallest per-mean success-rate
     crossing (inf if never crossed), read exactly off each grid row's success
     curve, with no bisection; sigma_tilde_star is the largest grid sigma~ below
-    which the measured V drift stays above B2 at 99% confidence.  beta and
-    theta are derived from B1, B2 and C (``derive_beta_theta``); B1 < 0 < B2
-    and C > 0 make both positive, with theta = min(beta B2, C / 2).
+    which the measured V drift stays above B2 at 99% confidence.  beta =
+    -C / (2 B1) and theta = min(beta B2, C + beta B1) are derived from B1, B2
+    and C; B1 < 0 < B2 and C > 0 make both positive, with theta = min(beta B2,
+    C / 2).
     """
 
     alpha: float
@@ -544,11 +549,11 @@ class DriftConstants:
 
     @property
     def beta(self) -> float:
-        return derive_beta_theta(self.B1, self.B2, self.C)[0]
+        return -self.C / (2.0 * self.B1)
 
     @property
     def theta(self) -> float:
-        return derive_beta_theta(self.B1, self.B2, self.C)[1]
+        return min(self.beta * self.B2, self.C + self.beta * self.B1)
 
     def to_dict(self) -> dict:
         return {
@@ -665,39 +670,17 @@ class PairingReport:
     n_pairs: int
 
 
-def mirror_pair_margins(problem: SaddleProblem, m_tilde: np.ndarray, z):
-    """Pair each row z of a batch (n, d) with its negative-block mirror z'
-    around the mean (z'_minus = 2 m_minus - z_minus, z'_plus = z_plus) and
-    return, per row,
-
-      in_set: W(z) < W(m~), the points whose own contribution is negative,
-      margin: W(z) + W(z') - 2 W(m~).
-
-    W(x) = norm_minus(x)/norm_plus(x), +inf on a zero positive block.
-    """
-    z = np.asarray(z, dtype=float)
-    b = problem.b
-    wm = float(problem.norm_minus(m_tilde))
-
-    def ratio(points):
-        nm = problem.norm_minus(points)
-        npl = problem.norm_plus(points)
-        return np.divide(nm, npl, out=np.full(nm.shape, math.inf), where=npl > 0.0)
-
-    z_mirror = z.copy()
-    z_mirror[..., :b] = 2.0 * np.asarray(m_tilde, dtype=float)[:b] - z[..., :b]
-    ratio_z = ratio(z)
-    in_set = ratio_z < wm
-    margin = ratio_z + ratio(z_mirror) - 2.0 * wm
-    return in_set, margin
-
-
 def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
                   n: int, rng: np.random.Generator) -> PairingReport:
-    """Sample n points uniformly on the sphere of ``radius`` around the mean,
+    """Sample n points z uniformly on the sphere of ``radius`` around the mean,
     keep the successful ones (f(z) <= f(m~)) whose own W contribution is
-    negative, and verify that each mirror pair's combined contribution is
-    >= -PAIRING_EPSILON.
+    negative (W(z) < W(m~)), and verify that each one's mirror pair has a
+    combined contribution, margin W(z) + W(z') - 2 W(m~), of at least
+    -PAIRING_EPSILON.  The mirror z' reflects z's negative block through the
+    mean's (z'_minus = 2 m_minus - z_minus, z'_plus = z_plus), and W(x) =
+    norm_minus(x) / norm_plus(x) is +inf on a zero positive block.  Each block
+    of draws is squared once: f(z), both semi-norms of z and the mirror's
+    norm_minus come from those squares.
 
     Both filters matter: success plus W(z) < W(m~) force norm_plus(z) <= 1,
     which is what makes the combined contribution nonnegative.  Unsuccessful
@@ -708,7 +691,9 @@ def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
     if n < 1:
         raise ValueError("need at least one sample")
     m_tilde = np.asarray(m_tilde, dtype=float)
+    a, b = problem.a, problem.b
     fm = problem.evaluate(m_tilde)
+    wm = float(problem.norm_minus(m_tilde))
     violations = 0
     min_margin = math.inf
     n_pairs = 0
@@ -719,8 +704,14 @@ def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
         # the strict in-set test excludes anyway
         u /= np.where(norms > 0.0, norms, 1.0)[:, None]
         z = m_tilde + radius * u
-        in_set, margin = mirror_pair_margins(problem, m_tilde, z)
-        margins = margin[in_set & (problem.evaluate(z) <= fm)]
+        sq = np.square(z)
+        # z and its mirror share the positive block, so they share norm_plus(z)
+        plus = np.sqrt(_f(sq[:, b:], a[b:]))
+        minus_sq = np.stack([sq[:, :b], np.square(2.0 * m_tilde[:b] - z[:, :b])])
+        w_z, w_mirror = np.divide(np.sqrt(0.0 - _f(minus_sq, a[:b])), plus,
+                                  out=np.full((2, c), math.inf), where=plus > 0.0)
+        margin = w_z + w_mirror - 2.0 * wm
+        margins = margin[(w_z < wm) & (_f(sq, a) <= fm)]
         if margins.size:
             violations += int(np.count_nonzero(margins < -PAIRING_EPSILON))
             min_margin = min(min_margin, float(margins.min()))

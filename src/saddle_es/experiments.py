@@ -97,7 +97,7 @@ class HittingTimeStats:
     ``reasons`` holds each trial's terminal reason from ``es.escape_times``, in
     trial order: ``es.TARGET`` (escaped), ``es.BUDGET`` (censored) or
     ``es.UNDERFLOW``.  The counts are read from it and sum to ``trials``
-    exactly; fractions are derived.  ``times`` holds the first iteration in the
+    exactly; ``to_dict`` derives the fractions from them.  ``times`` holds the first iteration in the
     negative region for escaped trials, the budget for censored trials, and the
     stopping iteration for underflow trials.  ``es._SIGMA_MIN`` says why no
     underflow is no evidence that no trial stalled.
@@ -121,18 +121,6 @@ class HittingTimeStats:
     def escape_fraction(self) -> float:
         return self.n_escaped / self.trials
 
-    @property
-    def censored_fraction(self) -> float:
-        return self.n_censored / self.trials
-
-    @property
-    def underflow_fraction(self) -> float:
-        return self.n_underflow / self.trials
-
-    @property
-    def premature_convergence_detected(self) -> bool:
-        return self.n_underflow > 0
-
     def to_dict(self) -> dict:
         return {
             "trials": self.trials,
@@ -140,9 +128,9 @@ class HittingTimeStats:
             "n_censored": self.n_censored,
             "n_underflow": self.n_underflow,
             "escape_fraction": self.escape_fraction,
-            "censored_fraction": self.censored_fraction,
-            "underflow_fraction": self.underflow_fraction,
-            "premature_convergence_detected": self.premature_convergence_detected,
+            "censored_fraction": self.n_censored / self.trials,
+            "underflow_fraction": self.n_underflow / self.trials,
+            "premature_convergence_detected": self.n_underflow > 0,
             "quantiles": self.quantiles,
             "tail": None if self.tail is None else self.tail.to_dict(),
         }

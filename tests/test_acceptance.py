@@ -9,11 +9,13 @@ import functools
 import math
 import time
 from dataclasses import replace
+from statistics import NormalDist
 
 import numpy as np
 
 from saddle_es import es
 from saddle_es import (
+    TARGET,
     EscapeExperimentSpec,
     EsParams,
     EsState,
@@ -28,6 +30,7 @@ from saddle_es import (
     saddle_success_analytic_2d,
     sample_M_plus_0,
     success_probability,
+    survival_curve,
     task_rng,
 )
 from saddle_es.cli import EXIT_OK, main
@@ -417,3 +420,108 @@ def test_criterion_12_control_null_drift_fails(monkeypatch):
     report("12 control: a null step-size drift fails the growth-law gate", abs(z) > 3.0,
            f"c=1.0 a2=20: {slope:.1f}+-{se:.1f} per decade (L(1/4)={growth_law(0.25):.2f}, "
            f"z={z:+.2f}, failed={failed})")
+
+
+# hazard by survival depth.  An exponential tail keeps its hazard as the
+# survival S(t) falls, and a heavy one's hazard decays to zero (Hajek 1982), so
+# the hazard in the deepest window of S with at least 50 escapes must stay at
+# least HAZARD_FLOOR times the hazard at S in [0.5, 0.1], at 99% confidence
+HAZARD_WINDOWS = ((1.0, 0.5), (0.5, 0.1), (0.1, 0.01), (0.01, 1e-3), (1e-3, 1e-4))
+HAZARD_FLOOR = 0.5
+Z99 = NormalDist().inv_cdf(0.995)
+
+
+def poisson_bounds(k: int) -> tuple:
+    """99% two-sided bounds on a Poisson mean from k events: the chi-square
+    quantiles of the exact interval by the Wilson-Hilferty approximation."""
+    lo = 0.0 if k == 0 else k * (1.0 - 1.0 / (9 * k) - Z99 / (3.0 * math.sqrt(k))) ** 3
+    k += 1
+    return lo, k * (1.0 - 1.0 / (9 * k) + Z99 / (3.0 * math.sqrt(k))) ** 3
+
+
+def window_hazards(times, escaped) -> list:
+    """(events, exposure, closed) of each window (s_a, s_b) of HAZARD_WINDOWS.
+    The window runs from t_a, where the survival curve first reaches s_a, to
+    t_b, where it first reaches s_b, and is open (t_b = inf) if the curve never
+    does; its events are the escapes in (t_a, t_b], and its exposure is the
+    iterations at risk, sum max(0, min(T_i, t_b) - t_a)."""
+    times = np.asarray(times, dtype=float)
+    escaped = np.asarray(escaped)
+    t, s = survival_curve(times, escaped)
+    escapes = times[escaped]
+
+    def reach(level):
+        k = np.flatnonzero(s <= level)
+        return 0.0 if level >= 1.0 else float(t[k[0]]) if k.size else math.inf
+
+    rows = []
+    for s_a, s_b in HAZARD_WINDOWS:
+        t_a, t_b = reach(s_a), reach(s_b)
+        events = int(np.count_nonzero((escapes > t_a) & (escapes <= t_b)))
+        exposure = float(np.maximum(np.minimum(times, t_b) - t_a, 0.0).sum())
+        rows.append((events, exposure, t_b < math.inf))
+    return rows
+
+
+def hazard_gate(times, escaped) -> tuple:
+    """(ok, detail): the hazard ratio of the deepest window with at least 50
+    escapes to the window S in [0.5, 0.1], and its lower bound from the 99%
+    Poisson bounds of both counts.  ok needs a deep window below [0.5, 0.1]
+    that the curve closes (so every shallower one closes too) and a lower
+    bound of at least HAZARD_FLOOR."""
+    rows = window_hazards(times, escaped)
+    deep = max((k for k, (events, _, _) in enumerate(rows) if events >= 50), default=0)
+    if deep < 2:
+        return False, f"no window below S = 0.1 has 50 escapes: {rows}"
+    (k_d, x_d, closed), (k_r, x_r, _) = rows[deep], rows[1]
+    ratio = k_d / x_d / (k_r / x_r)
+    low = poisson_bounds(k_d)[0] / x_d / (poisson_bounds(k_r)[1] / x_r)
+    detail = (f"S in {list(HAZARD_WINDOWS[deep])} ({k_d} escapes{'' if closed else ', open'}) "
+              f"against S in [0.5, 0.1] ({k_r}): ratio {ratio:.3f}, lower bound {low:.3f}")
+    return closed and low >= HAZARD_FLOOR, detail
+
+
+def escaped_times(trials: int, budget: int, seed: int) -> tuple:
+    stats = run_escape_experiment(EscapeExperimentSpec(
+        problem=make((-1.0, 100.0)), params=EsParams(alpha=1.5), w0=0.0, sigma_tilde0=1.0,
+        trials=trials, budget=budget, master_seed=seed))
+    return stats.times, np.array([reason == TARGET for reason in stats.reasons])
+
+
+def test_poisson_bounds_reference_values():
+    # exact bounds chi2(0.005, 2k) / 2 and chi2(0.995, 2k + 2) / 2
+    for k, exact in ((50, (33.6638, 71.2661)), (250, (211.152, 293.685)),
+                     (11000, (10731.72, 11273.05))):
+        assert np.allclose(poisson_bounds(k), exact, rtol=2e-3), k
+    assert poisson_bounds(0)[0] == 0.0
+
+
+def test_criterion_13_hazard_by_survival_depth():
+    t0 = time.perf_counter()
+    times, escaped = escaped_times(30_000, 1_000_000, MASTER_SEED ^ 13000)
+    ok, detail = hazard_gate(times, escaped)
+    report("13 hazard by survival depth (a=(-1,100), 3e4 trials)", ok and escaped.all(),
+           f"{detail} escaped={int(escaped.sum())} elapsed={time.perf_counter() - t0:.2f}s")
+
+
+def test_criterion_13_control_null_drift_fails(monkeypatch):
+    # at c = 1 the walk of ln sigma has no drift and the escape time is heavy
+    # tailed; at 3,000 trials the gate cannot see it (lower bound about 0.6)
+    monkeypatch.setattr(es, "_FAILURE_EXPONENT", 1.0)
+    ok, detail = hazard_gate(*escaped_times(10_000, 20_000, MASTER_SEED ^ 13900))
+    report("13 control: a null step-size drift fails the hazard gate", not ok, detail)
+
+
+def test_criterion_13_controls_heavy_tails_fail():
+    # whole-iteration samples of 3e4 draws: Weibull(0.5) and lognormal(3, 1.2)
+    # tails are heavier than exponential and must fail; geometric(0.05) has a
+    # constant hazard and must pass
+    rng = np.random.default_rng(MASTER_SEED ^ 13950)
+    samples = {"weibull(0.5)": np.ceil(10.0 * rng.weibull(0.5, 30_000)),
+               "lognormal(3, 1.2)": np.ceil(rng.lognormal(3.0, 1.2, 30_000)),
+               "geometric(0.05)": rng.geometric(0.05, 30_000)}
+    results = {name: hazard_gate(x, np.ones(x.size, dtype=bool)) for name, x in samples.items()}
+    ok = [results[name][0] for name in samples] == [False, False, True]
+    report("13 control: heavy tails fail and a geometric tail passes the hazard gate", ok,
+           "; ".join(f"{name}: {'pass' if passed else 'fail'}, {detail}"
+                     for name, (passed, detail) in results.items()))

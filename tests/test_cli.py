@@ -431,6 +431,26 @@ class TestDriftMapCommand:
             f"ci_low={r.est.ci_low!r} n=2000; replay its stream with "
             f'task_rng(9, "row", {k // 8}) at sigma index {k % 8}']
 
+    @pytest.mark.parametrize("command", ["W", "V", "constants"])
+    def test_overflowing_sigma_grid_is_an_error(self, command, tmp_path, capsys):
+        # from sigma~ = 5.2e169 an accepted offspring's squared semi-norms
+        # overflow: the W map read the capped nan as a drift of 0.141 and passed
+        # --check-positive, and the V map and constants failed on a nan stderr
+        grid = ("--a=-1,20", "--b=1", "--n=1000", "--sigma-grid-max=1e300",
+                "--sigma-grid-points=8", "--w-values=0.5", "--threads=1", "--seed=3")
+        if command == "constants":
+            code = run_cli("constants", *grid, f"--constants-out={tmp_path}/out")
+        else:
+            code = run_cli("drift-map", *grid, f"--quantity={command}", "--check-positive",
+                           f"--map-out={tmp_path}/out")
+        assert code == EXIT_CONFIG
+        sigma = float(np.geomspace(1e-4, 1e300, 8)[4])
+        assert capsys.readouterr().err == (
+            "error: the one-step increments overflow the float range; lower the top of the "
+            f"sigma~ grid.  At w=0.5 sigma~={sigma!r}; replay its stream with "
+            'task_rng(3, "row", 0) at sigma index 4\n')
+        assert not (tmp_path / "out").exists()
+
 
 def point_text(row, seed, i, j):
     return (f"w={row.w!r} sigma~={row.sigma_tilde!r} ci_low={row.est.ci_low!r} "
@@ -872,7 +892,7 @@ def test_public_surface():
         "EsParams", "EsState", "RunTrace", "escape_times", "run",
         "ConstantsEstimationError", "DriftConstants", "DriftEstimate", "GridPointEstimate",
         "GridSpec", "PairingReport", "StepSamples", "closed_form_b1", "closed_form_b2",
-        "derive_beta_theta", "drift_w", "estimate_constants_report",
+        "drift_w", "estimate_constants_report",
         "one_step_samples", "pairing_check",
         "saddle_success_analytic_2d", "success_probability", "task_rng",
         "EscapeExperimentSpec", "HittingTimeStats", "TailFit", "drift_map",

@@ -58,8 +58,9 @@ class Recorded:
         self.rng, self.calls = rng, []
 
     def standard_normal(self, size=None, out=None):
-        self.calls.append(("normal", out.shape))
-        return self.rng.standard_normal(size, out=out)
+        z = self.rng.standard_normal(size, out=out)
+        self.calls.append(("normal", z.shape))
+        return z
 
     def standard_gamma(self, shape, size=None, out=None):
         self.calls.append(("gamma", out.shape, np.asarray(shape).tolist()))
@@ -366,6 +367,17 @@ class TestRun:
                 break
         else:
             pytest.fail("no underflow observed in 50 seeds")
+
+    @pytest.mark.parametrize("budget,rows", [(200, [8, 8, 16, 32, 64, 64, 8]), (1, [1])])
+    def test_draws_on_the_refill_schedule(self, budget, rows):
+        # run draws as an escape batch refills, never past its budget: a
+        # one-iteration run draws one row
+        p = problem((-1.0, 20.0, 5.0))
+        stream = Recorded(np.random.default_rng(3))
+        trace = run(p, EsParams(max_iters=budget), EsState(m=np.array([0.1, 0.5, 0.2]), sigma=0.3),
+                    stream, stop=False, record_every=0)
+        assert (trace.reason, trace.t_final) == (BUDGET, budget)
+        assert stream.calls == [("normal", (k, 3)) for k in rows]
 
     def test_decimated_trace_contains_accepts_and_final(self):
         p = problem((-1.0, 20.0))

@@ -14,7 +14,6 @@ from saddle_es import (
     StepSamples,
     closed_form_b1,
     closed_form_b2,
-    derive_beta_theta,
     drift_map,
     drift_w,
     estimate_constants_report,
@@ -26,8 +25,8 @@ from saddle_es import (
     task_rng,
 )
 from saddle_es import estimators
-from saddle_es.estimators import (_drifts, _increment, _scalars, _sigma_40, _success_curve,
-                                  mirror_pair_margins)
+from saddle_es.estimators import (DriftConstants, _drifts, _increment, _scalars, _sigma_40,
+                                  _success_curve)
 from saddle_es.tasks import _STAGES, _task_rngs, _TaskStreams
 
 
@@ -579,21 +578,22 @@ class TestConstants:
                           sigma_values=np.geomspace(1e-4, 1e3, 12))
 
     def test_beta_theta_arithmetic(self):
-        b1 = closed_form_b1(2.0)
-        beta, theta = derive_beta_theta(b1, closed_form_b2(2.0), 0.1)
-        assert beta == pytest.approx(0.288539, abs=1e-6)
-        assert theta == pytest.approx(0.01, rel=1e-12)
+        constants = DriftConstants(alpha=2.0, C=0.1, sigma_tilde_40=1.0, sigma_tilde_star=0.1)
+        assert constants.beta == pytest.approx(0.288539, abs=1e-6)
+        assert constants.theta == pytest.approx(0.01, rel=1e-12)
         # with beta = -C/(2 B1) the second branch is C/2
-        assert 0.1 + beta * b1 == pytest.approx(0.05, rel=1e-12)
+        assert 0.1 + constants.beta * closed_form_b1(2.0) == pytest.approx(0.05, rel=1e-12)
+        assert constants.to_dict()["beta"] == constants.beta
+        assert constants.to_dict()["theta"] == constants.theta
 
     @pytest.mark.parametrize("alpha", [1.01, 1.5, 2.0, 10.0])
     def test_theta_is_a_tenth_of_c(self, alpha):
         # B2 / (-2 B1) = 1/10 for every alpha, so theta = min(C/10, C/2) never
         # takes its second branch
         for c in (1e-3, 0.09399, 0.5, 7.0):
-            beta, theta = derive_beta_theta(closed_form_b1(alpha), closed_form_b2(alpha), c)
-            assert theta == pytest.approx(c / 10.0, rel=1e-12)
-            assert c + beta * closed_form_b1(alpha) == pytest.approx(c / 2.0, rel=1e-12)
+            constants = DriftConstants(alpha=alpha, C=c, sigma_tilde_40=1.0, sigma_tilde_star=0.1)
+            assert constants.theta == pytest.approx(c / 10.0, rel=1e-12)
+            assert c + constants.beta * constants.B1 == pytest.approx(c / 2.0, rel=1e-12)
 
     def test_pipeline_on_ill_conditioned_problem(self):
         p = problem((-1.0, 20.0))
@@ -702,12 +702,15 @@ class TestConstants:
 
 class TestPairing:
     def test_worked_example(self):
+        # the draw (-2, -1) points from m~ = (0.5, 1) to z = (0.3, 0.9) on the
+        # sphere of radius sqrt(0.05); z succeeds with W(z) = 1/3 < 1/2, and
+        # its mirror (0.7, 0.9) gives the margin 1/3 + 7/9 - 1 = 1/9
         p = problem((-1.0, 1.0))
-        in_set, margin = mirror_pair_margins(p, np.array([0.5, 1.0]), np.array([[0.3, 0.9]]))
-        assert in_set.shape == margin.shape == (1,)
-        assert in_set[0]
-        assert margin[0] == pytest.approx(0.3 / 0.9 + 0.7 / 0.9 - 1.0, rel=1e-12)
-        assert margin[0] == pytest.approx(0.1111, abs=1e-4)
+        report = pairing_check(p, np.array([0.5, 1.0]), math.sqrt(0.05), 1,
+                               FixedDraws(np.array([[-2.0, -1.0]])))
+        assert (report.n_pairs, report.violations) == (1, 0)
+        assert report.min_margin == pytest.approx(0.3 / 0.9 + 0.7 / 0.9 - 1.0, rel=1e-12)
+        assert report.min_margin == pytest.approx(0.1111, abs=1e-4)
 
     def test_apex_has_empty_set(self):
         p = problem((-1.0, 20.0))

@@ -98,7 +98,7 @@ class TestEscapeExperiment:
         assert stats.n_escaped == stats.trials == 50
         assert stats.escape_fraction == 1.0
         assert stats.n_underflow == 0
-        assert not stats.premature_convergence_detected
+        assert not stats.to_dict()["premature_convergence_detected"]
 
     def test_counts_sum_to_trials(self):
         stats = run_escape_experiment(spec(budget=5))
@@ -151,7 +151,7 @@ class TestEscapeExperiment:
         s = spec(trials=40, params=EsParams(alpha=1.5), sigma_tilde0=1.0)
         stats = run_escape_experiment(s)
         assert stats.n_underflow > 0
-        assert stats.premature_convergence_detected
+        assert stats.to_dict()["premature_convergence_detected"]
         assert stats.n_escaped + stats.n_censored + stats.n_underflow == 40
 
     def test_survival_curve_is_nonincreasing(self):

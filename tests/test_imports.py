@@ -1,5 +1,7 @@
 import ast
 import importlib
+import pkgutil
+import re
 import sys
 from pathlib import Path
 
@@ -78,4 +80,26 @@ def test_every_saddle_es_name_the_benchmark_uses_resolves():
     assert {"saddle_es.estimators.drift_w", "saddle_es.normalization.NormalizedState",
             "saddle_es.cli.main", "saddle_es.drift_map"} <= {name for _, _, name in names}
     missing = sorted(f"{file}:{line}: {name}" for file, line, name in names if not resolves(name))
+    assert not missing, missing
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_names():
+    """Every dotted name in a README code span that starts with a saddle_es
+    module or export, such as ``es._SIGMA_MIN``, as a saddle_es name."""
+    heads = {module.name for module in pkgutil.iter_modules(saddle_es.__path__)}
+    heads |= {name for name in vars(saddle_es) if not name.startswith("_")}
+    head = "|".join(sorted(heads | {"saddle_es"}, key=len, reverse=True))
+    spans = re.findall(rf"`((?:{head})(?:\.[A-Za-z_]\w*)+)", README.read_text(encoding="utf-8"))
+    return {name if name.startswith("saddle_es.") else f"saddle_es.{name}" for name in spans}
+
+
+def test_every_saddle_es_name_the_readme_names_resolves():
+    # a README that names deleted code reads as a description of the package
+    names = readme_names()
+    assert {"saddle_es.es._SIGMA_MIN", "saddle_es.objective._f", "saddle_es.cli._record",
+            "saddle_es.estimators.CONFIDENCE", "saddle_es.tasks.task_rng"} <= names
+    missing = sorted(name for name in names if not resolves(name))
     assert not missing, missing
