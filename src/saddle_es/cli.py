@@ -2,7 +2,7 @@
 
 Subcommands: run, escape, drift-map, constants, succ-prob, pairing.
 Every command is a pure function of (config, seed) to its output bytes; the
-default seed comes from the SADDLE_ES_SEED environment variable (0 if unset).
+seed defaults to 0, and no environment variable changes a result.
 
 Each long option is declared once, in ``_OPTIONS``, with its parser and help
 text.  ``_COMMANDS`` lists the options of each subcommand and gives a default
@@ -12,8 +12,8 @@ own default applies.  ``_resolve`` takes for each option its flag value, else
 its value in the JSON config file (--config; unknown keys are rejected and null
 leaves an option unset), else its default, and runs the option's parser on it,
 so a config value is checked exactly like a flag.  --threads defaults to the
-CPUs the process may use, and a negative seed, from --seed, the config file or
-SADDLE_ES_SEED, is rejected there, before any work.
+CPUs the process may use, and a negative seed, from --seed or the config file,
+is rejected there, before any work.
 
 Exit codes: 0 success / criteria met, 1 configuration error or failed write (an
 empty output path or one in a missing directory is rejected before any work), 2
@@ -72,9 +72,6 @@ _EXIT = {TARGET: EXIT_OK, BUDGET: EXIT_CRITERION, UNDERFLOW: EXIT_UNDERFLOW}
 
 # escape lists at most this many trials that did not escape
 _LIST_FAILED = 10
-
-SEED_ENV_VAR = "SADDLE_ES_SEED"
-
 
 class ConfigError(ValueError):
     pass
@@ -161,7 +158,7 @@ def _default(fn, name: str):
 _OPTIONS = {
     "a": (_floats, "comma-separated coefficients, e.g. -1,20"),
     "b": (_int, "split index (number of negative coefficients)"),
-    "seed": (_seed, f"master seed (default: ${SEED_ENV_VAR} or 0)"),
+    "seed": (_seed, "master seed (default: 0)"),
     "m0": (_floats, "comma-separated initial mean"),
     "sigma0": (_float, "initial step size"),
     "alpha": (_float, "step-size factor on success, > 1"),
@@ -198,7 +195,7 @@ _REQUIRED = object()
 # unless told otherwise; the library keeps threads=1, so a library call stays
 # serial in the caller's process (spies, tracemalloc, pools of its own)
 _CPUS = object()
-_COMMON = {"a": _REQUIRED, "b": _REQUIRED, "seed": None}
+_COMMON = {"a": _REQUIRED, "b": _REQUIRED, "seed": 0}
 _GRID = dict.fromkeys(("w-values", "sigma-grid-min", "sigma-grid-max", "sigma-grid-points"))
 
 # subcommand: (help, {option: default}), options in --help order.  main looks
@@ -244,16 +241,6 @@ def _load_config(ns) -> dict:
     return config
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return _seed(raw)
-    except ValueError as exc:
-        raise ConfigError(f"{SEED_ENV_VAR}: {exc}") from exc
-
-
 def _resolve(ns) -> None:
     """Set each option of the command to its parsed flag, config or default
     value, and ``ns.problem`` to the saddle that --a and --b describe."""
@@ -275,8 +262,6 @@ def _resolve(ns) -> None:
             except ValueError as exc:
                 raise ConfigError(f"--{key}: {exc}") from exc
         setattr(ns, dest, value)
-    if ns.seed is None:
-        ns.seed = _default_seed()
     ns.problem = SaddleProblem(a=ns.a, b=ns.b)
 
 

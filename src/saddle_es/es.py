@@ -133,9 +133,11 @@ class TraceRecord:
 class RunTrace:
     """Recorded iterations of one run plus terminal bookkeeping.
 
-    ``records`` is decimated unless the run was started with record_every=1;
-    it always contains the initial state, every acceptance, and the final
-    state.  ``t_escape`` is the first iteration with f(m) < 0, or None.
+    ``records`` always holds the initial and the final state.  With
+    record_every=k >= 1 it also holds every k-th iteration and every
+    acceptance; with record_every=0 it holds nothing else, so ``n_accepts``
+    may exceed its length.  ``t_escape`` is the first iteration with f(m) < 0,
+    or None.
     """
 
     records: list

@@ -5,12 +5,13 @@ Drift estimators take one strategy step per sample from the denormalized state
 at scale one (norm_plus(m~) = 1 makes the normalized state its own raw state)
 and renormalize the successor, because the drifts are one-step quantities.
 
-Every one-step estimate goes through one kernel.  ``_scalars`` draws a block of
-normals z (``_blocks``: memory is flat in n and d) and reduces each sample
-x = m~ + sigma~ z, in column passes with no BLAS call (so pool workers do not
-compete with BLAS helper threads), to G = sum_j a_j m_j z_j and
-Q = sum_j a_j z_j**2, and each block's semi-norm to the steps z_j on the
-coordinates where m~ is nonzero plus one sum R of |a_j| z_j**2 over the rest.
+Every one-step estimate goes through one kernel.  ``_draws`` cuts a sample set
+into blocks of normals z (memory is flat in n and d) and draws each, and
+``_scalars`` reduces each sample x = m~ + sigma~ z of a block, in column passes
+with no BLAS call (so pool workers do not compete with BLAS helper threads), to
+G = sum_j a_j m_j z_j and Q = sum_j a_j z_j**2, and each block's semi-norm to
+the steps z_j on the coordinates where m~ is nonzero plus one sum R of
+|a_j| z_j**2 over the rest.
 Then f(x) - f(m~) = sigma (2G + sigma Q) and a block's squared semi-norm is
 sigma**2 R + sum |a_j| (m_j + sigma z_j)**2 at every step size sigma, so
 ``_norms`` evaluates a block at any sigma~ with work per sample that does not
@@ -52,14 +53,20 @@ PAIRING_EPSILON = 1e-9
 _SIGMA40_RATE = 0.4
 
 
-def _blocks(n: int, d: int) -> list:
-    """Sizes of the fewest near-equal blocks of d-wide rows summing to n, each of at
-    most _NORMALS normals and _NORMALS / 4 rows (one row if d exceeds _NORMALS), so
-    memory is flat in n and d: the one-step kernel keeps 4 + k numbers per row, k
-    the mean's nonzero coordinates (six for a grid mean), and a block of them
-    then takes at most twice the memory of _NORMALS draws."""
+def _draws(rng: np.random.Generator, n: int, d: int):
+    """Yield n standard-normal d-wide rows of ``rng``, in draw order, as the fewest
+    near-equal blocks of at most _NORMALS normals and _NORMALS / 4 rows (one row
+    if d exceeds _NORMALS), so memory is flat in n and d: the one-step kernel
+    keeps 4 + k numbers per row, k the mean's nonzero coordinates (six for a
+    grid mean), and a block of them then takes at most twice the memory of
+    _NORMALS draws.  Every block is drawn into one buffer, allocated once, so
+    the blocks reuse its pages: malloc hands a block-sized array back to the
+    system when it is freed (at d > 2), and a new one per block faults its
+    pages in again.  A block is valid until the next one is drawn."""
     k = -(-n // max(_NORMALS // max(d, 4), 1))
-    return [n // k + (i < n % k) for i in range(k)]
+    buf = np.empty((-(-n // k), d))
+    for i in range(k):
+        yield rng.standard_normal(out=buf[:n // k + (i < n % k)])
 
 
 @dataclass(frozen=True)
@@ -141,16 +148,15 @@ def _describe_point(row: GridPointEstimate, master_seed: int, i: int, j: int) ->
             f"n={row.est.n}; {_replay_hint(master_seed, 'row', i)} at sigma index {j}")
 
 
-def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, c: int,
-             rng: np.random.Generator) -> tuple:
-    """Draw c steps z ~ N(0, I) from mean m~ and reduce them, one column at a
-    time, to (2G, Q, x, halves): the per-sample 2G and Q of the module
-    docstring, and the semi-norm numbers as rows of x.  ``halves`` holds each
-    block (minus, plus) as (row of R, [(|a_j|, m_j, row of z_j) for the
-    block's coordinates where m_j != 0]), R being the sum of |a_j| z_j**2 over
-    its other coordinates; a block with no other coordinate has R = 0 and the
-    row None.  Column i of x belongs to sample i."""
-    z = rng.standard_normal((c, problem.d))
+def _scalars(problem: SaddleProblem, m_tilde: np.ndarray, z: np.ndarray) -> tuple:
+    """Reduce the steps z (one per row) from mean m~, one column at a time, to
+    (2G, Q, x, halves): the per-sample 2G and Q of the module docstring, and
+    the semi-norm numbers as rows of x.  ``halves`` holds each block (minus,
+    plus) as (row of R, [(|a_j|, m_j, row of z_j) for the block's coordinates
+    where m_j != 0]), R being the sum of |a_j| z_j**2 over its other
+    coordinates; a block with no other coordinate has R = 0 and the row None.
+    Column i of x belongs to sample i."""
+    c = len(z)
     m = np.asarray(m_tilde, dtype=float)
     rests, step = [], 0
     for block in (m[:problem.b], m[problem.b:]):
@@ -262,9 +268,8 @@ def success_probability(problem: SaddleProblem, state: EsState, n: int,
     """
     if n < 100:
         raise ValueError("need n >= 100 samples")
-    hits = sum(int(np.count_nonzero(_accepted(*_scalars(problem, state.m, c, rng)[:2],
-                                              state.sigma)))
-               for c in _blocks(n, problem.d))
+    hits = sum(int(np.count_nonzero(_accepted(*_scalars(problem, state.m, z)[:2], state.sigma)))
+               for z in _draws(rng, n, problem.d))
     return DriftEstimate.from_binomial(hits, n)
 
 
@@ -315,7 +320,7 @@ def one_step_samples(problem: SaddleProblem, params: EsParams, state: EsState,
     """Draw n independent single steps from the state (m, sigma) at scale one, as one block."""
     if n < 2:
         raise ValueError("need n >= 2 samples")
-    g2, q, x, halves = _scalars(problem, state.m, n, rng)
+    g2, q, x, halves = _scalars(problem, state.m, rng.standard_normal((n, problem.d)))
     accepted = _accepted(g2, q, state.sigma)
     # gather by index: indexing with a random boolean mask is about 10x slower
     norm_minus, norm_plus = _norms(x.take(np.flatnonzero(accepted), axis=1), halves,
@@ -339,8 +344,8 @@ def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigma
     hits = [0] * len(sigmas)
     moments = [[(0, 0.0, 0.0)] * len(increments) for _ in sigmas]
     grid = np.asarray(sigmas, dtype=float)
-    for c in _blocks(n, problem.d):
-        g2, q, x, halves = _scalars(problem, m_tilde, c, rng)
+    for z in _draws(rng, n, problem.d):
+        g2, q, x, halves = _scalars(problem, m_tilde, z)
         order, starts, stops = _slices(g2, q, grid)
         # the ordered numbers replace the block's own arrays before the sigma
         # loop, and go before the next block is drawn: a buffer kept across
@@ -355,7 +360,7 @@ def _drifts(problem: SaddleProblem, params: EsParams, m_tilde: np.ndarray, sigma
                     step = (*_norms(x[:, start:stop], halves, sigma), w0, params.alpha)
                     hits[k] += stop - start
                     moments[k] = [
-                        _merge(_merge(m, (c - stop + start, rejected, 0.0)), _moments(values))
+                        _merge(_merge(m, (len(z) - stop + start, rejected, 0.0)), _moments(values))
                         for m, (rejected, values) in zip(moments[k],
                                                          [inc(*step) for inc in increments])]
         except FloatingPointError:
@@ -461,8 +466,8 @@ def _success_curve(problem: SaddleProblem, m_tilde: np.ndarray, lo: float, hi: f
     falling one's.  Besides one block, it holds only the changes that fall
     inside the cell."""
     positions, changes = [], []
-    for c in _blocks(n, problem.d):
-        t, falling, rising, _ = _rule(*_scalars(problem, m_tilde, c, rng)[:2])
+    for z in _draws(rng, n, problem.d):
+        t, falling, rising, _ = _rule(*_scalars(problem, m_tilde, z)[:2])
         keep = np.flatnonzero(falling & (t >= lo) & (t < hi) | rising & (t > lo) & (t <= hi))
         t, rising = t.take(keep), rising.take(keep)
         positions.append(np.where(rising, t, np.nextafter(t, math.inf)))
@@ -697,8 +702,7 @@ def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
     violations = 0
     min_margin = math.inf
     n_pairs = 0
-    for c in _blocks(n, problem.d):
-        u = rng.standard_normal((c, problem.d))
+    for u in _draws(rng, n, problem.d):
         norms = np.linalg.norm(u, axis=1)
         # a zero draw (probability zero) would land on the mean itself, which
         # the strict in-set test excludes anyway
@@ -709,7 +713,7 @@ def pairing_check(problem: SaddleProblem, m_tilde: np.ndarray, radius: float,
         plus = np.sqrt(_f(sq[:, b:], a[b:]))
         minus_sq = np.stack([sq[:, :b], np.square(2.0 * m_tilde[:b] - z[:, :b])])
         w_z, w_mirror = np.divide(np.sqrt(0.0 - _f(minus_sq, a[:b])), plus,
-                                  out=np.full((2, c), math.inf), where=plus > 0.0)
+                                  out=np.full((2, len(u)), math.inf), where=plus > 0.0)
         margin = w_z + w_mirror - 2.0 * wm
         margins = margin[(w_z < wm) & (_f(sq, a) <= fm)]
         if margins.size:

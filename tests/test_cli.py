@@ -198,11 +198,22 @@ class TestConfigHandling:
                        f"--trace-out={tmp_path}/t.csv",
                        f"--summary-out={tmp_path}/s.json") == EXIT_CONFIG
 
-    def test_env_var_default_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SADDLE_ES_SEED", "777")
-        run_cli("run", "--a=-1,1", "--b=1", "--m0=0,1", "--sigma0=1",
-                f"--trace-out={tmp_path}/t.csv", f"--summary-out={tmp_path}/s.json")
-        assert json.loads((tmp_path / "s.json").read_text())["seed"] == 777
+    def test_seed_environment_variable_changes_no_byte(self, tmp_path, monkeypatch, capsys):
+        # the seed comes from --seed or the config file, else it is 0
+        outputs = []
+        for value in (None, "777"):
+            if value is None:
+                monkeypatch.delenv("SADDLE_ES_SEED", raising=False)
+            else:
+                monkeypatch.setenv("SADDLE_ES_SEED", value)
+            out = tmp_path / str(value)
+            out.mkdir()
+            monkeypatch.chdir(out)
+            code = run_cli("run", *self.ARGV["run"], "--b=1")
+            outputs.append((code, capsys.readouterr(),
+                            {name: Path(name).read_bytes() for name in sorted(os.listdir())}))
+        assert outputs[0] == outputs[1]
+        assert json.loads(outputs[0][2]["run_summary.json"])["seed"] == 0
 
     @pytest.mark.parametrize("args", [("escape", "--threads=0"), ("escape", "--threads=-4"),
                                       ("drift-map", "--threads=0"), ("constants", "--threads=0"),
@@ -226,13 +237,11 @@ class TestConfigHandling:
     @pytest.mark.parametrize("command", COMMANDS)
     @pytest.mark.parametrize("source, message", [
         ("flag", "--seed: expected a non-negative integer, got '-1'"),
-        ("config", "--seed: expected a non-negative integer, got -1"),
-        ("env", "SADDLE_ES_SEED: expected a non-negative integer, got '-1'")])
+        ("config", "--seed: expected a non-negative integer, got -1")])
     def test_negative_seed_is_config_error(self, command, source, message, tmp_path,
                                            monkeypatch, capsys):
         # rejected while options are resolved, so no command starts a pool or writes
         monkeypatch.chdir(tmp_path)
-        monkeypatch.setenv("SADDLE_ES_SEED", "-1" if source == "env" else "0")
         (tmp_path / "cfg.json").write_text(json.dumps({"seed": -1} if source == "config" else {}))
         seed = ["--seed=-1"] if source == "flag" else []
         assert run_cli(command, *self.ARGV[command], "--b=1", *seed, "--config=cfg.json") \
@@ -707,7 +716,7 @@ _GRID = {"w-values": np.linspace(0.0, 1.0, 11).tolist(), "sigma-grid-min": 1e-4,
 # the CPU count the pinned test makes the command line see
 CPUS = 3
 # each command's long flags but --config, and the value each option takes when no
-# flag, config key or SADDLE_ES_SEED sets it
+# flag or config key sets it
 PINNED = {
     "run": {"a": REQUIRED, "b": REQUIRED, "seed": 0, "m0": REQUIRED, "sigma0": REQUIRED,
             "alpha": 1.5, "budget": 100_000, "record-every": 100,
@@ -767,7 +776,6 @@ README_EXIT_CODES = {int(code) for code in re.findall(
 class TestParser:
     @pytest.mark.parametrize("command", COMMANDS)
     def test_flags_and_defaults_are_pinned(self, command, capsys, monkeypatch):
-        monkeypatch.delenv("SADDLE_ES_SEED", raising=False)
         monkeypatch.setattr(cli, "_usable_cpus", lambda: CPUS)
         pinned = PINNED[command]
         assert help_flags(command, capsys) == set(pinned)

@@ -263,6 +263,14 @@ class TestRun:
         assert len(trace.records) == 1
         assert trace.t_final == 0
 
+    def test_record_every_zero_keeps_the_ends_only(self):
+        # the acceptances go uncounted in the records, not unmade
+        p = problem((-1.0, 20.0))
+        trace = run(p, EsParams(max_iters=300), EsState(m=np.array([0.0, 0.5]), sigma=0.2),
+                    np.random.default_rng(3), stop=False, record_every=0)
+        assert (trace.reason, [r.t for r in trace.records]) == (BUDGET, [0, 300])
+        assert trace.n_accepts == 87 > len(trace.records)
+
     def test_initial_state_already_negative(self):
         p = problem()
         trace = run(p, EsParams(), EsState(m=np.array([2.0, 1.0]), sigma=1.0),

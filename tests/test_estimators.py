@@ -666,9 +666,10 @@ class TestConstants:
             def __init__(self, *key):
                 self.key, self.rng = key, task_rng(*key)
 
-            def standard_normal(self, shape):
-                drawn[self.key] = drawn.get(self.key, 0) + math.prod(shape)
-                return self.rng.standard_normal(shape)
+            def standard_normal(self, shape=None, out=None):
+                drawn[self.key] = drawn.get(self.key, 0) + (
+                    out.size if out is not None else math.prod(shape))
+                return self.rng.standard_normal(shape, out=out)
 
         monkeypatch.setattr(estimators, "task_rng", Counting)
         return drawn
@@ -805,7 +806,7 @@ class TestBlockKernel:
     @pytest.mark.parametrize("n,d", [(n, d) for n in SIZES for d in (2, 3, 100)]
                              + [(n, d) for n in SIZES[:3] for d in (1 << 16, (1 << 16) + 1)])
     def test_blocks_are_fewest_near_equal_and_capped(self, n, d):
-        sizes = estimators._blocks(n, d)
+        sizes = block_sizes(n, d)
         assert sum(sizes) == n and min(sizes) >= 1
         assert max(sizes) - min(sizes) <= 1
         rows = max(sizes)
@@ -813,6 +814,19 @@ class TestBlockKernel:
         # one block fewer cannot hold n rows within the caps; rows longer than
         # the normals cap come one per block
         assert (len(sizes) - 1) * max((1 << 16) // max(d, 4), 1) < n
+
+    @pytest.mark.parametrize("blocks", [1, 3])
+    @pytest.mark.parametrize("d", [2, 5, 100])
+    def test_blocks_are_the_generators_draws(self, d, blocks):
+        # the blocks, in order, are the rows of one whole draw, bit for bit,
+        # and every block is a view of one buffer
+        n = blocks * (estimators._NORMALS // max(d, 4)) - 5
+        draws = list(estimators._draws(np.random.default_rng(74), n, d))
+        assert len(draws) == blocks
+        assert all(np.shares_memory(z, draws[0]) for z in draws)
+        whole = np.random.default_rng(74).standard_normal((n, d))
+        assert_bitwise(np.concatenate([z.copy() for z in estimators._draws(
+            np.random.default_rng(74), n, d)]), whole)
 
     @pytest.mark.parametrize("unblocked", [False, True])
     @pytest.mark.parametrize("d", [2, 10, 100])
@@ -851,9 +865,9 @@ class TestBlockKernel:
             return (hits, success_probability(p, ns, n, np.random.default_rng(77)),
                     pairing_check(p, ns.m, 0.3, n, np.random.default_rng(77)))
 
-        default, blocks = counts(), len(estimators._blocks(n, p.d))
+        default, blocks = counts(), len(block_sizes(n, p.d))
         monkeypatch.setattr(estimators, "_NORMALS", 1 << 12)
-        assert len(estimators._blocks(n, p.d)) > blocks
+        assert len(block_sizes(n, p.d)) > blocks
         assert counts() == default
 
 
@@ -861,7 +875,7 @@ def slice_order(p, m, z):
     """The draws' rows in the drift kernel's order: falling rows (Q > 0 > 2G) by
     threshold -2G/Q, the rows with 2G <= 0 and Q <= 0, then rising rows
     (Q < 0 < 2G) by threshold, each sort stable."""
-    g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+    g2, q = _scalars(p, m, z)[:2]
     with np.errstate(divide="ignore", invalid="ignore"):
         t = -g2 / q
     falls = np.flatnonzero((q > 0.0) & (g2 < 0.0))
@@ -985,9 +999,9 @@ class TestKernelBits:
         p = problem((-1.0, *np.geomspace(1.0, 20.0, d - 1)))
         m = sample_M_plus_0(p, 0.5)
         z = np.random.default_rng(75).standard_normal((1000, d))
-        whole = block_arrays(_scalars(p, m, len(z), FixedDraws(z)))
+        whole = block_arrays(_scalars(p, m, z))
         for lo, hi in ((0, 1), (3, 4), (0, 7), (500, 1000)):
-            part = block_arrays(_scalars(p, m, hi - lo, FixedDraws(z[lo:hi])))
+            part = block_arrays(_scalars(p, m, z[lo:hi]))
             assert len(part) == len(whole)
             for x, y in zip(part, whole):
                 assert_bitwise(x, y[lo:hi])
@@ -1010,7 +1024,7 @@ class TestSlices:
             for _ in range(6):
                 z = rng.standard_normal(p.d)
                 z[j] = 0.0
-                g2, q = _scalars(p, m, 1, FixedDraws(z[None]))[:2]
+                g2, q = _scalars(p, m, z[None])[:2]
                 a, b, c = sigma * p.a[j], 2.0 * p.a[j] * m[j], g2[0] + sigma * q[0]
                 if b * b < 4.0 * a * c:
                     continue
@@ -1019,7 +1033,7 @@ class TestSlices:
                     tries[:, j] = root + np.arange(-32, 33) * np.spacing(root)
                     rows.append(tries)
         z = np.concatenate(rows)
-        g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+        g2, q = _scalars(p, m, z)[:2]
         below, above = np.nextafter(self.GRID, 0.0), np.nextafter(self.GRID, math.inf)
         # row k: every grid step size moved by k - 2 ulps
         targets = np.array([np.nextafter(below, 0.0), below, self.GRID, above,
@@ -1046,7 +1060,7 @@ class TestSlices:
                         z[0], z[p.b] = z_0, sign * z_b
                         rows.append(z)
         z = np.array(rows)
-        g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+        g2, q = _scalars(p, m, z)[:2]
         assert np.any(g2 == 0.0) and np.any((q == 0.0) & (g2 < 0.0)) and \
             np.any((q == 0.0) & (g2 > 0.0))
         return z
@@ -1058,7 +1072,7 @@ class TestSlices:
         rng = np.random.default_rng(79)
         z = np.concatenate([rng.standard_normal((20_000, p.d)), self.near_ties(p, m, rng),
                             self.zero_rows(p, m)])
-        g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+        g2, q = _scalars(p, m, z)[:2]
         order, starts, stops = estimators._slices(g2, q, self.GRID)
         counts = []
         for sigma, start, stop in zip(self.GRID, starts, stops):
@@ -1088,7 +1102,7 @@ class TestSlices:
         # the drift pass over the same draws, in blocks, counts the same hits
         hits = [h for h, _ in estimators._drifts(p, EsParams(), m, self.GRID.tolist(), len(z),
                                                  FixedDraws(z), (_increment("W"),))]
-        assert len(estimators._blocks(len(z), p.d)) > 1 and hits == counts
+        assert len(block_sizes(len(z), p.d)) > 1 and hits == counts
         # and sigma~40 of the draws is the last step size at which the kernel's
         # own count is still >= 0.4
         monkeypatch.setattr(estimators, "task_rng", lambda *key: FixedDraws(z))
@@ -1124,7 +1138,7 @@ class TestSlices:
         p = problem(a, b)
         m = sample_M_plus_0(p, 0.5)
         z = np.repeat(np.random.default_rng(80).standard_normal((4000, p.d)), 2, axis=0)
-        g2, q = _scalars(p, m, len(z), FixedDraws(z))[:2]
+        g2, q = _scalars(p, m, z)[:2]
         order = estimators._slices(g2, q, self.GRID)[0]
         assert np.array_equal(order, slice_order(p, m, z))
 
@@ -1137,12 +1151,28 @@ class FixedDraws:
     def __init__(self, z):
         self.z, self.row = z, 0
 
-    def standard_normal(self, shape):
-        rows, d = shape
+    def standard_normal(self, shape=None, out=None):
+        rows, d = shape if out is None else out.shape
         assert d == self.z.shape[1] and self.row + rows <= len(self.z)
-        draws = self.z[self.row:self.row + rows].copy()
+        draws = self.z[self.row:self.row + rows]
         self.row = (self.row + rows) % len(self.z)
-        return draws
+        if out is None:
+            return draws.copy()
+        out[...] = draws
+        return out
+
+
+class NoDraws:
+    """Stands in for a Generator where only the block sizes matter:
+    standard_normal returns its ``out`` as it is."""
+
+    def standard_normal(self, out):
+        return out
+
+
+def block_sizes(n, d):
+    """Row counts of the blocks ``_draws`` cuts n d-wide rows into."""
+    return [len(z) for z in estimators._draws(NoDraws(), n, d)]
 
 
 def pooled_moments(n_rejected, rejected, accepted):

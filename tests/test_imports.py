@@ -28,6 +28,21 @@ def test_package_imports_only_numpy_and_the_standard_library():
     assert not outside, outside
 
 
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb"}
+
+
+def test_package_reads_no_environment_variable():
+    # every output is a function of the command's options: a read of
+    # os.environ or os.getenv, under any name it is imported as, fails here
+    reads = [f"{path.name}:{node.lineno}"
+             for path in sorted(Path(saddle_es.__file__).parent.glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT)
+             or (isinstance(node, ast.ImportFrom) and node.module == "os"
+                 and ENVIRONMENT & {alias.name for alias in node.names})]
+    assert not reads, reads
+
+
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
